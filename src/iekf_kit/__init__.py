@@ -2,8 +2,9 @@
 model on SE_2(3), a bank of EKF/invariant estimator variants, camera and
 sliding-window measurement models, and a Monte-Carlo consistency harness.
 
-Submodules are imported lazily so the command-line entry point can configure
-threading before numpy is loaded.
+Submodules are imported lazily: ``import iekf_kit`` loads none of them, and
+no numpy, until one is first used.  The package sets no BLAS or OpenMP
+thread count; those come from the environment.
 """
 
 __version__ = "0.1.0"

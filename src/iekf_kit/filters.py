@@ -17,8 +17,7 @@ the gain times residual is then applied directly as a correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -56,15 +55,6 @@ class FilterVariant:
         if self.tag == "ij_iekf":
             return f"ij_iekf-{self.r:g}"
         return self.tag
-
-
-@dataclass
-class LinearMeasurement:
-    """Linearized measurement: residual ~ H c + noise, noise ~ N(0, N)."""
-
-    residual: np.ndarray
-    H: np.ndarray
-    N: np.ndarray
 
 
 @dataclass
@@ -122,13 +112,12 @@ def quat_from_rotvec(v):
 
 # ---------------------------------------------------------------------------
 
-def ekf_error_jacobians(state, meas, gravity=None, n_landmarks=0):
+def ekf_error_jacobians(state, meas, n_landmarks=0):
     """Conventional world-frame error-state Jacobians for the EKF family.
 
-    Landmark error rows are zero (static landmarks, additive errors).
+    Gravity cancels out of the world-frame error model.  Landmark error rows
+    are zero (static landmarks, additive errors).
     """
-    g = imu_model.DEFAULT_GRAVITY if gravity is None else np.asarray(gravity, float)
-    del g  # gravity cancels out of the world-frame error model
     a_body = np.asarray(meas.accel, dtype=float) - state.b_a
     a_world_hat = lie.so3_hat(state.R @ a_body)
     d = 15 + 3 * n_landmarks
@@ -148,16 +137,14 @@ def invariant_error_jacobians(state, landmarks=None, xi_delta=None, gravity=None
     """Right-invariant error Jacobians, optionally for the landmark-augmented
     state on SE_{m+2}(3) and/or with imitated-Jacobian compensation.
 
-    ``xi_delta`` is the 9-vector imitation error; its orientation part is the
-    only nonzero slot and is shared by every block row of the inverse left
-    Jacobian on the augmented group.
+    ``xi_delta`` is the 9-vector imitation error from
+    ``imu.sample_imitating_error``.  Only its orientation part is nonzero, so
+    every Q block of the inverse left Jacobian on the augmented group
+    vanishes and that Jacobian is J_SO3^-1(xi_delta[:3]) repeated on the
+    block diagonal: it is applied to each 3-row block of the noise map.
     """
-    g = imu_model.DEFAULT_GRAVITY if gravity is None else np.asarray(gravity, float)
     m = 0 if landmarks is None else len(landmarks)
     nrows = 9 + 3 * m
-    A = np.zeros((nrows, nrows))
-    A[3:6, 6:9] = np.eye(3)
-    A[6:9, :3] = lie.so3_hat(g)
     B = np.zeros((nrows, 6))
     B[:3, :3] = state.R
     B[3:6, :3] = lie.so3_hat(state.p) @ state.R
@@ -166,18 +153,17 @@ def invariant_error_jacobians(state, landmarks=None, xi_delta=None, gravity=None
     for j in range(m):
         B[9 + 3 * j:12 + 3 * j, :3] = lie.so3_hat(np.asarray(landmarks[j])) @ state.R
     if xi_delta is not None:
-        xi_ext = np.zeros(3 * (m + 3))
-        xi_ext[:9] = xi_delta
-        B = lie.sen_left_jacobian_inv(xi_ext) @ B
+        if np.any(xi_delta[3:]):
+            raise ValueError("imitation error must be orientation-only")
+        Jinv = lie.so3_left_jacobian_inv(xi_delta[:3])
+        B = (Jinv @ B.reshape(-1, 3, 6)).reshape(nrows, 6)
     d = nrows + 6
     F = np.zeros((d, d))
-    F[:9, :9] = A[:9, :9]
-    # reorder: rows are (pose 0:9, bias 9:15, landmarks 15:); A/B were built
-    # with landmarks directly after the pose, so split them apart here.
+    F[:9, :9] = imu_model.imu_error_matrix_a(gravity)
+    # rows are (pose 0:9, bias 9:15, landmarks 15:); B was built with the
+    # landmarks directly after the pose, so split it apart here.
     F[:9, 9:15] = -B[:9]
     F[15:, 9:15] = -B[9:]
-    F[15:, :9] = A[9:, :9]
-    F[:9, 15:] = A[:9, 9:]
     G = np.zeros((d, 12))
     G[:9, :6] = B[:9]
     G[15:, :6] = B[9:]
@@ -207,7 +193,7 @@ class FilterInstance:
         self.anchor_landmarks = (None if self.landmarks is None
                                  else self.landmarks.copy())
         self._quat = quat_from_rot(state.R) if variant.tag == "qekf" else None
-        self._q_cache = None
+        self._kernel = None    # (dt, Q, imu.noise_kernel(Q, dt))
         expected = self.core_dim
         if self.P.shape != (expected, expected):
             raise ValueError(f"P must be {expected}x{expected}")
@@ -242,39 +228,20 @@ class FilterInstance:
             F, G = invariant_error_jacobians(
                 self.state, self.landmarks, None, self.gravity)
         else:
-            F, G = ekf_error_jacobians(
-                self.state, meas, self.gravity, self.n_landmarks)
+            F, G = ekf_error_jacobians(self.state, meas, self.n_landmarks)
         self.state = imu_model.propagate_mean(self.state, meas, dt, self.gravity)
         if self.anchor_state is not None:
             self.anchor_state = imu_model.propagate_mean(
                 self.anchor_state, meas, dt, self.gravity)
         if self._quat is not None:
             self._quat = quat_from_rot(self.state.R)
-        c = self.core_dim
-        Q = self._q_cache
-        if Q is None:
-            Q = self._q_cache = self.noise.q_imu()
-        # F is nilpotent (F^4 = 0): the transition is an exact cubic and the
-        # noise integral is midpoint-accurate to O(dt^3), an order below the
-        # linearization error already accepted per step.
-        F2 = F @ F
-        F3 = F2 @ F
-        Phi = np.eye(c) + dt * F + (dt * dt / 2) * F2 + (dt ** 3 / 6) * F3
-        Phi_h = (np.eye(c) + (dt / 2) * F + (dt * dt / 8) * F2
-                 + (dt ** 3 / 48) * F3)
-        GQG = G @ Q @ G.T
-        Qd = dt * (Phi_h @ GQG @ Phi_h.T)
-        Pcc = Phi @ self.P[:c, :c] @ Phi.T + Qd
-        if self.clones:
-            self.P[:c, c:] = Phi @ self.P[:c, c:]
-            self.P[c:, :c] = self.P[:c, c:].T
-        self.P[:c, :c] = Pcc
-        self.P = 0.5 * (self.P + self.P.T)
+        if self._kernel is None or self._kernel[0] != dt:
+            Q = self.noise.q_imu()
+            self._kernel = (dt, Q, imu_model.noise_kernel(Q, dt))
+        _, Q, kernel = self._kernel
+        self.P = imu_model.propagate_covariance(self.P, F, G, Q, dt, kernel)
 
     # -- update -------------------------------------------------------------
-
-    def update(self, m: LinearMeasurement):
-        self.update_raw(m.residual, m.H, m.N)
 
     def update_raw(self, residual, H, N):
         """Kalman update; the gain-weighted residual is applied directly as a
@@ -367,19 +334,10 @@ class FilterInstance:
 
     # -- evaluation ---------------------------------------------------------
 
-    def nees(self, truth):
-        """DOF-normalized position and orientation NEES against a truth state.
-
-        Orientation error is log(R_hat R^T); position error follows this
-        filter's error convention (invariant: p_hat - R_tilde p; EKF family:
-        p_hat - p).
-        """
-        R_tilde = self.state.R @ truth.R.T
-        ang_err = lie.so3_log(R_tilde)
-        if self.variant.invariant:
-            pos_err = self.state.p - R_tilde @ truth.p
-        else:
-            pos_err = self.state.p - truth.p
+    def nees(self, errors):
+        """DOF-normalized position and orientation NEES of the error pair
+        ``errors(truth)`` returned, against this filter's covariance."""
+        pos_err, ang_err = errors
         out = []
         for err, sl in ((pos_err, slice(3, 6)), (ang_err, slice(0, 3))):
             block = self.P[sl, sl]
@@ -389,7 +347,13 @@ class FilterInstance:
         return out[0], out[1]
 
     def errors(self, truth):
-        """(pos_err_vec, ang_err_vec) in this filter's convention."""
+        """(pos_err_vec, ang_err_vec) against a truth state, in this filter's
+        error convention.
+
+        Orientation error is log(R_hat R^T) for every variant; position error
+        is p_hat - R_tilde p (R_tilde = R_hat R^T) for the invariant filters
+        and p_hat - p for the EKF family.
+        """
         R_tilde = self.state.R @ truth.R.T
         ang_err = lie.so3_log(R_tilde)
         if self.variant.invariant:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lie
-from .errorprop import expm_nilpotent_or_series
 from .exceptions import NegativeRange, NonPositiveDt
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -106,59 +105,51 @@ def imu_error_matrix_a(gravity=None):
     return A
 
 
-def imu_noise_matrix_b(state):
-    """9x6 map from (n_omega, n_a) into the pose-error rate."""
-    B = np.zeros((9, 6))
-    B[:3, :3] = state.R
-    B[3:6, :3] = lie.so3_hat(state.p) @ state.R
-    B[6:9, :3] = lie.so3_hat(state.v) @ state.R
-    B[6:9, 3:6] = state.R
-    return B
+def noise_kernel(Q, dt):
+    """C(dt) kron Q, the middle factor of the closed-form discrete noise in
+    ``propagate_covariance``, with C_ij = dt^(i+j+1) / (i! j! (i+j+1)) for
+    i, j = 0..3 (48 x 48 for the 12 x 12 IMU noise density).
 
-
-def error_jacobians(state, xi_delta=None, gravity=None):
-    """Continuous-time error Jacobians (F, G) of the augmented 15-state.
-
-    With ``xi_delta`` None the small-error linearization is used (inverse left
-    Jacobian taken as identity); otherwise the noise map B is premultiplied by
-    J(ad_{xi_delta})^-1, the imitated-Jacobian compensation.
-
-    The bias-noise block of G is the 6x6 identity: the gyro and accel bias
-    noises are three-dimensional each.
+    It depends only on the noise density and the step, so a caller that
+    propagates repeatedly with one (Q, dt) builds it once.
     """
-    A = imu_error_matrix_a(gravity)
-    B = imu_noise_matrix_b(state)
-    if xi_delta is not None:
-        B = lie.sen_left_jacobian_inv(xi_delta) @ B
-    F = np.zeros((15, 15))
-    F[:9, :9] = A
-    F[:9, 9:15] = -B
-    G = np.zeros((15, 12))
-    G[:9, :6] = B
-    G[9:15, 6:12] = np.eye(6)
-    return F, G
+    s = np.add.outer(np.arange(4), np.arange(4)) + 1.0
+    fact = np.array([1.0, 1.0, 2.0, 6.0])
+    C = dt ** s / (np.outer(fact, fact) * s)
+    return np.kron(C, np.asarray(Q, dtype=float))
 
 
-def propagate_covariance(P, F, G, Q, dt):
-    """Discrete covariance step P <- Phi P Phi^T + Q_d.
+def propagate_covariance(P, F, G, Q, dt, kernel=None):
+    """Discrete covariance step P <- Phi P Phi^T + Q_d, exact for F^4 = 0.
 
-    Phi and the exact integral Q_d = int_0^dt Phi(s) G Q G^T Phi(s)^T ds are
-    obtained jointly from one block matrix exponential; the result is
-    symmetrized.
+    Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6, and the noise integral
+    Q_d = int_0^dt Phi(s) G Q G^T Phi(s)^T ds is W (C(dt) kron Q) W^T with
+    W = [G, FG, F^2 G, F^3 G] (see ``noise_kernel``; ``kernel`` is that
+    matrix if the caller has it already).  Every error model of this
+    package has F^4 = 0.  When P is larger than F (trailing clone blocks,
+    which are static), the cross-covariance rows are mapped by Phi as well.
+    The result is symmetrized.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
     P = np.asarray(P, dtype=float)
     F = np.asarray(F, dtype=float)
-    d = F.shape[0]
-    M = np.zeros((2 * d, 2 * d))
-    M[:d, :d] = -F
-    M[:d, d:] = G @ np.asarray(Q, dtype=float) @ np.asarray(G, dtype=float).T
-    M[d:, d:] = F.T
-    E = expm_nilpotent_or_series(M * dt)
-    Phi = E[d:, d:].T
-    Qd = Phi @ E[:d, d:]
-    P_new = Phi @ P @ Phi.T + Qd
+    G = np.asarray(G, dtype=float)
+    if kernel is None:
+        kernel = noise_kernel(Q, dt)
+    c = F.shape[0]
+    F2 = F @ F
+    F3 = F2 @ F
+    Phi = np.eye(c) + dt * F + (dt * dt / 2) * F2 + (dt ** 3 / 6) * F3
+    W = np.hstack([G, F @ G, F2 @ G, F3 @ G])
+    Pcc = Phi @ P[:c, :c] @ Phi.T + W @ kernel @ W.T
+    if P.shape[0] == c:
+        P_new = Pcc
+    else:
+        P_new = P.copy()
+        P_new[:c, :c] = Pcc
+        P_new[:c, c:] = Phi @ P[:c, c:]
+        P_new[c:, :c] = P_new[:c, c:].T
     return 0.5 * (P_new + P_new.T)
 
 

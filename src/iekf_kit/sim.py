@@ -106,6 +106,20 @@ class Scenario:
     max_range: float = 110.0
     landmark_box: tuple = ((-60.0, 60.0), (-50.0, 50.0), (-80.0, -50.0))
 
+    def __post_init__(self):
+        if not (self.imu_rate > 0 and self.cam_rate > 0):
+            raise ValueError("imu_rate and cam_rate must be positive")
+        ratio = self.imu_rate / self.cam_rate
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(
+                f"imu_rate / cam_rate = {ratio:g} is not a whole number: "
+                f"the camera fires on every n-th IMU step")
+
+    @property
+    def camera_every(self):
+        """Number of IMU steps per camera epoch."""
+        return int(round(self.imu_rate / self.cam_rate))
+
     def truth_state(self, t):
         if t < 0.0 or t > self.duration:
             raise OutOfDomain(f"t = {t} outside [0, {self.duration}]")
@@ -266,6 +280,17 @@ def perturbed_filter(variant, truth0, landmarks, init, scenario, rng):
                           landmarks=lm_est, gravity=scenario.noise.gravity)
 
 
+def _camera_epochs(scenario, truth, filt):
+    """Predict ``filt`` through the whole IMU stream, yielding
+    (i, t, true state) at camera epoch i, after the prediction to it."""
+    dt = 1.0 / scenario.imu_rate
+    every = scenario.camera_every
+    for k, meas in enumerate(truth.measurements, start=1):
+        filt.predict(meas, dt)
+        if k % every == 0:
+            yield k // every - 1, truth.times[k], truth.states[k]
+
+
 def run_filter(scenario, truth, frames, filt):
     """Drive one filter through one truth realization with in-state landmark
     updates at the camera rate.
@@ -274,40 +299,30 @@ def run_filter(scenario, truth, frames, filt):
     shared across variants for paired-noise comparisons.  Returns a list of
     per-epoch tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|).
     """
-    dt = 1.0 / scenario.imu_rate
-    every = max(1, int(round(scenario.imu_rate / scenario.cam_rate)))
     records = []
-    fi = 0
-    for k, meas in enumerate(truth.measurements):
-        filt.predict(meas, dt)
-        if (k + 1) % every == 0:
-            t = truth.times[k + 1]
-            st_true = truth.states[k + 1]
-            obs = frames[fi]
-            fi += 1
-            if obs:
-                rows_r, rows_H = [], []
-                for j, uv in obs.items():
-                    try:
-                        r, H, _ = vision.landmark_measurement(
-                            filt, scenario.camera, scenario.extrinsics,
-                            filt.landmarks[j], uv, scenario.pixel_sigma,
-                            landmark_index=j)
-                    except (BehindCamera, ZeroRange):
-                        # predicted landmark outside the projection domain;
-                        # drop the observation this epoch
-                        continue
-                    rows_r.append(r)
-                    rows_H.append(H)
-                if rows_r:
-                    residual = np.concatenate(rows_r)
-                    N = np.eye(len(residual)) * scenario.pixel_sigma ** 2
-                    filt.update_raw(residual, np.vstack(rows_H), N)
-            pos_nees, ang_nees = filt.nees(st_true)
-            pos_err, ang_err = filt.errors(st_true)
-            records.append((t, pos_nees, ang_nees,
-                            float(np.linalg.norm(pos_err)),
-                            float(np.linalg.norm(ang_err))))
+    for i, t, st_true in _camera_epochs(scenario, truth, filt):
+        rows_r, rows_H = [], []
+        for j, uv in frames[i].items():
+            try:
+                r, H, _ = vision.landmark_measurement(
+                    filt, scenario.camera, scenario.extrinsics,
+                    filt.landmarks[j], uv, scenario.pixel_sigma,
+                    landmark_index=j)
+            except (BehindCamera, ZeroRange):
+                # predicted landmark outside the projection domain; drop
+                # the observation this epoch
+                continue
+            rows_r.append(r)
+            rows_H.append(H)
+        if rows_r:
+            residual = np.concatenate(rows_r)
+            N = np.eye(len(residual)) * scenario.pixel_sigma ** 2
+            filt.update_raw(residual, np.vstack(rows_H), N)
+        errors = filt.errors(st_true)
+        pos_nees, ang_nees = filt.nees(errors)
+        records.append((t, pos_nees, ang_nees,
+                        float(np.linalg.norm(errors[0])),
+                        float(np.linalg.norm(errors[1]))))
     return records
 
 
@@ -354,12 +369,9 @@ def monte_carlo_single_run(scenario, variants, init, seed, run_index):
     rng_cam = np.random.default_rng(children[1])
     rng_init = np.random.default_rng(children[2])
     truth = synthesize_truth(scenario, rng_truth)
-    every = max(1, int(round(scenario.imu_rate / scenario.cam_rate)))
-    frames = []
-    for k in range(len(truth.measurements)):
-        if (k + 1) % every == 0:
-            frames.append(camera_frame(
-                scenario, truth.states[k + 1], truth.landmarks, rng_cam))
+    every = scenario.camera_every
+    frames = [camera_frame(scenario, st, truth.landmarks, rng_cam)
+              for st in truth.states[every::every]]
     init_state = rng_init.bit_generator.state
     out = {}
     for v in variants:
@@ -423,20 +435,13 @@ def run_sliding_window(scenario, truth, variant=None, seed=0,
     upd = vision.SlidingWindowUpdater(
         scenario.camera, scenario.extrinsics, max_clones=max_clones,
         max_features=max_features, sigma_px=scenario.pixel_sigma)
-    dt = 1.0 / scenario.imu_rate
-    every = max(1, int(round(scenario.imu_rate / scenario.cam_rate)))
     times, errs = [], []
-    for k, meas in enumerate(truth.measurements):
-        filt.predict(meas, dt)
-        if (k + 1) % every == 0:
-            t = truth.times[k + 1]
-            st_true = truth.states[k + 1]
-            if updates:
-                obs = camera_frame(scenario, st_true, truth.landmarks,
-                                   rng_cam)
-                upd.ingest(filt, t, obs)
-            times.append(t)
-            errs.append(float(np.linalg.norm(filt.state.p - st_true.p)))
+    for _, t, st_true in _camera_epochs(scenario, truth, filt):
+        if updates:
+            obs = camera_frame(scenario, st_true, truth.landmarks, rng_cam)
+            upd.ingest(filt, t, obs)
+        times.append(t)
+        errs.append(float(np.linalg.norm(filt.state.p - st_true.p)))
     return np.array(times), np.array(errs)
 
 

@@ -159,7 +159,7 @@ def test_criterion_06_nees_calibration(verdict):
 
 @pytest.fixture(scope="module")
 def study():
-    sc = sim.Scenario(duration=120.0, imu_rate=50.0)
+    sc = sim.Scenario(duration=120.0, imu_rate=50.0, cam_rate=25.0)
     init = sim.InitSpec(sigma_bw=0.002, sigma_ba=0.02,
                         sigma_f=STUDY_SIGMA_F)
     variants = [filters.FilterVariant("ekf"), filters.FilterVariant("iekf"),

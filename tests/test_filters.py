@@ -167,13 +167,13 @@ def test_nees_trivial_values():
     rng = np.random.default_rng(8)
     f = make_filter("iekf", rng, P_scale=0.04)
     truth = f.state.copy()
-    pos, ang = f.nees(truth)
+    pos, ang = f.nees(f.errors(truth))
     assert pos < 1e-20 and ang < 1e-20
     # error = sigma * unit vector with P = sigma^2 I gives NEES = 1/3
     f2 = make_filter("ekf", rng, P_scale=0.04)
     truth2 = f2.state.copy()
     truth2.p = truth2.p + np.array([0.2, 0.0, 0.0])
-    pos2, _ = f2.nees(truth2)
+    pos2, _ = f2.nees(f2.errors(truth2))
     assert abs(pos2 - 1.0 / 3.0) < 1e-12
 
 
@@ -182,7 +182,7 @@ def test_nees_rejects_singular_covariance():
     f = make_filter("iekf", rng, P_scale=0.0)
     truth = f.state.copy()
     with pytest.raises(SingularCovariance):
-        f.nees(truth)
+        f.nees(f.errors(truth))
 
 
 def test_right_invariant_error_unchanged_by_right_translation():
@@ -264,6 +264,24 @@ def test_invariant_F_nilpotent_with_landmarks():
     lms = rng.normal(0.0, 10.0, (3, 3))
     F, _ = filters.invariant_error_jacobians(st, lms)
     assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
+
+
+def test_predict_propagates_clones_like_propagate_covariance():
+    rng = np.random.default_rng(15)
+    dt = 0.02
+    for tag in ("iekf", "ekf"):
+        f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
+        R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
+        f.clone_camera_pose(0.0, R_c, p_c)
+        if tag == "iekf":
+            F, G = filters.invariant_error_jacobians(f.state, f.landmarks)
+        else:
+            F, G = filters.ekf_error_jacobians(f.state, MEAS, n_landmarks=2)
+        expected = imu.propagate_covariance(f.P, F, G, f.noise.q_imu(), dt)
+        clone_block = f.P[21:, 21:].copy()
+        f.predict(MEAS, dt)
+        assert np.array_equal(f.P, expected)
+        assert np.array_equal(f.P[21:, 21:], clone_block)
 
 
 def test_fej_keeps_dead_reckoned_anchor():

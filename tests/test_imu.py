@@ -1,12 +1,17 @@
 """IMU model tests: mean propagation against analytic kinematics, the
-discretized covariance against independent quadrature, and the transition
-matrix against its known polynomial block structure."""
+closed-form discretized covariance against independent quadrature and the
+Van Loan block exponential, the invariant error Jacobians of the 15-state,
+and the transition matrix against its known polynomial block structure."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from iekf_kit import errorprop, imu, lie
 from iekf_kit.exceptions import NegativeRange, NonPositiveDt
+from iekf_kit.filters import invariant_error_jacobians
 
 
 def random_state(rng):
@@ -60,15 +65,15 @@ def test_error_matrix_a_is_nilpotent():
 
 def test_full_f_is_nilpotent():
     rng = np.random.default_rng(1)
-    F, _ = imu.error_jacobians(random_state(rng))
+    F, _ = invariant_error_jacobians(random_state(rng))
     assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
 
 
 def test_error_jacobians_zero_delta_bit_identical():
     rng = np.random.default_rng(2)
     st = random_state(rng)
-    F0, G0 = imu.error_jacobians(st)
-    Fz, Gz = imu.error_jacobians(st, xi_delta=np.zeros(9))
+    F0, G0 = invariant_error_jacobians(st)
+    Fz, Gz = invariant_error_jacobians(st, xi_delta=np.zeros(9))
     assert np.array_equal(F0, Fz)
     assert np.array_equal(G0, Gz)
 
@@ -76,7 +81,7 @@ def test_error_jacobians_zero_delta_bit_identical():
 def test_error_jacobians_block_structure():
     rng = np.random.default_rng(3)
     st = random_state(rng)
-    F, G = imu.error_jacobians(st)
+    F, G = invariant_error_jacobians(st)
     assert F.shape == (15, 15)
     assert G.shape == (15, 12)
     # bias rows are static; bias noise enters with identity
@@ -89,10 +94,11 @@ def test_error_jacobians_block_structure():
 
 
 def test_propagate_covariance_matches_quadrature():
-    """Van-Loan discretization vs Simpson quadrature of the exact integral."""
+    """Closed-form discretization vs Simpson quadrature of the exact
+    integral."""
     rng = np.random.default_rng(4)
     st = random_state(rng)
-    F, G = imu.error_jacobians(st)
+    F, G = invariant_error_jacobians(st)
     Q = np.diag(rng.uniform(0.5, 2.0, 12))
     P = np.eye(15) * 0.1
     dt = 0.05
@@ -120,10 +126,54 @@ def test_propagate_covariance_pure_diffusion():
     assert np.abs(out - (P + 0.3 * G @ Q @ G.T)).max() < 1e-12
 
 
+def van_loan(P, F, G, Q, dt):
+    """Phi P Phi^T + Q_d with Phi and Q_d from one block matrix
+    exponential (Van Loan, IEEE TAC 1978)."""
+    d = F.shape[0]
+    M = np.zeros((2 * d, 2 * d))
+    M[:d, :d] = -F
+    M[:d, d:] = G @ Q @ G.T
+    M[d:, d:] = F.T
+    E = scipy.linalg.expm(M * dt)
+    Phi = E[d:, d:].T
+    return Phi @ P @ Phi.T + Phi @ E[:d, d:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
+       clones=st_.integers(0, 2),
+       dt=st_.floats(1e-3, 0.5),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_closed_form_matches_van_loan_on_nilpotent_f(sizes, clones, dt, seed):
+    # strictly block upper-triangular F with at most four diagonal blocks
+    # has F^4 = 0; trailing static rows (zero in F and G) play the clones
+    rng = np.random.default_rng(seed)
+    c = sum(sizes)
+    F = np.zeros((c, c))
+    edges = np.cumsum([0] + sizes)
+    for i in range(len(sizes)):
+        F[edges[i]:edges[i + 1], edges[i + 1]:] = rng.normal(
+            0.0, 1.0, (sizes[i], c - edges[i + 1]))
+    G = rng.normal(0.0, 1.0, (c, 3))
+    A = rng.normal(0.0, 1.0, (3, 3))
+    Q = A @ A.T
+    d = c + 6 * clones
+    A = rng.normal(0.0, 1.0, (d, d))
+    P = A @ A.T
+    out = imu.propagate_covariance(P, F, G, Q, dt)
+    F_ext = np.zeros((d, d))
+    F_ext[:c, :c] = F
+    G_ext = np.zeros((d, 3))
+    G_ext[:c] = G
+    ref = van_loan(P, F_ext, G_ext, Q, dt)
+    assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.array_equal(out, out.T)
+
+
 def test_transition_matrix_polynomial_display():
     # Phi = exp(F dt) carries dt*I, dt*g^ and (dt^2/2) g^ in the pose rows
     st = imu.ImuState.identity()
-    F, _ = imu.error_jacobians(st)
+    F, _ = invariant_error_jacobians(st)
     dt = 0.1
     Phi = errorprop.loglinear_transition(F, dt)
     G = lie.so3_hat(imu.DEFAULT_GRAVITY)
@@ -155,11 +205,21 @@ def test_noise_spec_q_matrix():
 
 
 def test_imitated_jacobian_premultiplies_noise_map():
+    # the block-diagonal shortcut equals the full inverse left Jacobian on
+    # the landmark-augmented group, bit for bit
     rng = np.random.default_rng(7)
     st = random_state(rng)
-    xi_d = imu.sample_imitating_error(0.4, rng)
-    F, G = imu.error_jacobians(st, xi_delta=xi_d)
-    B = imu.imu_noise_matrix_b(st)
-    JiB = lie.sen_left_jacobian_inv(xi_d) @ B
-    assert np.allclose(G[:9, :6], JiB)
-    assert np.allclose(F[:9, 9:15], -JiB)
+    for m in (0, 3):
+        lms = rng.normal(0.0, 10.0, (m, 3))
+        xi_d = imu.sample_imitating_error(0.4, rng)
+        _, G0 = invariant_error_jacobians(st, lms)
+        F, G = invariant_error_jacobians(st, lms, xi_delta=xi_d)
+        B = np.vstack([G0[:9, :6], G0[15:, :6]])
+        xi_ext = np.zeros(3 * (m + 3))
+        xi_ext[:9] = xi_d
+        JiB = lie.sen_left_jacobian_inv(xi_ext) @ B
+        assert np.array_equal(np.vstack([G[:9, :6], G[15:, :6]]), JiB)
+        assert np.array_equal(F[:9, 9:15], -JiB[:9])
+        assert np.array_equal(F[15:, 9:15], -JiB[9:])
+    with pytest.raises(ValueError):
+        invariant_error_jacobians(st, xi_delta=np.full(9, 0.1))

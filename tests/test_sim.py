@@ -9,8 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from iekf_kit import filters, imu, sim
-from iekf_kit.exceptions import EmptyReport, OutOfDomain
+from iekf_kit import config, filters, imu, sim
+from iekf_kit.exceptions import ConfigError, EmptyReport, OutOfDomain
 
 
 def test_trajectory_derivatives_consistent():
@@ -49,6 +49,19 @@ def test_truth_state_domain():
         sc.truth_state(-0.1)
     with pytest.raises(OutOfDomain):
         sc.truth_state(10.1)
+
+
+def test_camera_rate_must_divide_imu_rate(tmp_path):
+    assert sim.Scenario(imu_rate=50.0, cam_rate=25.0).camera_every == 2
+    # 50 / 20 is not whole: rounding it would run the camera at 25 Hz
+    with pytest.raises(ValueError):
+        sim.Scenario(imu_rate=50.0, cam_rate=20.0)
+    with pytest.raises(ValueError):
+        sim.Scenario(cam_rate=0.0)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario:\n  imu_rate: 50.0\n  cam_rate: 20.0\n")
+    with pytest.raises(ConfigError):
+        config.load_config(str(path))
 
 
 def test_noise_free_stream_dead_reckons_trajectory():
@@ -100,7 +113,7 @@ def test_noiseless_exact_init_gives_tiny_rmse():
                                 sigma_gbw=0.0, sigma_abw=0.0)
     rng = np.random.default_rng(0)
     truth = sim.synthesize_truth(sc, rng, with_noise=False)
-    every = int(round(sc.imu_rate / sc.cam_rate))
+    every = sc.camera_every
     sc.pixel_sigma = 0.0   # noise-free pixels for the frames ...
     frames = [sim.camera_frame(sc, truth.states[k], truth.landmarks, rng)
               for k in range(every, len(truth.states), every)]
