@@ -239,7 +239,9 @@ class FilterInstance:
             Q = self.noise.q_imu()
             self._kernel = (dt, Q, imu_model.noise_kernel(Q, dt))
         _, Q, kernel = self._kernel
-        self.P = imu_model.propagate_covariance(self.P, F, G, Q, dt, kernel)
+        # F is zero past the 15 IMU columns (landmarks are static)
+        self.P = imu_model.propagate_covariance(
+            self.P, F[:, :15], G, Q, dt, kernel)
 
     # -- update -------------------------------------------------------------
 
@@ -248,8 +250,11 @@ class FilterInstance:
         correction in this filter's error convention.
 
         Raises:
-            SingularInnovation: if the innovation covariance has condition
-                number above 1e12.  The state is left unchanged.
+            SingularInnovation: if the Cholesky factorization of the
+                innovation covariance S fails, or if the squared ratio of the
+                largest to the smallest diagonal entry of its factor (a
+                scale-free lower bound on the condition number of S) exceeds
+                1e12.  The state is left unchanged.
         """
         residual = np.asarray(residual, dtype=float)
         H = np.asarray(H, dtype=float)
@@ -259,11 +264,17 @@ class FilterInstance:
         PHt = self.P @ H.T
         S = H @ PHt + N
         S = 0.5 * (S + S.T)
-        eig = np.linalg.eigvalsh(S)
-        if eig[0] <= 0 or eig[-1] / eig[0] > 1e12:
+        try:
+            S_factor = cho_factor(S)
+        except np.linalg.LinAlgError:
             raise SingularInnovation(
-                f"innovation condition number {eig[-1] / max(eig[0], 1e-300):.3e}")
-        K = cho_solve(cho_factor(S), PHt.T).T
+                "innovation covariance is not positive definite") from None
+        diag = np.diagonal(S_factor[0])
+        ratio = (diag.max() / diag.min()) ** 2
+        if ratio > 1e12:
+            raise SingularInnovation(
+                f"innovation Cholesky diagonal ratio squared {ratio:.3e}")
+        K = cho_solve(S_factor, PHt.T).T
         self.apply_correction(K @ residual)
         self.P = self.P - K @ (H @ self.P)
         self.P = 0.5 * (self.P + self.P.T)
@@ -336,14 +347,34 @@ class FilterInstance:
 
     def nees(self, errors):
         """DOF-normalized position and orientation NEES of the error pair
-        ``errors(truth)`` returned, against this filter's covariance."""
+        ``errors(truth)`` returned, against this filter's covariance.
+
+        Each 3x3 block is factored as L L^T and the NEES is |L^-1 e|^2 / 3.
+
+        Raises:
+            SingularCovariance: if a block's Cholesky factorization fails, or
+                if the squared ratio of the largest to the smallest diagonal
+                entry of L (a lower bound on the block's condition number,
+                whatever its units) exceeds 1e12.
+        """
         pos_err, ang_err = errors
         out = []
         for err, sl in ((pos_err, slice(3, 6)), (ang_err, slice(0, 3))):
-            block = self.P[sl, sl]
-            if abs(np.linalg.det(block)) < 1e-30:
-                raise SingularCovariance("NEES block determinant below 1e-30")
-            out.append(float(err @ np.linalg.solve(block, err)) / 3.0)
+            try:
+                L = np.linalg.cholesky(self.P[sl, sl])
+            except np.linalg.LinAlgError:
+                raise SingularCovariance(
+                    "NEES block is not positive definite") from None
+            (l00, _, _), (l10, l11, _), (l20, l21, l22) = L.tolist()
+            ratio = (max(l00, l11, l22) / min(l00, l11, l22)) ** 2
+            if ratio > 1e12:
+                raise SingularCovariance(
+                    f"NEES block Cholesky diagonal ratio squared {ratio:.3e}")
+            e0, e1, e2 = np.asarray(err, dtype=float).tolist()
+            y0 = e0 / l00
+            y1 = (e1 - l10 * y0) / l11
+            y2 = (e2 - l20 * y0 - l21 * y1) / l22
+            out.append((y0 * y0 + y1 * y1 + y2 * y2) / 3.0)
         return out[0], out[1]
 
     def errors(self, truth):

@@ -122,34 +122,46 @@ def noise_kernel(Q, dt):
 def propagate_covariance(P, F, G, Q, dt, kernel=None):
     """Discrete covariance step P <- Phi P Phi^T + Q_d, exact for F^4 = 0.
 
-    Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6, and the noise integral
-    Q_d = int_0^dt Phi(s) G Q G^T Phi(s)^T ds is W (C(dt) kron Q) W^T with
-    W = [G, FG, F^2 G, F^3 G] (see ``noise_kernel``; ``kernel`` is that
-    matrix if the caller has it already).  Every error model of this
-    package has F^4 = 0.  When P is larger than F (trailing clone blocks,
-    which are static), the cross-covariance rows are mapped by Phi as well.
-    The result is symmetrized.
+    F is the c x c error dynamics, or only its leading c x k columns (k <= c)
+    when the rest are zero: in every error model of this package only the
+    k = 15 IMU columns are nonzero, because landmarks are static.  With
+    Fk = F[:k] the cubic Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6 is I + [V 0]
+    with V = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), so for symmetric P
+
+        Phi P Phi^T = P + V P[:k] + (V P[:k])^T + V P[:k, :k] V^T,
+
+    and the noise integral Q_d = int_0^dt Phi(s) G Q G^T Phi(s)^T ds is
+    W (C(dt) kron Q) W^T with W = [G, F G[:k], F Fk G[:k], F Fk^2 G[:k]] (see
+    ``noise_kernel``; ``kernel`` is that matrix if the caller has it
+    already).  The step costs O(k d^2 + 48 c^2) for a d x d P instead of the
+    O(d^3) of forming Phi P Phi^T.  Every error model of this package has
+    F^4 = 0.  Rows of P past c (trailing clone blocks, which are static) are
+    the case of zero rows of F: their cross-covariance with the first c rows
+    is mapped by Phi as well.  The result is symmetrized.
+
+    Raises:
+        ValueError: if F has more columns than rows.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
     P = np.asarray(P, dtype=float)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
+    c, k = F.shape
+    if k > c:
+        raise ValueError(f"F has {k} columns but only {c} rows")
     if kernel is None:
         kernel = noise_kernel(Q, dt)
-    c = F.shape[0]
-    F2 = F @ F
-    F3 = F2 @ F
-    Phi = np.eye(c) + dt * F + (dt * dt / 2) * F2 + (dt ** 3 / 6) * F3
-    W = np.hstack([G, F @ G, F2 @ G, F3 @ G])
-    Pcc = Phi @ P[:c, :c] @ Phi.T + W @ kernel @ W.T
-    if P.shape[0] == c:
-        P_new = Pcc
-    else:
-        P_new = P.copy()
-        P_new[:c, :c] = Pcc
-        P_new[:c, c:] = Phi @ P[:c, c:]
-        P_new[c:, :c] = P_new[:c, c:].T
+    Fk = F[:k]
+    V = F @ (dt * np.eye(k) + (dt * dt / 2) * Fk + (dt ** 3 / 6) * (Fk @ Fk))
+    Gk = G[:k]
+    FkGk = Fk @ Gk
+    W = np.hstack([G, F @ np.hstack([Gk, FkGk, Fk @ FkGk])])
+    VP = V @ P[:k]
+    P_new = P.copy()
+    P_new[:c] += VP
+    P_new[:, :c] += VP.T
+    P_new[:c, :c] += VP[:, :k] @ V.T + W @ kernel @ W.T
     return 0.5 * (P_new + P_new.T)
 
 

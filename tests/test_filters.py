@@ -83,11 +83,18 @@ def test_update_matches_joseph_form():
 def test_update_rejects_singular_innovation():
     rng = np.random.default_rng(2)
     f = make_filter("iekf", rng)
+    P0, p0 = f.P.copy(), f.state.p.copy()
     H = np.zeros((2, 15))
     H[0, 3] = 1.0
     H[1, 3] = 1.0  # duplicated row, zero noise: singular S
     with pytest.raises(SingularInnovation):
-        f.update_raw(np.zeros(2), H, np.zeros((2, 2)))
+        f.update_raw(np.ones(2), H, np.zeros((2, 2)))
+    # nearly duplicated row: S factors, but with condition number ~1e14
+    H[1, 4] = 1e-7
+    with pytest.raises(SingularInnovation):
+        f.update_raw(np.ones(2), H, np.zeros((2, 2)))
+    assert np.array_equal(f.P, P0)
+    assert np.array_equal(f.state.p, p0)
 
 
 def test_qekf_tracks_ekf():
@@ -185,6 +192,25 @@ def test_nees_rejects_singular_covariance():
         f.nees(f.errors(truth))
 
 
+def test_nees_guard_is_scale_free():
+    rng = np.random.default_rng(16)
+    f = make_filter("ekf", rng)
+    A = rng.normal(0.0, 1.0, (6, 6))
+    C = A @ A.T + 6.0 * np.eye(6)     # well conditioned, unit scale
+    err = (rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
+    f.P[:6, :6] = C
+    ref = f.nees(err)
+    # the same covariance at 1e-11 m^2 (and rad^2), errors scaled alike
+    f.P[:6, :6] = 1e-11 * C
+    scaled = f.nees((err[0] * np.sqrt(1e-11), err[1] * np.sqrt(1e-11)))
+    assert np.allclose(scaled, ref, rtol=1e-12, atol=0.0)
+    # a large block with condition number 1e14 factors but is rejected
+    U = np.linalg.qr(rng.normal(0.0, 1.0, (3, 3)))[0]
+    f.P[3:6, 3:6] = 1e6 * U @ np.diag([1.0, 1.0, 1e-14]) @ U.T
+    with pytest.raises(SingularCovariance):
+        f.nees(err)
+
+
 def test_right_invariant_error_unchanged_by_right_translation():
     # eta = Xhat X^-1 is invariant when both truth and estimate are
     # right-multiplied by the same group element
@@ -266,6 +292,20 @@ def test_invariant_F_nilpotent_with_landmarks():
     assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_error_dynamics_vanish_past_imu_columns(m):
+    # predict hands propagate_covariance only F[:, :15]
+    rng = np.random.default_rng(17)
+    st = make_state(rng)
+    lms = rng.normal(0.0, 10.0, (m, 3))
+    xi_d = imu.sample_imitating_error(0.4, rng)
+    for F, _ in (filters.invariant_error_jacobians(st, lms),
+                 filters.invariant_error_jacobians(st, lms, xi_delta=xi_d),
+                 filters.ekf_error_jacobians(st, MEAS, n_landmarks=m)):
+        assert F.shape == (15 + 3 * m, 15 + 3 * m)
+        assert not np.any(F[:, 15:])
+
+
 def test_predict_propagates_clones_like_propagate_covariance():
     rng = np.random.default_rng(15)
     dt = 0.02
@@ -277,7 +317,8 @@ def test_predict_propagates_clones_like_propagate_covariance():
             F, G = filters.invariant_error_jacobians(f.state, f.landmarks)
         else:
             F, G = filters.ekf_error_jacobians(f.state, MEAS, n_landmarks=2)
-        expected = imu.propagate_covariance(f.P, F, G, f.noise.q_imu(), dt)
+        expected = imu.propagate_covariance(f.P, F[:, :15], G,
+                                            f.noise.q_imu(), dt)
         clone_block = f.P[21:, 21:].copy()
         f.predict(MEAS, dt)
         assert np.array_equal(f.P, expected)

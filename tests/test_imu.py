@@ -1,7 +1,8 @@
 """IMU model tests: mean propagation against analytic kinematics, the
 closed-form discretized covariance against independent quadrature and the
-Van Loan block exponential, the invariant error Jacobians of the 15-state,
-and the transition matrix against its known polynomial block structure."""
+Van Loan block exponential (and its leading-columns form against the square
+one), the invariant error Jacobians of the 15-state, and the transition
+matrix against its known polynomial block structure."""
 
 import numpy as np
 import pytest
@@ -139,21 +140,30 @@ def van_loan(P, F, G, Q, dt):
     return Phi @ P @ Phi.T + Phi @ E[:d, d:]
 
 
+def nilpotent_f(rng, sizes, static_rows=0):
+    """F = [[Fk, 0], [R, 0]] with Fk strictly block upper-triangular (at
+    most four diagonal blocks, so F^4 = 0) and ``static_rows`` rows R that
+    Fk drives but nothing reads, like landmarks: zero past column k."""
+    k = sum(sizes)
+    F = np.zeros((k + static_rows, k + static_rows))
+    edges = np.cumsum([0] + sizes)
+    for i in range(len(sizes)):
+        F[edges[i]:edges[i + 1], edges[i + 1]:k] = rng.normal(
+            0.0, 1.0, (sizes[i], k - edges[i + 1]))
+    F[k:, :k] = rng.normal(0.0, 1.0, (static_rows, k))
+    return F
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
        clones=st_.integers(0, 2),
        dt=st_.floats(1e-3, 0.5),
        seed=st_.integers(0, 2 ** 32 - 1))
 def test_closed_form_matches_van_loan_on_nilpotent_f(sizes, clones, dt, seed):
-    # strictly block upper-triangular F with at most four diagonal blocks
-    # has F^4 = 0; trailing static rows (zero in F and G) play the clones
+    # trailing static rows (zero in F and G) play the clones
     rng = np.random.default_rng(seed)
-    c = sum(sizes)
-    F = np.zeros((c, c))
-    edges = np.cumsum([0] + sizes)
-    for i in range(len(sizes)):
-        F[edges[i]:edges[i + 1], edges[i + 1]:] = rng.normal(
-            0.0, 1.0, (sizes[i], c - edges[i + 1]))
+    F = nilpotent_f(rng, sizes)
+    c = F.shape[0]
     G = rng.normal(0.0, 1.0, (c, 3))
     A = rng.normal(0.0, 1.0, (3, 3))
     Q = A @ A.T
@@ -168,6 +178,35 @@ def test_closed_form_matches_van_loan_on_nilpotent_f(sizes, clones, dt, seed):
     ref = van_loan(P, F_ext, G_ext, Q, dt)
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
+       static_rows=st_.integers(1, 9),
+       clones=st_.integers(0, 2),
+       dt=st_.floats(1e-3, 0.5),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_leading_columns_match_square_f(sizes, static_rows, clones, dt, seed):
+    rng = np.random.default_rng(seed)
+    F = nilpotent_f(rng, sizes, static_rows)
+    k = sum(sizes)
+    c = F.shape[0]
+    G = rng.normal(0.0, 1.0, (c, 3))
+    A = rng.normal(0.0, 1.0, (3, 3))
+    Q = A @ A.T
+    d = c + 6 * clones
+    A = rng.normal(0.0, 1.0, (d, d))
+    P = A @ A.T
+    ref = imu.propagate_covariance(P, F, G, Q, dt)
+    out = imu.propagate_covariance(P, F[:, :k], G, Q, dt)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(out, out.T)
+
+
+def test_propagate_covariance_rejects_wide_f():
+    with pytest.raises(ValueError):
+        imu.propagate_covariance(np.eye(15), np.zeros((15, 16)),
+                                 np.zeros((15, 12)), np.eye(12), 0.1)
 
 
 def test_transition_matrix_polynomial_display():
