@@ -69,17 +69,37 @@ class CloneEntry:
 # --- quaternion helpers for the qekf attitude mean (wxyz convention) -------
 
 def quat_from_rot(R):
-    w = np.sqrt(max(0.0, 1.0 + np.trace(R))) / 2.0
-    if w > 1e-8:
-        x = (R[2, 1] - R[1, 2]) / (4 * w)
-        y = (R[0, 2] - R[2, 0]) / (4 * w)
-        z = (R[1, 0] - R[0, 1]) / (4 * w)
-        q = np.array([w, x, y, z])
+    """Unit quaternion (wxyz, w >= 0) of a rotation matrix.
+
+    Shepperd's method: the largest of 4w^2, 4x^2, 4y^2, 4z^2 (read off the
+    trace and the diagonal) is taken by square root and divides the other
+    three, so no rotation, half turns included, divides by a small number.
+    """
+    R = np.asarray(R, dtype=float)
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    k = int(np.argmax((tr, R[0, 0], R[1, 1], R[2, 2])))
+    if k == 0:
+        w = np.sqrt(1.0 + tr) / 2.0
+        q = np.array([w, (R[2, 1] - R[1, 2]) / (4 * w),
+                      (R[0, 2] - R[2, 0]) / (4 * w),
+                      (R[1, 0] - R[0, 1]) / (4 * w)])
+    elif k == 1:
+        x = np.sqrt(1.0 + 2.0 * R[0, 0] - tr) / 2.0
+        q = np.array([(R[2, 1] - R[1, 2]) / (4 * x), x,
+                      (R[0, 1] + R[1, 0]) / (4 * x),
+                      (R[0, 2] + R[2, 0]) / (4 * x)])
+    elif k == 2:
+        y = np.sqrt(1.0 + 2.0 * R[1, 1] - tr) / 2.0
+        q = np.array([(R[0, 2] - R[2, 0]) / (4 * y),
+                      (R[0, 1] + R[1, 0]) / (4 * y), y,
+                      (R[1, 2] + R[2, 1]) / (4 * y)])
     else:
-        # fall back through the rotation vector; fine away from identity
-        v = lie.so3_log(R)
-        a = np.linalg.norm(v)
-        q = np.concatenate([[np.cos(a / 2)], np.sin(a / 2) * v / a])
+        z = np.sqrt(1.0 + 2.0 * R[2, 2] - tr) / 2.0
+        q = np.array([(R[1, 0] - R[0, 1]) / (4 * z),
+                      (R[0, 2] + R[2, 0]) / (4 * z),
+                      (R[1, 2] + R[2, 1]) / (4 * z), z])
+    if q[0] < 0.0:
+        q = -q
     return q / np.linalg.norm(q)
 
 
@@ -150,8 +170,11 @@ def invariant_error_jacobians(state, landmarks=None, xi_delta=None, gravity=None
     B[3:6, :3] = lie.so3_hat(state.p) @ state.R
     B[6:9, :3] = lie.so3_hat(state.v) @ state.R
     B[6:9, 3:6] = state.R
-    for j in range(m):
-        B[9 + 3 * j:12 + 3 * j, :3] = lie.so3_hat(np.asarray(landmarks[j])) @ state.R
+    if m:
+        # f_j^ R stacked: column c of block j is f_j x (column c of R)
+        f = np.asarray(landmarks, dtype=float)
+        B[9:, :3] = np.cross(f[:, None, :], state.R.T).transpose(
+            0, 2, 1).reshape(3 * m, 3)
     if xi_delta is not None:
         if np.any(xi_delta[3:]):
             raise ValueError("imitation error must be orientation-only")
@@ -287,14 +310,14 @@ class FilterInstance:
         if self.variant.invariant:
             # joint pose+landmark correction on SE_{m+2}(3), left-multiplied
             tangent = np.concatenate([d[:9], d[15:15 + 3 * m]])
-            cols = [st.p, st.v] + ([] if m == 0 else list(self.landmarks))
-            X = lie.sen_from_parts(st.R, cols)
+            cols = [st.p, st.v] + ([] if m == 0 else [self.landmarks])
+            X = lie.sen_from_parts(st.R, np.vstack(cols))
             X = lie.sen_exp(tangent) @ X
             st.R = lie.sen_rotation(X)
             new_cols = lie.sen_columns(X)
             st.p, st.v = new_cols[0], new_cols[1]
             if m:
-                self.landmarks = np.array(new_cols[2:])
+                self.landmarks = new_cols[2:]
             for i, cl in enumerate(self.clones):
                 k = self.clone_index(i)
                 Xc = lie.sen_exp(d[k:k + 6]) @ lie.sen_from_parts(cl.R, [cl.p])

@@ -18,6 +18,8 @@ All functions are pure; none mutate their inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import AngleNearPi, SingularJacobian
@@ -58,8 +60,10 @@ def _sin_cos_coeffs(theta):
         a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
         b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
     else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
+        a = math.sin(theta) / theta
+        # 1 - cos(t) = 2 sin(t/2)^2, without the cancellation at small t
+        h = math.sin(0.5 * theta) / theta
+        b = 2.0 * h * h
     return a, b
 
 
@@ -80,18 +84,20 @@ def so3_log(R):
             where the logarithm is ill-conditioned.
     """
     R = np.asarray(R, dtype=float)
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(cos_theta))
+    axis_times_2sin = so3_vee(R - R.T)
+    # atan2 rather than arccos of the trace: near pi, arccos amplifies the
+    # rounding of the trace into an angle error of order eps / (pi - theta)
+    sin_theta = 0.5 * float(np.linalg.norm(axis_times_2sin))
+    theta = math.atan2(sin_theta, (np.trace(R) - 1.0) / 2.0)
     if theta >= np.pi - NEAR_PI_MARGIN:
         raise AngleNearPi(f"rotation angle {theta:.12f} too close to pi")
-    axis_times_2sin = so3_vee(R - R.T)
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         # theta / (2 sin theta) expanded around 0.
         factor = 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
                         + 31.0 * t2 * t2 * t2 / 15120.0)
     else:
-        factor = theta / (2.0 * np.sin(theta))
+        factor = theta / (2.0 * sin_theta)
     return factor * axis_times_2sin
 
 
@@ -126,7 +132,10 @@ def so3_left_jacobian_inv(w):
         d = (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
              + t2 * t2 * t2 / 1209600.0)
     else:
-        d = (1.0 - theta * np.sin(theta) / (2.0 * (1.0 - np.cos(theta)))) / (theta * theta)
+        # t sin(t) / (2 (1 - cos t)) = (t/2) cot(t/2), which keeps the
+        # cancellation of 1 - cos(t) out of d
+        half = 0.5 * theta
+        d = (1.0 - half * math.cos(half) / math.sin(half)) / (theta * theta)
     return _EYE3 - 0.5 * W + d * (W @ W)
 
 
@@ -219,13 +228,12 @@ def sen_vee(M):
 
 
 def sen_from_parts(R, columns):
-    """Group element from a rotation and its list of 3-vector columns."""
-    R = np.asarray(R, dtype=float)
-    n = len(columns)
-    X = np.eye(3 + n)
+    """Group element from a rotation and its n translation columns, given as
+    a sequence of 3-vectors or an (n, 3) array."""
+    t = np.asarray(columns, dtype=float).reshape(-1, 3)
+    X = np.eye(3 + len(t))
     X[:3, :3] = R
-    for i, t in enumerate(columns):
-        X[:3, 3 + i] = np.asarray(t, dtype=float)
+    X[:3, 3:] = t.T
     return X
 
 
@@ -234,9 +242,9 @@ def sen_rotation(X):
 
 
 def sen_columns(X):
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0] - 3
-    return [X[:3, 3 + i].copy() for i in range(n)]
+    """Translation columns of a group element as the rows of an (n, 3)
+    array (a copy)."""
+    return np.asarray(X, dtype=float)[:3, 3:].T.copy()
 
 
 def sen_inverse(X):
@@ -252,10 +260,12 @@ def sen_inverse(X):
 
 def sen_exp(xi):
     """Exponential map: Rodrigues on the rotation, t_i = J(omega) v_i."""
-    omega, vs = split_tangent(xi)
-    R = so3_exp(omega)
-    J = so3_left_jacobian(omega)
-    return sen_from_parts(R, [J @ v for v in vs])
+    xi = np.asarray(xi, dtype=float)
+    n = tangent_n(xi)
+    X = np.eye(3 + n)
+    X[:3, :3] = so3_exp(xi[:3])
+    X[:3, 3:] = so3_left_jacobian(xi[:3]) @ xi[3:].reshape(n, 3).T
+    return X
 
 
 def sen_log(X):

@@ -26,7 +26,7 @@ import numpy as np
 from . import imu as imu_model
 from . import lie
 from . import vision
-from .exceptions import BehindCamera, EmptyReport, OutOfDomain, ZeroRange
+from .exceptions import EmptyReport, OutOfDomain
 from .filters import (FilterInstance, FilterVariant,
                       invariant_initial_covariance)
 from .imu import ImuMeasurement, ImuNoiseSpec, ImuState
@@ -301,23 +301,14 @@ def run_filter(scenario, truth, frames, filt):
     """
     records = []
     for i, t, st_true in _camera_epochs(scenario, truth, filt):
-        rows_r, rows_H = [], []
-        for j, uv in frames[i].items():
-            try:
-                r, H, _ = vision.landmark_measurement(
-                    filt, scenario.camera, scenario.extrinsics,
-                    filt.landmarks[j], uv, scenario.pixel_sigma,
-                    landmark_index=j)
-            except (BehindCamera, ZeroRange):
-                # predicted landmark outside the projection domain; drop
-                # the observation this epoch
-                continue
-            rows_r.append(r)
-            rows_H.append(H)
-        if rows_r:
-            residual = np.concatenate(rows_r)
-            N = np.eye(len(residual)) * scenario.pixel_sigma ** 2
-            filt.update_raw(residual, np.vstack(rows_H), N)
+        frame = frames[i]
+        # observations predicted outside the projection domain are dropped
+        residual, H, N, _ = vision.landmark_measurement(
+            filt, scenario.camera, scenario.extrinsics,
+            list(frame.values()), scenario.pixel_sigma,
+            landmark_index=list(frame))
+        if len(residual):
+            filt.update_raw(residual, H, N)
         errors = filt.errors(st_true)
         pos_nees, ang_nees = filt.nees(errors)
         records.append((t, pos_nees, ang_nees,

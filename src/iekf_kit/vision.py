@@ -8,6 +8,10 @@ measurements are 2-vectors (u, v).  Two projection modes are supported:
 * "bearing": the ray x/|x| is scaled by K and dehomogenized.  On z > 0 this
   coincides with the pinhole map (and shares its Jacobian); its domain error
   at the origin differs (zero range rather than non-positive depth).
+
+Both modes share one domain guard, ``CameraModel.outside_domain``.  The
+camera-rate landmark update builds all of an epoch's rows in one call, which
+drops the observations outside that domain instead of raising.
 """
 
 from __future__ import annotations
@@ -47,6 +51,30 @@ class CameraModel:
                          [0.0, self.fy, self.cy],
                          [0.0, 0.0, 1.0]])
 
+    def outside_domain(self, x_cam):
+        """Where the projection is undefined, for one camera-frame point (3,)
+        or a stack of them (n, 3): the pair (zero_range, behind) of flags or
+        boolean masks.  ``zero_range``: bearing mode, point at the camera
+        center (always False in pinhole mode); ``behind``: non-positive
+        depth.  project() and projection_jacobian() raise ZeroRange and
+        BehindCamera on exactly these points, ZeroRange first."""
+        x_cam = np.asarray(x_cam, dtype=float)
+        behind = x_cam.T[2] <= DEPTH_EPS
+        if self.mode == "bearing":
+            return np.linalg.norm(x_cam, axis=-1) < RANGE_EPS, behind
+        return False, behind
+
+    def _check_domain(self, x_cam):
+        # a pinhole point in front of the camera is inside the domain; the
+        # shortcut skips the guard's call overhead on the single-point path
+        if self.mode == "pinhole" and x_cam[2] > DEPTH_EPS:
+            return
+        zero_range, behind = self.outside_domain(x_cam)
+        if zero_range:
+            raise ZeroRange("point at the camera center")
+        if behind:
+            raise BehindCamera(f"depth {x_cam[2]:.3e}")
+
     def project(self, x_cam):
         """Project a camera-frame point to pixels.
 
@@ -55,16 +83,10 @@ class CameraModel:
             BehindCamera: non-positive depth (dehomogenization undefined).
         """
         x_cam = np.asarray(x_cam, dtype=float)
+        self._check_domain(x_cam)
         if self.mode == "bearing":
-            rng = np.linalg.norm(x_cam)
-            if rng < RANGE_EPS:
-                raise ZeroRange("point at the camera center")
-            y = self.K @ (x_cam / rng)
-            if y[2] <= DEPTH_EPS / max(rng, 1.0):
-                raise BehindCamera(f"depth {x_cam[2]:.3e}")
+            y = self.K @ (x_cam / np.linalg.norm(x_cam))
             return y[:2] / y[2]
-        if x_cam[2] <= DEPTH_EPS:
-            raise BehindCamera(f"depth {x_cam[2]:.3e}")
         return np.array([self.fx * x_cam[0] / x_cam[2] + self.cx,
                          self.fy * x_cam[1] / x_cam[2] + self.cy])
 
@@ -74,13 +96,27 @@ class CameraModel:
         The bearing map equals the pinhole map wherever both are defined, so
         the Jacobian is shared; only the domain guards differ.
         """
-        x, y, z = np.asarray(x_cam, dtype=float)
-        if self.mode == "bearing" and np.linalg.norm(x_cam) < RANGE_EPS:
-            raise ZeroRange("point at the camera center")
-        if z <= DEPTH_EPS:
-            raise BehindCamera(f"depth {z:.3e}")
+        x_cam = np.asarray(x_cam, dtype=float)
+        self._check_domain(x_cam)
+        x, y, z = x_cam
         return np.array([[self.fx / z, 0.0, -self.fx * x / z ** 2],
                          [0.0, self.fy / z, -self.fy * y / z ** 2]])
+
+    def project_batch(self, x_cam):
+        """Pixels (n, 2) and projection Jacobians (n, 2, 3) of camera-frame
+        points (n, 3) inside the domain (see outside_domain), by the pinhole
+        formulas of project() and projection_jacobian(), which the bearing
+        map equals there.  Per-call overhead keeps the single-point forms
+        for the single-point callers (triangulation, frame synthesis)."""
+        x, y, z = x_cam.T
+        uv = np.column_stack([self.fx * x / z + self.cx,
+                              self.fy * y / z + self.cy])
+        J = np.zeros((len(x_cam), 2, 3))
+        J[:, 0, 0] = self.fx / z
+        J[:, 0, 2] = -self.fx * x / z ** 2
+        J[:, 1, 1] = self.fy / z
+        J[:, 1, 2] = -self.fy * y / z ** 2
+        return uv, J
 
     def in_view(self, x_cam, margin=0.0):
         try:
@@ -110,44 +146,61 @@ def world_to_camera(R_c, p_c, f_world):
 
 # --- landmark updates against the live state -------------------------------
 
-def landmark_measurement(filt, model, ext, f_world, pixel, sigma_px,
-                         landmark_index=None):
-    """Residual, H, N for one landmark observation from the current state.
+def landmark_measurement(filt, model, ext, pixels, sigma_px,
+                         landmark_index=None, f_world=None):
+    """Stacked residual, H and N of one camera epoch's landmark observations
+    against the current state.
 
-    ``landmark_index`` selects an in-state landmark (columns for its error are
-    filled); None means the landmark position is known exactly.  H follows the
-    filter's error convention, so the gain-weighted residual is a correction.
+    ``pixels`` (n, 2) observe either the in-state landmarks
+    ``landmark_index`` (n,), whose error columns are filled, or, with
+    ``landmark_index`` None, landmarks at the exactly known world points
+    ``f_world`` (n, 3).  An observation whose predicted camera-frame point is
+    outside the projection domain (``CameraModel.outside_domain``) is
+    dropped.  Returns (residual (2k,), H (2k, dim), N (2k, 2k), kept): the
+    positions ``kept`` (k,) in the input of the observations used, in input
+    order, own rows 2i and 2i + 1.  H follows the filter's error convention,
+    so the gain-weighted residual is a correction.
     """
     st = filt.state
+    in_state = landmark_index is not None
+    if in_state:
+        landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
+        f_world = filt.landmarks[landmark_index]
+    else:
+        f_world = np.asarray(f_world, dtype=float).reshape(-1, 3)
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     R_c, p_c = camera_pose(st, ext)
-    x_cam = world_to_camera(R_c, p_c, f_world)
-    J_pi = model.projection_jacobian(x_cam)
-    S = ext.R_ic.T @ st.R.T
-    H = np.zeros((2, filt.dim))
+    x_cam = (f_world - p_c) @ R_c
+    zero_range, behind = model.outside_domain(x_cam)
+    kept = np.flatnonzero(~(zero_range | behind))
+    if len(kept) < len(x_cam):
+        x_cam, f_world, pixels = x_cam[kept], f_world[kept], pixels[kept]
+        if in_state:
+            landmark_index = landmark_index[kept]
+    n = len(kept)
+    pred, J_pi = model.project_batch(x_cam)
+    # J_pi S with S = R_c^T; J_pi S u^ is the row-wise cross product with u
+    JS = J_pi @ R_c.T
+    H = np.zeros((n, 2, filt.dim))
+    H[:, :, 3:6] = -JS
     if filt.variant.invariant:
-        if landmark_index is None:
-            H[:, 0:3] = J_pi @ S @ lie.so3_hat(f_world)
-            H[:, 3:6] = -J_pi @ S
-        else:
-            # orientation dependence cancels for an in-state landmark
-            H[:, 3:6] = -J_pi @ S
-            k = 15 + 3 * landmark_index
-            H[:, k:k + 3] = J_pi @ S
+        # the orientation dependence cancels for an in-state landmark
+        if not in_state:
+            H[:, :, 0:3] = np.cross(JS, f_world[:, None, :])
     else:
         p_ref = st.p
-        f_ref = np.asarray(f_world, dtype=float)
+        f_ref = f_world
         if filt.anchor_state is not None:
             p_ref = filt.anchor_state.p
-            if landmark_index is not None and filt.anchor_landmarks is not None:
+            if in_state:
                 f_ref = filt.anchor_landmarks[landmark_index]
-        H[:, 0:3] = J_pi @ S @ lie.so3_hat(f_ref - p_ref)
-        H[:, 3:6] = -J_pi @ S
-        if landmark_index is not None:
-            k = 15 + 3 * landmark_index
-            H[:, k:k + 3] = J_pi @ S
-    residual = np.asarray(pixel, dtype=float) - model.project(x_cam)
-    N = np.eye(2) * sigma_px ** 2
-    return residual, H, N
+        H[:, :, 0:3] = np.cross(JS, (f_ref - p_ref)[:, None, :])
+    if in_state:
+        cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
+        H[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
+    residual = (pixels - pred).reshape(-1)
+    N = np.eye(2 * n) * sigma_px ** 2
+    return residual, H.reshape(2 * n, filt.dim), N, kept
 
 
 # --- clone-based (sliding window) updates ----------------------------------

@@ -4,6 +4,8 @@ Jacobians against finite differences of the actual nonlinear models."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st_
 
 from iekf_kit import filters, imu, lie, vision
 from iekf_kit.exceptions import SingularCovariance, SingularInnovation
@@ -115,6 +117,53 @@ def test_qekf_tracks_ekf():
     assert np.abs(a.P - b.P).max() < 1e-12
     # quaternion mean stays unit-norm
     assert abs(np.linalg.norm(b._quat) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 1.0], [0.36, -0.48, 0.8]])
+@pytest.mark.parametrize("angle", [np.pi, np.pi - 1e-9, 2.5, 0.3])
+def test_quaternion_roundtrip_up_to_half_turns(axis, angle):
+    a = np.array(axis)
+    if angle == np.pi:
+        R = 2.0 * np.outer(a, a) - np.eye(3)
+    else:
+        R = lie.so3_exp(angle * a)
+    q = filters.quat_from_rot(R)
+    assert q[0] >= 0.0
+    assert abs(np.linalg.norm(q) - 1.0) < 1e-15
+    assert np.abs(filters.rot_from_quat(q) - R).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(tag=st_.sampled_from(["ekf", "fej", "iekf"]),
+       m=st_.integers(1, 6), n_obs=st_.integers(1, 6),
+       log_scale=st_.floats(-6.0, 2.0), sigma_px=st_.floats(0.05, 5.0),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_update_raw_keeps_covariance_symmetric_psd(tag, m, n_obs, log_scale,
+                                                   sigma_px, seed):
+    rng = np.random.default_rng(seed)
+    f = make_filter(tag, rng, landmarks=np.zeros((m, 3)))
+    ext = vision.Extrinsics()
+    R_c, p_c = vision.camera_pose(f.state, ext)
+    x_cam = np.column_stack([rng.uniform(-3.0, 3.0, (m, 2)),
+                             rng.uniform(2.0, 40.0, m)])
+    f.landmarks = p_c + x_cam @ R_c.T
+    A = rng.normal(0.0, 1.0, (f.dim, f.dim)) * 10.0 ** rng.uniform(
+        log_scale - 2.0, log_scale, f.dim)
+    f.P = A @ A.T
+    idx = rng.choice(m, size=min(n_obs, m), replace=False)
+    model = vision.CameraModel()
+    pix = np.array([model.project(x) for x in x_cam[idx]])
+    pix += rng.normal(0.0, sigma_px, pix.shape)
+    r, H, N, _ = vision.landmark_measurement(f, model, ext, pix, sigma_px,
+                                             landmark_index=idx)
+    try:
+        f.update_raw(r, H, N)
+    except SingularInnovation:
+        assume(False)
+    assert np.array_equal(f.P, f.P.T)
+    norm = np.linalg.norm(f.P, 2)
+    assert np.linalg.eigvalsh(f.P).min() >= -1e-12 * norm
 
 
 def test_invariant_correction_is_group_exact():

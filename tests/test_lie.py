@@ -3,6 +3,8 @@ finite roundtrips; closed forms are never trusted against themselves."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from scipy.linalg import expm
 
 from iekf_kit import lie
@@ -209,3 +211,45 @@ def test_runtime_parameter_n_shared_code_path():
     rng = np.random.default_rng(13)
     xi = rng.normal(0, 0.5, 18)
     assert np.abs(lie.sen_log(lie.sen_exp(xi)) - xi).max() < 1e-10
+
+
+def sen_exp_per_column(xi):
+    """Reference: the per-column construction t_i = J(omega) v_i."""
+    omega, vs = lie.split_tangent(xi)
+    J = lie.so3_left_jacobian(omega)
+    X = np.eye(3 + len(vs))
+    X[:3, :3] = lie.so3_exp(omega)
+    for i, v in enumerate(vs):
+        X[:3, 3 + i] = J @ v
+    return X
+
+
+# rotation angles on both sides of the small-angle switch and across the
+# injectivity radius, up to just below pi - NEAR_PI_MARGIN
+ANGLES = st_.one_of(
+    st_.floats(0.0, 10.0 * lie.SMALL_ANGLE),
+    st_.sampled_from([lie.SMALL_ANGLE * (1.0 - 1e-9), lie.SMALL_ANGLE,
+                      lie.SMALL_ANGLE * (1.0 + 1e-9)]),
+    st_.floats(0.0, np.pi - 1.1 * lie.NEAR_PI_MARGIN),
+    st_.floats(np.pi - 1e-3, np.pi - 1.1 * lie.NEAR_PI_MARGIN))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st_.integers(1, 14), angle=ANGLES,
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_sen_exp_log_roundtrip_across_branch_switches(n, angle, seed):
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(0.0, 1.0, 3)
+    xi = np.concatenate([angle * axis / np.linalg.norm(axis),
+                         rng.normal(0.0, 3.0, 3 * n)])
+    X = lie.sen_exp(xi)
+    ref = sen_exp_per_column(xi)
+    assert np.abs(X - ref).max() <= 1e-14 * np.abs(ref).max()
+    tol = 1e-9 * (1.0 + np.abs(xi).max())
+    assert np.abs(lie.sen_log(X) - xi).max() <= tol
+    cols = lie.sen_columns(X)
+    assert cols.shape == (n, 3)
+    assert np.array_equal(cols, X[:3, 3:].T)
+    R = lie.sen_rotation(X)
+    assert np.array_equal(lie.sen_from_parts(R, cols), X)
+    assert np.array_equal(lie.sen_from_parts(R, list(cols)), X)

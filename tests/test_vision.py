@@ -106,8 +106,8 @@ def test_landmark_jacobian_in_state(tag):
                             p_c + R_c @ np.array([-1.0, 0.8, 7.0])])
     j = 1
     pix = MODEL.project(vision.world_to_camera(R_c, p_c, f.landmarks[j]))
-    _, H, _ = vision.landmark_measurement(f, MODEL, ext, f.landmarks[j],
-                                          pix, 1.0, landmark_index=j)
+    _, H, _, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
+                                             landmark_index=[j])
     H_fd = fd_measurement_jacobian(f, ext, None, j, pix)
     assert np.abs(H - H_fd).max() < 1e-4
 
@@ -120,7 +120,8 @@ def test_landmark_jacobian_known_position(tag):
     R_c, p_c = vision.camera_pose(f.state, ext)
     f_world = p_c + R_c @ np.array([0.3, -0.4, 6.0])
     pix = MODEL.project(vision.world_to_camera(R_c, p_c, f_world))
-    _, H, _ = vision.landmark_measurement(f, MODEL, ext, f_world, pix, 1.0)
+    _, H, _, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
+                                             f_world=[f_world])
     H_fd = fd_measurement_jacobian(f, ext, f_world, None, pix)
     assert np.abs(H - H_fd).max() < 1e-4
 
@@ -132,9 +133,118 @@ def test_landmark_residual_at_truth_is_zero():
     R_c, p_c = vision.camera_pose(f.state, ext)
     f_world = p_c + R_c @ np.array([0.0, 0.0, 4.0])
     pix = MODEL.project(vision.world_to_camera(R_c, p_c, f_world))
-    r, _, N = vision.landmark_measurement(f, MODEL, ext, f_world, pix, 2.0)
+    r, _, N, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 2.0,
+                                             f_world=[f_world])
     assert np.abs(r).max() < 1e-12
     assert np.allclose(N, 4.0 * np.eye(2))
+
+
+def epoch_in_front(tag, rng, n=5):
+    """A filter with n in-state landmarks in front of its camera (the fej
+    anchors moved off the estimate) and noisy pixels of all of them."""
+    ext = vision.Extrinsics(R_ic=lie.so3_exp(rng.normal(0.0, 0.2, 3)),
+                            p_ic=rng.normal(0.0, 0.1, 3))
+    f = make_filter(tag, rng, landmarks=np.zeros((n, 3)))
+    R_c, p_c = vision.camera_pose(f.state, ext)
+    x_cam = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
+                             rng.uniform(3.0, 9.0, n)])
+    f.landmarks = p_c + x_cam @ R_c.T
+    f.anchor_landmarks = f.landmarks + rng.normal(0.0, 0.3, (n, 3))
+    if f.anchor_state is not None:
+        f.anchor_state.p = f.anchor_state.p + rng.normal(0.0, 0.5, 3)
+    pix = np.array([MODEL.project(x) for x in x_cam])
+    return f, ext, pix + rng.normal(0.0, 1.0, (n, 2))
+
+
+@pytest.mark.parametrize("in_state", [True, False])
+@pytest.mark.parametrize("tag", ["iekf", "ekf", "fej"])
+def test_epoch_rows_stack_single_observation_rows(tag, in_state):
+    rng = np.random.default_rng(9)
+    f, ext, pix = epoch_in_front(tag, rng)
+    order = np.array([3, 0, 4, 1, 2])
+
+    def rows(sel):
+        if in_state:
+            return vision.landmark_measurement(f, MODEL, ext, pix[sel], 1.5,
+                                               landmark_index=order[sel])
+        return vision.landmark_measurement(f, MODEL, ext, pix[sel], 1.5,
+                                           f_world=f.landmarks[order[sel]])
+
+    r, H, N, kept = rows(slice(None))
+    singles = [rows(slice(k, k + 1)) for k in range(len(order))]
+    assert np.array_equal(kept, np.arange(len(order)))
+    assert H.shape == (2 * len(order), f.dim)
+    scale = np.abs(H).max()
+    assert np.abs(r - np.concatenate([s[0] for s in singles])).max() <= 1e-12
+    assert (np.abs(H - np.vstack([s[1] for s in singles])).max()
+            <= 1e-12 * scale)
+    assert np.array_equal(N, 1.5 ** 2 * np.eye(2 * len(order)))
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_epoch_drops_observations_outside_the_domain(mode):
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(10)
+    f, ext, pix = epoch_in_front("iekf", rng, n=4)
+    R_c, p_c = vision.camera_pose(f.state, ext)
+    if mode == "pinhole":
+        f.landmarks[2] = p_c + R_c @ np.array([0.5, -0.3, -4.0])
+        raised = BehindCamera
+    else:
+        f.landmarks[2] = p_c
+        raised = ZeroRange
+    with pytest.raises(raised):
+        model.project(vision.world_to_camera(R_c, p_c, f.landmarks[2]))
+    idx = np.array([0, 1, 2, 3])
+    r, H, N, kept = vision.landmark_measurement(f, model, ext, pix, 1.0,
+                                                landmark_index=idx)
+    assert np.array_equal(kept, [0, 1, 3])
+    assert r.shape == (6,) and H.shape == (6, f.dim) and N.shape == (6, 6)
+    r3, H3, _, kept3 = vision.landmark_measurement(
+        f, model, ext, pix[[0, 1, 3]], 1.0, landmark_index=idx[[0, 1, 3]])
+    assert np.array_equal(kept3, [0, 1, 2])
+    assert np.array_equal(r, r3) and np.array_equal(H, H3)
+    # nothing is left when every observation is outside the domain
+    r0, H0, N0, kept0 = vision.landmark_measurement(
+        f, model, ext, pix[[2]], 1.0, landmark_index=[2])
+    assert (r0.shape, H0.shape, N0.shape, len(kept0)) == (
+        (0,), (0, f.dim), (0, 0), 0)
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_batch_projection_matches_single_point_forms(mode):
+    # the stacked guard and maps agree with project()/projection_jacobian(),
+    # points on both sides of the depth and range thresholds included
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 1.0, (40, 3))
+    x[:10, 2] = np.abs(x[:10, 2]) + 0.5
+    x[10:15, 2] = vision.DEPTH_EPS * np.array([-1.0, 0.0, 1.0, 1.5, 2.0])
+    x[15:20] = rng.normal(0.0, 1.0, (5, 3)) * vision.RANGE_EPS * 0.5
+    x[20:25] = np.array([0.0, 0.0, 1.0]) * vision.RANGE_EPS * np.array(
+        [0.5, 1.0, 2.0, 1e3, 1e4])[:, None]
+    zero_range, behind = model.outside_domain(x)
+    zero_range = np.broadcast_to(zero_range, behind.shape)
+    inside = ~(zero_range | behind)
+    uv, J = model.project_batch(x[inside])
+    for k, point in enumerate(x):
+        for fn in (model.project, model.projection_jacobian):
+            if zero_range[k]:
+                with pytest.raises(ZeroRange):
+                    fn(point)
+            elif behind[k]:
+                with pytest.raises(BehindCamera):
+                    fn(point)
+            else:
+                fn(point)
+    assert inside[:10].all() and not inside[10:12].any()
+    for point, uv_k, J_k in zip(x[inside], uv, J):
+        assert np.array_equal(J_k, model.projection_jacobian(point))
+        if mode == "pinhole":
+            assert np.array_equal(uv_k, model.project(point))
+        else:
+            ref = model.project(point)
+            assert np.abs(uv_k - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
