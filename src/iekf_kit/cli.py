@@ -79,7 +79,7 @@ def _write(report, cfg):
     from .config import config_echo
     sim.write_reports(report, cfg.output_dir, scenario=cfg.scenario,
                       extra_meta={"config": config_echo(cfg),
-                                  "attitude_policy": cfg.attitude_policy})
+                                  "attitude_policy": "yaw-follows-velocity"})
 
 
 def _print_summary(report):
@@ -141,7 +141,7 @@ def _check_error_flow():
     def w_fn(t):
         return amp @ np.sin(freq * t)
 
-    def rate(t, xi, w):
+    def rate(t, xi):
         return errorprop.left_error_rate(xi, np.zeros(9), w_fn(t),
                                          np.zeros((9, 9)))
     _, xis = errorprop.integrate_error(rate, xi0, 0.5, 1e-3)

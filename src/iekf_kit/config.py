@@ -30,7 +30,6 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     parallelism: int = 1
-    attitude_policy: str = "yaw-follows-velocity"
 
 
 def parse_variant(spec):
@@ -138,7 +137,8 @@ def load_config(path):
 
 
 def config_echo(cfg):
-    """JSON-serializable echo of a RunConfig, sufficient to reproduce it."""
+    """JSON-serializable echo of a RunConfig, sufficient to reproduce it:
+    written as YAML, ``load_config`` reads it back to the same echo."""
     sc = cfg.scenario
     return {
         "trajectory": {f.name: getattr(sc.trajectory, f.name)
@@ -147,12 +147,12 @@ def config_echo(cfg):
         "noise": {"sigma_gw": sc.noise.sigma_gw, "sigma_aw": sc.noise.sigma_aw,
                   "sigma_gbw": sc.noise.sigma_gbw,
                   "sigma_abw": sc.noise.sigma_abw,
-                  "gravity": list(sc.noise.gravity)},
+                  "gravity": sc.noise.gravity.tolist()},
         "camera": {f.name: getattr(sc.camera, f.name)
                    for f in fields(CameraModel)},
         "init": {f.name: getattr(cfg.init, f.name) for f in fields(InitSpec)},
-        "variants": [v.label for v in cfg.variants],
+        "variants": [f"{v.tag}:{v.r!r}" if v.tag == "ij_iekf" else v.tag
+                     for v in cfg.variants],
         "runs": cfg.runs,
         "seed": cfg.seed,
-        "attitude_policy": cfg.attitude_policy,
     }

@@ -85,13 +85,11 @@ def group_error_rate(eta, vb=None, vg=None, w=None, f0=None, side="left",
     raise ValueError(f"unknown side {side!r}")
 
 
-def integrate_error(rate_fn, xi0, horizon, step, noise_path=None):
+def integrate_error(rate_fn, xi0, horizon, step):
     """Integrate a log-error ODE with the classical 4th-order one-step method.
 
-    ``rate_fn(t, xi, w)`` gives the deterministic-plus-noise rate; the noise
-    sample ``w`` is held constant over each step (zero when ``noise_path`` is
-    None).  ``noise_path`` may be an array of per-step samples or a callable
-    of the step start time.
+    ``rate_fn(t, xi)`` gives the rate (noise handling is the caller's
+    business, as in ``integrate_group_error``).
 
     Returns:
         (times, xis): arrays of shape (k+1,) and (k+1, dim).
@@ -107,19 +105,12 @@ def integrate_error(rate_fn, xi0, horizon, step, noise_path=None):
     xis = np.empty((n_steps + 1, xi.size))
     times[0] = 0.0
     xis[0] = xi
-    zero_w = np.zeros(xi.size)
     for k in range(n_steps):
         t = k * step
-        if noise_path is None:
-            w = zero_w
-        elif callable(noise_path):
-            w = np.asarray(noise_path(t), dtype=float)
-        else:
-            w = np.asarray(noise_path[k], dtype=float)
-        k1 = rate_fn(t, xi, w)
-        k2 = rate_fn(t + step / 2.0, xi + step / 2.0 * k1, w)
-        k3 = rate_fn(t + step / 2.0, xi + step / 2.0 * k2, w)
-        k4 = rate_fn(t + step, xi + step * k3, w)
+        k1 = rate_fn(t, xi)
+        k2 = rate_fn(t + step / 2.0, xi + step / 2.0 * k1)
+        k3 = rate_fn(t + step / 2.0, xi + step / 2.0 * k2)
+        k4 = rate_fn(t + step, xi + step * k3)
         xi = xi + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.linalg.norm(xi[:3]) >= ANGLE_DOMAIN:
             raise StepRejected(f"|omega| left the domain at t={t + step:.6f}")

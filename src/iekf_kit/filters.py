@@ -30,6 +30,10 @@ INVARIANT_TAGS = ("iekf", "ij_iekf")
 EKF_FAMILY_TAGS = ("ekf", "qekf", "fej")
 ALL_TAGS = EKF_FAMILY_TAGS + INVARIANT_TAGS
 
+_EYE6 = np.eye(6)
+# row k is so3_hat(e_k) flattened, so u @ _HAT_MAP is so3_hat(u) flattened
+_HAT_MAP = np.array([lie.so3_hat(e).ravel() for e in np.eye(3)])
+
 
 @dataclass(frozen=True)
 class FilterVariant:
@@ -132,65 +136,62 @@ def quat_from_rotvec(v):
 
 # ---------------------------------------------------------------------------
 
-def ekf_error_jacobians(state, meas, n_landmarks=0):
-    """Conventional world-frame error-state Jacobians for the EKF family.
-
-    Gravity cancels out of the world-frame error model.  Landmark error rows
-    are zero (static landmarks, additive errors).
-    """
-    a_body = np.asarray(meas.accel, dtype=float) - state.b_a
-    a_world_hat = lie.so3_hat(state.R @ a_body)
-    d = 15 + 3 * n_landmarks
-    F = np.zeros((d, d))
-    F[:3, 9:12] = -state.R
-    F[3:6, 6:9] = np.eye(3)
-    F[6:9, :3] = -a_world_hat
-    F[6:9, 12:15] = -state.R
-    G = np.zeros((d, 12))
-    G[:3, :3] = state.R
-    G[6:9, 3:6] = state.R
-    G[9:15, 6:12] = np.eye(6)
-    return F, G
+def _lever_arms(state, landmarks):
+    """The lever arms of the invariant error as rows: p, v, f_1, ..., f_m."""
+    if landmarks is None or len(landmarks) == 0:
+        return np.array((state.p, state.v))
+    return np.vstack((state.p, state.v, landmarks))
 
 
-def invariant_error_jacobians(state, landmarks=None, xi_delta=None, gravity=None):
-    """Right-invariant error Jacobians, optionally for the landmark-augmented
-    state on SE_{m+2}(3) and/or with imitated-Jacobian compensation.
+def _lever_products(levers, R):
+    """Stack of u^ R, one 3x3 block per row u of ``levers``, as two matrix
+    products: the rows of ``levers @ _HAT_MAP`` are the flattened u^."""
+    return (np.asarray(levers, dtype=float) @ _HAT_MAP).reshape(-1, 3) @ R
+
+
+def error_jacobians(R, drift, n_landmarks, levers=None, xi_delta=None):
+    """Error dynamics of every variant: F as its c x 15 IMU columns and the
+    noise map G (c x 12), c = 15 + 3 m for m landmarks.
+
+    Every error model here has one layout.  With B the c x 6 map of the gyro
+    and accelerometer noise,
+
+        F[:9, :9] = imu.imu_error_matrix_a(drift),  F[:, 9:15] = -B,
+        G[:, :6] = B,  G[9:15, 6:] = I,
+
+    the square dynamics being zero past column 15 (landmarks are static).  The
+    drift is gravity for the right-invariant error and -R (a_m - b_a) for
+    the world-frame error of the EKF family, whose velocity error the
+    orientation error drives through -(R a)^.  B is R on the orientation
+    rows, u^ R on the three rows of each lever arm u, and R on the velocity
+    rows for the accelerometer noise.  The invariant error has the lever
+    arms (p, v, f_1, ..., f_m), one per row of ``levers``; the EKF family
+    has none.
 
     ``xi_delta`` is the 9-vector imitation error from
     ``imu.sample_imitating_error``.  Only its orientation part is nonzero, so
     every Q block of the inverse left Jacobian on the augmented group
     vanishes and that Jacobian is J_SO3^-1(xi_delta[:3]) repeated on the
-    block diagonal: it is applied to each 3-row block of the noise map.
+    block diagonal: it is applied to each 3-row block of B.
     """
-    m = 0 if landmarks is None else len(landmarks)
-    nrows = 9 + 3 * m
-    B = np.zeros((nrows, 6))
-    B[:3, :3] = state.R
-    B[3:6, :3] = lie.so3_hat(state.p) @ state.R
-    B[6:9, :3] = lie.so3_hat(state.v) @ state.R
-    B[6:9, 3:6] = state.R
-    if m:
-        # f_j^ R stacked: column c of block j is f_j x (column c of R)
-        f = np.asarray(landmarks, dtype=float)
-        B[9:, :3] = np.cross(f[:, None, :], state.R.T).transpose(
-            0, 2, 1).reshape(3 * m, 3)
+    c = 15 + 3 * n_landmarks
+    G = np.zeros((c, 12))
+    B = G[:, :6]
+    B[:3, :3] = R
+    B[6:9, 3:6] = R
+    if levers is not None:
+        uR = _lever_products(levers, R)
+        B[3:9, :3] = uR[:6]
+        B[15:, :3] = uR[6:]
     if xi_delta is not None:
         if np.any(xi_delta[3:]):
             raise ValueError("imitation error must be orientation-only")
         Jinv = lie.so3_left_jacobian_inv(xi_delta[:3])
-        B = (Jinv @ B.reshape(-1, 3, 6)).reshape(nrows, 6)
-    d = nrows + 6
-    F = np.zeros((d, d))
-    F[:9, :9] = imu_model.imu_error_matrix_a(gravity)
-    # rows are (pose 0:9, bias 9:15, landmarks 15:); B was built with the
-    # landmarks directly after the pose, so split it apart here.
-    F[:9, 9:15] = -B[:9]
-    F[15:, 9:15] = -B[9:]
-    G = np.zeros((d, 12))
-    G[:9, :6] = B[:9]
-    G[15:, :6] = B[9:]
-    G[9:15, 6:12] = np.eye(6)
+        B[:] = (Jinv @ B.reshape(-1, 3, 6)).reshape(c, 6)
+    F = np.zeros((c, 15))
+    F[:9, :9] = imu_model.imu_error_matrix_a(drift)
+    F[:, 9:15] = -B
+    G[9:15, 6:] = _EYE6
     return F, G
 
 
@@ -201,8 +202,7 @@ class FilterInstance:
     serialized externally; distinct instances are independent.
     """
 
-    def __init__(self, variant, state, P, noise, rng=None,
-                 landmarks=None, gravity=None):
+    def __init__(self, variant, state, P, noise, rng=None, landmarks=None):
         self.variant = variant
         self.state = state.copy()
         self.P = np.array(P, dtype=float)
@@ -210,8 +210,6 @@ class FilterInstance:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.landmarks = None if landmarks is None else np.array(landmarks, float)
         self.clones = []
-        self.gravity = (noise.gravity if gravity is None
-                        else np.asarray(gravity, dtype=float))
         self.anchor_state = state.copy() if variant.tag == "fej" else None
         self.anchor_landmarks = (None if self.landmarks is None
                                  else self.landmarks.copy())
@@ -243,28 +241,27 @@ class FilterInstance:
 
     def predict(self, meas, dt):
         """Mean propagation plus variant-specific covariance propagation."""
-        if self.variant.tag == "ij_iekf":
-            xi_delta = imu_model.sample_imitating_error(self.variant.r, self.rng)
-            F, G = invariant_error_jacobians(
-                self.state, self.landmarks, xi_delta, self.gravity)
-        elif self.variant.invariant:
-            F, G = invariant_error_jacobians(
-                self.state, self.landmarks, None, self.gravity)
+        st = self.state
+        if self.variant.invariant:
+            drift = self.noise.gravity
+            levers = _lever_arms(st, self.landmarks)
         else:
-            F, G = ekf_error_jacobians(self.state, meas, self.n_landmarks)
-        self.state = imu_model.propagate_mean(self.state, meas, dt, self.gravity)
+            drift = -(st.R @ (np.asarray(meas.accel, dtype=float) - st.b_a))
+            levers = None
+        xi_delta = (imu_model.sample_imitating_error(self.variant.r, self.rng)
+                    if self.variant.tag == "ij_iekf" else None)
+        F, G = error_jacobians(st.R, drift, self.n_landmarks, levers, xi_delta)
+        self.state = imu_model.propagate_mean(st, meas, dt, self.noise.gravity)
         if self.anchor_state is not None:
             self.anchor_state = imu_model.propagate_mean(
-                self.anchor_state, meas, dt, self.gravity)
+                self.anchor_state, meas, dt, self.noise.gravity)
         if self._quat is not None:
             self._quat = quat_from_rot(self.state.R)
         if self._kernel is None or self._kernel[0] != dt:
             Q = self.noise.q_imu()
             self._kernel = (dt, Q, imu_model.noise_kernel(Q, dt))
         _, Q, kernel = self._kernel
-        # F is zero past the 15 IMU columns (landmarks are static)
-        self.P = imu_model.propagate_covariance(
-            self.P, F[:, :15], G, Q, dt, kernel)
+        self.P = imu_model.propagate_covariance(self.P, F, G, Q, dt, kernel)
 
     # -- update -------------------------------------------------------------
 
@@ -425,11 +422,9 @@ def invariant_initial_covariance(state, sig, landmarks=None):
     error through the lever arms p^, v^, f^.
     """
     m = 0 if landmarks is None else len(landmarks)
-    d = 15 + 3 * m
     sig = np.asarray(sig, dtype=float)
-    T = np.eye(d)
-    T[3:6, :3] = lie.so3_hat(state.p)
-    T[6:9, :3] = lie.so3_hat(state.v)
-    for j in range(m):
-        T[15 + 3 * j:18 + 3 * j, :3] = lie.so3_hat(np.asarray(landmarks[j]))
+    T = np.eye(15 + 3 * m)
+    u = _lever_products(_lever_arms(state, landmarks), np.eye(3))
+    T[3:9, :3] = u[:6]
+    T[15:, :3] = u[6:]
     return T @ np.diag(sig ** 2) @ T.T

@@ -36,10 +36,6 @@ class ImuState:
         return ImuState(self.R.copy(), self.p.copy(), self.v.copy(),
                         self.b_omega.copy(), self.b_a.copy())
 
-    def as_group(self):
-        """SE_2(3) embedding with columns (p, v)."""
-        return lie.sen_from_parts(self.R, [self.p, self.v])
-
 
 @dataclass
 class ImuMeasurement:
@@ -96,12 +92,14 @@ def propagate_mean(state, meas, dt, gravity=None):
     return ImuState(R_new, p_new, v_new, state.b_omega.copy(), state.b_a.copy())
 
 
-def imu_error_matrix_a(gravity=None):
-    """9x9 pose-error drift matrix: zero except dp/dv = I and dv/domega = g^."""
-    g = DEFAULT_GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
+def imu_error_matrix_a(drift=None):
+    """9x9 pose-error drift matrix: zero except dp/dv = I and
+    dv/domega = drift^.  The drift is gravity (the default) for the
+    right-invariant error and -R (a_m - b_a) for the world-frame error."""
+    d = DEFAULT_GRAVITY if drift is None else np.asarray(drift, dtype=float)
     A = np.zeros((9, 9))
     A[3:6, 6:9] = np.eye(3)
-    A[6:9, :3] = lie.so3_hat(g)
+    A[6:9, :3] = lie.so3_hat(d)
     return A
 
 

@@ -28,6 +28,12 @@ from .exceptions import AngleNearPi, SingularJacobian
 # without catastrophic cancellation in the sin/cos closed forms.
 SMALL_ANGLE = 1e-6
 
+# Below this angle se3_q_matrix takes its coefficients from their series:
+# the closed forms cancel to t^3, t^4 and t^5 of terms of order t, which
+# costs them up to ~6e-9 relative near 1e-4; the series, cut after the t^8
+# term, is exact to rounding up to here.
+Q_SERIES_ANGLE = 0.1
+
 # Logarithm domain restriction: theta must stay below pi - NEAR_PI_MARGIN.
 NEAR_PI_MARGIN = 1e-6
 
@@ -161,10 +167,13 @@ def se3_q_matrix(theta_vec, v):
     T = so3_hat(theta_vec)
     V = so3_hat(v)
     t2 = t * t
-    if t < SMALL_ANGLE:
-        c1 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 * t2 * t2 / 362880.0
-        c2 = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0 - t2 * t2 * t2 / 3628800.0
-        c3 = 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0
+    if t < Q_SERIES_ANGLE:
+        c1 = 1/6 - t2 * (1/120 - t2 * (1/5040 - t2 * (1/362880
+                                                      - t2 / 39916800)))
+        c2 = 1/24 - t2 * (1/720 - t2 * (1/40320 - t2 * (1/3628800
+                                                        - t2 / 479001600)))
+        c3 = 1/120 - t2 * (1/2520 - t2 * (1/120960 - t2 * (1/9979200
+                                                          - t2 / 1245404160)))
     else:
         st, ct = np.sin(t), np.cos(t)
         c1 = (t - st) / t ** 3

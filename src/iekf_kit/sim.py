@@ -277,7 +277,7 @@ def perturbed_filter(variant, truth0, landmarks, init, scenario, rng):
         P0 = np.diag(sig ** 2)
     return FilterInstance(variant, st, P0, scenario.noise,
                           rng=np.random.default_rng(rng.integers(2 ** 63)),
-                          landmarks=lm_est, gravity=scenario.noise.gravity)
+                          landmarks=lm_est)
 
 
 def _camera_epochs(scenario, truth, filt):
@@ -420,9 +420,8 @@ def run_sliding_window(scenario, truth, variant=None, seed=0,
     variant = FilterVariant("iekf") if variant is None else variant
     rng_cam = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     prior = np.repeat([1e-3, 1e-3, 1e-3, 2e-3, 2e-2], 3)
-    filt = FilterInstance(
-        variant, truth.states[0], np.diag(prior ** 2),
-        scenario.noise, gravity=scenario.noise.gravity)
+    filt = FilterInstance(variant, truth.states[0], np.diag(prior ** 2),
+                          scenario.noise)
     upd = vision.SlidingWindowUpdater(
         scenario.camera, scenario.extrinsics, max_clones=max_clones,
         max_features=max_features, sigma_px=scenario.pixel_sigma)

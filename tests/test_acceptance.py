@@ -104,7 +104,7 @@ def _cross_integrate(step, horizon=5.0, seed=104):
     xi0 = rng.normal(0.0, 0.05, 9)
     vb = rng.normal(0.0, 0.3, 9)
 
-    def rate(t, xi, w):
+    def rate(t, xi):
         return errorprop.left_error_rate(xi, vb, w_fn(t), np.zeros((9, 9)))
 
     def grate(t, eta):
@@ -134,7 +134,7 @@ def test_criterion_05_loglinear_exactness(verdict):
     rng = np.random.default_rng(105)
     xi0 = rng.normal(0.0, 0.1, 9)
 
-    def rate(t, xi, w):
+    def rate(t, xi):
         return A @ xi
     times, xis = errorprop.integrate_error(rate, xi0, 10.0, 1e-2)
     err = np.abs(xis[-1]

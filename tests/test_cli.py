@@ -5,8 +5,11 @@ import csv
 import os
 
 import pytest
+import yaml
 
-from iekf_kit import cli
+from iekf_kit import cli, config
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 SMOKE_YAML = """\
@@ -34,6 +37,15 @@ def write_config(tmp_path, text=SMOKE_YAML, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize("name", ["default.yaml", "smoke.yaml"])
+def test_config_echo_round_trips(tmp_path, name):
+    # the echo that meta.json records, written as YAML, loads back to itself
+    echo = config.config_echo(config.load_config(
+        os.path.join(CONFIG_DIR, name)))
+    path = write_config(tmp_path, yaml.safe_dump(echo))
+    assert config.config_echo(config.load_config(path)) == echo
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -65,7 +65,7 @@ def cross_integrate(side, step, horizon=2.0, seed=0):
     adj = lie.sen_adjoint(est)
 
     if side == "left":
-        def rate(t, xi, w):
+        def rate(t, xi):
             return errorprop.left_error_rate(xi, vb, w_fn(t),
                                              np.zeros((9, 9)))
 
@@ -73,7 +73,7 @@ def cross_integrate(side, step, horizon=2.0, seed=0):
             return errorprop.group_error_rate(eta, vb=vb, w=w_fn(t),
                                               side="left")
     else:
-        def rate(t, xi, w):
+        def rate(t, xi):
             return errorprop.right_error_rate(xi, vb, w_fn(t), adj,
                                               np.zeros((9, 9)))
 
@@ -103,7 +103,7 @@ def test_cross_integration_convergence_order():
 
 
 def test_integrator_rejects_domain_exit():
-    def rate(t, xi, w):
+    def rate(t, xi):
         out = np.zeros(9)
         out[0] = 10.0  # drive |omega| out of the domain
         return out
@@ -141,7 +141,7 @@ def test_noise_free_log_flow_is_loglinear():
     rng = np.random.default_rng(2)
     xi0 = rng.normal(0.0, 0.1, 9)
 
-    def rate(t, xi, w):
+    def rate(t, xi):
         return A @ xi
     times, xis = errorprop.integrate_error(rate, xi0, 10.0, 1e-2)
     Phi = errorprop.loglinear_transition(A, times[-1])

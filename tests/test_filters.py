@@ -321,53 +321,60 @@ def correction_between(tag, est, tru, lms_true, lms_est):
 
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
-def test_error_jacobian_matches_finite_difference(tag):
+def test_error_jacobian_matches_finite_difference(tag, variant_jacobians):
     rng = np.random.default_rng(11)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
     F_fd = finite_difference_F(tag, st, lms, MEAS)
-    if tag == "iekf":
-        F, _ = filters.invariant_error_jacobians(st, lms)
-    else:
-        F, _ = filters.ekf_error_jacobians(st, MEAS, n_landmarks=2)
-    assert np.abs(F - F_fd).max() < 1e-3
+    F, _ = variant_jacobians(tag, st, lms, MEAS.accel)
+    assert np.abs(F - F_fd[:, :15]).max() < 1e-3
+    # landmarks are static: nothing depends on their errors
+    assert np.abs(F_fd[:, 15:]).max() < 1e-3
 
 
-def test_invariant_F_nilpotent_with_landmarks():
+def test_invariant_F_nilpotent_with_landmarks(variant_jacobians):
     rng = np.random.default_rng(12)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (3, 3))
-    F, _ = filters.invariant_error_jacobians(st, lms)
-    assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
+    F, _ = variant_jacobians("iekf", st, lms)
+    # the square dynamics are zero past the 15 IMU columns F holds
+    F_sq = np.zeros((24, 24))
+    F_sq[:, :15] = F
+    assert np.abs(np.linalg.matrix_power(F_sq, 4)).max() == 0.0
 
 
 @pytest.mark.parametrize("m", [0, 3])
-def test_error_dynamics_vanish_past_imu_columns(m):
-    # predict hands propagate_covariance only F[:, :15]
+def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians):
+    # the exact layout of every variant's (F, G): F holds only the 15 IMU
+    # columns, the bias columns are -B for the noise map B = G[:, :6], the
+    # bias rows are static and take their noise with identity
     rng = np.random.default_rng(17)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (m, 3))
-    xi_d = imu.sample_imitating_error(0.4, rng)
-    for F, _ in (filters.invariant_error_jacobians(st, lms),
-                 filters.invariant_error_jacobians(st, lms, xi_delta=xi_d),
-                 filters.ekf_error_jacobians(st, MEAS, n_landmarks=m)):
-        assert F.shape == (15 + 3 * m, 15 + 3 * m)
-        assert not np.any(F[:, 15:])
+    c = 15 + 3 * m
+    for tag in filters.ALL_TAGS:
+        xi_d = (imu.sample_imitating_error(0.4, rng) if tag == "ij_iekf"
+                else None)
+        F, G = variant_jacobians(tag, st, lms, MEAS.accel, xi_d)
+        assert F.shape == (c, 15) and G.shape == (c, 12)
+        assert np.array_equal(F[:, 9:15], -G[:, :6])
+        assert np.array_equal(G[9:15, 6:], np.eye(6))
+        assert not np.any(G[:9, 6:]) and not np.any(G[15:, 6:])
+        assert not np.any(F[9:15]) and not np.any(G[9:15, :6])
+        # landmark errors are driven by nothing but the gyro bias
+        assert not np.any(F[15:, :9])
 
 
-def test_predict_propagates_clones_like_propagate_covariance():
+def test_predict_propagates_clones_like_propagate_covariance(
+        variant_jacobians):
     rng = np.random.default_rng(15)
     dt = 0.02
     for tag in ("iekf", "ekf"):
         f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(0.0, R_c, p_c)
-        if tag == "iekf":
-            F, G = filters.invariant_error_jacobians(f.state, f.landmarks)
-        else:
-            F, G = filters.ekf_error_jacobians(f.state, MEAS, n_landmarks=2)
-        expected = imu.propagate_covariance(f.P, F[:, :15], G,
-                                            f.noise.q_imu(), dt)
+        F, G = variant_jacobians(tag, f.state, f.landmarks, MEAS.accel)
+        expected = imu.propagate_covariance(f.P, F, G, f.noise.q_imu(), dt)
         clone_block = f.P[21:, 21:].copy()
         f.predict(MEAS, dt)
         assert np.array_equal(f.P, expected)

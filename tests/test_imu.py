@@ -1,8 +1,9 @@
 """IMU model tests: mean propagation against analytic kinematics, the
 closed-form discretized covariance against independent quadrature and the
 Van Loan block exponential (and its leading-columns form against the square
-one), the invariant error Jacobians of the 15-state, and the transition
-matrix against its known polynomial block structure."""
+one), the error Jacobians of the 15-state for the invariant and the EKF
+family, and the transition matrix against its known polynomial block
+structure."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st_
 
 from iekf_kit import errorprop, imu, lie
 from iekf_kit.exceptions import NegativeRange, NonPositiveDt
-from iekf_kit.filters import invariant_error_jacobians
+
+FAMILIES = ("iekf", "ekf")
 
 
 def random_state(rng):
@@ -64,57 +66,72 @@ def test_error_matrix_a_is_nilpotent():
     assert np.abs(np.linalg.matrix_power(A, 3)).max() == 0.0
 
 
-def test_full_f_is_nilpotent():
+def test_full_f_is_nilpotent(variant_jacobians):
     rng = np.random.default_rng(1)
-    F, _ = invariant_error_jacobians(random_state(rng))
-    assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
+    st = random_state(rng)
+    for tag in FAMILIES:
+        F, _ = variant_jacobians(tag, st)
+        assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
 
 
-def test_error_jacobians_zero_delta_bit_identical():
+def test_error_jacobians_zero_delta_bit_identical(variant_jacobians):
     rng = np.random.default_rng(2)
     st = random_state(rng)
-    F0, G0 = invariant_error_jacobians(st)
-    Fz, Gz = invariant_error_jacobians(st, xi_delta=np.zeros(9))
+    F0, G0 = variant_jacobians("iekf", st)
+    Fz, Gz = variant_jacobians("iekf", st, xi_delta=np.zeros(9))
     assert np.array_equal(F0, Fz)
     assert np.array_equal(G0, Gz)
 
 
-def test_error_jacobians_block_structure():
+def test_error_jacobians_block_structure(variant_jacobians):
     rng = np.random.default_rng(3)
     st = random_state(rng)
-    F, G = invariant_error_jacobians(st)
-    assert F.shape == (15, 15)
-    assert G.shape == (15, 12)
-    # bias rows are static; bias noise enters with identity
-    assert np.abs(F[9:, :]).max() == 0.0
-    assert np.array_equal(G[9:15, 6:12], np.eye(6))
-    # noise map blocks: attitude sees R, velocity sees R for accel noise
-    assert np.allclose(G[:3, :3], st.R)
-    assert np.allclose(G[6:9, 3:6], st.R)
-    assert np.allclose(G[3:6, :3], lie.so3_hat(st.p) @ st.R)
+    a_m = rng.normal(0.0, 1.0, 3)
+    for tag in FAMILIES:
+        F, G = variant_jacobians(tag, st, accel=a_m)
+        assert F.shape == (15, 15)
+        assert G.shape == (15, 12)
+        # bias rows are static; bias noise enters with identity
+        assert np.abs(F[9:, :]).max() == 0.0
+        assert np.array_equal(G[9:15, 6:12], np.eye(6))
+        # noise map blocks: attitude sees R, velocity sees R for accel noise
+        assert np.array_equal(G[:3, :3], st.R)
+        assert np.array_equal(G[6:9, 3:6], st.R)
+        assert np.array_equal(F[3:6, 6:9], np.eye(3))
+        if tag == "iekf":
+            # position and velocity see the gyro noise through p^ R, v^ R
+            assert np.allclose(G[3:6, :3], lie.so3_hat(st.p) @ st.R)
+            assert np.allclose(G[6:9, :3], lie.so3_hat(st.v) @ st.R)
+            assert np.array_equal(F[6:9, :3],
+                                  lie.so3_hat(imu.DEFAULT_GRAVITY))
+        else:
+            # world-frame errors: no lever arms, -(R a)^ drives velocity
+            assert not np.any(G[3:6]) and not np.any(G[6:9, :3])
+            assert np.allclose(F[6:9, :3], -lie.so3_hat(st.R @ (a_m - st.b_a)))
 
 
-def test_propagate_covariance_matches_quadrature():
+def test_propagate_covariance_matches_quadrature(variant_jacobians):
     """Closed-form discretization vs Simpson quadrature of the exact
     integral."""
     rng = np.random.default_rng(4)
     st = random_state(rng)
-    F, G = invariant_error_jacobians(st)
     Q = np.diag(rng.uniform(0.5, 2.0, 12))
     P = np.eye(15) * 0.1
     dt = 0.05
-    out = imu.propagate_covariance(P, F, G, Q, dt)
+    for tag in FAMILIES:
+        F, G = variant_jacobians(tag, st)
+        out = imu.propagate_covariance(P, F, G, Q, dt)
 
-    def phi(s):
-        return errorprop.loglinear_transition(F, s)
-    n = 200
-    s = np.linspace(0.0, dt, 2 * n + 1)
-    vals = [phi(dt - si) @ G @ Q @ G.T @ phi(dt - si).T for si in s]
-    h = dt / (2 * n)
-    Qd = h / 3.0 * (vals[0] + vals[-1]
-                    + 4.0 * sum(vals[1:-1:2]) + 2.0 * sum(vals[2:-2:2]))
-    ref = phi(dt) @ P @ phi(dt).T + Qd
-    assert np.abs(out - ref).max() / np.abs(ref).max() < 1e-10
+        def phi(s):
+            return errorprop.loglinear_transition(F, s)
+        n = 200
+        s = np.linspace(0.0, dt, 2 * n + 1)
+        vals = [phi(dt - si) @ G @ Q @ G.T @ phi(dt - si).T for si in s]
+        h = dt / (2 * n)
+        Qd = h / 3.0 * (vals[0] + vals[-1]
+                        + 4.0 * sum(vals[1:-1:2]) + 2.0 * sum(vals[2:-2:2]))
+        ref = phi(dt) @ P @ phi(dt).T + Qd
+        assert np.abs(out - ref).max() / np.abs(ref).max() < 1e-10
 
 
 def test_propagate_covariance_pure_diffusion():
@@ -209,10 +226,10 @@ def test_propagate_covariance_rejects_wide_f():
                                  np.zeros((15, 12)), np.eye(12), 0.1)
 
 
-def test_transition_matrix_polynomial_display():
+def test_transition_matrix_polynomial_display(variant_jacobians):
     # Phi = exp(F dt) carries dt*I, dt*g^ and (dt^2/2) g^ in the pose rows
     st = imu.ImuState.identity()
-    F, _ = invariant_error_jacobians(st)
+    F, _ = variant_jacobians("iekf", st)
     dt = 0.1
     Phi = errorprop.loglinear_transition(F, dt)
     G = lie.so3_hat(imu.DEFAULT_GRAVITY)
@@ -243,7 +260,7 @@ def test_noise_spec_q_matrix():
         imu.ImuNoiseSpec(sigma_gw=-1.0)
 
 
-def test_imitated_jacobian_premultiplies_noise_map():
+def test_imitated_jacobian_premultiplies_noise_map(variant_jacobians):
     # the block-diagonal shortcut equals the full inverse left Jacobian on
     # the landmark-augmented group, bit for bit
     rng = np.random.default_rng(7)
@@ -251,8 +268,8 @@ def test_imitated_jacobian_premultiplies_noise_map():
     for m in (0, 3):
         lms = rng.normal(0.0, 10.0, (m, 3))
         xi_d = imu.sample_imitating_error(0.4, rng)
-        _, G0 = invariant_error_jacobians(st, lms)
-        F, G = invariant_error_jacobians(st, lms, xi_delta=xi_d)
+        _, G0 = variant_jacobians("ij_iekf", st, lms)
+        F, G = variant_jacobians("ij_iekf", st, lms, xi_delta=xi_d)
         B = np.vstack([G0[:9, :6], G0[15:, :6]])
         xi_ext = np.zeros(3 * (m + 3))
         xi_ext[:9] = xi_d
@@ -261,4 +278,4 @@ def test_imitated_jacobian_premultiplies_noise_map():
         assert np.array_equal(F[:9, 9:15], -JiB[:9])
         assert np.array_equal(F[15:, 9:15], -JiB[9:])
     with pytest.raises(ValueError):
-        invariant_error_jacobians(st, xi_delta=np.full(9, 0.1))
+        variant_jacobians("ij_iekf", st, xi_delta=np.full(9, 0.1))

@@ -117,10 +117,18 @@ def test_left_jacobian_matches_series():
         assert worst < 1e-10
 
 
+# rotation angles just above SMALL_ANGLE, where closed forms cancel
+SMALL_ANGLES = (1.01e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+
 def test_left_jacobian_inverse_is_inverse():
     rng = np.random.default_rng(5)
-    for _ in range(200):
+    xis = [rng.normal(0, 0.8, 9) for _ in range(200)]
+    for angle in SMALL_ANGLES:
         xi = rng.normal(0, 0.8, 9)
+        xi[:3] *= angle / np.linalg.norm(xi[:3])
+        xis.append(xi)
+    for xi in xis:
         J = lie.sen_left_jacobian(xi)
         Ji = lie.sen_left_jacobian_inv(xi)
         assert np.abs(J @ Ji - np.eye(9)).max() < 1e-9
@@ -138,9 +146,13 @@ def test_jacobian_inverse_raises_near_2pi():
 
 def test_q_matrix_against_double_series():
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        theta = rng.normal(0, 0.6, 3)
-        v = rng.normal(0, 1.0, 3)
+    cases = [(rng.normal(0, 0.6, 3), rng.normal(0, 1.0, 3))
+             for _ in range(100)]
+    for angle in SMALL_ANGLES:
+        axis = rng.normal(0, 1.0, 3)
+        cases.append((angle * axis / np.linalg.norm(axis),
+                      rng.normal(0, 1.0, 3)))
+    for theta, v in cases:
         Q = lie.se3_q_matrix(theta, v)
         S = q_double_series(theta, v)
         assert np.abs(Q - S).max() < 1e-12

@@ -133,8 +133,7 @@ def test_noiseless_exact_init_gives_tiny_rmse():
             P0 = np.diag(sig ** 2)
         filt = filters.FilterInstance(v, st, P0, sc.noise,
                                       rng=np.random.default_rng(1),
-                                      landmarks=truth.landmarks.copy(),
-                                      gravity=sc.noise.gravity)
+                                      landmarks=truth.landmarks.copy())
         records = sim.run_filter(sc, truth, frames, filt)
         pos_rmse = np.sqrt(np.mean([r[3] ** 2 for r in records]))
         assert pos_rmse < 1e-6, v.label
