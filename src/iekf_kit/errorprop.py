@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import lie
-from .exceptions import F0NotCompatible, StepRejected
+from .exceptions import StepRejected
 
 ANGLE_DOMAIN = 2.0 * np.pi - 1e-6
 
@@ -37,25 +37,6 @@ def right_error_rate(xi, vg, w, adjoint_of_estimate, A):
             + lie.sen_left_jacobian_inv(xi)
             @ (np.asarray(adjoint_of_estimate, dtype=float) @ np.asarray(w, dtype=float))
             + np.asarray(A, dtype=float) @ xi)
-
-
-def validate_group_affine(f0, n, trials=100, tol=1e-8, seed=0):
-    """Check f0(X1 X2) = f0(X1) X2 + X1 f0(X2) on random group pairs.
-
-    Raises:
-        F0NotCompatible: if the property fails beyond tol on any pair.
-    """
-    rng = np.random.default_rng(seed)
-    dim = 3 * (n + 1)
-    for _ in range(trials):
-        x1 = lie.sen_exp(rng.normal(0.0, 0.8, dim))
-        x2 = lie.sen_exp(rng.normal(0.0, 0.8, dim))
-        lhs = f0(x1 @ x2)
-        rhs = f0(x1) @ x2 + x1 @ f0(x2)
-        scale = max(1.0, float(np.abs(lhs).max()))
-        if np.abs(lhs - rhs).max() > tol * scale:
-            raise F0NotCompatible(
-                f"property violated by {np.abs(lhs - rhs).max():.3e}")
 
 
 def group_error_rate(eta, vb=None, vg=None, w=None, f0=None, side="left",
@@ -143,15 +124,14 @@ def integrate_group_error(eta0, rate_fn, horizon, step):
     return times, etas
 
 
-def expm_nilpotent_or_series(M, max_terms=None):
+def expm_nilpotent_or_series(M):
     """Matrix exponential via the exact finite polynomial when M is nilpotent,
     falling back to the scaled-and-squared routine otherwise."""
     M = np.asarray(M, dtype=float)
     dim = M.shape[0]
-    limit = dim + 1 if max_terms is None else max_terms
     out = np.eye(dim)
     term = np.eye(dim)
-    for i in range(1, limit):
+    for i in range(1, dim + 1):
         term = term @ M / i
         if not np.any(term):
             return out

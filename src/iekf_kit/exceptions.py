@@ -13,10 +13,6 @@ class SingularJacobian(IekfKitError):
     """Left Jacobian is not invertible (|omega| at a nonzero multiple of 2*pi)."""
 
 
-class F0NotCompatible(IekfKitError):
-    """Supplied vector field does not satisfy the additive group-product property."""
-
-
 class StepRejected(IekfKitError):
     """Integrator state left the supported angle domain."""
 
@@ -55,10 +51,6 @@ class Diverged(IekfKitError):
 
 class EmptyReport(IekfKitError):
     """Aggregation requested on an empty report."""
-
-
-class OutOfDomain(IekfKitError):
-    """Query time outside the trajectory domain."""
 
 
 class ConfigError(IekfKitError):

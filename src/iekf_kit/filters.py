@@ -1,10 +1,9 @@
-"""Five estimator variants on one predict/update skeleton.
+"""Four estimator variants on one predict/update skeleton.
 
-Variants: "ekf" and "qekf" (conventional world-frame error-state model, the
-latter carrying its attitude mean as a quaternion), "fej" (same model with
-first-estimate anchors for position-dependent measurement Jacobians), "iekf"
-(right-invariant error model), and "ij_iekf" (iekf with imitated-Jacobian
-covariance compensation of range r).
+Variants: "ekf" (conventional world-frame error-state model), "fej" (same
+model with first-estimate anchors for position-dependent measurement
+Jacobians), "iekf" (right-invariant error model), and "ij_iekf" (iekf with
+imitated-Jacobian covariance compensation of range r).
 
 Error-state layout: (xi_omega, xi_p, xi_v, bg_err, ba_err[, landmarks...,
 clones...]).  The covariance describes the "correction" convention: the
@@ -27,7 +26,7 @@ from . import lie
 from .exceptions import SingularCovariance, SingularInnovation
 
 INVARIANT_TAGS = ("iekf", "ij_iekf")
-EKF_FAMILY_TAGS = ("ekf", "qekf", "fej")
+EKF_FAMILY_TAGS = ("ekf", "fej")
 ALL_TAGS = EKF_FAMILY_TAGS + INVARIANT_TAGS
 
 _EYE6 = np.eye(6)
@@ -44,7 +43,8 @@ class FilterVariant:
 
     def __post_init__(self):
         if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown variant tag {self.tag!r}")
+            raise ValueError(f"unknown variant tag {self.tag!r}; choose from "
+                             f"{', '.join(ALL_TAGS)}")
         if self.tag != "ij_iekf" and self.r != 0.0:
             raise ValueError("r is only meaningful for ij_iekf")
         if self.tag == "ij_iekf" and self.r < 0.0:
@@ -69,72 +69,6 @@ class CloneEntry:
     R: np.ndarray
     p: np.ndarray
 
-
-# --- quaternion helpers for the qekf attitude mean (wxyz convention) -------
-
-def quat_from_rot(R):
-    """Unit quaternion (wxyz, w >= 0) of a rotation matrix.
-
-    Shepperd's method: the largest of 4w^2, 4x^2, 4y^2, 4z^2 (read off the
-    trace and the diagonal) is taken by square root and divides the other
-    three, so no rotation, half turns included, divides by a small number.
-    """
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    k = int(np.argmax((tr, R[0, 0], R[1, 1], R[2, 2])))
-    if k == 0:
-        w = np.sqrt(1.0 + tr) / 2.0
-        q = np.array([w, (R[2, 1] - R[1, 2]) / (4 * w),
-                      (R[0, 2] - R[2, 0]) / (4 * w),
-                      (R[1, 0] - R[0, 1]) / (4 * w)])
-    elif k == 1:
-        x = np.sqrt(1.0 + 2.0 * R[0, 0] - tr) / 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / (4 * x), x,
-                      (R[0, 1] + R[1, 0]) / (4 * x),
-                      (R[0, 2] + R[2, 0]) / (4 * x)])
-    elif k == 2:
-        y = np.sqrt(1.0 + 2.0 * R[1, 1] - tr) / 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / (4 * y),
-                      (R[0, 1] + R[1, 0]) / (4 * y), y,
-                      (R[1, 2] + R[2, 1]) / (4 * y)])
-    else:
-        z = np.sqrt(1.0 + 2.0 * R[2, 2] - tr) / 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / (4 * z),
-                      (R[0, 2] + R[2, 0]) / (4 * z),
-                      (R[1, 2] + R[2, 1]) / (4 * z), z])
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
-def rot_from_quat(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def quat_mul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def quat_from_rotvec(v):
-    a = np.linalg.norm(v)
-    if a < 1e-12:
-        return np.array([1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]])
-    return np.concatenate([[np.cos(a / 2.0)], np.sin(a / 2.0) * v / a])
-
-
-# ---------------------------------------------------------------------------
 
 def _lever_arms(state, landmarks):
     """The lever arms of the invariant error as rows: p, v, f_1, ..., f_m."""
@@ -213,7 +147,6 @@ class FilterInstance:
         self.anchor_state = state.copy() if variant.tag == "fej" else None
         self.anchor_landmarks = (None if self.landmarks is None
                                  else self.landmarks.copy())
-        self._quat = quat_from_rot(state.R) if variant.tag == "qekf" else None
         self._kernel = None    # (dt, Q, imu.noise_kernel(Q, dt))
         expected = self.core_dim
         if self.P.shape != (expected, expected):
@@ -255,8 +188,6 @@ class FilterInstance:
         if self.anchor_state is not None:
             self.anchor_state = imu_model.propagate_mean(
                 self.anchor_state, meas, dt, self.noise.gravity)
-        if self._quat is not None:
-            self._quat = quat_from_rot(self.state.R)
         if self._kernel is None or self._kernel[0] != dt:
             Q = self.noise.q_imu()
             self._kernel = (dt, Q, imu_model.noise_kernel(Q, dt))
@@ -321,12 +252,7 @@ class FilterInstance:
                 cl.R = lie.sen_rotation(Xc)
                 cl.p = lie.sen_columns(Xc)[0]
         else:
-            if self._quat is not None:
-                self._quat = quat_mul(quat_from_rotvec(d[:3]), self._quat)
-                self._quat /= np.linalg.norm(self._quat)
-                st.R = rot_from_quat(self._quat)
-            else:
-                st.R = lie.so3_exp(d[:3]) @ st.R
+            st.R = lie.so3_exp(d[:3]) @ st.R
             st.p = st.p + d[3:6]
             st.v = st.v + d[6:9]
             if m:
@@ -343,13 +269,11 @@ class FilterInstance:
     def clone_camera_pose(self, t, R_cam, p_cam):
         """Append a camera-pose clone and augment the covariance."""
         J = np.zeros((6, self.dim))
-        if self.variant.invariant:
-            # right-invariant camera-pose error equals the IMU pose error
-            J[:3, :3] = np.eye(3)
-            J[3:6, 3:6] = np.eye(3)
-        else:
-            J[:3, :3] = np.eye(3)
-            J[3:6, 3:6] = np.eye(3)
+        J[:3, :3] = np.eye(3)
+        J[3:6, 3:6] = np.eye(3)
+        # the right-invariant camera-pose error equals the IMU pose error;
+        # the world-frame position error picks up the lever arm p_cam - p
+        if not self.variant.invariant:
             J[3:6, :3] = -lie.so3_hat(p_cam - self.state.p)
         PJt = self.P @ J.T
         self.P = np.block([[self.P, PJt], [PJt.T, J @ PJt]])

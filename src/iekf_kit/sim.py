@@ -26,7 +26,7 @@ import numpy as np
 from . import imu as imu_model
 from . import lie
 from . import vision
-from .exceptions import EmptyReport, OutOfDomain
+from .exceptions import EmptyReport
 from .filters import (FilterInstance, FilterVariant,
                       invariant_initial_covariance)
 from .imu import ImuMeasurement, ImuNoiseSpec, ImuState
@@ -55,26 +55,13 @@ class TrajectorySpec:
                          self.ay * self.wy * np.cos(self.wy * t),
                          self.az * self.wz * np.cos(self.wz * t + self.phz)])
 
-    def acceleration(self, t):
-        return np.array([-self.ax * self.wx ** 2 * np.cos(self.wx * t),
-                         -self.ay * self.wy ** 2 * np.sin(self.wy * t),
-                         -self.az * self.wz ** 2 * np.sin(self.wz * t + self.phz)])
-
     def yaw(self, t):
         v = self.velocity(t)
         return np.arctan2(v[1], v[0])
 
-    def yaw_rate(self, t):
-        v = self.velocity(t)
-        a = self.acceleration(t)
-        return (v[0] * a[1] - v[1] * a[0]) / (v[0] ** 2 + v[1] ** 2)
-
     def attitude(self, t):
         c, s = np.cos(self.yaw(t)), np.sin(self.yaw(t))
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def omega_body(self, t):
-        return np.array([0.0, 0.0, self.yaw_rate(t)])
 
     def state(self, t):
         """ImuState at time t (zero biases)."""
@@ -119,11 +106,6 @@ class Scenario:
     def camera_every(self):
         """Number of IMU steps per camera epoch."""
         return int(round(self.imu_rate / self.cam_rate))
-
-    def truth_state(self, t):
-        if t < 0.0 or t > self.duration:
-            raise OutOfDomain(f"t = {t} outside [0, {self.duration}]")
-        return self.trajectory.state(t)
 
     def make_landmarks(self, rng, n=None):
         """Draw the landmark field.

@@ -10,8 +10,9 @@ measurements are 2-vectors (u, v).  Two projection modes are supported:
   at the origin differs (zero range rather than non-positive depth).
 
 Both modes share one domain guard, ``CameraModel.outside_domain``.  The
-camera-rate landmark update builds all of an epoch's rows in one call, which
-drops the observations outside that domain instead of raising.
+camera-rate update of the in-state landmarks builds all of an epoch's rows in
+one call, which drops the observations outside that domain instead of
+raising.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .exceptions import (BehindCamera, DegenerateGeometry, Diverged,
 DEPTH_EPS = 1e-9
 RANGE_EPS = 1e-12
 RANK_RTOL = 1e-10
+TRIANGULATE_MAX_ITERS = 20
+TRIANGULATE_STEP_TOL = 1e-8
 
 
 @dataclass
@@ -118,13 +121,12 @@ class CameraModel:
         J[:, 1, 2] = -self.fy * y / z ** 2
         return uv, J
 
-    def in_view(self, x_cam, margin=0.0):
+    def in_view(self, x_cam):
         try:
             uv = self.project(x_cam)
         except (BehindCamera, ZeroRange):
             return False
-        return (margin <= uv[0] <= self.width - margin
-                and margin <= uv[1] <= self.height - margin)
+        return 0.0 <= uv[0] <= self.width and 0.0 <= uv[1] <= self.height
 
 
 @dataclass
@@ -146,58 +148,44 @@ def world_to_camera(R_c, p_c, f_world):
 
 # --- landmark updates against the live state -------------------------------
 
-def landmark_measurement(filt, model, ext, pixels, sigma_px,
-                         landmark_index=None, f_world=None):
-    """Stacked residual, H and N of one camera epoch's landmark observations
-    against the current state.
+def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
+    """Stacked residual, H and N of one camera epoch's observations ``pixels``
+    (n, 2) of the in-state landmarks ``landmark_index`` (n,) against the
+    current state.
 
-    ``pixels`` (n, 2) observe either the in-state landmarks
-    ``landmark_index`` (n,), whose error columns are filled, or, with
-    ``landmark_index`` None, landmarks at the exactly known world points
-    ``f_world`` (n, 3).  An observation whose predicted camera-frame point is
-    outside the projection domain (``CameraModel.outside_domain``) is
-    dropped.  Returns (residual (2k,), H (2k, dim), N (2k, 2k), kept): the
-    positions ``kept`` (k,) in the input of the observations used, in input
-    order, own rows 2i and 2i + 1.  H follows the filter's error convention,
-    so the gain-weighted residual is a correction.
+    An observation whose predicted camera-frame point is outside the
+    projection domain (``CameraModel.outside_domain``) is dropped.  Returns
+    (residual (2k,), H (2k, dim), N (2k, 2k), kept): the positions ``kept``
+    (k,) in the input of the observations used, in input order, own rows 2i
+    and 2i + 1.  H follows the filter's error convention, so the
+    gain-weighted residual is a correction.
     """
     st = filt.state
-    in_state = landmark_index is not None
-    if in_state:
-        landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
-        f_world = filt.landmarks[landmark_index]
-    else:
-        f_world = np.asarray(f_world, dtype=float).reshape(-1, 3)
+    landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
+    f_world = filt.landmarks[landmark_index]
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     R_c, p_c = camera_pose(st, ext)
     x_cam = (f_world - p_c) @ R_c
     zero_range, behind = model.outside_domain(x_cam)
     kept = np.flatnonzero(~(zero_range | behind))
     if len(kept) < len(x_cam):
-        x_cam, f_world, pixels = x_cam[kept], f_world[kept], pixels[kept]
-        if in_state:
-            landmark_index = landmark_index[kept]
+        x_cam, pixels = x_cam[kept], pixels[kept]
+        landmark_index = landmark_index[kept]
     n = len(kept)
     pred, J_pi = model.project_batch(x_cam)
     # J_pi S with S = R_c^T; J_pi S u^ is the row-wise cross product with u
     JS = J_pi @ R_c.T
     H = np.zeros((n, 2, filt.dim))
     H[:, :, 3:6] = -JS
-    if filt.variant.invariant:
-        # the orientation dependence cancels for an in-state landmark
-        if not in_state:
-            H[:, :, 0:3] = np.cross(JS, f_world[:, None, :])
-    else:
-        p_ref = st.p
-        f_ref = f_world
+    # the invariant error's orientation part cancels for in-state landmarks
+    if not filt.variant.invariant:
+        p_ref, f_ref = st.p, filt.landmarks[landmark_index]
         if filt.anchor_state is not None:
             p_ref = filt.anchor_state.p
-            if in_state:
-                f_ref = filt.anchor_landmarks[landmark_index]
+            f_ref = filt.anchor_landmarks[landmark_index]
         H[:, :, 0:3] = np.cross(JS, (f_ref - p_ref)[:, None, :])
-    if in_state:
-        cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
-        H[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
+    cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
+    H[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
     residual = (pixels - pred).reshape(-1)
     N = np.eye(2 * n) * sigma_px ** 2
     return residual, H.reshape(2 * n, filt.dim), N, kept
@@ -245,7 +233,7 @@ def nullspace_project(residual, H_x, H_f):
     return Q2.T @ residual, Q2.T @ H_x
 
 
-def triangulate(model, poses, pixels, max_iters=20, step_tol=1e-8):
+def triangulate(model, poses, pixels):
     """Triangulate a world point from pixel tracks over known camera poses.
 
     Linear (midpoint/DLT) initialization followed by Gauss-Newton on the
@@ -268,7 +256,7 @@ def triangulate(model, poses, pixels, max_iters=20, step_tol=1e-8):
     if sv[2] <= RANK_RTOL * sv[0]:
         raise DegenerateGeometry("rays do not intersect transversally")
     f, *_ = np.linalg.lstsq(A, b, rcond=None)
-    for _ in range(max_iters):
+    for _ in range(TRIANGULATE_MAX_ITERS):
         JtJ = np.zeros((3, 3))
         Jtr = np.zeros(3)
         for (R_c, p_c), uv in zip(poses, pixels):
@@ -284,9 +272,9 @@ def triangulate(model, poses, pixels, max_iters=20, step_tol=1e-8):
         except np.linalg.LinAlgError as e:
             raise DegenerateGeometry(str(e)) from e
         f = f + step
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < TRIANGULATE_STEP_TOL:
             return f
-    raise Diverged(f"no convergence in {max_iters} iterations")
+    raise Diverged(f"no convergence in {TRIANGULATE_MAX_ITERS} iterations")
 
 
 class SlidingWindowUpdater:
@@ -380,7 +368,7 @@ class SlidingWindowUpdater:
 
 # --- observability ----------------------------------------------------------
 
-def observability_matrix(dt, k, gravity=None):
+def observability_matrix(dt, k):
     """Stacked observability matrix of the landmark-observation error system
     and its numerical rank.
 
@@ -392,7 +380,7 @@ def observability_matrix(dt, k, gravity=None):
     from . import imu as imu_model
     from .errorprop import loglinear_transition
     F = np.zeros((12, 12))
-    F[:9, :9] = imu_model.imu_error_matrix_a(gravity)
+    F[:9, :9] = imu_model.imu_error_matrix_a()
     Phi = loglinear_transition(F, dt)
     H = np.zeros((3, 12))
     H[:, 3:6] = -np.eye(3)

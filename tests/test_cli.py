@@ -63,9 +63,14 @@ def test_unknown_scenario_key_exits_2(tmp_path):
     assert run_cli(["simulate", cfg]) == 2
 
 
-def test_bad_variant_exits_2(tmp_path):
+def test_bad_variant_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "variants: [ukf]\n")
     assert run_cli(["montecarlo", cfg]) == 2
+    cfg = write_config(tmp_path, "variants: [qekf]\n", name="qekf.yaml")
+    capsys.readouterr()
+    assert run_cli(["simulate", cfg]) == 2
+    # "ekf" alone would match inside "qekf"; the message lists the tags
+    assert "choose from ekf, fej, iekf, ij_iekf" in capsys.readouterr().err
 
 
 def test_malformed_yaml_exits_2(tmp_path):

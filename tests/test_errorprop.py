@@ -6,32 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from iekf_kit import errorprop, imu, lie
-from iekf_kit.exceptions import F0NotCompatible, StepRejected
-
-
-def imu_error_drift():
-    """Drift of the invariant IMU error: f0(X) = N X - X N with the constant
-    matrix N carrying the gravity column and the p-integrates-v coupling.
-    Commutators with a constant matrix satisfy the two-term product rule
-    exactly."""
-    N = np.zeros((5, 5))
-    N[:3, 4] = np.array([0.0, 0.0, -9.81])
-    N[4, 3] = -1.0
-
-    def f0(X):
-        return N @ X - X @ N
-    return f0
-
-
-def test_validate_group_affine_accepts_commutator_drift():
-    errorprop.validate_group_affine(imu_error_drift(), n=2)
-
-
-def test_validate_group_affine_rejects_non_affine():
-    def bad(X):
-        return X @ X
-    with pytest.raises(F0NotCompatible):
-        errorprop.validate_group_affine(bad, n=2)
+from iekf_kit.exceptions import StepRejected
 
 
 def test_left_error_rate_zero_is_noise():

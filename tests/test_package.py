@@ -1,0 +1,69 @@
+"""Package-shape tests: every public function and method of iekf_kit is
+reached from inside the package, so code that only the tests exercise does
+not accumulate.  A name counts as reached when it appears as a name or an
+attribute anywhere in the package outside its own definition; the check is
+by name only, so it can miss dead code that shares a name with live code,
+but it never flags live code."""
+
+import ast
+import collections
+import pathlib
+
+import iekf_kit
+
+PACKAGE = pathlib.Path(iekf_kit.__file__).parent
+
+# public API with no caller inside the package, one reason each
+ALLOWED = {
+    "sim.run_sliding_window": "criterion 9 and the perfbench window workload",
+    "errorprop.right_error_rate": "right-invariant log-error rate; tests "
+                                  "check it against the group-level oracle",
+    "lie.sen_log": "public Lie API; tests use it as an oracle",
+    "lie.sen_vee": "public Lie API; tests use it as an oracle",
+    "lie.sen_adjoint": "public Lie API; tests use it as an oracle",
+    "imu.ImuState.identity": "public constructor of the identity state",
+}
+
+
+def _public_definitions(module, tree):
+    """(qualified name, node) of public module functions and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _referenced_names(node):
+    names = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def unreferenced_definitions():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = collections.Counter()
+    for tree in trees.values():
+        everywhere += _referenced_names(tree)
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(module, tree):
+            name = qualname.rsplit(".", 1)[1]
+            if everywhere[name] - _referenced_names(node)[name] == 0:
+                out.append(qualname)
+    return out
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    unreferenced = unreferenced_definitions()
+    assert sorted(set(unreferenced) - set(ALLOWED)) == []
+    # an entry that gained a caller, or is gone, leaves the allowlist
+    assert sorted(set(ALLOWED) - set(unreferenced)) == []

@@ -72,7 +72,7 @@ def test_projection_jacobian_finite_difference():
         assert worst < 1e-5
 
 
-def fd_measurement_jacobian(filt, ext, f_world, landmark_index, pix):
+def fd_measurement_jacobian(filt, ext, landmark_index):
     """Columns of H from finite differences: move the truth by a correction c
     and record the pixel shift."""
     d = filt.dim
@@ -88,9 +88,8 @@ def fd_measurement_jacobian(filt, ext, f_world, landmark_index, pix):
                                        landmarks=filt.landmarks)
             g.apply_correction(c)
             R_c, p_c = vision.camera_pose(g.state, ext)
-            f = (g.landmarks[landmark_index] if landmark_index is not None
-                 else f_world)
-            cols.append(MODEL.project(vision.world_to_camera(R_c, p_c, f)))
+            cols.append(MODEL.project(vision.world_to_camera(
+                R_c, p_c, g.landmarks[landmark_index])))
         H_fd[:, a] = (cols[0] - cols[1]) / (2 * eps)
     return H_fd
 
@@ -108,33 +107,19 @@ def test_landmark_jacobian_in_state(tag):
     pix = MODEL.project(vision.world_to_camera(R_c, p_c, f.landmarks[j]))
     _, H, _, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
                                              landmark_index=[j])
-    H_fd = fd_measurement_jacobian(f, ext, None, j, pix)
-    assert np.abs(H - H_fd).max() < 1e-4
-
-
-@pytest.mark.parametrize("tag", ["iekf", "ekf"])
-def test_landmark_jacobian_known_position(tag):
-    rng = np.random.default_rng(3)
-    ext = vision.Extrinsics()
-    f = make_filter(tag, rng)
-    R_c, p_c = vision.camera_pose(f.state, ext)
-    f_world = p_c + R_c @ np.array([0.3, -0.4, 6.0])
-    pix = MODEL.project(vision.world_to_camera(R_c, p_c, f_world))
-    _, H, _, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
-                                             f_world=[f_world])
-    H_fd = fd_measurement_jacobian(f, ext, f_world, None, pix)
+    H_fd = fd_measurement_jacobian(f, ext, j)
     assert np.abs(H - H_fd).max() < 1e-4
 
 
 def test_landmark_residual_at_truth_is_zero():
     rng = np.random.default_rng(4)
     ext = vision.Extrinsics()
-    f = make_filter("iekf", rng)
+    f = make_filter("iekf", rng, landmarks=np.zeros((1, 3)))
     R_c, p_c = vision.camera_pose(f.state, ext)
-    f_world = p_c + R_c @ np.array([0.0, 0.0, 4.0])
-    pix = MODEL.project(vision.world_to_camera(R_c, p_c, f_world))
+    f.landmarks = (p_c + R_c @ np.array([0.0, 0.0, 4.0]))[None, :]
+    pix = MODEL.project(vision.world_to_camera(R_c, p_c, f.landmarks[0]))
     r, _, N, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 2.0,
-                                             f_world=[f_world])
+                                             landmark_index=[0])
     assert np.abs(r).max() < 1e-12
     assert np.allclose(N, 4.0 * np.eye(2))
 
@@ -156,19 +141,15 @@ def epoch_in_front(tag, rng, n=5):
     return f, ext, pix + rng.normal(0.0, 1.0, (n, 2))
 
 
-@pytest.mark.parametrize("in_state", [True, False])
 @pytest.mark.parametrize("tag", ["iekf", "ekf", "fej"])
-def test_epoch_rows_stack_single_observation_rows(tag, in_state):
+def test_epoch_rows_stack_single_observation_rows(tag):
     rng = np.random.default_rng(9)
     f, ext, pix = epoch_in_front(tag, rng)
     order = np.array([3, 0, 4, 1, 2])
 
     def rows(sel):
-        if in_state:
-            return vision.landmark_measurement(f, MODEL, ext, pix[sel], 1.5,
-                                               landmark_index=order[sel])
         return vision.landmark_measurement(f, MODEL, ext, pix[sel], 1.5,
-                                           f_world=f.landmarks[order[sel]])
+                                           landmark_index=order[sel])
 
     r, H, N, kept = rows(slice(None))
     singles = [rows(slice(k, k + 1)) for k in range(len(order))]
