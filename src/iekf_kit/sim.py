@@ -195,28 +195,21 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     return TruthData(times, states, meas, landmarks)
 
 
-def visible_landmarks(scenario, state, landmarks):
-    """Indices of landmarks inside the truth camera frustum and range."""
-    R_c, p_c = vision.camera_pose(state, scenario.extrinsics)
-    out = []
-    for j, f in enumerate(landmarks):
-        x = vision.world_to_camera(R_c, p_c, f)
-        if x[2] < 1.0 or np.linalg.norm(x) > scenario.max_range:
-            continue
-        if scenario.camera.in_view(x):
-            out.append(j)
-    return out
-
-
 def camera_frame(scenario, state, landmarks, rng):
-    """Noisy pixel observations {landmark index: (u, v)} for one epoch."""
+    """Noisy pixel observations {landmark index: (u, v)} for one epoch, in
+    landmark order: the landmarks at least 1 m in front of the truth camera,
+    within ``max_range`` and projecting inside the image bounds."""
+    cam = scenario.camera
     R_c, p_c = vision.camera_pose(state, scenario.extrinsics)
-    obs = {}
-    for j in visible_landmarks(scenario, state, landmarks):
-        uv = scenario.camera.project(
-            vision.world_to_camera(R_c, p_c, landmarks[j]))
-        obs[j] = uv + scenario.pixel_sigma * rng.standard_normal(2)
-    return obs
+    x = vision.world_to_camera(R_c, p_c, landmarks)
+    near = np.flatnonzero((x[:, 2] >= 1.0) & (np.linalg.norm(x, axis=1)
+                                              <= scenario.max_range))
+    uv, _ = cam.project_batch(x[near])
+    inside = ((0.0 <= uv[:, 0]) & (uv[:, 0] <= cam.width)
+              & (0.0 <= uv[:, 1]) & (uv[:, 1] <= cam.height))
+    pixels = uv[inside] + scenario.pixel_sigma * rng.standard_normal(
+        (int(inside.sum()), 2))
+    return dict(zip(near[inside].tolist(), pixels))
 
 
 @dataclass

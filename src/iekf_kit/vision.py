@@ -107,26 +107,25 @@ class CameraModel:
 
     def project_batch(self, x_cam):
         """Pixels (n, 2) and projection Jacobians (n, 2, 3) of camera-frame
-        points (n, 3) inside the domain (see outside_domain), by the pinhole
-        formulas of project() and projection_jacobian(), which the bearing
-        map equals there.  Per-call overhead keeps the single-point forms
-        for the single-point callers (triangulation, frame synthesis)."""
+        points (n, 3) inside the domain (see outside_domain).  The pixels
+        equal project() bit for bit in either mode, the Jacobians
+        projection_jacobian()."""
         x, y, z = x_cam.T
-        uv = np.column_stack([self.fx * x / z + self.cx,
-                              self.fy * y / z + self.cy])
+        if self.mode == "bearing":
+            # the stacked row-times-column product sums as x.dot(x) does, so
+            # the ranges equal np.linalg.norm of each row bit for bit
+            dist = np.sqrt(x_cam[:, None, :] @ x_cam[:, :, None])[:, 0]
+            h = (x_cam / dist) @ self.K.T
+            uv = h[:, :2] / h[:, 2:]
+        else:
+            uv = np.column_stack([self.fx * x / z + self.cx,
+                                  self.fy * y / z + self.cy])
         J = np.zeros((len(x_cam), 2, 3))
         J[:, 0, 0] = self.fx / z
         J[:, 0, 2] = -self.fx * x / z ** 2
         J[:, 1, 1] = self.fy / z
         J[:, 1, 2] = -self.fy * y / z ** 2
         return uv, J
-
-    def in_view(self, x_cam):
-        try:
-            uv = self.project(x_cam)
-        except (BehindCamera, ZeroRange):
-            return False
-        return 0.0 <= uv[0] <= self.width and 0.0 <= uv[1] <= self.height
 
 
 @dataclass
@@ -143,7 +142,11 @@ def camera_pose(state, ext):
 
 
 def world_to_camera(R_c, p_c, f_world):
-    return R_c.T @ (np.asarray(f_world, dtype=float) - p_c)
+    """Camera-frame coordinates R_c^T (f - p_c) as rows: of a world point
+    (3,) or points (n, 3) seen from one pose, or of one point seen from
+    poses stacked as R_c (n, 3, 3) and p_c (n, 3)."""
+    d = np.asarray(f_world, dtype=float) - p_c
+    return (d[..., None, :] @ R_c)[..., 0, :]
 
 
 # --- landmark updates against the live state -------------------------------
@@ -165,7 +168,7 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
     f_world = filt.landmarks[landmark_index]
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     R_c, p_c = camera_pose(st, ext)
-    x_cam = (f_world - p_c) @ R_c
+    x_cam = world_to_camera(R_c, p_c, f_world)
     zero_range, behind = model.outside_domain(x_cam)
     kept = np.flatnonzero(~(zero_range | behind))
     if len(kept) < len(x_cam):
@@ -193,27 +196,41 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
 
 # --- clone-based (sliding window) updates ----------------------------------
 
-def clone_feature_jacobians(filt, model, clone_index, f_world):
-    """(residual_pred, H_x row pair, H_f row pair) for one clone observation
-    of a triangulated feature at f_world.
+def clone_feature_jacobians(filt, model, clone_indices, f_world):
+    """Stacked prediction (2n,), H_x (2n, dim) and H_f (2n, 3) of one
+    track: the observations of a triangulated feature at f_world from the
+    clones ``clone_indices`` (n,), rows 2i and 2i + 1 for the i-th clone.
 
-    H_x covers the full filter state; H_f is the 2x3 feature block to be
-    removed by nullspace projection.
+    H_x is zero outside the 6 columns of each row pair's clone; H_f is the
+    feature block to be removed by nullspace projection.
+
+    Raises:
+        ZeroRange, BehindCamera: the feature is outside a clone's projection
+            domain (see CameraModel.outside_domain).
     """
-    cl = filt.clones[clone_index]
-    x_cam = world_to_camera(cl.R, cl.p, f_world)
-    J_pi = model.projection_jacobian(x_cam)
-    S = cl.R.T
-    H_x = np.zeros((2, filt.dim))
-    k = filt.clone_index(clone_index)
+    clone_indices = np.asarray(clone_indices, dtype=int).reshape(-1)
+    f_world = np.asarray(f_world, dtype=float)
+    n = len(clone_indices)
+    R = np.array([filt.clones[i].R for i in clone_indices])
+    p = np.array([filt.clones[i].p for i in clone_indices])
+    x_cam = world_to_camera(R, p, f_world)
+    zero_range, behind = model.outside_domain(x_cam)
+    if np.any(zero_range):
+        raise ZeroRange("feature at a clone's camera center")
+    if np.any(behind):
+        raise BehindCamera(f"depth {x_cam[:, 2].min():.3e}")
+    pred, J_pi = model.project_batch(x_cam)
+    JS = J_pi @ R.transpose(0, 2, 1)
     if filt.variant.invariant:
-        H_x[:, k:k + 3] = J_pi @ S @ lie.so3_hat(f_world)
+        rot = JS @ lie.so3_hat(f_world)
     else:
-        H_x[:, k:k + 3] = J_pi @ S @ lie.so3_hat(
-            np.asarray(f_world, dtype=float) - cl.p)
-    H_x[:, k + 3:k + 6] = -J_pi @ S
-    H_f = J_pi @ S
-    return model.project(x_cam), H_x, H_f
+        # J_pi S u^ is the row-wise cross product with the lever arm u
+        rot = np.cross(JS, (f_world - p)[:, None, :])
+    block = np.concatenate([rot, -JS], axis=2)
+    H_x = np.zeros((n, 2, filt.dim))
+    cols = filt.clone_index(clone_indices)[:, None, None] + np.arange(6)
+    H_x[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = block
+    return pred.reshape(-1), H_x.reshape(2 * n, filt.dim), JS.reshape(-1, 3)
 
 
 def nullspace_project(residual, H_x, H_f):
@@ -234,47 +251,60 @@ def nullspace_project(residual, H_x, H_f):
 
 
 def triangulate(model, poses, pixels):
-    """Triangulate a world point from pixel tracks over known camera poses.
+    """Triangulate a world point from one pixel track over known camera
+    poses [(R_c, p_c), ...].
 
     Linear (midpoint/DLT) initialization followed by Gauss-Newton on the
-    reprojection error.
+    reprojection error; each step works on the whole track as arrays.
 
     Raises:
         DegenerateGeometry: parallel/degenerate rays (no linear solution).
-        Diverged: Gauss-Newton did not reach the step tolerance.
+        Diverged: the refined point moved behind a camera, or Gauss-Newton
+            did not reach the step tolerance.
     """
-    A_rows, b_rows = [], []
-    for (R_c, p_c), uv in zip(poses, pixels):
-        ray = np.linalg.solve(model.K, np.array([uv[0], uv[1], 1.0]))
-        ray = R_c @ (ray / np.linalg.norm(ray))
-        P = np.eye(3) - np.outer(ray, ray)
-        A_rows.append(P)
-        b_rows.append(P @ p_c)
-    A = np.vstack(A_rows)
-    b = np.concatenate(b_rows)
+    R = np.array([R_c for R_c, _ in poses], dtype=float)
+    p = np.array([p_c for _, p_c in poses], dtype=float)
+    uv = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    rays = np.linalg.solve(model.K, np.vstack([uv.T, np.ones(len(uv))])).T
+    rays = R @ (rays / np.linalg.norm(rays, axis=1)[:, None])[:, :, None]
+    P = np.eye(3) - rays * rays.transpose(0, 2, 1)
+    A = P.reshape(-1, 3)
+    b = (P @ p[:, :, None]).reshape(-1)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[2] <= RANK_RTOL * sv[0]:
         raise DegenerateGeometry("rays do not intersect transversally")
     f, *_ = np.linalg.lstsq(A, b, rcond=None)
+    Rt = R.transpose(0, 2, 1)
     for _ in range(TRIANGULATE_MAX_ITERS):
-        JtJ = np.zeros((3, 3))
-        Jtr = np.zeros(3)
-        for (R_c, p_c), uv in zip(poses, pixels):
-            x_cam = world_to_camera(R_c, p_c, f)
-            if x_cam[2] <= DEPTH_EPS:
-                raise Diverged("refined point moved behind a camera")
-            J = model.projection_jacobian(x_cam) @ R_c.T
-            r = np.asarray(uv, dtype=float) - model.project(x_cam)
-            JtJ += J.T @ J
-            Jtr += J.T @ r
+        x_cam = world_to_camera(R, p, f)
+        if np.any(x_cam[:, 2] <= DEPTH_EPS):
+            raise Diverged("refined point moved behind a camera")
+        pred, J_pi = model.project_batch(x_cam)
+        J = (J_pi @ Rt).reshape(-1, 3)
         try:
-            step = np.linalg.solve(JtJ, Jtr)
+            step = np.linalg.solve(J.T @ J, J.T @ (uv - pred).reshape(-1))
         except np.linalg.LinAlgError as e:
             raise DegenerateGeometry(str(e)) from e
         f = f + step
         if np.linalg.norm(step) < TRIANGULATE_STEP_TOL:
             return f
     raise Diverged(f"no convergence in {TRIANGULATE_MAX_ITERS} iterations")
+
+
+def compress_measurement(residual, H):
+    """Measurement compression of a stacked update with white noise: when H
+    (N, d) has more rows than columns, the thin QR H = Q R gives the
+    equivalent update (Q^T residual, R) with d rows and the same noise
+    sigma^2 I; a shorter H is returned as it is.
+
+    Q^T residual is the last column of the R factor of [H | residual], so Q
+    is never formed.
+    """
+    rows, d = H.shape
+    if rows <= d:
+        return residual, H
+    R = np.linalg.qr(np.column_stack([H, residual]), mode="r")
+    return R[:d, d], R[:d, :d]
 
 
 class SlidingWindowUpdater:
@@ -332,22 +362,16 @@ class SlidingWindowUpdater:
                 continue
             idx = [self._window.index(s) for s, _ in track]
             poses = [(filt.clones[i].R, filt.clones[i].p) for i in idx]
-            pixels = [uv for _, uv in track]
+            pixels = np.array([uv for _, uv in track])
             try:
                 f = triangulate(self.model, poses, pixels)
             except (DegenerateGeometry, Diverged):
                 continue
-            r_stack, Hx_stack, Hf_stack = [], [], []
             try:
-                for i, uv in zip(idx, pixels):
-                    pred, H_x, H_f = clone_feature_jacobians(
-                        filt, self.model, i, f)
-                    r_stack.append(uv - pred)
-                    Hx_stack.append(H_x)
-                    Hf_stack.append(H_f)
-                r0, H0 = nullspace_project(np.concatenate(r_stack),
-                                           np.vstack(Hx_stack),
-                                           np.vstack(Hf_stack))
+                pred, H_x, H_f = clone_feature_jacobians(
+                    filt, self.model, idx, f)
+                r0, H0 = nullspace_project(pixels.reshape(-1) - pred, H_x,
+                                           H_f)
             except (DegenerateGeometry, BehindCamera, ZeroRange):
                 continue
             rows_r.append(r0)
@@ -355,8 +379,8 @@ class SlidingWindowUpdater:
             used += 1
         if not rows_r:
             return 0
-        residual = np.concatenate(rows_r)
-        H = np.vstack(rows_H)
+        residual, H = compress_measurement(np.concatenate(rows_r),
+                                           np.vstack(rows_H))
         N = np.eye(len(residual)) * self.sigma_px ** 2
         filt.update_raw(residual, H, N)
         return used

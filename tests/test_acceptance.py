@@ -223,17 +223,12 @@ def test_criterion_09_sliding_window(verdict):
             p_c = np.array([1.5 * k, 0.3 * k, 0.1 * k])
             poses.append((R_c, p_c))
             filt.clone_camera_pose(0.0, R_c, p_c)
-        r_stack, Hx_stack, Hf_stack = [], [], []
-        for k, (R_c, p_c) in enumerate(poses):
-            uv = model.project(vision.world_to_camera(R_c, p_c, f_true))
-            pred, H_x, H_f = vision.clone_feature_jacobians(filt, model,
-                                                            k, f_true)
-            r_stack.append(uv - pred)
-            Hx_stack.append(H_x)
-            Hf_stack.append(H_f)
-        Hf = np.vstack(Hf_stack)
-        r0, _ = vision.nullspace_project(np.concatenate(r_stack),
-                                         np.vstack(Hx_stack), Hf)
+        uv = np.concatenate([
+            model.project(vision.world_to_camera(R_c, p_c, f_true))
+            for R_c, p_c in poses])
+        pred, H_x, Hf = vision.clone_feature_jacobians(
+            filt, model, range(len(poses)), f_true)
+        r0, _ = vision.nullspace_project(uv - pred, H_x, Hf)
         Q, _ = np.linalg.qr(Hf, mode="complete")
         worst_hf = max(worst_hf, np.linalg.norm(Q[:, 3:].T @ Hf))
         worst_res = max(worst_res, np.abs(r0).max())

@@ -9,8 +9,9 @@ import os
 import numpy as np
 import pytest
 
-from iekf_kit import config, filters, imu, sim
-from iekf_kit.exceptions import ConfigError, EmptyReport
+from iekf_kit import config, filters, imu, sim, vision
+from iekf_kit.exceptions import (BehindCamera, ConfigError, EmptyReport,
+                                 ZeroRange)
 
 
 def test_trajectory_derivatives_consistent():
@@ -88,6 +89,69 @@ def test_camera_frames_have_visible_landmarks():
     for j, uv in obs.items():
         assert 0 <= uv[0] <= sc.camera.width + 5
         assert 0 <= uv[1] <= sc.camera.height + 5
+
+
+def camera_frame_loop(scenario, state, landmarks, rng):
+    """The per-landmark loop that ``sim.camera_frame`` replaced, kept as its
+    oracle."""
+    cam = scenario.camera
+    R_c, p_c = vision.camera_pose(state, scenario.extrinsics)
+    obs = {}
+    for j, f in enumerate(landmarks):
+        x = R_c.T @ (np.asarray(f, dtype=float) - p_c)
+        if x[2] < 1.0 or np.linalg.norm(x) > scenario.max_range:
+            continue
+        try:
+            uv = cam.project(x)
+        except (BehindCamera, ZeroRange):
+            continue
+        if 0.0 <= uv[0] <= cam.width and 0.0 <= uv[1] <= cam.height:
+            obs[j] = uv + scenario.pixel_sigma * rng.standard_normal(2)
+    return obs
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_camera_frame_matches_per_landmark_loop(mode):
+    sc = sim.Scenario(duration=20.0, n_landmarks=40,
+                      camera=vision.CameraModel(mode=mode))
+    rng = np.random.default_rng(14)
+    truth = sim.synthesize_truth(sc, rng)
+    # a camera at an integer point with the down camera's axes: these
+    # camera-frame points map to world points and back without rounding
+    st = imu.ImuState(np.eye(3), np.array([3.0, -2.0, 10.0]), np.zeros(3),
+                      np.zeros(3), np.zeros(3))
+    R_c, p_c = vision.camera_pose(st, sc.extrinsics)
+    x_cam = np.array([
+        [0.0, 0.0, -5.0], [1.0, 2.0, 0.5], [0.0, 0.0, 1.0],  # behind, 0.5, 1 m
+        [0.0, 0.0, 111.0], [60.0, 40.0, 100.0],               # past range
+        [-32.0, 0.0, 25.0], [32.0, 0.0, 25.0],                # u on 0, width
+        [0.0, -24.0, 25.0], [0.0, 24.0, 25.0],                # v on 0, height
+        [-32.0, -24.0, 25.0], [32.0001, 0.0, 25.0],           # corner, past
+        [1.0, -2.0, 20.0]])
+    border = p_c + x_cam @ R_c.T
+    cases = [(st, np.vstack([border, truth.landmarks]))]
+    cases += [(truth.states[k], truth.landmarks)
+              for k in range(0, len(truth.states), 100)]
+    seen = 0
+    for state, landmarks in cases:
+        rng_loop = np.random.default_rng(15)
+        rng_array = np.random.default_rng(15)
+        want = camera_frame_loop(sc, state, landmarks, rng_loop)
+        got = sim.camera_frame(sc, state, landmarks, rng_array)
+        assert list(got) == list(want)
+        assert all(type(j) is int for j in got)
+        assert (np.array(list(got.values())).tobytes()
+                == np.array(list(want.values())).tobytes())
+        assert (rng_array.bit_generator.state
+                == rng_loop.bit_generator.state)
+        seen += len(got)
+    # pinhole pixels of the border points are exact; the bearing map puts
+    # them within rounding of the border, on either side
+    visible = set(camera_frame_loop(sc, st, border, rng))
+    assert {2, 11} <= visible <= {2, 5, 6, 7, 8, 9, 11}
+    if mode == "pinhole":
+        assert visible == {2, 5, 6, 7, 8, 9, 11}
+    assert seen > 100
 
 
 def test_noiseless_exact_init_gives_tiny_rmse():

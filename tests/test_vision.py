@@ -1,6 +1,8 @@
 """Camera and sliding-window tests: every analytic Jacobian is checked
 against central finite differences of the actual projection pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -224,11 +226,7 @@ def test_batch_projection_matches_single_point_forms(mode):
     assert inside[:10].all() and not inside[10:12].any()
     for point, uv_k, J_k in zip(x[inside], uv, J):
         assert np.array_equal(J_k, model.projection_jacobian(point))
-        if mode == "pinhole":
-            assert np.array_equal(uv_k, model.project(point))
-        else:
-            ref = model.project(point)
-            assert np.abs(uv_k - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(uv_k, model.project(point))
 
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
@@ -237,12 +235,23 @@ def test_clone_feature_jacobians_finite_difference(tag):
     f = make_filter(tag, rng)
     ext = vision.Extrinsics()
     R_c, p_c = vision.camera_pose(f.state, ext)
-    f.clone_camera_pose(0.0, R_c, p_c)
+    poses = [(R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
+              p_c + rng.normal(0.0, 0.5, 3)) for _ in range(3)]
+    for R_k, p_k in poses:
+        f.clone_camera_pose(0.0, R_k, p_k)
     f_world = p_c + R_c @ np.array([0.4, -0.1, 5.0])
-    pred, H_x, H_f = vision.clone_feature_jacobians(f, MODEL, 0, f_world)
+    # one track seen by clones 2 and 0: rows follow the given order
+    track = [2, 0]
+    pred, H_x, H_f = vision.clone_feature_jacobians(f, MODEL, track, f_world)
+
+    def observe(R_k, p_k, point):
+        return MODEL.project(vision.world_to_camera(R_k, p_k, point))
+
+    assert np.array_equal(pred, np.concatenate(
+        [observe(*poses[i], f_world) for i in track]))
     eps = 1e-6
     d = f.dim
-    H_fd = np.zeros((2, d))
+    H_fd = np.zeros((2 * len(track), d))
     for a in range(d):
         cols = []
         for sgn in (1.0, -1.0):
@@ -250,16 +259,22 @@ def test_clone_feature_jacobians_finite_difference(tag):
             c[a] = sgn * eps
             g = filters.FilterInstance(f.variant, f.state, np.eye(15) * 0.01,
                                        imu.ImuNoiseSpec())
-            g.clone_camera_pose(0.0, R_c, p_c)
+            for R_k, p_k in poses:
+                g.clone_camera_pose(0.0, R_k, p_k)
             g.apply_correction(c)
-            cols.append(MODEL.project(vision.world_to_camera(
-                g.clones[0].R, g.clones[0].p, f_world)))
+            cols.append(np.concatenate(
+                [observe(g.clones[i].R, g.clones[i].p, f_world)
+                 for i in track]))
         H_fd[:, a] = (cols[0] - cols[1]) / (2 * eps)
     assert np.abs(H_x - H_fd).max() < 1e-4
-    Hf_fd = np.column_stack([
-        (MODEL.project(vision.world_to_camera(R_c, p_c, f_world + eps * e))
-         - MODEL.project(vision.world_to_camera(R_c, p_c, f_world - eps * e)))
-        / (2 * eps) for e in np.eye(3)])
+    for k, i in enumerate(track):
+        outside = np.ones(d, dtype=bool)
+        outside[f.clone_index(i):f.clone_index(i) + 6] = False
+        assert not H_x[2 * k:2 * k + 2, outside].any()
+    Hf_fd = np.vstack([np.column_stack([
+        (observe(*poses[i], f_world + eps * e)
+         - observe(*poses[i], f_world - eps * e)) / (2 * eps)
+        for e in np.eye(3)]) for i in track])
     assert np.abs(H_f - Hf_fd).max() < 1e-4
 
 
@@ -283,10 +298,70 @@ def test_triangulation_recovers_point():
         assert np.linalg.norm(f_est - f_true) < 1e-6
 
 
+def triangulate_loop(model, poses, pixels):
+    """The per-observation triangulation that ``vision.triangulate``
+    replaced, kept as its oracle."""
+    A_rows, b_rows = [], []
+    for (R_c, p_c), uv in zip(poses, pixels):
+        ray = np.linalg.solve(model.K, np.array([uv[0], uv[1], 1.0]))
+        ray = R_c @ (ray / np.linalg.norm(ray))
+        P = np.eye(3) - np.outer(ray, ray)
+        A_rows.append(P)
+        b_rows.append(P @ p_c)
+    A = np.vstack(A_rows)
+    b = np.concatenate(b_rows)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[2] <= vision.RANK_RTOL * sv[0]:
+        raise DegenerateGeometry("rays do not intersect transversally")
+    f, *_ = np.linalg.lstsq(A, b, rcond=None)
+    for _ in range(vision.TRIANGULATE_MAX_ITERS):
+        JtJ = np.zeros((3, 3))
+        Jtr = np.zeros(3)
+        for (R_c, p_c), uv in zip(poses, pixels):
+            x_cam = R_c.T @ (f - p_c)
+            if x_cam[2] <= vision.DEPTH_EPS:
+                raise Diverged("refined point moved behind a camera")
+            J = model.projection_jacobian(x_cam) @ R_c.T
+            r = np.asarray(uv, dtype=float) - model.project(x_cam)
+            JtJ += J.T @ J
+            Jtr += J.T @ r
+        try:
+            step = np.linalg.solve(JtJ, Jtr)
+        except np.linalg.LinAlgError as e:
+            raise DegenerateGeometry(str(e)) from e
+        f = f + step
+        if np.linalg.norm(step) < vision.TRIANGULATE_STEP_TOL:
+            return f
+    raise Diverged("no convergence")
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_triangulation_matches_per_observation_loop(mode):
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(13)
+    for n_views in (3, 6, 11):
+        for _ in range(20):
+            _, poses, pixels = synthetic_track(rng, n_views, noise=1.0)
+            want = triangulate_loop(model, poses, pixels)
+            got = vision.triangulate(model, poses, pixels)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want))
+
+
 def test_triangulation_degenerate_rays():
-    with pytest.raises(DegenerateGeometry):
-        vision.triangulate(MODEL, [(np.eye(3), np.zeros(3))] * 3,
-                           [np.array([320.0, 240.0])] * 3)
+    # parallel rays; and rays whose lines meet 5 m behind the cameras, so
+    # that the linear start is behind them and the refinement stops on its
+    # depth check.  The per-observation loop raises the same.
+    parallel = ([(np.eye(3), np.zeros(3))] * 3,
+                [np.array([320.0, 240.0])] * 3)
+    behind = ([(np.eye(3), np.array([float(k), 0.0, 0.0])) for k in range(3)],
+              [np.array([320.0 + 250.0 * (k - 0.5) / 5.0, 240.0])
+               for k in range(3)])
+    for fn in (vision.triangulate, triangulate_loop):
+        with pytest.raises(DegenerateGeometry):
+            fn(MODEL, *parallel)
+        with pytest.raises(Diverged):
+            fn(MODEL, *behind)
 
 
 def test_nullspace_projection_annihilates_feature_block():
@@ -300,16 +375,10 @@ def test_nullspace_projection_annihilates_feature_block():
         filt = make_filter("iekf", rng)
         for R_c, p_c in poses:
             filt.clone_camera_pose(0.0, R_c, p_c)
-        r_stack, Hx_stack, Hf_stack = [], [], []
-        for i, uv in enumerate(pixels):
-            pred, H_x, H_f = vision.clone_feature_jacobians(
-                filt, MODEL, i, f_true)
-            r_stack.append(uv - pred)
-            Hx_stack.append(H_x)
-            Hf_stack.append(H_f)
-        Hf = np.vstack(Hf_stack)
-        r0, H0 = vision.nullspace_project(np.concatenate(r_stack),
-                                          np.vstack(Hx_stack), Hf)
+        pred, H_x, Hf = vision.clone_feature_jacobians(
+            filt, MODEL, range(len(poses)), f_true)
+        r0, H0 = vision.nullspace_project(np.concatenate(pixels) - pred,
+                                          H_x, Hf)
         Q, _ = np.linalg.qr(Hf, mode="complete")
         worst_hf = max(worst_hf, np.linalg.norm(Q[:, 3:].T @ Hf))
         worst_res = max(worst_res, np.abs(r0).max())
@@ -322,6 +391,48 @@ def test_nullspace_projection_needs_enough_rows():
     with pytest.raises(DegenerateGeometry):
         vision.nullspace_project(np.zeros(2), np.zeros((2, 15)),
                                  np.ones((2, 3)))
+
+
+def mean_vector(filt):
+    st = filt.state
+    return np.concatenate([st.R.ravel(), st.p, st.v, st.b_omega, st.b_a]
+                          + [np.r_[cl.R.ravel(), cl.p] for cl in filt.clones])
+
+
+def test_compressed_update_matches_tall_update():
+    # the sliding window's shape: 12 clones (d = 87) and 840 stacked rows,
+    # velocity and bias columns all zero
+    rng = np.random.default_rng(12)
+    filt = make_filter("iekf", rng)
+    for k in range(12):
+        filt.clone_camera_pose(float(k), lie.so3_exp(rng.normal(0.0, 0.3, 3)),
+                               rng.normal(0.0, 5.0, 3))
+    d = filt.dim
+    A = rng.normal(0.0, 0.03, (d, d))
+    filt.P = A @ A.T + 1e-4 * np.eye(d)
+    H = rng.normal(0.0, 5.0, (840, d))
+    H[:, 6:15] = 0.0
+    residual = rng.normal(0.0, 1.0, 840)
+    r_c, H_c = vision.compress_measurement(residual, H)
+    assert r_c.shape == (d,) and H_c.shape == (d, d)
+    # with white noise the update sees (H, residual) only through H^T H and
+    # H^T residual, which the compressed pair keeps
+    info = H.T @ H
+    assert np.abs(H_c.T @ H_c - info).max() <= 1e-12 * np.abs(info).max()
+    score = H.T @ residual
+    assert np.abs(H_c.T @ r_c - score).max() <= 1e-12 * np.abs(score).max()
+    tall, short = copy.deepcopy(filt), copy.deepcopy(filt)
+    tall.update_raw(residual, H, np.eye(840))
+    short.update_raw(r_c, H_c, np.eye(d))
+    assert (np.abs(short.P - tall.P).max()
+            <= 1e-12 * np.abs(tall.P).max())
+    mean = mean_vector(tall)
+    assert (np.abs(mean_vector(short) - mean).max()
+            <= 1e-12 * np.abs(mean).max())
+    # a stack no taller than the state goes through as it is
+    for rows in (d, 10):
+        r_s, H_s = vision.compress_measurement(residual[:rows], H[:rows])
+        assert r_s.base is residual and H_s.base is H
 
 
 def test_sliding_window_updater_marginalizes():
