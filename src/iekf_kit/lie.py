@@ -76,7 +76,8 @@ def _sin_cos_coeffs(theta):
 def so3_exp(w):
     """Rodrigues formula; 4-term Taylor branch below the small-angle threshold."""
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
+    # the sum np.linalg.norm forms for a vector, without its dispatch
+    theta = math.sqrt(w.dot(w))
     W = so3_hat(w)
     a, b = _sin_cos_coeffs(theta)
     return _EYE3 + a * W + b * (W @ W)
@@ -93,8 +94,10 @@ def so3_log(R):
     axis_times_2sin = so3_vee(R - R.T)
     # atan2 rather than arccos of the trace: near pi, arccos amplifies the
     # rounding of the trace into an angle error of order eps / (pi - theta)
-    sin_theta = 0.5 * float(np.linalg.norm(axis_times_2sin))
-    theta = math.atan2(sin_theta, (np.trace(R) - 1.0) / 2.0)
+    # the norm and the trace add in the order np.linalg.norm and np.trace do
+    sin_theta = 0.5 * math.sqrt(axis_times_2sin.dot(axis_times_2sin))
+    trace = R[0, 0] + R[1, 1] + R[2, 2]
+    theta = math.atan2(sin_theta, (trace - 1.0) / 2.0)
     if theta >= np.pi - NEAR_PI_MARGIN:
         raise AngleNearPi(f"rotation angle {theta:.12f} too close to pi")
     if theta < SMALL_ANGLE:

@@ -51,6 +51,7 @@ class TrajectorySpec:
                          self.az * np.sin(self.wz * t + self.phz)])
 
     def velocity(self, t):
+        """Velocity (3,) at a time t, or (3, n) at an array of n times."""
         return np.array([-self.ax * self.wx * np.sin(self.wx * t),
                          self.ay * self.wy * np.cos(self.wy * t),
                          self.az * self.wz * np.cos(self.wz * t + self.phz)])
@@ -60,8 +61,14 @@ class TrajectorySpec:
         return np.arctan2(v[1], v[0])
 
     def attitude(self, t):
-        c, s = np.cos(self.yaw(t)), np.sin(self.yaw(t))
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        """Attitude (3, 3) at a time t, or (n, 3, 3) at an array of n times."""
+        yaw = self.yaw(t)
+        c, s = np.cos(yaw), np.sin(yaw)
+        R = np.zeros(np.shape(yaw) + (3, 3))
+        R[..., 0, 0], R[..., 0, 1] = c, -s
+        R[..., 1, 0], R[..., 1, 1] = s, c
+        R[..., 2, 2] = 1.0
+        return R
 
     def state(self, t):
         """ImuState at time t (zero biases)."""
@@ -154,6 +161,15 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     stream, so the filter's motion model has no discretization mismatch
     against the truth, and the chain tracks the analytic curve to within
     centimeters over a hundred seconds (checked in the test suite).
+
+    It works on arrays: the trajectory is evaluated once on the whole time
+    grid, the increments are stacked products, all noise is one (n, 12)
+    draw (row k: gyro, accel, gyro-bias and accel-bias noise of step k, drawn
+    also when ``with_noise`` is False) and the bias random walks are
+    cumulative sums.  Only the per-step rotation log and the chain of true
+    states are loops.  Times, states, measurements, landmarks and the rng
+    state afterwards equal those of a per-step loop bit for bit (the test
+    suite keeps that loop as the oracle).
     """
     sc = scenario
     dt = 1.0 / sc.imu_rate
@@ -163,33 +179,33 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     sa = sc.noise.sigma_aw / np.sqrt(dt) if with_noise else 0.0
     sbw = sc.noise.sigma_gbw * np.sqrt(dt) if with_noise else 0.0
     sba = sc.noise.sigma_abw * np.sqrt(dt) if with_noise else 0.0
-    b_w = np.zeros(3)
-    b_a = np.zeros(3)
+    times = np.arange(n + 1) * dt
+    R = sc.trajectory.attitude(times)
+    v = sc.trajectory.velocity(times).T
+    R_kT = R[:-1].swapaxes(1, 2)
+    logs = [lie.so3_log(dR) for dR in R_kT @ R[1:]]
+    omega = np.array(logs).reshape(n, 3) / dt
+    accel = (R_kT @ ((v[1:] - v[:-1]) / dt - g)[:, :, None])[:, :, 0]
+    noise = rng.standard_normal((n, 12))
+    # the walks start at zero and add one step per row, as a loop would
+    steps = np.zeros((n + 1, 6))
+    steps[1:] = noise[:, 6:] * np.repeat([sbw, sba], 3)
+    walks = np.cumsum(steps, axis=0)
+    b_w, b_a = walks[:, :3], walks[:, 3:]
+    meas_omega = omega + b_w[:-1] + sw * noise[:, 0:3]
+    meas_accel = accel + b_a[:-1] + sa * noise[:, 3:6]
     st = sc.trajectory.state(0.0)
     states = [st]
     meas = []
-    times = np.arange(n + 1) * dt
+    zero = np.zeros(3)
     for k in range(n):
-        t0, t1 = k * dt, (k + 1) * dt
-        R_k = sc.trajectory.attitude(t0)
-        dv = sc.trajectory.velocity(t1) - sc.trajectory.velocity(t0)
-        clean = ImuMeasurement(
-            lie.so3_log(R_k.T @ sc.trajectory.attitude(t1)) / dt,
-            R_k.T @ (dv / dt - g),
-            t=t0)
-        meas.append(ImuMeasurement(
-            clean.omega + b_w + sw * rng.standard_normal(3),
-            clean.accel + b_a + sa * rng.standard_normal(3),
-            t=clean.t))
-        b_w = b_w + sbw * rng.standard_normal(3)
-        b_a = b_a + sba * rng.standard_normal(3)
-        prev = states[-1]
-        clean_state = ImuState(prev.R, prev.p, prev.v,
-                               np.zeros(3), np.zeros(3))
-        nxt = imu_model.propagate_mean(clean_state, clean, dt, g)
-        nxt.b_omega = b_w.copy()
-        nxt.b_a = b_a.copy()
-        states.append(nxt)
+        t0 = k * dt
+        meas.append(ImuMeasurement(meas_omega[k], meas_accel[k], t=t0))
+        clean_state = ImuState(st.R, st.p, st.v, zero, zero)
+        st = imu_model.propagate_mean(
+            clean_state, ImuMeasurement(omega[k], accel[k], t=t0), dt, g)
+        st.b_omega, st.b_a = b_w[k + 1], b_a[k + 1]
+        states.append(st)
     if landmarks is None:
         landmarks = sc.make_landmarks(rng)
     return TruthData(times, states, meas, landmarks)

@@ -149,6 +149,14 @@ def world_to_camera(R_c, p_c, f_world):
     return (d[..., None, :] @ R_c)[..., 0, :]
 
 
+def _cross_rows(a, b):
+    """np.cross(a, b) of broadcast stacks of 3-vectors on the last axis, bit
+    for bit (the same products and differences), without its axis
+    bookkeeping."""
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    return a[..., nxt] * b[..., prv] - a[..., prv] * b[..., nxt]
+
+
 # --- landmark updates against the live state -------------------------------
 
 def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
@@ -186,7 +194,7 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
         if filt.anchor_state is not None:
             p_ref = filt.anchor_state.p
             f_ref = filt.anchor_landmarks[landmark_index]
-        H[:, :, 0:3] = np.cross(JS, (f_ref - p_ref)[:, None, :])
+        H[:, :, 0:3] = _cross_rows(JS, (f_ref - p_ref)[:, None, :])
     cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
     H[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
     residual = (pixels - pred).reshape(-1)
@@ -225,7 +233,7 @@ def clone_feature_jacobians(filt, model, clone_indices, f_world):
         rot = JS @ lie.so3_hat(f_world)
     else:
         # J_pi S u^ is the row-wise cross product with the lever arm u
-        rot = np.cross(JS, (f_world - p)[:, None, :])
+        rot = _cross_rows(JS, (f_world - p)[:, None, :])
     block = np.concatenate([rot, -JS], axis=2)
     H_x = np.zeros((n, 2, filt.dim))
     cols = filt.clone_index(clone_indices)[:, None, None] + np.arange(6)

@@ -1,6 +1,8 @@
 """Lie-core tests: oracles are truncated series, matrix exponentials, and
 finite roundtrips; closed forms are never trusted against themselves."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,3 +267,51 @@ def test_sen_exp_log_roundtrip_across_branch_switches(n, angle, seed):
     R = lie.sen_rotation(X)
     assert np.array_equal(lie.sen_from_parts(R, cols), X)
     assert np.array_equal(lie.sen_from_parts(R, list(cols)), X)
+
+
+def so3_exp_numpy_forms(w):
+    """``lie.so3_exp`` with its norm taken by np.linalg.norm, as it was
+    before the norm was written out; kept as its oracle."""
+    w = np.asarray(w, dtype=float)
+    theta = float(np.linalg.norm(w))
+    W = lie.so3_hat(w)
+    a, b = lie._sin_cos_coeffs(theta)
+    return np.eye(3) + a * W + b * (W @ W)
+
+
+def so3_log_numpy_forms(R):
+    """``lie.so3_log`` with its norm and trace taken by np.linalg.norm and
+    np.trace, as it was before both were written out; kept as its oracle."""
+    R = np.asarray(R, dtype=float)
+    axis_times_2sin = lie.so3_vee(R - R.T)
+    sin_theta = 0.5 * float(np.linalg.norm(axis_times_2sin))
+    theta = math.atan2(sin_theta, (np.trace(R) - 1.0) / 2.0)
+    if theta >= np.pi - lie.NEAR_PI_MARGIN:
+        raise AngleNearPi(f"rotation angle {theta:.12f} too close to pi")
+    if theta < lie.SMALL_ANGLE:
+        t2 = theta * theta
+        factor = 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+                        + 31.0 * t2 * t2 * t2 / 15120.0)
+    else:
+        factor = theta / (2.0 * sin_theta)
+    return factor * axis_times_2sin
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle=ANGLES, seed=st_.integers(0, 2 ** 32 - 1))
+def test_so3_exp_log_equal_their_numpy_forms(angle, seed):
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(0.0, 1.0, 3)
+    w = angle * axis / np.linalg.norm(axis)
+    R = so3_exp_numpy_forms(w)
+    assert np.array_equal(lie.so3_exp(w), R)
+    # a rotation that is not an exact exp output, with rounding in R - R^T
+    R_noisy = R + 1e-13 * rng.normal(0.0, 1.0, (3, 3))
+    for M in (R, R_noisy):
+        try:
+            want = so3_log_numpy_forms(M)
+        except AngleNearPi:
+            with pytest.raises(AngleNearPi):
+                lie.so3_log(M)
+            continue
+        assert np.array_equal(lie.so3_log(M), want)

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from iekf_kit import config, filters, imu, sim, vision
+from iekf_kit import config, filters, imu, lie, sim, vision
 from iekf_kit.exceptions import (BehindCamera, ConfigError, EmptyReport,
                                  ZeroRange)
 
@@ -70,6 +70,103 @@ def test_truth_biases_walk_only_with_noise():
     assert np.abs(clean.states[-1].b_omega).max() == 0.0
     noisy = sim.synthesize_truth(sc, np.random.default_rng(1))
     assert np.abs(noisy.states[-1].b_omega).max() > 0.0
+
+
+def attitude_loop(spec, t):
+    """``TrajectorySpec.attitude`` at one time as it was before it took
+    arrays of times; kept as its oracle."""
+    c, s = np.cos(spec.yaw(t)), np.sin(spec.yaw(t))
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def synthesize_truth_loop(scenario, rng, with_noise=True, landmarks=None):
+    """The per-step loop that ``sim.synthesize_truth`` replaced, kept as its
+    oracle."""
+    sc = scenario
+    dt = 1.0 / sc.imu_rate
+    n = int(round(sc.duration * sc.imu_rate))
+    g = sc.noise.gravity
+    sw = sc.noise.sigma_gw / np.sqrt(dt) if with_noise else 0.0
+    sa = sc.noise.sigma_aw / np.sqrt(dt) if with_noise else 0.0
+    sbw = sc.noise.sigma_gbw * np.sqrt(dt) if with_noise else 0.0
+    sba = sc.noise.sigma_abw * np.sqrt(dt) if with_noise else 0.0
+    b_w = np.zeros(3)
+    b_a = np.zeros(3)
+    spec = sc.trajectory
+    st = imu.ImuState(attitude_loop(spec, 0.0), spec.position(0.0),
+                      spec.velocity(0.0), np.zeros(3), np.zeros(3))
+    states = [st]
+    meas = []
+    times = np.arange(n + 1) * dt
+    for k in range(n):
+        t0, t1 = k * dt, (k + 1) * dt
+        R_k = attitude_loop(spec, t0)
+        dv = spec.velocity(t1) - spec.velocity(t0)
+        clean = imu.ImuMeasurement(
+            lie.so3_log(R_k.T @ attitude_loop(spec, t1)) / dt,
+            R_k.T @ (dv / dt - g),
+            t=t0)
+        meas.append(imu.ImuMeasurement(
+            clean.omega + b_w + sw * rng.standard_normal(3),
+            clean.accel + b_a + sa * rng.standard_normal(3),
+            t=clean.t))
+        b_w = b_w + sbw * rng.standard_normal(3)
+        b_a = b_a + sba * rng.standard_normal(3)
+        prev = states[-1]
+        clean_state = imu.ImuState(prev.R, prev.p, prev.v,
+                                   np.zeros(3), np.zeros(3))
+        nxt = imu.propagate_mean(clean_state, clean, dt, g)
+        nxt.b_omega = b_w.copy()
+        nxt.b_a = b_a.copy()
+        states.append(nxt)
+    if landmarks is None:
+        landmarks = sc.make_landmarks(rng)
+    return sim.TruthData(times, states, meas, landmarks)
+
+
+def stacked(records, field):
+    """The bytes of one field over a list of states or measurements."""
+    return np.array([getattr(r, field) for r in records]).tobytes()
+
+
+def test_truth_matches_per_step_loop():
+    # the default 200 Hz scenario, the study shape and the window shape
+    scenarios = [sim.Scenario(),
+                 sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0),
+                 sim.Scenario(duration=4.4, imu_rate=100.0, cam_rate=5.0,
+                              n_landmarks=200, max_range=90.0)]
+    given = np.random.default_rng(17).uniform(-50.0, 50.0, (9, 3))
+    cases = [dict(with_noise=True), dict(with_noise=False),
+             dict(landmarks=given)]
+    for sc in scenarios:
+        spec = sc.trajectory
+        dt = 1.0 / sc.imu_rate
+        n = int(round(sc.duration * sc.imu_rate))
+        times = np.arange(n + 1) * dt
+        # array-time trajectory evaluation equals the per-time scalar one
+        for name in ("position", "velocity", "yaw", "attitude"):
+            fn = getattr(spec, name)
+            got = fn(times)
+            if name in ("position", "velocity"):
+                got = got.T  # (3, n) at an array of times
+            want = np.array([fn(k * dt) for k in range(n + 1)])
+            assert got.tobytes() == want.tobytes(), name
+        for kw in cases:
+            rng_loop = np.random.default_rng(18)
+            rng_array = np.random.default_rng(18)
+            want = synthesize_truth_loop(sc, rng_loop, **kw)
+            got = sim.synthesize_truth(sc, rng_array, **kw)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert len(got.states) == len(want.states) == n + 1
+            for f in ("R", "p", "v", "b_omega", "b_a"):
+                assert stacked(got.states, f) == stacked(want.states, f), f
+            assert len(got.measurements) == len(want.measurements) == n
+            for f in ("omega", "accel", "t"):
+                assert (stacked(got.measurements, f)
+                        == stacked(want.measurements, f)), f
+            assert got.landmarks.tobytes() == want.landmarks.tobytes()
+            assert (rng_array.bit_generator.state
+                    == rng_loop.bit_generator.state)
 
 
 def test_landmarks_inside_box():

@@ -197,6 +197,22 @@ def test_epoch_drops_observations_outside_the_domain(mode):
         (0,), (0, f.dim), (0, 0), 0)
 
 
+def test_cross_rows_equals_np_cross():
+    # the row-wise cross product of the EKF-family orientation blocks
+    rng = np.random.default_rng(16)
+    shapes = [((12, 2, 3), (12, 1, 3)), ((5, 2, 3), (5, 1, 3)),
+              ((1, 2, 3), (1, 1, 3)), ((0, 2, 3), (0, 1, 3)),
+              ((3,), (3,)), ((7, 3), (3,)), ((4, 1, 3), (1, 6, 3))]
+    for sa, sb in shapes:
+        for scale in (1e-8, 1.0, 1e6):
+            a = scale * rng.normal(0.0, 1.0, sa)
+            b = rng.normal(0.0, 50.0, sb)
+            want = np.cross(a, b)
+            got = vision._cross_rows(a, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
 def test_batch_projection_matches_single_point_forms(mode):
     # the stacked guard and maps agree with project()/projection_jacobian(),
