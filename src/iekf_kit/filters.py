@@ -32,6 +32,10 @@ ALL_TAGS = EKF_FAMILY_TAGS + INVARIANT_TAGS
 _EYE6 = np.eye(6)
 # row k is so3_hat(e_k) flattened, so u @ _HAT_MAP is so3_hat(u) flattened
 _HAT_MAP = np.array([lie.so3_hat(e).ravel() for e in np.eye(3)])
+# basis rows of the landmark errors: -I on the gyro-bias error (columns
+# 9:12 of F) and I on the gyro noise (columns 0:3 of G)
+_DRIVEN_F = -np.eye(3, 15, 9)
+_DRIVEN_G = np.eye(3, 12)
 
 
 @dataclass(frozen=True)
@@ -83,50 +87,59 @@ def _lever_products(levers, R):
     return (np.asarray(levers, dtype=float) @ _HAT_MAP).reshape(-1, 3) @ R
 
 
-def error_jacobians(R, drift, n_landmarks, levers=None, xi_delta=None):
-    """Error dynamics of every variant: F as its c x 15 IMU columns and the
-    noise map G (c x 12), c = 15 + 3 m for m landmarks.
+def error_jacobians(R, drift, levers=None, xi_delta=None):
+    """Error dynamics of every variant in the row-factored form that
+    ``imu.propagate_covariance`` takes: F ((15 + r) x 15) and the noise map
+    G ((15 + r) x 12) hold the 15 IMU rows and r basis rows, and the n x r
+    factor U maps the basis rows to the n error rows after the IMU block
+    (they are U @ F[15:] and U @ G[15:]).  Every further row is static.
 
-    Every error model here has one layout.  With B the c x 6 map of the gyro
-    and accelerometer noise,
+    Every error model here has one layout.  With B the map of the gyro and
+    accelerometer noise, the expanded rows are
 
         F[:9, :9] = imu.imu_error_matrix_a(drift),  F[:, 9:15] = -B,
-        G[:, :6] = B,  G[9:15, 6:] = I,
+        G[:, :6] = B,  G[9:15, 6:] = I.
 
-    the square dynamics being zero past column 15 (landmarks are static).  The
-    drift is gravity for the right-invariant error and -R (a_m - b_a) for
-    the world-frame error of the EKF family, whose velocity error the
+    The drift is gravity for the right-invariant error and -R (a_m - b_a)
+    for the world-frame error of the EKF family, whose velocity error the
     orientation error drives through -(R a)^.  B is R on the orientation
     rows, u^ R on the three rows of each lever arm u, and R on the velocity
     rows for the accelerometer noise.  The invariant error has the lever
-    arms (p, v, f_1, ..., f_m), one per row of ``levers``; the EKF family
-    has none.
+    arms (p, v, f_1, ..., f_m), one per row of ``levers``, so landmark j's
+    rows are f_j^ R times the gyro-bias error and the gyro noise: for m > 0
+    landmarks r = 3, U stacks the f_j^ R, and the basis rows are
+    F[15:] = [0 | -I at columns 9:12 | 0] and G[15:] = [I | 0].  The EKF
+    family has no lever arms; its landmark rows are zero, so they are
+    static rows, and r = 0 with U 0 x 0.
 
     ``xi_delta`` is the 9-vector imitation error from
     ``imu.sample_imitating_error``.  Only its orientation part is nonzero, so
     every Q block of the inverse left Jacobian on the augmented group
     vanishes and that Jacobian is J_SO3^-1(xi_delta[:3]) repeated on the
-    block diagonal: it is applied to each 3-row block of B.
+    block diagonal: it is applied to each 3-row block of B and of U.
     """
-    c = 15 + 3 * n_landmarks
-    G = np.zeros((c, 12))
-    B = G[:, :6]
+    B = np.zeros((9 if levers is None else 3 + 3 * len(levers), 6))
     B[:3, :3] = R
     B[6:9, 3:6] = R
     if levers is not None:
-        uR = _lever_products(levers, R)
-        B[3:9, :3] = uR[:6]
-        B[15:, :3] = uR[6:]
+        B[3:, :3] = _lever_products(levers, R)
     if xi_delta is not None:
         if np.any(xi_delta[3:]):
             raise ValueError("imitation error must be orientation-only")
         Jinv = lie.so3_left_jacobian_inv(xi_delta[:3])
-        B[:] = (Jinv @ B.reshape(-1, 3, 6)).reshape(c, 6)
-    F = np.zeros((c, 15))
+        B = (Jinv @ B.reshape(-1, 3, 6)).reshape(-1, 6)
+    r = 3 if len(B) > 9 else 0
+    F = np.zeros((15 + r, 15))
     F[:9, :9] = imu_model.imu_error_matrix_a(drift)
-    F[:, 9:15] = -B
+    F[:9, 9:15] = -B[:9]
+    G = np.zeros((15 + r, 12))
+    G[:9, :6] = B[:9]
     G[9:15, 6:] = _EYE6
-    return F, G
+    if r == 0:
+        return F, G, np.zeros((0, 0))
+    F[15:] = _DRIVEN_F
+    G[15:] = _DRIVEN_G
+    return F, G, B[9:, :3]
 
 
 class FilterInstance:
@@ -183,7 +196,7 @@ class FilterInstance:
             levers = None
         xi_delta = (imu_model.sample_imitating_error(self.variant.r, self.rng)
                     if self.variant.tag == "ij_iekf" else None)
-        F, G = error_jacobians(st.R, drift, self.n_landmarks, levers, xi_delta)
+        F, G, U = error_jacobians(st.R, drift, levers, xi_delta)
         self.state = imu_model.propagate_mean(st, meas, dt, self.noise.gravity)
         if self.anchor_state is not None:
             self.anchor_state = imu_model.propagate_mean(
@@ -192,7 +205,8 @@ class FilterInstance:
             Q = self.noise.q_imu()
             self._kernel = (dt, Q, imu_model.noise_kernel(Q, dt))
         _, Q, kernel = self._kernel
-        self.P = imu_model.propagate_covariance(self.P, F, G, Q, dt, kernel)
+        self.P = imu_model.propagate_covariance(self.P, F, G, U, Q, dt,
+                                                kernel)
 
     # -- update -------------------------------------------------------------
 
@@ -225,9 +239,10 @@ class FilterInstance:
         if ratio > 1e12:
             raise SingularInnovation(
                 f"innovation Cholesky diagonal ratio squared {ratio:.3e}")
-        K = cho_solve(S_factor, PHt.T).T
+        HP = PHt.T    # H P, as P is symmetric
+        K = cho_solve(S_factor, HP).T
         self.apply_correction(K @ residual)
-        self.P = self.P - K @ (H @ self.P)
+        self.P = self.P - K @ HP
         self.P = 0.5 * (self.P + self.P.T)
 
     def apply_correction(self, d):
@@ -343,12 +358,19 @@ def invariant_initial_covariance(state, sig, landmarks=None):
     plus 3 per landmark) into right-invariant coordinates.
 
     The invariant position/velocity/landmark errors pick up the orientation
-    error through the lever arms p^, v^, f^.
+    error through the lever arms p^, v^, f^: with T the identity plus the
+    blocks u^ in the orientation columns of the lever rows, the prior is
+    T diag(sig^2) T^T, built here by blocks and exactly symmetric.
     """
-    m = 0 if landmarks is None else len(landmarks)
     sig = np.asarray(sig, dtype=float)
-    T = np.eye(15 + 3 * m)
+    var = sig ** 2
     u = _lever_products(_lever_arms(state, landmarks), np.eye(3))
-    T[3:9, :3] = u[:6]
-    T[15:, :3] = u[6:]
-    return T @ np.diag(sig ** 2) @ T.T
+    lever = np.zeros((len(sig) - 3, 3))    # rows 3: of T[:, :3]
+    lever[:6] = u[:6]
+    lever[12:] = u[6:]
+    P = np.diag(var)
+    P[3:, :3] = lever * var[:3]
+    P[:3, 3:] = P[3:, :3].T
+    scaled = lever * sig[:3]
+    P[3:, 3:] += scaled @ scaled.T
+    return P

@@ -117,50 +117,71 @@ def noise_kernel(Q, dt):
     return np.kron(C, np.asarray(Q, dtype=float))
 
 
-def propagate_covariance(P, F, G, Q, dt, kernel=None):
+def propagate_covariance(P, F, G, U, Q, dt, kernel=None):
     """Discrete covariance step P <- Phi P Phi^T + Q_d, exact for F^4 = 0.
 
-    F is the c x c error dynamics, or only its leading c x k columns (k <= c)
-    when the rest are zero: in every error model of this package only the
-    k = 15 IMU columns are nonzero, because landmarks are static.  With
-    Fk = F[:k] the cubic Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6 is I + [V 0]
-    with V = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), so for symmetric P
+    The error dynamics come by row structure: of the d rows of P, the first
+    k are dense, the next n are driven through the n x r factor U, and the
+    rest are static, so the square dynamics and noise map are
 
-        Phi P Phi^T = P + V P[:k] + (V P[:k])^T + V P[:k, :k] V^T,
+        [[Fk, 0], [U Fr, 0], [0, 0]]  and  [Gk; U Gr; 0]
 
-    and the noise integral Q_d = int_0^dt Phi(s) G Q G^T Phi(s)^T ds is
-    W (C(dt) kron Q) W^T with W = [G, F G[:k], F Fk G[:k], F Fk^2 G[:k]] (see
-    ``noise_kernel``; ``kernel`` is that matrix if the caller has it
-    already).  The step costs O(k d^2 + 48 c^2) for a d x d P instead of the
-    O(d^3) of forming Phi P Phi^T.  Every error model of this package has
-    F^4 = 0.  Rows of P past c (trailing clone blocks, which are static) are
-    the case of zero rows of F: their cross-covariance with the first c rows
-    is mapped by Phi as well.  The result is symmetrized.
+    for F = [Fk; Fr] ((k + r) x k) and G = [Gk; Gr] ((k + r) x 12), as
+    ``filters.error_jacobians`` builds them.
+
+    With T = diag(I_k, U), Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6 is
+    I + [T V 0] for V = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), and Q_d =
+    int_0^dt Phi(s) G Q G^T Phi(s)^T ds is T W (C(dt) kron Q) W^T T^T for
+    W = [G, F Gk, F Fk Gk, F Fk^2 Gk] (see ``noise_kernel``; ``kernel`` is
+    that matrix if the caller has it already).  With D = V P[:k, :k] V^T +
+    W (C(dt) kron Q) W^T,
+
+        Phi P Phi^T + Q_d = P + Z + Z^T,  Z = T (V P[:k] + [D T^T / 2, 0])
+
+    on the first k + n rows, zero below.  This costs O(k^2 d + r d^2) for a
+    d x d P, and for an exactly symmetric P the result is exactly symmetric.
 
     Raises:
-        ValueError: if F has more columns than rows.
+        ValueError: if U does not have F.shape[0] - F.shape[1] columns.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
-    P = np.asarray(P, dtype=float)
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    c, k = F.shape
-    if k > c:
-        raise ValueError(f"F has {k} columns but only {c} rows")
+    k = F.shape[1]
+    r = F.shape[0] - k
+    if U.shape[1] != r:
+        raise ValueError(f"U has {U.shape[1]} columns for {r} basis rows")
     if kernel is None:
         kernel = noise_kernel(Q, dt)
     Fk = F[:k]
-    V = F @ (dt * np.eye(k) + (dt * dt / 2) * Fk + (dt ** 3 / 6) * (Fk @ Fk))
     Gk = G[:k]
+    M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
+    M.ravel()[::k + 1] += dt    # + dt I
     FkGk = Fk @ Gk
-    W = np.hstack([G, F @ np.hstack([Gk, FkGk, Fk @ FkGk])])
-    VP = V @ P[:k]
+    X = F @ np.hstack((M, Gk, FkGk, Fk @ FkGk))    # V and W[:, 12:]
+    V = X[:, :k]
+    W = np.hstack((G, X[:, k:]))
+    Zr = V @ P[:k]
+    D = Zr[:, :k] @ V.T + W @ kernel @ W.T
+    if r:
+        n = len(U)
+        Zr[:, :k + n] += np.hstack((0.5 * D[:, :k], (0.5 * D[:, k:]) @ U.T))
+        Z = np.empty((k + n, len(P)))
+        Z[:k] = Zr[:k]
+        np.matmul(U, Zr[k:], out=Z[k:])
+    else:
+        Z = Zr
+        Z[:, :k] += 0.5 * D
+    c = len(Z)
+    if c == len(P):
+        P_new = Z + Z.T
+        P_new += P
+        return P_new
     P_new = P.copy()
-    P_new[:c] += VP
-    P_new[:, :c] += VP.T
-    P_new[:c, :c] += VP[:, :k] @ V.T + W @ kernel @ W.T
-    return 0.5 * (P_new + P_new.T)
+    Zc = Z[:, :c]
+    P_new[:c, :c] += Zc + Zc.T
+    P_new[:c, c:] += Z[:, c:]
+    P_new[c:, :c] = P_new[:c, c:].T
+    return P_new
 
 
 def sample_imitating_error(r, rng):

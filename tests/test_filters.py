@@ -289,33 +289,36 @@ def correction_between(tag, est, tru, lms_true, lms_est):
 
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
-def test_error_jacobian_matches_finite_difference(tag, variant_jacobians):
+def test_error_jacobian_matches_finite_difference(tag, variant_jacobians,
+                                                  expand):
     rng = np.random.default_rng(11)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
     F_fd = finite_difference_F(tag, st, lms, MEAS)
-    F, _ = variant_jacobians(tag, st, lms, MEAS.accel)
+    F, _ = expand(*variant_jacobians(tag, st, lms, MEAS.accel), 21)
     assert np.abs(F - F_fd[:, :15]).max() < 1e-3
     # landmarks are static: nothing depends on their errors
     assert np.abs(F_fd[:, 15:]).max() < 1e-3
 
 
-def test_invariant_F_nilpotent_with_landmarks(variant_jacobians):
+def test_invariant_F_nilpotent_with_landmarks(variant_jacobians, expand,
+                                              square):
     rng = np.random.default_rng(12)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (3, 3))
-    F, _ = variant_jacobians("iekf", st, lms)
+    F, _ = expand(*variant_jacobians("iekf", st, lms), 24)
     # the square dynamics are zero past the 15 IMU columns F holds
-    F_sq = np.zeros((24, 24))
-    F_sq[:, :15] = F
+    F_sq = square(F, 24)
     assert np.abs(np.linalg.matrix_power(F_sq, 4)).max() == 0.0
 
 
 @pytest.mark.parametrize("m", [0, 3])
-def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians):
+def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
+                                                expand):
     # the exact layout of every variant's (F, G): F holds only the 15 IMU
     # columns, the bias columns are -B for the noise map B = G[:, :6], the
-    # bias rows are static and take their noise with identity
+    # bias rows are static and take their noise with identity; landmark
+    # rows come from three basis rows through U (invariant error only)
     rng = np.random.default_rng(17)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (m, 3))
@@ -323,7 +326,15 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians):
     for tag in filters.ALL_TAGS:
         xi_d = (imu.sample_imitating_error(0.4, rng) if tag == "ij_iekf"
                 else None)
-        F, G = variant_jacobians(tag, st, lms, MEAS.accel, xi_d)
+        F, G, U = variant_jacobians(tag, st, lms, MEAS.accel, xi_d)
+        r = 3 if m and tag in filters.INVARIANT_TAGS else 0
+        assert F.shape == (15 + r, 15) and G.shape == (15 + r, 12)
+        assert U.shape == ((3 * m, 3) if r else (0, 0))
+        if r:
+            assert np.array_equal(F[15:, 9:12], -np.eye(3))
+            assert not np.any(F[15:, :9]) and not np.any(F[15:, 12:])
+            assert np.array_equal(G[15:], np.eye(3, 12))
+        F, G = expand(F, G, U, c)
         assert F.shape == (c, 15) and G.shape == (c, 12)
         assert np.array_equal(F[:, 9:15], -G[:, :6])
         assert np.array_equal(G[9:15, 6:], np.eye(6))
@@ -333,19 +344,70 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians):
         assert not np.any(F[15:, :9])
 
 
+def full_row_error_jacobians(R, drift, n_landmarks, levers=None,
+                             xi_delta=None):
+    """The error model with every row stored: F as its c x 15 IMU columns
+    and G (c x 12), c = 15 + 3 m, as the builder produced it before the
+    landmark rows were factored.  The oracle for the row-factored form."""
+    c = 15 + 3 * n_landmarks
+    G = np.zeros((c, 12))
+    B = G[:, :6]
+    B[:3, :3] = R
+    B[6:9, 3:6] = R
+    if levers is not None:
+        uR = filters._lever_products(levers, R)
+        B[3:9, :3] = uR[:6]
+        B[15:, :3] = uR[6:]
+    if xi_delta is not None:
+        Jinv = lie.so3_left_jacobian_inv(xi_delta[:3])
+        B[:] = (Jinv @ B.reshape(-1, 3, 6)).reshape(c, 6)
+    F = np.zeros((c, 15))
+    F[:9, :9] = imu.imu_error_matrix_a(drift)
+    F[:, 9:15] = -B
+    G[9:15, 6:] = np.eye(6)
+    return F, G
+
+
+@pytest.mark.parametrize("with_delta", [False, True])
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("tag", filters.ALL_TAGS)
+def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta,
+                                                variant_jacobians, expand):
+    # (F, G, U) expands to the full c x 15 F and c x 12 G bit for bit
+    rng = np.random.default_rng(18)
+    st = make_state(rng)
+    lms = rng.normal(0.0, 10.0, (m, 3))
+    xi_d = imu.sample_imitating_error(0.4, rng) if with_delta else None
+    c = 15 + 3 * m
+    F, G = expand(*variant_jacobians(tag, st, lms, MEAS.accel, xi_d), c)
+    if tag in filters.INVARIANT_TAGS:
+        ref = full_row_error_jacobians(st.R, imu.DEFAULT_GRAVITY, m,
+                                       np.vstack((st.p, st.v, lms)), xi_d)
+    else:
+        drift = -(st.R @ (MEAS.accel - st.b_a))
+        ref = full_row_error_jacobians(st.R, drift, m, None, xi_d)
+    assert np.array_equal(F, ref[0])
+    assert np.array_equal(G, ref[1])
+
+
 def test_predict_propagates_clones_like_propagate_covariance(
-        variant_jacobians):
+        variant_jacobians, expand, square, dense_closed_form):
     rng = np.random.default_rng(15)
     dt = 0.02
     for tag in ("iekf", "ekf"):
         f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(0.0, R_c, p_c)
-        F, G = variant_jacobians(tag, f.state, f.landmarks, MEAS.accel)
-        expected = imu.propagate_covariance(f.P, F, G, f.noise.q_imu(), dt)
+        F, G, U = variant_jacobians(tag, f.state, f.landmarks, MEAS.accel)
+        Q = f.noise.q_imu()
+        expected = imu.propagate_covariance(f.P, F, G, U, Q, dt)
+        # the same step on the square 27 x 27 dynamics, clones static
+        F_sq, G_sq = expand(F, G, U, 27)
+        dense = dense_closed_form(f.P, square(F_sq, 27), G_sq, Q, dt)
         clone_block = f.P[21:, 21:].copy()
         f.predict(MEAS, dt)
         assert np.array_equal(f.P, expected)
+        assert np.abs(f.P - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(f.P[21:, 21:], clone_block)
 
 
@@ -376,3 +438,21 @@ def test_initial_covariance_transport():
     assert np.allclose(P[3:6, 3:6], 0.01 * (np.eye(3) + ph @ ph.T))
     evals = np.linalg.eigvalsh(P)
     assert evals.min() > 0.0
+
+
+def test_initial_covariance_matches_transport_product():
+    # the block-built prior equals T diag(sig^2) T^T and is exactly
+    # symmetric, which the triple product is not at 60 landmarks
+    rng = np.random.default_rng(19)
+    st = make_state(rng)
+    lms = rng.normal(0.0, 20.0, (60, 3))
+    sig = rng.uniform(0.01, 1.0, 195)
+    P = filters.invariant_initial_covariance(st, sig, lms)
+    T = np.eye(195)
+    T[3:6, :3] = lie.so3_hat(st.p)
+    T[6:9, :3] = lie.so3_hat(st.v)
+    for j, f in enumerate(lms):
+        T[15 + 3 * j:18 + 3 * j, :3] = lie.so3_hat(f)
+    ref = T @ np.diag(sig ** 2) @ T.T
+    assert np.abs(P - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(P, P.T)

@@ -1,9 +1,9 @@
 """IMU model tests: mean propagation against analytic kinematics, the
-closed-form discretized covariance against independent quadrature and the
-Van Loan block exponential (and its leading-columns form against the square
-one), the error Jacobians of the 15-state for the invariant and the EKF
-family, and the transition matrix against its known polynomial block
-structure."""
+closed-form discretized covariance in its row-factored form against
+independent quadrature, the Van Loan block exponential and the same closed
+form on the square dynamics, the error Jacobians of the 15-state for the
+invariant and the EKF family, and the transition matrix against its known
+polynomial block structure."""
 
 import numpy as np
 import pytest
@@ -58,7 +58,8 @@ def test_propagate_mean_rejects_bad_dt():
         imu.propagate_mean(st, meas, 0.0)
     with pytest.raises(NonPositiveDt):
         imu.propagate_covariance(np.eye(15), np.zeros((15, 15)),
-                                 np.zeros((15, 12)), np.eye(12), -0.1)
+                                 np.zeros((15, 12)), np.zeros((0, 0)),
+                                 np.eye(12), -0.1)
 
 
 def test_error_matrix_a_is_nilpotent():
@@ -66,29 +67,35 @@ def test_error_matrix_a_is_nilpotent():
     assert np.abs(np.linalg.matrix_power(A, 3)).max() == 0.0
 
 
-def test_full_f_is_nilpotent(variant_jacobians):
+def test_full_f_is_nilpotent(variant_jacobians, expand, square):
     rng = np.random.default_rng(1)
     st = random_state(rng)
+    lms = rng.normal(0.0, 10.0, (2, 3))
     for tag in FAMILIES:
-        F, _ = variant_jacobians(tag, st)
-        assert np.abs(np.linalg.matrix_power(F, 4)).max() == 0.0
+        F, G, U = variant_jacobians(tag, st, lms)
+        F_sq = square(expand(F, G, U, 21)[0], 21)
+        assert np.abs(np.linalg.matrix_power(F_sq, 4)).max() == 0.0
 
 
 def test_error_jacobians_zero_delta_bit_identical(variant_jacobians):
     rng = np.random.default_rng(2)
     st = random_state(rng)
-    F0, G0 = variant_jacobians("iekf", st)
-    Fz, Gz = variant_jacobians("iekf", st, xi_delta=np.zeros(9))
+    lms = rng.normal(0.0, 10.0, (2, 3))
+    F0, G0, U0 = variant_jacobians("iekf", st, lms)
+    Fz, Gz, Uz = variant_jacobians("iekf", st, lms, xi_delta=np.zeros(9))
     assert np.array_equal(F0, Fz)
     assert np.array_equal(G0, Gz)
+    assert np.array_equal(U0, Uz)
 
 
-def test_error_jacobians_block_structure(variant_jacobians):
+def test_error_jacobians_block_structure(variant_jacobians, expand):
     rng = np.random.default_rng(3)
     st = random_state(rng)
     a_m = rng.normal(0.0, 1.0, 3)
     for tag in FAMILIES:
-        F, G = variant_jacobians(tag, st, accel=a_m)
+        F, G, U = variant_jacobians(tag, st, accel=a_m)
+        assert U.shape == (0, 0)
+        F, G = expand(F, G, U, 15)
         assert F.shape == (15, 15)
         assert G.shape == (15, 12)
         # bias rows are static; bias noise enters with identity
@@ -110,17 +117,22 @@ def test_error_jacobians_block_structure(variant_jacobians):
             assert np.allclose(F[6:9, :3], -lie.so3_hat(st.R @ (a_m - st.b_a)))
 
 
-def test_propagate_covariance_matches_quadrature(variant_jacobians):
+def test_propagate_covariance_matches_quadrature(variant_jacobians, expand,
+                                                square):
     """Closed-form discretization vs Simpson quadrature of the exact
-    integral."""
+    integral, with two landmarks (driven rows for the invariant error,
+    static ones for the EKF family)."""
     rng = np.random.default_rng(4)
     st = random_state(rng)
+    lms = rng.normal(0.0, 10.0, (2, 3))
     Q = np.diag(rng.uniform(0.5, 2.0, 12))
-    P = np.eye(15) * 0.1
+    P = np.eye(21) * 0.1
     dt = 0.05
     for tag in FAMILIES:
-        F, G = variant_jacobians(tag, st)
-        out = imu.propagate_covariance(P, F, G, Q, dt)
+        F, G, U = variant_jacobians(tag, st, lms)
+        out = imu.propagate_covariance(P, F, G, U, Q, dt)
+        F, G = expand(F, G, U, 21)
+        F = square(F, 21)
 
         def phi(s):
             return errorprop.loglinear_transition(F, s)
@@ -140,7 +152,8 @@ def test_propagate_covariance_pure_diffusion():
     G = rng.normal(0.0, 1.0, (15, 12))
     Q = np.diag(rng.uniform(0.1, 1.0, 12))
     P = np.eye(15)
-    out = imu.propagate_covariance(P, np.zeros((15, 15)), G, Q, 0.3)
+    out = imu.propagate_covariance(P, np.zeros((15, 15)), G,
+                                   np.zeros((0, 0)), Q, 0.3)
     assert np.abs(out - (P + 0.3 * G @ Q @ G.T)).max() < 1e-12
 
 
@@ -157,65 +170,78 @@ def van_loan(P, F, G, Q, dt):
     return Phi @ P @ Phi.T + Phi @ E[:d, d:]
 
 
-def nilpotent_f(rng, sizes, static_rows=0):
-    """F = [[Fk, 0], [R, 0]] with Fk strictly block upper-triangular (at
-    most four diagonal blocks, so F^4 = 0) and ``static_rows`` rows R that
-    Fk drives but nothing reads, like landmarks: zero past column k."""
-    k = sum(sizes)
-    F = np.zeros((k + static_rows, k + static_rows))
-    edges = np.cumsum([0] + sizes)
-    for i in range(len(sizes)):
-        F[edges[i]:edges[i + 1], edges[i + 1]:k] = rng.normal(
-            0.0, 1.0, (sizes[i], k - edges[i + 1]))
-    F[k:, :k] = rng.normal(0.0, 1.0, (static_rows, k))
-    return F
+def factored_system(rng, sizes, r, n):
+    """A random row-factored (F, G, U) with F^4 = 0.
+
+    The core Fk and the basis rows Fr come from one strictly block
+    upper-triangular matrix on the blocks [r] + sizes (at most four
+    nonempty blocks): the basis block reads the core and nothing reads it,
+    like landmarks.  U (n x r) drives n rows."""
+    blocks = [r] + sizes
+    m = sum(blocks)
+    N = np.zeros((m, m))
+    edges = np.cumsum([0] + blocks)
+    for i in range(len(blocks)):
+        N[edges[i]:edges[i + 1], edges[i + 1]:] = rng.normal(
+            0.0, 1.0, (blocks[i], m - edges[i + 1]))
+    F = np.vstack([N[r:, r:], N[:r, r:]])    # [Fk; Fr]
+    G = rng.normal(0.0, 1.0, (m, 3))
+    U = rng.normal(0.0, 1.0, (n, r)) if r else np.zeros((0, 0))
+    return F, G, U
 
 
-@settings(max_examples=60, deadline=None)
+def random_psd(rng, d):
+    A = rng.normal(0.0, 1.0, (d, d))
+    return A @ A.T
+
+
+@settings(max_examples=80, deadline=None)
 @given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
+       r=st_.integers(0, 3),
+       n=st_.integers(0, 9),
        clones=st_.integers(0, 2),
        dt=st_.floats(1e-3, 0.5),
        seed=st_.integers(0, 2 ** 32 - 1))
-def test_closed_form_matches_van_loan_on_nilpotent_f(sizes, clones, dt, seed):
-    # trailing static rows (zero in F and G) play the clones
+def test_closed_form_matches_van_loan_on_nilpotent_f(expand, square, sizes, r,
+                                                     n, clones, dt, seed):
+    # the row-factored step against one block matrix exponential of the
+    # square dynamics: a nilpotent core, n rows driven through a random
+    # rank-r U, and trailing static rows (zero in F and G) for the clones
     rng = np.random.default_rng(seed)
-    F = nilpotent_f(rng, sizes)
-    c = F.shape[0]
-    G = rng.normal(0.0, 1.0, (c, 3))
-    A = rng.normal(0.0, 1.0, (3, 3))
-    Q = A @ A.T
-    d = c + 6 * clones
-    A = rng.normal(0.0, 1.0, (d, d))
-    P = A @ A.T
-    out = imu.propagate_covariance(P, F, G, Q, dt)
-    F_ext = np.zeros((d, d))
-    F_ext[:c, :c] = F
-    G_ext = np.zeros((d, 3))
-    G_ext[:c] = G
-    ref = van_loan(P, F_ext, G_ext, Q, dt)
+    if r:
+        sizes = sizes[:3]
+    F, G, U = factored_system(rng, sizes, r, n)
+    d = F.shape[1] + len(U) + 6 * clones
+    F_sq, G_sq = expand(F, G, U, d)
+    Q = random_psd(rng, 3)
+    P = random_psd(rng, d)
+    out = imu.propagate_covariance(P, F, G, U, Q, dt)
+    ref = van_loan(P, square(F_sq, d), G_sq, Q, dt)
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
-       static_rows=st_.integers(1, 9),
-       clones=st_.integers(0, 2),
+       r=st_.integers(0, 3),
+       n=st_.integers(0, 9),
+       static_rows=st_.integers(0, 9),
        dt=st_.floats(1e-3, 0.5),
        seed=st_.integers(0, 2 ** 32 - 1))
-def test_leading_columns_match_square_f(sizes, static_rows, clones, dt, seed):
+def test_leading_columns_match_square_f(expand, square, dense_closed_form,
+                                        sizes, r, n, static_rows, dt, seed):
+    # the row-factored step (F holds the k leading columns on k + r rows)
+    # against the same closed form on the square dynamics it stands for
     rng = np.random.default_rng(seed)
-    F = nilpotent_f(rng, sizes, static_rows)
-    k = sum(sizes)
-    c = F.shape[0]
-    G = rng.normal(0.0, 1.0, (c, 3))
-    A = rng.normal(0.0, 1.0, (3, 3))
-    Q = A @ A.T
-    d = c + 6 * clones
-    A = rng.normal(0.0, 1.0, (d, d))
-    P = A @ A.T
-    ref = imu.propagate_covariance(P, F, G, Q, dt)
-    out = imu.propagate_covariance(P, F[:, :k], G, Q, dt)
+    if r:
+        sizes = sizes[:3]
+    F, G, U = factored_system(rng, sizes, r, n)
+    d = F.shape[1] + len(U) + static_rows
+    F_sq, G_sq = expand(F, G, U, d)
+    Q = random_psd(rng, 3)
+    P = random_psd(rng, d)
+    ref = dense_closed_form(P, square(F_sq, d), G_sq, Q, dt)
+    out = imu.propagate_covariance(P, F, G, U, Q, dt)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
 
@@ -223,13 +249,19 @@ def test_leading_columns_match_square_f(sizes, static_rows, clones, dt, seed):
 def test_propagate_covariance_rejects_wide_f():
     with pytest.raises(ValueError):
         imu.propagate_covariance(np.eye(15), np.zeros((15, 16)),
-                                 np.zeros((15, 12)), np.eye(12), 0.1)
+                                 np.zeros((15, 12)), np.zeros((0, 0)),
+                                 np.eye(12), 0.1)
+    # U must have one column per basis row of F
+    with pytest.raises(ValueError):
+        imu.propagate_covariance(np.eye(21), np.zeros((18, 15)),
+                                 np.zeros((18, 12)), np.zeros((6, 2)),
+                                 np.eye(12), 0.1)
 
 
-def test_transition_matrix_polynomial_display(variant_jacobians):
+def test_transition_matrix_polynomial_display(variant_jacobians, expand):
     # Phi = exp(F dt) carries dt*I, dt*g^ and (dt^2/2) g^ in the pose rows
     st = imu.ImuState.identity()
-    F, _ = variant_jacobians("iekf", st)
+    F, _ = expand(*variant_jacobians("iekf", st), 15)
     dt = 0.1
     Phi = errorprop.loglinear_transition(F, dt)
     G = lie.so3_hat(imu.DEFAULT_GRAVITY)
@@ -260,16 +292,19 @@ def test_noise_spec_q_matrix():
         imu.ImuNoiseSpec(sigma_gw=-1.0)
 
 
-def test_imitated_jacobian_premultiplies_noise_map(variant_jacobians):
+def test_imitated_jacobian_premultiplies_noise_map(variant_jacobians,
+                                                   expand):
     # the block-diagonal shortcut equals the full inverse left Jacobian on
     # the landmark-augmented group, bit for bit
     rng = np.random.default_rng(7)
     st = random_state(rng)
     for m in (0, 3):
+        c = 15 + 3 * m
         lms = rng.normal(0.0, 10.0, (m, 3))
         xi_d = imu.sample_imitating_error(0.4, rng)
-        _, G0 = variant_jacobians("ij_iekf", st, lms)
-        F, G = variant_jacobians("ij_iekf", st, lms, xi_delta=xi_d)
+        _, G0 = expand(*variant_jacobians("ij_iekf", st, lms), c)
+        F, G = expand(*variant_jacobians("ij_iekf", st, lms, xi_delta=xi_d),
+                      c)
         B = np.vstack([G0[:9, :6], G0[15:, :6]])
         xi_ext = np.zeros(3 * (m + 3))
         xi_ext[:9] = xi_d
