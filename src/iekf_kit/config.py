@@ -34,14 +34,9 @@ class RunConfig:
 
 def parse_variant(spec):
     """Parse a variant string like "iekf" or "ij_iekf:0.5"."""
-    if ":" in spec:
-        tag, r = spec.split(":", 1)
-        try:
-            return FilterVariant(tag.strip(), float(r))
-        except ValueError as e:
-            raise ConfigError(f"bad variant {spec!r}: {e}") from e
+    tag, sep, r = spec.partition(":")
     try:
-        return FilterVariant(spec.strip())
+        return FilterVariant(tag.strip(), float(r) if sep else 0.0)
     except ValueError as e:
         raise ConfigError(f"bad variant {spec!r}: {e}") from e
 

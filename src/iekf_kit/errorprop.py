@@ -14,7 +14,6 @@ noise transported by the adjoint of the estimate) are provided.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import lie
 from .exceptions import StepRejected
@@ -124,10 +123,15 @@ def integrate_group_error(eta0, rate_fn, horizon, step):
     return times, etas
 
 
-def expm_nilpotent_or_series(M):
-    """Matrix exponential via the exact finite polynomial when M is nilpotent,
-    falling back to the scaled-and-squared routine otherwise."""
-    M = np.asarray(M, dtype=float)
+def loglinear_transition(A, dt):
+    """Transition matrix Phi = exp(A dt) of a nilpotent A (the IMU error
+    dynamics), as the exact finite series sum_k (A dt)^k / k!.
+
+    Raises:
+        ValueError: if A dt is not nilpotent, i.e. (A dt)^d != 0 for the
+            dimension d.
+    """
+    M = np.asarray(A, dtype=float) * dt
     dim = M.shape[0]
     out = np.eye(dim)
     term = np.eye(dim)
@@ -136,14 +140,5 @@ def expm_nilpotent_or_series(M):
         if not np.any(term):
             return out
         out = out + term
-    return expm(M)
-
-
-def loglinear_transition(A, dt):
-    """Transition matrix Phi = exp(A dt).
-
-    Exact finite polynomial when A is nilpotent (the IMU error dynamics),
-    scaled-and-squared series otherwise.
-    """
-    A = np.asarray(A, dtype=float)
-    return expm_nilpotent_or_series(A * dt)
+    raise ValueError("A dt is not nilpotent; its exponential has no finite "
+                     "series")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import imu as imu_model
 from . import lie
@@ -145,6 +144,10 @@ def error_jacobians(R, drift, levers=None, xi_delta=None):
 class FilterInstance:
     """Mutable filter state: mean, covariance, and bookkeeping.
 
+    P is exactly symmetric after every method, given an exactly symmetric
+    P at construction; ``update_raw`` relies on it, forming the gain
+    P H^T S^-1 as (H P)^T S^-1.
+
     Single-writer: predict/update/clone mutate the instance and must be
     serialized externally; distinct instances are independent.
     """
@@ -211,8 +214,14 @@ class FilterInstance:
     # -- update -------------------------------------------------------------
 
     def update_raw(self, residual, H, N):
-        """Kalman update; the gain-weighted residual is applied directly as a
-        correction in this filter's error convention.
+        """Kalman update in square-root form; the gain-weighted residual is
+        applied directly as a correction in this filter's error convention.
+
+        With HP = H P, S = HP H^T + N = L L^T and W = L^-1 HP (one solve
+        against [HP | r]), the correction is W^T L^-1 r and the covariance
+        becomes P - W^T W.  The Cholesky factorization reads only the lower
+        triangle of S, and W^T W is exactly symmetric, so P stays exactly
+        symmetric without a symmetrization pass.
 
         Raises:
             SingularInnovation: if the Cholesky factorization of the
@@ -226,24 +235,21 @@ class FilterInstance:
         N = np.asarray(N, dtype=float)
         if H.shape[1] != self.dim:
             raise ValueError(f"H has {H.shape[1]} columns, state dim {self.dim}")
-        PHt = self.P @ H.T
-        S = H @ PHt + N
-        S = 0.5 * (S + S.T)
+        HP = H @ self.P
         try:
-            S_factor = cho_factor(S)
+            L = np.linalg.cholesky(HP @ H.T + N)
         except np.linalg.LinAlgError:
             raise SingularInnovation(
                 "innovation covariance is not positive definite") from None
-        diag = np.diagonal(S_factor[0])
+        diag = np.diagonal(L)
         ratio = (diag.max() / diag.min()) ** 2
         if ratio > 1e12:
             raise SingularInnovation(
                 f"innovation Cholesky diagonal ratio squared {ratio:.3e}")
-        HP = PHt.T    # H P, as P is symmetric
-        K = cho_solve(S_factor, HP).T
-        self.apply_correction(K @ residual)
-        self.P = self.P - K @ HP
-        self.P = 0.5 * (self.P + self.P.T)
+        Wz = np.linalg.solve(L, np.column_stack((HP, residual)))
+        W, z = Wz[:, :-1], Wz[:, -1]
+        self.apply_correction(W.T @ z)
+        self.P = self.P - W.T @ W
 
     def apply_correction(self, d):
         """Apply a correction vector in this filter's error convention."""
@@ -291,8 +297,9 @@ class FilterInstance:
         if not self.variant.invariant:
             J[3:6, :3] = -lie.so3_hat(p_cam - self.state.p)
         PJt = self.P @ J.T
-        self.P = np.block([[self.P, PJt], [PJt.T, J @ PJt]])
-        self.P = 0.5 * (self.P + self.P.T)
+        # P and the off-diagonal blocks are exactly symmetric already
+        JPJt = J @ PJt
+        self.P = np.block([[self.P, PJt], [PJt.T, 0.5 * (JPJt + JPJt.T)]])
         self.clones.append(CloneEntry(t, np.array(R_cam), np.array(p_cam)))
 
     def marginalize_clone(self, i):

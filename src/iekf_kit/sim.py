@@ -14,7 +14,9 @@ analytic trajectory over a hundred seconds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 import os
 import tempfile
@@ -369,33 +371,26 @@ def run_monte_carlo(scenario, variants, n_runs=50, seed=0, init=None,
     """Paired-seed Monte Carlo study over independent runs.
 
     ``parallelism`` > 1 maps runs over a process pool; the report is
-    assembled in run order either way.
+    assembled in run order either way, and ``progress(done, n_runs)`` is
+    called as each result arrives in that order.
     """
     init = InitSpec() if init is None else init
     records = {v.label: [] for v in variants}
+    run = functools.partial(monte_carlo_single_run, scenario, variants, init,
+                            seed)
+    pool = contextlib.nullcontext()
+    mapper = map
     if parallelism > 1 and n_runs > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(parallelism, n_runs)) as pool:
-            futures = [pool.submit(monte_carlo_single_run, scenario,
-                                   variants, init, seed, i)
-                       for i in range(n_runs)]
-            done = 0
-            for _ in concurrent.futures.as_completed(futures):
-                done += 1
-                if progress is not None:
-                    progress(done, n_runs)
-            results = [f.result() for f in futures]
-    else:
-        results = []
-        for i in range(n_runs):
-            results.append(monte_carlo_single_run(
-                scenario, variants, init, seed, i))
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(parallelism, n_runs))
+        mapper = pool.map
+    with pool:
+        for done, res in enumerate(mapper(run, range(n_runs)), 1):
+            for v in variants:
+                records[v.label].append(res[v.label])
             if progress is not None:
-                progress(i + 1, n_runs)
-    for res in results:
-        for v in variants:
-            records[v.label].append(res[v.label])
+                progress(done, n_runs)
     return MonteCarloReport(list(variants), records, n_runs, seed)
 
 

@@ -89,11 +89,12 @@ def test_integrator_rejects_domain_exit():
 def test_expm_nilpotent_matches_scipy():
     rng = np.random.default_rng(1)
     A = imu.imu_error_matrix_a()
-    assert np.abs(errorprop.expm_nilpotent_or_series(A * 0.37)
+    assert np.abs(errorprop.loglinear_transition(A, 0.37)
                   - expm(A * 0.37)).max() < 1e-13
+    # a matrix that is not nilpotent has no finite series
     M = rng.normal(0.0, 0.3, (6, 6))
-    assert np.abs(errorprop.expm_nilpotent_or_series(M)
-                  - expm(M)).max() < 1e-10
+    with pytest.raises(ValueError, match="not nilpotent"):
+        errorprop.loglinear_transition(M, 1.0)
 
 
 def test_loglinear_transition_polynomial_blocks():

@@ -70,6 +70,8 @@ def test_ij_zero_range_bit_identical_to_iekf():
     assert np.array_equal(a.P, b.P)
     assert np.array_equal(a.state.p, b.state.p)
     assert np.array_equal(a.state.R, b.state.R)
+    # predict and update keep P exactly symmetric
+    assert np.array_equal(a.P, a.P.T)
 
 
 def test_update_matches_joseph_form():
@@ -170,9 +172,31 @@ def test_clone_augment_then_marginalize_is_identity():
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(0.0, R_c, p_c)
         assert f.dim == 21
+        assert np.array_equal(f.P, f.P.T)
         f.marginalize_clone(0)
         assert f.dim == 15
+        assert np.array_equal(f.P, f.P.T)
         assert np.abs(f.P - P0).max() < 1e-12
+
+
+def test_clone_block_symmetrization_matches_full_pass():
+    # symmetrizing only the new 6x6 block gives the full 0.5 (P + P^T)
+    # pass bit for bit when P is exactly symmetric; the EKF clone carries
+    # the lever arm p_cam - p in its position rows
+    rng = np.random.default_rng(16)
+    f = make_filter("ekf", rng)
+    A = rng.normal(0.0, 0.1, (15, 15))
+    f.P = A @ A.T
+    assert np.array_equal(f.P, f.P.T)
+    R_c, p_c = vision.camera_pose(
+        f.state, vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
+    J = np.zeros((6, 15))
+    J[:6, :6] = np.eye(6)
+    J[3:6, :3] = -lie.so3_hat(p_c - f.state.p)
+    PJt = f.P @ J.T
+    full = np.block([[f.P, PJt], [PJt.T, J @ PJt]])
+    f.clone_camera_pose(0.0, R_c, p_c)
+    assert np.array_equal(f.P, 0.5 * (full + full.T))
 
 
 def test_clone_covariance_blocks():

@@ -3,11 +3,15 @@ reached from inside the package, so code that only the tests exercise does
 not accumulate.  A name counts as reached when it appears as a name or an
 attribute anywhere in the package outside its own definition; the check is
 by name only, so it can miss dead code that shares a name with live code,
-but it never flags live code."""
+but it never flags live code.  The package runs on numpy and PyYAML alone:
+scipy is a test dependency only."""
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 
 import iekf_kit
 
@@ -67,3 +71,33 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert sorted(set(unreferenced) - set(ALLOWED)) == []
     # an entry that gained a caller, or is gone, leaves the allowlist
     assert sorted(set(ALLOWED) - set(unreferenced)) == []
+
+
+# imports every module, runs every self-check and one short simulation,
+# then lists the scipy modules that were loaded along the way
+NO_SCIPY_SCRIPT = """
+import sys
+from iekf_kit import cli, config, errorprop, filters, imu, lie, sim, vision
+for argv in (["selfcheck"], ["simulate", sys.argv[1], "--output-dir",
+                             sys.argv[2]]):
+    try:
+        cli.main(argv)
+    except SystemExit as e:
+        assert e.code == 0, (argv, e.code)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "smoke.yaml"
+    cfg.write_text("scenario:\n  duration: 2.0\n  imu_rate: 50.0\n"
+                   "  cam_rate: 5.0\n  n_landmarks: 4\n"
+                   "variants: [ekf, iekf, 'ij_iekf:0.1']\nruns: 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.count("PASS") == 6
+    assert out.stdout.splitlines()[-1] == "[]"

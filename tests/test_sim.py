@@ -339,6 +339,11 @@ def test_report_writers(tmp_path):
 def test_parallel_matches_serial():
     sc = sim.Scenario(duration=3.0)
     v = [filters.FilterVariant("iekf")]
-    serial = sim.run_monte_carlo(sc, v, n_runs=2, seed=9, parallelism=1)
-    parallel = sim.run_monte_carlo(sc, v, n_runs=2, seed=9, parallelism=2)
+    calls = {1: [], 2: []}
+    serial = sim.run_monte_carlo(sc, v, n_runs=2, seed=9, parallelism=1,
+                                 progress=lambda *a: calls[1].append(a))
+    parallel = sim.run_monte_carlo(sc, v, n_runs=2, seed=9, parallelism=2,
+                                   progress=lambda *a: calls[2].append(a))
     assert serial.records == parallel.records
+    # progress counts completed runs in run order on both paths
+    assert calls[1] == calls[2] == [(1, 2), (2, 2)]
