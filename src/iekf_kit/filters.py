@@ -28,13 +28,10 @@ INVARIANT_TAGS = ("iekf", "ij_iekf")
 EKF_FAMILY_TAGS = ("ekf", "fej")
 ALL_TAGS = EKF_FAMILY_TAGS + INVARIANT_TAGS
 
+_EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
-# row k is so3_hat(e_k) flattened, so u @ _HAT_MAP is so3_hat(u) flattened
-_HAT_MAP = np.array([lie.so3_hat(e).ravel() for e in np.eye(3)])
-# basis rows of the landmark errors: -I on the gyro-bias error (columns
-# 9:12 of F) and I on the gyro noise (columns 0:3 of G)
-_DRIVEN_F = -np.eye(3, 15, 9)
-_DRIVEN_G = np.eye(3, 12)
+# e_a^ for a = 0, 1, 2: the basis of the imitated landmark rows
+_BASIS_HATS = lie.so3_hat_stack(_EYE3)
 
 
 @dataclass(frozen=True)
@@ -81,64 +78,79 @@ def _lever_arms(state, landmarks):
 
 
 def _lever_products(levers, R):
-    """Stack of u^ R, one 3x3 block per row u of ``levers``, as two matrix
-    products: the rows of ``levers @ _HAT_MAP`` are the flattened u^."""
-    return (np.asarray(levers, dtype=float) @ _HAT_MAP).reshape(-1, 3) @ R
+    """Stack of u^ R, one 3x3 block per row u of ``levers`` (..., m, 3), as
+    (..., 3 m, 3)."""
+    hats = lie.so3_hat_stack(levers)
+    return hats.reshape(hats.shape[:-3] + (-1, 3)) @ R
 
 
-def error_jacobians(R, drift, levers=None, xi_delta=None):
-    """Error dynamics of every variant in the row-factored form that
-    ``imu.propagate_covariance`` takes: F ((15 + r) x 15) and the noise map
-    G ((15 + r) x 12) hold the 15 IMU rows and r basis rows, and the n x r
-    factor U maps the basis rows to the n error rows after the IMU block
-    (they are U @ F[15:] and U @ G[15:]).  Every further row is static.
+def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
+    """Error dynamics of every variant over one interval of n steps, in the
+    row-factored form that ``imu.compose_error_dynamics`` takes: the stacks
+    F ((n, 15 + r, 15)) and G ((n, 15 + r, 12)) hold each step's 15 IMU rows
+    and r basis rows, and the factor U (3 m x r), constant over the
+    interval, maps the basis rows to the 3 m landmark rows (they are
+    U @ F[k, 15:] and U @ G[k, 15:]).  R (n, 3, 3) is the orientation at the
+    start of each step.
 
     Every error model here has one layout.  With B the map of the gyro and
-    accelerometer noise, the expanded rows are
+    accelerometer noise, the expanded rows of step k are
 
         F[:9, :9] = imu.imu_error_matrix_a(drift),  F[:, 9:15] = -B,
         G[:, :6] = B,  G[9:15, 6:] = I.
 
-    The drift is gravity for the right-invariant error and -R (a_m - b_a)
-    for the world-frame error of the EKF family, whose velocity error the
-    orientation error drives through -(R a)^.  B is R on the orientation
-    rows, u^ R on the three rows of each lever arm u, and R on the velocity
-    rows for the accelerometer noise.  The invariant error has the lever
-    arms (p, v, f_1, ..., f_m), one per row of ``levers``, so landmark j's
-    rows are f_j^ R times the gyro-bias error and the gyro noise: for m > 0
-    landmarks r = 3, U stacks the f_j^ R, and the basis rows are
-    F[15:] = [0 | -I at columns 9:12 | 0] and G[15:] = [I | 0].  The EKF
+    The drift is gravity (3,) for the right-invariant error, and the stack
+    -R_k (a_k - b_a) ((n, 3)) for the world-frame error of the EKF family,
+    whose velocity error the orientation error drives through -(R a)^.  B
+    is R_k on the orientation rows, u^ R_k on the three rows of each lever
+    arm u, and R_k on the velocity rows for the accelerometer noise.  The
+    invariant error has the lever arms p_k and v_k (``levers``, (n, 2, 3))
+    and the m ``landmarks`` f_j, which do not move over the interval, so
+    landmark j's rows are f_j^ R_k times the gyro-bias error and the gyro
+    noise: r = 3, U stacks the f_j^, and the basis rows are -R_k on the
+    gyro-bias columns of F and R_k on the gyro-noise columns of G.  The EKF
     family has no lever arms; its landmark rows are zero, so they are
-    static rows, and r = 0 with U 0 x 0.
+    static rows, and r = 0 with U 0 x 0, as for no landmarks.
 
-    ``xi_delta`` is the 9-vector imitation error from
-    ``imu.sample_imitating_error``.  Only its orientation part is nonzero, so
-    every Q block of the inverse left Jacobian on the augmented group
-    vanishes and that Jacobian is J_SO3^-1(xi_delta[:3]) repeated on the
-    block diagonal: it is applied to each 3-row block of B and of U.
+    ``xi_delta`` (n, 3) holds the imitation errors of ``ij_iekf``, one
+    orientation error per step.  The inverse left Jacobian on the augmented
+    group is then J_k^-1 = J_SO3^-1(xi_delta[k]) on the block diagonal: it
+    premultiplies each 3-row block of B.  It does not commute with f_j^, so
+    the landmark rows J_k^-1 f_j^ R_k = sum_a f_ja J_k^-1 e_a^ R_k take
+    r = 9: landmark j's block of U is [f_j1 I | f_j2 I | f_j3 I], and basis
+    block a is J_k^-1 e_a^ R_k.  Draws that are all zero are no imitation.
     """
-    B = np.zeros((9 if levers is None else 3 + 3 * len(levers), 6))
-    B[:3, :3] = R
-    B[6:9, 3:6] = R
+    n = len(R)
+    m = 0 if landmarks is None else len(landmarks)
+    if xi_delta is not None and not xi_delta.any():
+        xi_delta = None
+    r = 0 if m == 0 else 3 if xi_delta is None else 9
+    F = np.zeros((n, 15 + r, 15))
+    G = np.zeros((n, 15 + r, 12))
+    B = np.zeros((n, 9, 6))
+    B[:, :3, :3] = R
+    B[:, 6:9, 3:6] = R
     if levers is not None:
-        B[3:, :3] = _lever_products(levers, R)
+        B[:, 3:9, :3] = _lever_products(levers, R)
     if xi_delta is not None:
-        if np.any(xi_delta[3:]):
-            raise ValueError("imitation error must be orientation-only")
-        Jinv = lie.so3_left_jacobian_inv(xi_delta[:3])
-        B = (Jinv @ B.reshape(-1, 3, 6)).reshape(-1, 6)
-    r = 3 if len(B) > 9 else 0
-    F = np.zeros((15 + r, 15))
-    F[:9, :9] = imu_model.imu_error_matrix_a(drift)
-    F[:9, 9:15] = -B[:9]
-    G = np.zeros((15 + r, 12))
-    G[:9, :6] = B[:9]
-    G[9:15, 6:] = _EYE6
+        Jinv = lie.so3_left_jacobian_inv(xi_delta)[:, None]
+        B = (Jinv @ B.reshape(n, 3, 3, 6)).reshape(n, 9, 6)
+    F[:, 3:6, 6:9] = _EYE3
+    F[:, 6:9, :3] = lie.so3_hat_stack(drift)
+    F[:, :9, 9:15] = -B
+    G[:, :9, :6] = B
+    G[:, 9:15, 6:] = _EYE6
     if r == 0:
         return F, G, np.zeros((0, 0))
-    F[15:] = _DRIVEN_F
-    G[15:] = _DRIVEN_G
-    return F, G, B[9:, :3]
+    if r == 3:
+        basis = R
+        U = lie.so3_hat_stack(landmarks).reshape(-1, 3)
+    else:
+        basis = (Jinv @ _BASIS_HATS @ R[:, None]).reshape(n, 9, 3)
+        U = (landmarks[:, None, :, None] * _EYE3[:, None]).reshape(-1, 9)
+    F[:, 15:, 9:12] = -basis
+    G[:, 15:, :3] = basis
+    return F, G, U
 
 
 class FilterInstance:
@@ -163,7 +175,7 @@ class FilterInstance:
         self.anchor_state = state.copy() if variant.tag == "fej" else None
         self.anchor_landmarks = (None if self.landmarks is None
                                  else self.landmarks.copy())
-        self._kernel = None    # (dt, Q, imu.noise_kernel(Q, dt))
+        self._kernel = None    # (dt, imu.noise_kernel(Q, dt))
         expected = self.core_dim
         if self.P.shape != (expected, expected):
             raise ValueError(f"P must be {expected}x{expected}")
@@ -188,28 +200,32 @@ class FilterInstance:
 
     # -- predict ------------------------------------------------------------
 
-    def predict(self, meas, dt):
-        """Mean propagation plus variant-specific covariance propagation."""
-        st = self.state
-        if self.variant.invariant:
-            drift = self.noise.gravity
-            levers = _lever_arms(st, self.landmarks)
-        else:
-            drift = -(st.R @ (np.asarray(meas.accel, dtype=float) - st.b_a))
-            levers = None
-        xi_delta = (imu_model.sample_imitating_error(self.variant.r, self.rng)
-                    if self.variant.tag == "ij_iekf" else None)
-        F, G, U = error_jacobians(st.R, drift, levers, xi_delta)
-        self.state = imu_model.propagate_mean(st, meas, dt, self.noise.gravity)
+    def predict(self, readings, dt):
+        """Propagate through one interval of IMU readings, ``dt`` apart: the
+        mean by ``imu.propagate_interval``, then the covariance once, with
+        the interval's error dynamics composed on the core rows."""
+        omega = np.array([m.omega for m in readings], dtype=float)
+        accel = np.array([m.accel for m in readings], dtype=float)
+        g = self.noise.gravity
+        self.state, R, p, v, Ra = imu_model.propagate_interval(
+            self.state, omega, accel, dt, g)
         if self.anchor_state is not None:
-            self.anchor_state = imu_model.propagate_mean(
-                self.anchor_state, meas, dt, self.noise.gravity)
+            self.anchor_state = imu_model.propagate_interval(
+                self.anchor_state, omega, accel, dt, g)[0]
+        if self.variant.invariant:
+            xi_delta = (imu_model.sample_imitating_error(
+                self.variant.r, self.rng, len(omega))
+                if self.variant.tag == "ij_iekf" else None)
+            F, G, U = error_jacobians(R[:-1], g,
+                                      np.stack((p[:-1], v[:-1]), axis=1),
+                                      self.landmarks, xi_delta)
+        else:
+            F, G, U = error_jacobians(R[:-1], -Ra)
         if self._kernel is None or self._kernel[0] != dt:
-            Q = self.noise.q_imu()
-            self._kernel = (dt, Q, imu_model.noise_kernel(Q, dt))
-        _, Q, kernel = self._kernel
-        self.P = imu_model.propagate_covariance(self.P, F, G, U, Q, dt,
-                                                kernel)
+            self._kernel = (dt, imu_model.noise_kernel(self.noise.q_imu(),
+                                                       dt))
+        V, Q = imu_model.compose_error_dynamics(F, G, self._kernel[1], dt)
+        self.P = imu_model.propagate_covariance(self.P, V, Q, U)
 
     # -- update -------------------------------------------------------------
 

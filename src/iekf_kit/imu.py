@@ -92,6 +92,43 @@ def propagate_mean(state, meas, dt, gravity=None):
     return ImuState(R_new, p_new, v_new, state.b_omega.copy(), state.b_a.copy())
 
 
+def propagate_interval(state, omega, accel, dt, gravity):
+    """``propagate_mean`` chained over one interval of n readings, stacked
+    as the rows of ``omega`` and ``accel`` ((n, 3) each), bit for bit.
+
+    The increments Exp((w_k - b_w) dt) come from one ``lie.so3_exp_stack``
+    and the orientations from a loop of 3 x 3 products; the velocities and
+    positions are cumulative sums that add in the order of the loop.
+
+    Returns (end state, R, p, v, Ra): R (n + 1, 3, 3), p and v (n + 1, 3)
+    are the chain from the start state to the end state, and Ra (n, 3) holds
+    R_k (a_k - b_a), the bias-corrected specific force of step k in the world
+    frame.
+    """
+    if dt <= 0:
+        raise NonPositiveDt(f"dt = {dt}")
+    n = len(omega)
+    dR = lie.so3_exp_stack((omega - state.b_omega) * dt)
+    R = np.empty((n + 1, 3, 3))
+    R[0] = state.R
+    for k in range(n):
+        np.matmul(R[k], dR[k], out=R[k + 1])
+    Ra = (R[:n] @ (accel - state.b_a)[:, :, None])[:, :, 0]
+    a_world = Ra + gravity
+    # v_k+1 = v_k + a_k dt and p_k+1 = (p_k + v_k dt) + a_k dt^2 / 2
+    steps = np.empty((n + 1, 3))
+    steps[0] = state.v
+    steps[1:] = a_world * dt
+    v = np.cumsum(steps, axis=0)
+    steps = np.empty((2 * n + 1, 3))
+    steps[0] = state.p
+    steps[1::2] = v[:n] * dt
+    steps[2::2] = 0.5 * a_world * dt * dt
+    p = np.cumsum(steps, axis=0)[::2]
+    end = ImuState(R[n], p[n], v[n], state.b_omega.copy(), state.b_a.copy())
+    return end, R, p, v, Ra
+
+
 def imu_error_matrix_a(drift=None):
     """9x9 pose-error drift matrix: zero except dp/dv = I and
     dv/domega = drift^.  The drift is gravity (the default) for the
@@ -105,7 +142,7 @@ def imu_error_matrix_a(drift=None):
 
 def noise_kernel(Q, dt):
     """C(dt) kron Q, the middle factor of the closed-form discrete noise in
-    ``propagate_covariance``, with C_ij = dt^(i+j+1) / (i! j! (i+j+1)) for
+    ``compose_error_dynamics``, with C_ij = dt^(i+j+1) / (i! j! (i+j+1)) for
     i, j = 0..3 (48 x 48 for the 12 x 12 IMU noise density).
 
     It depends only on the noise density and the step, so a caller that
@@ -117,51 +154,82 @@ def noise_kernel(Q, dt):
     return np.kron(C, np.asarray(Q, dtype=float))
 
 
-def propagate_covariance(P, F, G, U, Q, dt, kernel=None):
-    """Discrete covariance step P <- Phi P Phi^T + Q_d, exact for F^4 = 0.
+def compose_error_dynamics(F, G, kernel, dt):
+    """The error dynamics of one interval of n steps, composed on the core
+    rows: (V, Q) such that the interval's covariance step is
+    P <- Phi P Phi^T + T Q T^T with Phi = I + T [V 0] (see
+    ``propagate_covariance``).
 
-    The error dynamics come by row structure: of the d rows of P, the first
-    k are dense, the next n are driven through the n x r factor U, and the
-    rest are static, so the square dynamics and noise map are
+    F ((n, k + r, k)) and G ((n, k + r, 12)) stack the steps' dynamics in
+    the row-factored form that ``filters.error_jacobians`` builds: k dense
+    rows and r basis rows, which a factor U constant over the interval maps
+    to the driven rows.  Step j, with F = F[j], G = G[j] and Fk, Gk their
+    dense rows, is exact for F^4 = 0: its transition is I + [V_j 0] on the
+    core rows for V_j = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), and its noise is
+    W_j K W_j^T for W_j = [G, F Gk, F Fk Gk, F Fk^2 Gk] and
+    K = C(dt) kron Q (``kernel``, see ``noise_kernel``).  Because the basis
+    rows read only the dense columns, the steps compose on the core: step b
+    after the steps (V, Q), with Phi_b = I + [V_b 0], gives
 
-        [[Fk, 0], [U Fr, 0], [0, 0]]  and  [Gk; U Gr; 0]
+        V <- V + V_b + V_b V[:k],   Q <- Phi_b Q Phi_b^T + W_b K W_b^T.
 
-    for F = [Fk; Fr] ((k + r) x k) and G = [Gk; Gr] ((k + r) x 12), as
-    ``filters.error_jacobians`` builds them.
+    The composition is associative, so it runs as a tree: each round
+    composes adjacent pairs as one batched product, ceil(log2 n) rounds in
+    all, and nothing is composed onto a single step.
+    """
+    if dt <= 0:
+        raise NonPositiveDt(f"dt = {dt}")
+    k = F.shape[2]
+    Fk = F[:, :k]
+    Gk = G[:, :k]
+    M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
+    M.reshape(len(F), -1)[:, ::k + 1] += dt    # + dt I
+    FkGk = Fk @ Gk
+    X = F @ np.concatenate((M, Gk, FkGk, Fk @ FkGk), axis=2)
+    V = X[:, :, :k]
+    W = np.concatenate((G, X[:, :, k:]), axis=2)
+    Q = W @ kernel @ W.transpose(0, 2, 1)
+    while len(V) > 1:
+        # compose steps 2i and 2i + 1 of this round; an odd last step
+        # passes on to the next round as it is
+        h = len(V) // 2
+        Va, Vb = V[0:2 * h:2], V[1:2 * h:2]
+        A = Q[0:2 * h:2] + Vb @ Q[0:2 * h:2, :k]    # Phi_b Q_a
+        Qn = A + A[:, :, :k] @ Vb.transpose(0, 2, 1)
+        Qn += Q[1:2 * h:2]
+        Vn = Va + Vb
+        Vn += Vb @ Va[:, :k]
+        if len(V) % 2:
+            Vn = np.concatenate((Vn, V[-1:]))
+            Qn = np.concatenate((Qn, Q[-1:]))
+        V, Q = Vn, Qn
+    return V[0], Q[0]
 
-    With T = diag(I_k, U), Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6 is
-    I + [T V 0] for V = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), and Q_d =
-    int_0^dt Phi(s) G Q G^T Phi(s)^T ds is T W (C(dt) kron Q) W^T T^T for
-    W = [G, F Gk, F Fk Gk, F Fk^2 Gk] (see ``noise_kernel``; ``kernel`` is
-    that matrix if the caller has it already).  With D = V P[:k, :k] V^T +
-    W (C(dt) kron Q) W^T,
 
-        Phi P Phi^T + Q_d = P + Z + Z^T,  Z = T (V P[:k] + [D T^T / 2, 0])
+def propagate_covariance(P, V, Q, U):
+    """One covariance step P <- Phi P Phi^T + T Q T^T of composed dynamics.
+
+    Of the d rows of P the first k are dense, the next n are driven
+    through the n x r factor U, and the rest are static, so with
+    T = diag(I_k, U) the transition is Phi = I + T [V 0] for V
+    ((k + r) x k), and T Q T^T ((k + r) x (k + r) Q) is the noise, as
+    ``compose_error_dynamics`` returns them.  With
+    D = V P[:k, :k] V^T + Q,
+
+        Phi P Phi^T + T Q T^T = P + Z + Z^T,  Z = T (V P[:k] + [D T^T / 2, 0])
 
     on the first k + n rows, zero below.  This costs O(k^2 d + r d^2) for a
     d x d P, and for an exactly symmetric P the result is exactly symmetric.
 
     Raises:
-        ValueError: if U does not have F.shape[0] - F.shape[1] columns.
+        ValueError: if U does not have V.shape[0] - V.shape[1] columns.
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt = {dt}")
-    k = F.shape[1]
-    r = F.shape[0] - k
+    k = V.shape[1]
+    r = V.shape[0] - k
     if U.shape[1] != r:
         raise ValueError(f"U has {U.shape[1]} columns for {r} basis rows")
-    if kernel is None:
-        kernel = noise_kernel(Q, dt)
-    Fk = F[:k]
-    Gk = G[:k]
-    M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
-    M.ravel()[::k + 1] += dt    # + dt I
-    FkGk = Fk @ Gk
-    X = F @ np.hstack((M, Gk, FkGk, Fk @ FkGk))    # V and W[:, 12:]
-    V = X[:, :k]
-    W = np.hstack((G, X[:, k:]))
     Zr = V @ P[:k]
-    D = Zr[:, :k] @ V.T + W @ kernel @ W.T
+    D = Zr[:, :k] @ V.T + Q
     if r:
         n = len(U)
         Zr[:, :k + n] += np.hstack((0.5 * D[:, :k], (0.5 * D[:, k:]) @ U.T))
@@ -184,11 +252,10 @@ def propagate_covariance(P, F, G, U, Q, dt, kernel=None):
     return P_new
 
 
-def sample_imitating_error(r, rng):
-    """Draw the imitation error: orientation components iid uniform on
-    [-r, r], position/velocity slots zero."""
+def sample_imitating_error(r, rng, n):
+    """Draw the imitation errors of n steps, (n, 3): the orientation
+    components, iid uniform on [-r, r], in one draw that equals n draws of
+    three and leaves ``rng`` in the same state."""
     if r < 0:
         raise NegativeRange(f"r = {r}")
-    xi = np.zeros(9)
-    xi[:3] = rng.uniform(-r, r, 3)
-    return xi
+    return rng.uniform(-r, r, (n, 3))

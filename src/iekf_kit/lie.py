@@ -53,6 +53,23 @@ def so3_hat(w):
     ])
 
 
+# row k is so3_hat(e_k) flattened, so u @ _HAT_MAP is so3_hat(u) flattened
+_HAT_MAP = np.array([so3_hat(e).ravel() for e in _EYE3])
+
+
+def so3_hat_stack(w):
+    """so3_hat of each row of an (..., 3) array, as (..., 3, 3)."""
+    w = np.asarray(w, dtype=float)
+    return (w @ _HAT_MAP).reshape(w.shape[:-1] + (3, 3))
+
+
+def _row_norms(w):
+    """|w_k| of each row of an (n, 3) array, as a list; each squared norm is
+    one 1 x 3 by 3 x 1 product, which sums as the dot product of one vector
+    in so3_exp and np.linalg.norm does."""
+    return np.sqrt((w[:, None, :] @ w[:, :, None]).ravel()).tolist()
+
+
 def so3_vee(W):
     """Inverse of :func:`so3_hat` (exact on skew-symmetric input)."""
     W = np.asarray(W, dtype=float)
@@ -81,6 +98,20 @@ def so3_exp(w):
     W = so3_hat(w)
     a, b = _sin_cos_coeffs(theta)
     return _EYE3 + a * W + b * (W @ W)
+
+
+def so3_exp_stack(w):
+    """so3_exp of each row of an (n, 3) array, as (n, 3, 3); equal to the
+    per-row so3_exp bit for bit."""
+    w = np.asarray(w, dtype=float)
+    a, b = np.array([_sin_cos_coeffs(t) for t in _row_norms(w)]).T
+    W = so3_hat_stack(w)
+    E = a[:, None, None] * W
+    E += _EYE3
+    WW = W @ W
+    WW *= b[:, None, None]
+    E += WW
+    return E
 
 
 def so3_log(R):
@@ -126,26 +157,32 @@ def so3_left_jacobian(w):
 
 
 def so3_left_jacobian_inv(w):
-    """Inverse left Jacobian of SO(3).
+    """Inverse left Jacobian of SO(3) at a 3-vector, or at each row of an
+    (n, 3) array as (n, 3, 3).
 
     Raises:
-        SingularJacobian: if |w| is within SINGULARITY_MARGIN of a nonzero
-            multiple of 2*pi, where J drops rank.
+        SingularJacobian: if an |w| is within SINGULARITY_MARGIN of a
+            nonzero multiple of 2*pi, where J drops rank.
     """
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    _check_jacobian_angle(theta)
-    W = so3_hat(w)
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        d = (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-             + t2 * t2 * t2 / 1209600.0)
-    else:
-        # t sin(t) / (2 (1 - cos t)) = (t/2) cot(t/2), which keeps the
-        # cancellation of 1 - cos(t) out of d
-        half = 0.5 * theta
-        d = (1.0 - half * math.cos(half) / math.sin(half)) / (theta * theta)
-    return _EYE3 - 0.5 * W + d * (W @ W)
+    rows = w.reshape(-1, 3)
+    d = []
+    for theta in _row_norms(rows):
+        _check_jacobian_angle(theta)
+        if theta < SMALL_ANGLE:
+            t2 = theta * theta
+            d.append(1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+                     + t2 * t2 * t2 / 1209600.0)
+        else:
+            # t sin(t) / (2 (1 - cos t)) = (t/2) cot(t/2), which keeps the
+            # cancellation of 1 - cos(t) out of d
+            half = 0.5 * theta
+            d.append((1.0 - half * math.cos(half) / math.sin(half))
+                     / (theta * theta))
+    W = so3_hat_stack(rows)
+    J = _EYE3 - 0.5 * W
+    J += np.array(d)[:, None, None] * (W @ W)
+    return J.reshape(w.shape[:-1] + (3, 3))
 
 
 def _check_jacobian_angle(theta):

@@ -110,6 +110,12 @@ class Scenario:
             raise ValueError(
                 f"imu_rate / cam_rate = {ratio:g} is not a whole number: "
                 f"the camera fires on every n-th IMU step")
+        epochs = self.duration * self.cam_rate
+        if round(epochs) < 1 or abs(epochs - round(epochs)) > 1e-9 * epochs:
+            raise ValueError(
+                f"duration * cam_rate = {epochs:g} is not a whole number of "
+                f"camera intervals: the readings after the last epoch would "
+                f"be predicted and dropped")
 
     @property
     def camera_every(self):
@@ -274,14 +280,16 @@ def perturbed_filter(variant, truth0, landmarks, init, scenario, rng):
 
 
 def _camera_epochs(scenario, truth, filt):
-    """Predict ``filt`` through the whole IMU stream, yielding
-    (i, t, true state) at camera epoch i, after the prediction to it."""
+    """Predict ``filt`` through the IMU stream one camera interval at a
+    time, yielding (i, t, true state) at camera epoch i, after the
+    prediction to it."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
-    for k, meas in enumerate(truth.measurements, start=1):
-        filt.predict(meas, dt)
-        if k % every == 0:
-            yield k // every - 1, truth.times[k], truth.states[k]
+    meas = truth.measurements
+    for i in range(len(meas) // every):
+        k = (i + 1) * every
+        filt.predict(meas[k - every:k], dt)
+        yield i, truth.times[k], truth.states[k]
 
 
 def run_filter(scenario, truth, frames, filt):

@@ -1,25 +1,31 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the per-step covariance step that the interval
+predict replaced, kept as its oracle."""
 
 import numpy as np
 import pytest
 
-from iekf_kit import filters, imu
+from iekf_kit import filters, imu, lie
 
 ACCEL = np.array([0.3, 0.1, 9.7])
 
 
 def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
                        xi_delta=None):
-    """(F, G, U) of ``filters.error_jacobians`` from the inputs that
-    ``FilterInstance.predict`` gives it for variant ``tag``: gravity and the
-    lever arms (p, v, f_j) for the invariant error, -R (a_m - b_a) and none
-    for the EKF family."""
+    """(F, G, U) of ``filters.error_jacobians`` for one step from ``st``,
+    from the inputs that ``FilterInstance.predict`` gives it for variant
+    ``tag``: gravity, the lever arms (p, v) and the landmarks for the
+    invariant error, -R (a_m - b_a) for the EKF family; ``xi_delta`` is a
+    (1, 3) imitation draw."""
     lms = np.asarray(lms, dtype=float).reshape(-1, 3)
     if tag in filters.INVARIANT_TAGS:
-        return filters.error_jacobians(st.R, imu.DEFAULT_GRAVITY,
-                                       np.vstack((st.p, st.v, lms)), xi_delta)
-    drift = -(st.R @ (np.asarray(accel, dtype=float) - st.b_a))
-    return filters.error_jacobians(st.R, drift, None, xi_delta)
+        F, G, U = filters.error_jacobians(
+            st.R[None], imu.DEFAULT_GRAVITY, np.array([[st.p, st.v]]), lms,
+            xi_delta)
+    else:
+        drift = -(st.R @ (np.asarray(accel, dtype=float) - st.b_a))
+        F, G, U = filters.error_jacobians(st.R[None], drift[None], None,
+                                          None, xi_delta)
+    return F[0], G[0], U
 
 
 def _expand(F, G, U, c):
@@ -46,13 +52,103 @@ def _square(F, d):
 def _dense_closed_form(P, F, G, Q, dt):
     """Phi P Phi^T + W (C(dt) kron Q) W^T on the square d x d dynamics,
     Phi = I + F dt + F^2 dt^2/2 + F^3 dt^3/6, W = [G, F G, F^2 G, F^3 G]:
-    the closed form of ``imu.propagate_covariance`` evaluated without the
-    row structure."""
+    the closed form of one covariance step evaluated without the row
+    structure."""
     F2 = F @ F
     F3 = F2 @ F
     Phi = np.eye(len(F)) + F * dt + F2 * (dt * dt / 2) + F3 * (dt ** 3 / 6)
     W = np.hstack([G, F @ G, F2 @ G, F3 @ G])
     return Phi @ P @ Phi.T + W @ imu.noise_kernel(Q, dt) @ W.T
+
+
+def _step_covariance(P, F, G, U, Q, dt):
+    """One per-step covariance step P <- Phi P Phi^T + Q_d, exact for
+    F^4 = 0: ``imu.propagate_covariance`` as it was before the steps of an
+    interval were composed on the core rows.
+
+    Of the d rows of P the first k are dense, the next n are driven through
+    the n x r factor U, and the rest are static: F = [Fk; Fr] ((k + r) x k)
+    and G = [Gk; Gr] ((k + r) x 12).  With T = diag(I_k, U),
+    V = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), W = [G, F Gk, F Fk Gk,
+    F Fk^2 Gk] and D = V P[:k, :k] V^T + W (C(dt) kron Q) W^T, the step is
+    P + Z + Z^T with Z = T (V P[:k] + [D T^T / 2, 0])."""
+    k = F.shape[1]
+    Fk = F[:k]
+    Gk = G[:k]
+    M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
+    M.ravel()[::k + 1] += dt    # + dt I
+    FkGk = Fk @ Gk
+    X = F @ np.hstack((M, Gk, FkGk, Fk @ FkGk))    # V and W[:, 12:]
+    V = X[:, :k]
+    W = np.hstack((G, X[:, k:]))
+    Zr = V @ P[:k]
+    D = Zr[:, :k] @ V.T + W @ imu.noise_kernel(Q, dt) @ W.T
+    if len(U):
+        n = len(U)
+        Zr[:, :k + n] += np.hstack((0.5 * D[:, :k], (0.5 * D[:, k:]) @ U.T))
+        Z = np.vstack((Zr[:k], U @ Zr[k:]))
+    else:
+        Z = Zr
+        Z[:, :k] += 0.5 * D
+    c = len(Z)
+    P_new = P.copy()
+    Zc = Z[:, :c]
+    P_new[:c, :c] += Zc + Zc.T
+    P_new[:c, c:] += Z[:, c:]
+    P_new[c:, :c] = P_new[:c, c:].T
+    return P_new
+
+
+def _full_row_error_jacobians(R, drift, n_landmarks, levers=None,
+                              xi_delta=None):
+    """One step's error model with every row stored: F as its c x 15 IMU
+    columns and G (c x 12), c = 15 + 3 m, as ``filters.error_jacobians``
+    produced it before the landmark rows were factored.  ``levers`` are the rows (p, v, f_1,
+    ..., f_m) for the invariant error, ``xi_delta`` the 3-vector imitation
+    error.  The oracle for the row-factored form."""
+    c = 15 + 3 * n_landmarks
+    G = np.zeros((c, 12))
+    B = G[:, :6]
+    B[:3, :3] = R
+    B[6:9, 3:6] = R
+    if levers is not None:
+        uR = np.vstack([lie.so3_hat(u) @ R for u in levers])
+        B[3:9, :3] = uR[:6]
+        B[15:, :3] = uR[6:]
+    if xi_delta is not None:
+        Jinv = lie.so3_left_jacobian_inv(xi_delta)
+        B[:] = np.vstack([Jinv @ blk for blk in B.reshape(-1, 3, 6)])
+    F = np.zeros((c, 15))
+    F[:9, :9] = imu.imu_error_matrix_a(drift)
+    F[:, 9:15] = -B
+    G[9:15, 6:] = np.eye(6)
+    return F, G
+
+
+def _predict_per_step(filt, readings, dt):
+    """``FilterInstance.predict`` over an interval as it ran before: one
+    reading at a time, the imitation error drawn per step, the error model
+    with every landmark row stored, and the per-step covariance step."""
+    Q = filt.noise.q_imu()
+    g = filt.noise.gravity
+    m = filt.n_landmarks
+    for meas in readings:
+        st = filt.state
+        xi = (filt.rng.uniform(-filt.variant.r, filt.variant.r, 3)
+              if filt.variant.tag == "ij_iekf" else None)
+        if filt.variant.invariant:
+            levers = np.vstack((st.p, st.v, filt.landmarks.reshape(-1, 3)
+                                if m else np.zeros((0, 3))))
+            F, G = _full_row_error_jacobians(st.R, g, m, levers, xi)
+        else:
+            drift = -(st.R @ (meas.accel - st.b_a))
+            F, G = _full_row_error_jacobians(st.R, drift, m, None, xi)
+        # every landmark row is a basis row: U is the identity
+        filt.P = _step_covariance(filt.P, F, G, np.eye(3 * m), Q, dt)
+        filt.state = imu.propagate_mean(st, meas, dt, g)
+        if filt.anchor_state is not None:
+            filt.anchor_state = imu.propagate_mean(filt.anchor_state, meas,
+                                                   dt, g)
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +169,18 @@ def square():
 @pytest.fixture(scope="session")
 def dense_closed_form():
     return _dense_closed_form
+
+
+@pytest.fixture(scope="session")
+def step_covariance():
+    return _step_covariance
+
+
+@pytest.fixture(scope="session")
+def full_row_error_jacobians():
+    return _full_row_error_jacobians
+
+
+@pytest.fixture(scope="session")
+def predict_per_step():
+    return _predict_per_step

@@ -2,6 +2,8 @@
 dispatch, clone bookkeeping, correction conventions, and the error-state
 Jacobians against finite differences of the actual nonlinear models."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -59,8 +61,8 @@ def test_ij_zero_range_bit_identical_to_iekf():
                                imu.ImuNoiseSpec(),
                                rng=np.random.default_rng(7))
     for k in range(20):
-        a.predict(MEAS, 0.01)
-        b.predict(MEAS, 0.01)
+        a.predict([MEAS], 0.01)
+        b.predict([MEAS], 0.01)
         if k % 5 == 0:
             H = np.zeros((3, 15))
             H[:, 3:6] = np.eye(3)
@@ -342,22 +344,32 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
     # the exact layout of every variant's (F, G): F holds only the 15 IMU
     # columns, the bias columns are -B for the noise map B = G[:, :6], the
     # bias rows are static and take their noise with identity; landmark
-    # rows come from three basis rows through U (invariant error only)
+    # rows come from basis rows through a U that holds only the landmarks
+    # (invariant error only): three rows -R / R, or nine with imitation
     rng = np.random.default_rng(17)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (m, 3))
     c = 15 + 3 * m
     for tag in filters.ALL_TAGS:
-        xi_d = (imu.sample_imitating_error(0.4, rng) if tag == "ij_iekf"
+        xi_d = (imu.sample_imitating_error(0.4, rng, 1) if tag == "ij_iekf"
                 else None)
         F, G, U = variant_jacobians(tag, st, lms, MEAS.accel, xi_d)
-        r = 3 if m and tag in filters.INVARIANT_TAGS else 0
+        r = (0 if not m or tag not in filters.INVARIANT_TAGS
+             else 9 if tag == "ij_iekf" else 3)
         assert F.shape == (15 + r, 15) and G.shape == (15 + r, 12)
-        assert U.shape == ((3 * m, 3) if r else (0, 0))
+        assert U.shape == ((3 * m, r) if r else (0, 0))
         if r:
-            assert np.array_equal(F[15:, 9:12], -np.eye(3))
+            assert np.array_equal(F[15:, 9:12], -G[15:, :3])
             assert not np.any(F[15:, :9]) and not np.any(F[15:, 12:])
-            assert np.array_equal(G[15:], np.eye(3, 12))
+            assert not np.any(G[15:, 3:])
+        if r == 3:
+            assert np.array_equal(G[15:, :3], st.R)
+            assert np.array_equal(U, np.vstack([lie.so3_hat(f) for f in lms]))
+        if r == 9:
+            for j, f in enumerate(lms):
+                assert np.array_equal(U[3 * j:3 * j + 3],
+                                      np.hstack([f[a] * np.eye(3)
+                                                 for a in range(3)]))
         F, G = expand(F, G, U, c)
         assert F.shape == (c, 15) and G.shape == (c, 12)
         assert np.array_equal(F[:, 9:15], -G[:, :6])
@@ -368,50 +380,50 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
         assert not np.any(F[15:, :9])
 
 
-def full_row_error_jacobians(R, drift, n_landmarks, levers=None,
-                             xi_delta=None):
-    """The error model with every row stored: F as its c x 15 IMU columns
-    and G (c x 12), c = 15 + 3 m, as the builder produced it before the
-    landmark rows were factored.  The oracle for the row-factored form."""
-    c = 15 + 3 * n_landmarks
-    G = np.zeros((c, 12))
-    B = G[:, :6]
-    B[:3, :3] = R
-    B[6:9, 3:6] = R
-    if levers is not None:
-        uR = filters._lever_products(levers, R)
-        B[3:9, :3] = uR[:6]
-        B[15:, :3] = uR[6:]
-    if xi_delta is not None:
-        Jinv = lie.so3_left_jacobian_inv(xi_delta[:3])
-        B[:] = (Jinv @ B.reshape(-1, 3, 6)).reshape(c, 6)
-    F = np.zeros((c, 15))
-    F[:9, :9] = imu.imu_error_matrix_a(drift)
-    F[:, 9:15] = -B
-    G[9:15, 6:] = np.eye(6)
-    return F, G
+def interval_readings(rng, n):
+    return [imu.ImuMeasurement(rng.normal(0.0, 0.3, 3),
+                               rng.normal(0.0, 1.0, 3) + [0.0, 0.0, 9.8])
+            for _ in range(n)]
 
 
 @pytest.mark.parametrize("with_delta", [False, True])
 @pytest.mark.parametrize("m", [0, 3])
 @pytest.mark.parametrize("tag", filters.ALL_TAGS)
-def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta,
-                                                variant_jacobians, expand):
-    # (F, G, U) expands to the full c x 15 F and c x 12 G bit for bit
+def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
+                                                full_row_error_jacobians):
+    # over a 10-step interval, the stacked (F, G) with its one U expand at
+    # every step to the full c x 15 F and c x 12 G at that step's state, bit
+    # for bit; the imitated landmark rows (r = 9) sum over the landmark's
+    # components, so they equal the full rows to rounding
     rng = np.random.default_rng(18)
     st = make_state(rng)
+    st.b_omega, st.b_a = rng.normal(0.0, 0.01, 3), rng.normal(0.0, 0.1, 3)
     lms = rng.normal(0.0, 10.0, (m, 3))
-    xi_d = imu.sample_imitating_error(0.4, rng) if with_delta else None
-    c = 15 + 3 * m
-    F, G = expand(*variant_jacobians(tag, st, lms, MEAS.accel, xi_d), c)
+    n, dt, g = 10, 0.01, imu.DEFAULT_GRAVITY
+    readings = interval_readings(rng, n)
+    accel = np.array([r.accel for r in readings])
+    _, R, p, v, Ra = imu.propagate_interval(
+        st, np.array([r.omega for r in readings]), accel, dt, g)
+    xi = imu.sample_imitating_error(0.4, rng, n) if with_delta else None
     if tag in filters.INVARIANT_TAGS:
-        ref = full_row_error_jacobians(st.R, imu.DEFAULT_GRAVITY, m,
-                                       np.vstack((st.p, st.v, lms)), xi_d)
+        F, G, U = filters.error_jacobians(
+            R[:-1], g, np.stack((p[:-1], v[:-1]), axis=1), lms, xi)
     else:
-        drift = -(st.R @ (MEAS.accel - st.b_a))
-        ref = full_row_error_jacobians(st.R, drift, m, None, xi_d)
-    assert np.array_equal(F, ref[0])
-    assert np.array_equal(G, ref[1])
+        F, G, U = filters.error_jacobians(R[:-1], -Ra, None, None, xi)
+    c = 15 + 3 * m
+    rows = slice(0, 15 if with_delta and tag in filters.INVARIANT_TAGS
+                 else c)
+    for k in range(n):
+        x = None if xi is None else xi[k]
+        if tag in filters.INVARIANT_TAGS:
+            ref = full_row_error_jacobians(R[k], g, m,
+                                           np.vstack((p[k], v[k], lms)), x)
+        else:
+            drift = -(R[k] @ (accel[k] - st.b_a))
+            ref = full_row_error_jacobians(R[k], drift, m, None, x)
+        for got, want in zip(expand(F[k], G[k], U, c), ref):
+            assert np.array_equal(got[rows], want[rows])
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_predict_propagates_clones_like_propagate_covariance(
@@ -424,15 +436,52 @@ def test_predict_propagates_clones_like_propagate_covariance(
         f.clone_camera_pose(0.0, R_c, p_c)
         F, G, U = variant_jacobians(tag, f.state, f.landmarks, MEAS.accel)
         Q = f.noise.q_imu()
-        expected = imu.propagate_covariance(f.P, F, G, U, Q, dt)
+        V, Qd = imu.compose_error_dynamics(F[None], G[None],
+                                           imu.noise_kernel(Q, dt), dt)
+        expected = imu.propagate_covariance(f.P, V, Qd, U)
         # the same step on the square 27 x 27 dynamics, clones static
         F_sq, G_sq = expand(F, G, U, 27)
         dense = dense_closed_form(f.P, square(F_sq, 27), G_sq, Q, dt)
         clone_block = f.P[21:, 21:].copy()
-        f.predict(MEAS, dt)
+        f.predict([MEAS], dt)
         assert np.array_equal(f.P, expected)
         assert np.abs(f.P - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(f.P[21:, 21:], clone_block)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("tag", filters.ALL_TAGS)
+def test_interval_predict_matches_per_step_chain(tag, m, n,
+                                                 predict_per_step):
+    # one predict over n readings against n per-step predicts (per-step
+    # draws, full landmark rows, the d x d step each time), with landmarks
+    # and two clones: the covariance within 1e-12 and exactly symmetric,
+    # the mean, the FEJ anchor and the generator's state bit for bit
+    rng = np.random.default_rng(32)
+    f = make_filter(tag, rng, r=0.3 if tag == "ij_iekf" else 0.0,
+                    landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
+    f.state.b_omega = rng.normal(0.0, 0.01, 3)
+    f.state.b_a = rng.normal(0.0, 0.1, 3)
+    A = rng.normal(0.0, 0.1, (f.dim, f.dim))
+    f.P = A @ A.T + 1e-3 * np.eye(f.dim)
+    for t in (0.0, 0.1):
+        R_c, p_c = vision.camera_pose(
+            f.state, vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
+        f.clone_camera_pose(t, R_c, p_c)
+    readings = interval_readings(rng, n)
+    ref = copy.deepcopy(f)
+    f.predict(readings, 0.01)
+    predict_per_step(ref, readings, 0.01)
+    assert np.abs(f.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+    assert np.array_equal(f.P, f.P.T)
+    pairs = [(f.state, ref.state)]
+    if tag == "fej":
+        pairs.append((f.anchor_state, ref.anchor_state))
+    for got, want in pairs:
+        for name in ("R", "p", "v", "b_omega", "b_a"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert f.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_fej_keeps_dead_reckoned_anchor():
@@ -440,7 +489,7 @@ def test_fej_keeps_dead_reckoned_anchor():
     f = make_filter("fej", rng)
     assert f.anchor_state is not None
     p_before = f.anchor_state.p.copy()
-    f.predict(MEAS, 0.01)
+    f.predict([MEAS], 0.01)
     moved = f.anchor_state.p.copy()
     assert not np.allclose(moved, p_before)
     # updates must not touch the anchor

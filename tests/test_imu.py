@@ -1,9 +1,10 @@
-"""IMU model tests: mean propagation against analytic kinematics, the
-closed-form discretized covariance in its row-factored form against
-independent quadrature, the Van Loan block exponential and the same closed
-form on the square dynamics, the error Jacobians of the 15-state for the
-invariant and the EKF family, and the transition matrix against its known
-polynomial block structure."""
+"""IMU model tests: mean propagation against analytic kinematics and the
+interval chain against the per-step one, the closed-form discretized
+covariance in its row-factored form against independent quadrature, the Van
+Loan block exponential and the same closed form on the square dynamics, the
+error Jacobians of the 15-state for the invariant and the EKF family, the
+transition matrix against its known polynomial block structure, and the
+imitation draws."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ def random_state(rng):
         rng.normal(0.0, 1.0, 3),
         rng.normal(0.0, 0.01, 3),
         rng.normal(0.0, 0.05, 3))
+
+
+def one_step(P, F, G, U, Q, dt):
+    """The covariance step of a one-step interval with dynamics (F, G, U)."""
+    V, Qd = imu.compose_error_dynamics(F[None], G[None],
+                                       imu.noise_kernel(Q, dt), dt)
+    return imu.propagate_covariance(P, V, Qd, U)
 
 
 def test_propagate_mean_free_fall():
@@ -57,9 +65,11 @@ def test_propagate_mean_rejects_bad_dt():
     with pytest.raises(NonPositiveDt):
         imu.propagate_mean(st, meas, 0.0)
     with pytest.raises(NonPositiveDt):
-        imu.propagate_covariance(np.eye(15), np.zeros((15, 15)),
-                                 np.zeros((15, 12)), np.zeros((0, 0)),
-                                 np.eye(12), -0.1)
+        imu.propagate_interval(st, np.zeros((2, 3)), np.zeros((2, 3)), 0.0,
+                               imu.DEFAULT_GRAVITY)
+    with pytest.raises(NonPositiveDt):
+        imu.compose_error_dynamics(np.zeros((1, 15, 15)),
+                                   np.zeros((1, 15, 12)), np.eye(48), -0.1)
 
 
 def test_error_matrix_a_is_nilpotent():
@@ -82,7 +92,8 @@ def test_error_jacobians_zero_delta_bit_identical(variant_jacobians):
     st = random_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
     F0, G0, U0 = variant_jacobians("iekf", st, lms)
-    Fz, Gz, Uz = variant_jacobians("iekf", st, lms, xi_delta=np.zeros(9))
+    Fz, Gz, Uz = variant_jacobians("iekf", st, lms,
+                                   xi_delta=np.zeros((1, 3)))
     assert np.array_equal(F0, Fz)
     assert np.array_equal(G0, Gz)
     assert np.array_equal(U0, Uz)
@@ -130,7 +141,7 @@ def test_propagate_covariance_matches_quadrature(variant_jacobians, expand,
     dt = 0.05
     for tag in FAMILIES:
         F, G, U = variant_jacobians(tag, st, lms)
-        out = imu.propagate_covariance(P, F, G, U, Q, dt)
+        out = one_step(P, F, G, U, Q, dt)
         F, G = expand(F, G, U, 21)
         F = square(F, 21)
 
@@ -152,8 +163,7 @@ def test_propagate_covariance_pure_diffusion():
     G = rng.normal(0.0, 1.0, (15, 12))
     Q = np.diag(rng.uniform(0.1, 1.0, 12))
     P = np.eye(15)
-    out = imu.propagate_covariance(P, np.zeros((15, 15)), G,
-                                   np.zeros((0, 0)), Q, 0.3)
+    out = one_step(P, np.zeros((15, 15)), G, np.zeros((0, 0)), Q, 0.3)
     assert np.abs(out - (P + 0.3 * G @ Q @ G.T)).max() < 1e-12
 
 
@@ -215,7 +225,7 @@ def test_closed_form_matches_van_loan_on_nilpotent_f(expand, square, sizes, r,
     F_sq, G_sq = expand(F, G, U, d)
     Q = random_psd(rng, 3)
     P = random_psd(rng, d)
-    out = imu.propagate_covariance(P, F, G, U, Q, dt)
+    out = one_step(P, F, G, U, Q, dt)
     ref = van_loan(P, square(F_sq, d), G_sq, Q, dt)
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
@@ -241,7 +251,7 @@ def test_leading_columns_match_square_f(expand, square, dense_closed_form,
     Q = random_psd(rng, 3)
     P = random_psd(rng, d)
     ref = dense_closed_form(P, square(F_sq, d), G_sq, Q, dt)
-    out = imu.propagate_covariance(P, F, G, U, Q, dt)
+    out = one_step(P, F, G, U, Q, dt)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
 
@@ -249,13 +259,11 @@ def test_leading_columns_match_square_f(expand, square, dense_closed_form,
 def test_propagate_covariance_rejects_wide_f():
     with pytest.raises(ValueError):
         imu.propagate_covariance(np.eye(15), np.zeros((15, 16)),
-                                 np.zeros((15, 12)), np.zeros((0, 0)),
-                                 np.eye(12), 0.1)
-    # U must have one column per basis row of F
+                                 np.zeros((15, 15)), np.zeros((0, 0)))
+    # U must have one column per basis row of V
     with pytest.raises(ValueError):
         imu.propagate_covariance(np.eye(21), np.zeros((18, 15)),
-                                 np.zeros((18, 12)), np.zeros((6, 2)),
-                                 np.eye(12), 0.1)
+                                 np.zeros((18, 18)), np.zeros((6, 2)))
 
 
 def test_transition_matrix_polynomial_display(variant_jacobians, expand):
@@ -272,13 +280,48 @@ def test_transition_matrix_polynomial_display(variant_jacobians, expand):
 
 def test_imitating_error_sampling():
     rng = np.random.default_rng(6)
-    xi = imu.sample_imitating_error(0.5, rng)
-    assert xi.shape == (9,)
-    assert np.abs(xi[:3]).max() <= 0.5
-    assert np.abs(xi[3:]).max() == 0.0
-    assert np.array_equal(imu.sample_imitating_error(0.0, rng), np.zeros(9))
+    xi = imu.sample_imitating_error(0.5, rng, 4)
+    assert xi.shape == (4, 3)
+    assert np.abs(xi).max() <= 0.5
+    assert np.array_equal(imu.sample_imitating_error(0.0, rng, 2),
+                          np.zeros((2, 3)))
     with pytest.raises(NegativeRange):
-        imu.sample_imitating_error(-0.1, rng)
+        imu.sample_imitating_error(-0.1, rng, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_interval_draw_equals_per_step_draws(n):
+    # one uniform(-r, r, (n, 3)) draw gives the n per-step draws of three
+    # and leaves the generator where they leave it
+    one, steps = np.random.default_rng(21), np.random.default_rng(21)
+    xi = imu.sample_imitating_error(0.3, one, n)
+    want = np.array([steps.uniform(-0.3, 0.3, 3) for _ in range(n)])
+    assert np.array_equal(xi, want)
+    assert one.bit_generator.state == steps.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 20])
+def test_interval_chain_matches_per_step_chain(n):
+    # the stacked chain equals a loop of propagate_mean bit for bit: the
+    # states along the way, the end state and the rotated specific force
+    rng = np.random.default_rng(22 + n)
+    st = random_state(rng)
+    omega = rng.normal(0.0, 0.5, (n, 3))
+    accel = rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.8]
+    dt = 0.01
+    g = imu.DEFAULT_GRAVITY
+    end, R, p, v, Ra = imu.propagate_interval(st, omega, accel, dt, g)
+    chain = [st]
+    for w, a in zip(omega, accel):
+        chain.append(imu.propagate_mean(chain[-1], imu.ImuMeasurement(w, a),
+                                        dt, g))
+    for f, got in (("R", R), ("p", p), ("v", v)):
+        want = np.array([getattr(s_, f) for s_ in chain])
+        assert got.tobytes() == want.tobytes(), f
+    for f in ("R", "p", "v", "b_omega", "b_a"):
+        assert np.array_equal(getattr(end, f), getattr(chain[-1], f)), f
+    want_Ra = np.array([s_.R @ (a - s_.b_a) for s_, a in zip(chain, accel)])
+    assert Ra.tobytes() == want_Ra.tobytes()
 
 
 def test_noise_spec_q_matrix():
@@ -295,22 +338,24 @@ def test_noise_spec_q_matrix():
 def test_imitated_jacobian_premultiplies_noise_map(variant_jacobians,
                                                    expand):
     # the block-diagonal shortcut equals the full inverse left Jacobian on
-    # the landmark-augmented group, bit for bit
+    # the landmark-augmented group: bit for bit on the IMU rows, and to
+    # rounding on the landmark rows, which the r = 9 factors sum over the
+    # three components of each landmark
     rng = np.random.default_rng(7)
     st = random_state(rng)
     for m in (0, 3):
         c = 15 + 3 * m
         lms = rng.normal(0.0, 10.0, (m, 3))
-        xi_d = imu.sample_imitating_error(0.4, rng)
+        xi_d = imu.sample_imitating_error(0.4, rng, 1)
         _, G0 = expand(*variant_jacobians("ij_iekf", st, lms), c)
         F, G = expand(*variant_jacobians("ij_iekf", st, lms, xi_delta=xi_d),
                       c)
         B = np.vstack([G0[:9, :6], G0[15:, :6]])
         xi_ext = np.zeros(3 * (m + 3))
-        xi_ext[:9] = xi_d
+        xi_ext[:3] = xi_d[0]
         JiB = lie.sen_left_jacobian_inv(xi_ext) @ B
-        assert np.array_equal(np.vstack([G[:9, :6], G[15:, :6]]), JiB)
+        assert np.array_equal(G[:9, :6], JiB[:9])
         assert np.array_equal(F[:9, 9:15], -JiB[:9])
-        assert np.array_equal(F[15:, 9:15], -JiB[9:])
-    with pytest.raises(ValueError):
-        variant_jacobians("ij_iekf", st, xi_delta=np.full(9, 0.1))
+        assert (np.abs(G[15:, :6] - JiB[9:]).max(initial=0.0)
+                <= 1e-15 * np.abs(JiB).max())
+        assert np.array_equal(F[15:, 9:15], -G[15:, :6])

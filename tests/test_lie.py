@@ -315,3 +315,15 @@ def test_so3_exp_log_equal_their_numpy_forms(angle, seed):
                 lie.so3_log(M)
             continue
         assert np.array_equal(lie.so3_log(M), want)
+
+
+def test_so3_stacks_match_per_row():
+    # so3_exp_stack equals so3_exp row by row, and so3_left_jacobian_inv of
+    # a stack its per-row values, bit for bit, small-angle branches included
+    rng = np.random.default_rng(23)
+    w = rng.normal(0.0, 1.0, (40, 3)) * 10.0 ** rng.uniform(-9, 0, (40, 1))
+    E = lie.so3_exp_stack(w)
+    J = lie.so3_left_jacobian_inv(w)
+    for k in range(len(w)):
+        assert np.array_equal(E[k], lie.so3_exp(w[k]))
+        assert np.array_equal(J[k], lie.so3_left_jacobian_inv(w[k]))

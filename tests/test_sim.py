@@ -48,6 +48,26 @@ def test_camera_rate_must_divide_imu_rate(tmp_path):
         config.load_config(str(path))
 
 
+def test_duration_must_be_whole_camera_intervals(tmp_path):
+    # 2.1 s at 5 Hz would end half an interval after the last epoch: those
+    # readings would be predicted and never reported
+    with pytest.raises(ValueError, match="whole number of camera intervals"):
+        sim.Scenario(duration=2.1, imu_rate=50.0, cam_rate=5.0)
+    with pytest.raises(ValueError):
+        sim.Scenario(duration=0.0)
+    # 4.4 s at 5 Hz is 22 intervals up to rounding
+    sc = sim.Scenario(duration=4.4, imu_rate=100.0, cam_rate=5.0)
+    truth = sim.synthesize_truth(sc, np.random.default_rng(3))
+    times, _ = sim.run_sliding_window(sc, truth, updates=False)
+    # one epoch per interval, the last at the end of the stream
+    assert len(times) == 22 and times[-1] == truth.times[-1]
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario:\n  duration: 2.1\n  imu_rate: 50.0\n"
+                    "  cam_rate: 5.0\n")
+    with pytest.raises(ConfigError):
+        config.load_config(str(path))
+
+
 def test_noise_free_stream_dead_reckons_trajectory():
     # 200 Hz, 100 s: integrating the noise-free stream through the exact
     # one-step propagator stays within 5 cm of the analytic trajectory
