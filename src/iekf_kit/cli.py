@@ -200,9 +200,8 @@ def _check_dead_reckoning():
     sc = sim.Scenario(duration=100.0, imu_rate=200.0)
     truth = sim.synthesize_truth(sc, np.random.default_rng(0),
                                  with_noise=False)
-    st = truth.states[0].copy()
-    for m in truth.measurements:
-        st = imu.propagate_mean(st, m, 1.0 / sc.imu_rate, sc.noise.gravity)
+    st = imu.propagate_mean(truth.states[0], truth.omega, truth.accel,
+                            1.0 / sc.imu_rate, sc.noise.gravity)[0]
     err = float(np.linalg.norm(st.p - sc.trajectory.position(100.0)))
     return err < 0.05, f"position drift {err:.4f} m over 100 s"
 

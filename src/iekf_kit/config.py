@@ -32,6 +32,12 @@ class RunConfig:
     parallelism: int = 1
 
 
+def _is_int(x):
+    """An int that is not a bool: YAML's true and false are ints to
+    Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_variant(spec):
     """Parse a variant string like "iekf" or "ij_iekf:0.5"."""
     tag, sep, r = spec.partition(":")
@@ -114,15 +120,16 @@ def load_config(path):
         raise ConfigError(f"variants: duplicate labels in {labels}")
 
     runs = doc.get("runs", 50)
-    if not isinstance(runs, int) or runs < 1:
+    if not _is_int(runs) or runs < 1:
         raise ConfigError(f"runs: expected a positive integer, got {runs!r}")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(
+            f"seed: expected a non-negative integer, got {seed!r}")
     parallelism = doc.get("parallelism")
     if parallelism is None:
         parallelism = min(os.cpu_count() or 1, runs)
-    if not isinstance(parallelism, int) or parallelism < 1:
+    if not _is_int(parallelism) or parallelism < 1:
         raise ConfigError(
             f"parallelism: expected a positive integer, got {parallelism!r}")
     output_dir = str(doc.get("output_dir", "out"))

@@ -47,8 +47,10 @@ class FilterVariant:
                              f"{', '.join(ALL_TAGS)}")
         if self.tag != "ij_iekf" and self.r != 0.0:
             raise ValueError("r is only meaningful for ij_iekf")
-        if self.tag == "ij_iekf" and self.r < 0.0:
-            raise ValueError("r must be non-negative")
+        if self.tag == "ij_iekf" and not (np.isfinite(self.r)
+                                          and self.r >= 0.0):
+            raise ValueError(f"r must be finite and non-negative, "
+                             f"got {self.r!r}")
 
     @property
     def invariant(self):
@@ -200,17 +202,16 @@ class FilterInstance:
 
     # -- predict ------------------------------------------------------------
 
-    def predict(self, readings, dt):
-        """Propagate through one interval of IMU readings, ``dt`` apart: the
-        mean by ``imu.propagate_interval``, then the covariance once, with
-        the interval's error dynamics composed on the core rows."""
-        omega = np.array([m.omega for m in readings], dtype=float)
-        accel = np.array([m.accel for m in readings], dtype=float)
+    def predict(self, omega, accel, dt):
+        """Propagate through one interval of IMU readings ``dt`` apart, the
+        rows of ``omega`` and ``accel`` ((n, 3) each): the mean by
+        ``imu.propagate_mean``, then the covariance once, with the
+        interval's error dynamics composed on the core rows."""
         g = self.noise.gravity
-        self.state, R, p, v, Ra = imu_model.propagate_interval(
+        self.state, R, p, v, Ra = imu_model.propagate_mean(
             self.state, omega, accel, dt, g)
         if self.anchor_state is not None:
-            self.anchor_state = imu_model.propagate_interval(
+            self.anchor_state = imu_model.propagate_mean(
                 self.anchor_state, omega, accel, dt, g)[0]
         if self.variant.invariant:
             xi_delta = (imu_model.sample_imitating_error(

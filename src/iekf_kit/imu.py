@@ -4,6 +4,10 @@ Error-state ordering throughout: (xi_omega, xi_p, xi_v, b_omega_err, b_a_err),
 a 15-dimensional vector.  The pose part is the right-invariant log error of
 the SE_2(3) state with columns (p, v); the bias part is a plain vector
 difference.  Noise ordering: (n_omega, n_a, n_b_omega, n_b_a), 12-dimensional.
+
+IMU readings come as stacks: gyro rates and specific forces, (n, 3) each.
+``propagate_mean`` is the one mean propagator; it chains any number of
+steps, one camera interval for a filter or a whole stream for the truth.
 """
 
 from __future__ import annotations
@@ -38,15 +42,6 @@ class ImuState:
 
 
 @dataclass
-class ImuMeasurement:
-    """One gyro/accelerometer sample (body rates, specific force)."""
-
-    omega: np.ndarray
-    accel: np.ndarray
-    t: float = 0.0
-
-
-@dataclass
 class ImuNoiseSpec:
     """Continuous-time noise densities and the gravity constant.
 
@@ -73,32 +68,17 @@ class ImuNoiseSpec:
              self.sigma_gbw ** 2, self.sigma_abw ** 2], 3))
 
 
-def propagate_mean(state, meas, dt, gravity=None):
-    """One propagation step with bias-corrected inputs held constant.
+def propagate_mean(state, omega, accel, dt, gravity):
+    """Propagate the mean through n IMU readings ``dt`` apart, stacked as
+    the rows of ``omega`` and ``accel`` ((n, 3) each), with the
+    bias-corrected inputs held constant over each step.
 
-    R <- R Exp((w_m - b_w) dt); v and p by the constant-acceleration rule with
-    the world-frame acceleration R(a_m - b_a) + g evaluated at the step start.
-    Biases are unchanged.
-    """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt = {dt}")
-    g = DEFAULT_GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    w = np.asarray(meas.omega, dtype=float) - state.b_omega
-    a_body = np.asarray(meas.accel, dtype=float) - state.b_a
-    a_world = state.R @ a_body + g
-    R_new = state.R @ lie.so3_exp(w * dt)
-    v_new = state.v + a_world * dt
-    p_new = state.p + state.v * dt + 0.5 * a_world * dt * dt
-    return ImuState(R_new, p_new, v_new, state.b_omega.copy(), state.b_a.copy())
-
-
-def propagate_interval(state, omega, accel, dt, gravity):
-    """``propagate_mean`` chained over one interval of n readings, stacked
-    as the rows of ``omega`` and ``accel`` ((n, 3) each), bit for bit.
-
-    The increments Exp((w_k - b_w) dt) come from one ``lie.so3_exp_stack``
-    and the orientations from a loop of 3 x 3 products; the velocities and
-    positions are cumulative sums that add in the order of the loop.
+    Step k is R <- R Exp((w_k - b_w) dt), and v and p follow the
+    constant-acceleration rule with the world-frame acceleration
+    R (a_k - b_a) + g evaluated at the step start; the biases do not change.
+    The increments come from one ``lie.so3_exp_stack`` and the orientations
+    from a loop of 3 x 3 products; the velocities and positions are
+    cumulative sums that add in the order of the steps.
 
     Returns (end state, R, p, v, Ra): R (n + 1, 3, 3), p and v (n + 1, 3)
     are the chain from the start state to the end state, and Ra (n, 3) holds

@@ -7,9 +7,11 @@ kinematic quantity is available in closed form.
 
 Sensor models: gyro/accel with additive white noise and random-walk biases,
 and a down-looking camera observing point landmarks scattered below the
-trajectory.  IMU samples are taken at the interval midpoint so that exact
-dead reckoning of the noise-free stream stays within centimeters of the
-analytic trajectory over a hundred seconds.
+trajectory.  Each IMU reading is the discrete increment of the analytic
+trajectory over its step, so that exact dead reckoning of the noise-free
+stream stays within centimeters of the analytic trajectory over a hundred
+seconds.  The stream is two (n, 3) arrays, gyro rates and specific forces,
+from synthesis through the truth chain to each filter's ``predict``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import vision
 from .exceptions import EmptyReport
 from .filters import (FilterInstance, FilterVariant,
                       invariant_initial_covariance)
-from .imu import ImuMeasurement, ImuNoiseSpec, ImuState
+from .imu import ImuNoiseSpec, ImuState
 
 
 @dataclass
@@ -103,8 +105,16 @@ class Scenario:
     landmark_box: tuple = ((-60.0, 60.0), (-50.0, 50.0), (-80.0, -50.0))
 
     def __post_init__(self):
-        if not (self.imu_rate > 0 and self.cam_rate > 0):
-            raise ValueError("imu_rate and cam_rate must be positive")
+        for name in ("duration", "imu_rate", "cam_rate", "pixel_sigma",
+                     "max_range"):
+            x = getattr(self, name)
+            if not (np.isfinite(x) and x > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {x!r}")
+        n = self.n_landmarks
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(
+                f"n_landmarks must be a non-negative integer, got {n!r}")
         ratio = self.imu_rate / self.cam_rate
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(
@@ -149,12 +159,15 @@ class Scenario:
 
 @dataclass
 class TruthData:
-    """One realization of the true world: states at IMU epochs, the IMU
-    stream, and the landmark field."""
+    """One realization of the true world: the n + 1 IMU epochs ``times``,
+    the true states at them, the IMU stream as (n, 3) gyro and
+    accelerometer readings (reading k is taken over the step from epoch k),
+    and the landmark field."""
 
     times: np.ndarray
     states: list
-    measurements: list
+    omega: np.ndarray
+    accel: np.ndarray
     landmarks: np.ndarray
 
 
@@ -174,10 +187,12 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     grid, the increments are stacked products, all noise is one (n, 12)
     draw (row k: gyro, accel, gyro-bias and accel-bias noise of step k, drawn
     also when ``with_noise`` is False) and the bias random walks are
-    cumulative sums.  Only the per-step rotation log and the chain of true
-    states are loops.  Times, states, measurements, landmarks and the rng
-    state afterwards equal those of a per-step loop bit for bit (the test
-    suite keeps that loop as the oracle).
+    cumulative sums.  The true states are one ``imu.propagate_mean`` call
+    over the clean stream from the initial state with zero biases, and
+    carry the bias walks.  Only the per-step rotation log is a loop.  Times,
+    states, readings, landmarks and the rng state afterwards equal those of
+    a per-step loop bit for bit (the test suite keeps that loop as the
+    oracle).
     """
     sc = scenario
     dt = 1.0 / sc.imu_rate
@@ -202,21 +217,12 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     b_w, b_a = walks[:, :3], walks[:, 3:]
     meas_omega = omega + b_w[:-1] + sw * noise[:, 0:3]
     meas_accel = accel + b_a[:-1] + sa * noise[:, 3:6]
-    st = sc.trajectory.state(0.0)
-    states = [st]
-    meas = []
-    zero = np.zeros(3)
-    for k in range(n):
-        t0 = k * dt
-        meas.append(ImuMeasurement(meas_omega[k], meas_accel[k], t=t0))
-        clean_state = ImuState(st.R, st.p, st.v, zero, zero)
-        st = imu_model.propagate_mean(
-            clean_state, ImuMeasurement(omega[k], accel[k], t=t0), dt, g)
-        st.b_omega, st.b_a = b_w[k + 1], b_a[k + 1]
-        states.append(st)
+    chain = imu_model.propagate_mean(sc.trajectory.state(0.0), omega, accel,
+                                     dt, g)
+    states = [ImuState(*row) for row in zip(*chain[1:4], b_w, b_a)]
     if landmarks is None:
         landmarks = sc.make_landmarks(rng)
-    return TruthData(times, states, meas, landmarks)
+    return TruthData(times, states, meas_omega, meas_accel, landmarks)
 
 
 def camera_frame(scenario, state, landmarks, rng):
@@ -285,10 +291,9 @@ def _camera_epochs(scenario, truth, filt):
     prediction to it."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
-    meas = truth.measurements
-    for i in range(len(meas) // every):
+    for i in range(len(truth.omega) // every):
         k = (i + 1) * every
-        filt.predict(meas[k - every:k], dt)
+        filt.predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
         yield i, truth.times[k], truth.states[k]
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers, and the per-step covariance step that the interval
-predict replaced, kept as its oracle."""
+"""Shared test helpers, and the per-step mean and covariance steps that the
+interval predict replaced, kept as their oracles."""
 
 import numpy as np
 import pytest
@@ -125,14 +125,34 @@ def _full_row_error_jacobians(R, drift, n_landmarks, levers=None,
     return F, G
 
 
-def _predict_per_step(filt, readings, dt):
+def _propagate_step(state, omega, accel, dt, gravity):
+    """One mean step from one reading ((3,) each), with the bias-corrected
+    inputs held constant: ``imu.propagate_mean`` as it was before it took a
+    stack of readings.
+
+    R <- R Exp((w_m - b_w) dt); v and p by the constant-acceleration rule with
+    the world-frame acceleration R(a_m - b_a) + g evaluated at the step start.
+    Biases are unchanged.
+    """
+    w = omega - state.b_omega
+    a_body = accel - state.b_a
+    a_world = state.R @ a_body + gravity
+    R_new = state.R @ lie.so3_exp(w * dt)
+    v_new = state.v + a_world * dt
+    p_new = state.p + state.v * dt + 0.5 * a_world * dt * dt
+    return imu.ImuState(R_new, p_new, v_new, state.b_omega.copy(),
+                        state.b_a.copy())
+
+
+def _predict_per_step(filt, omega, accel, dt):
     """``FilterInstance.predict`` over an interval as it ran before: one
-    reading at a time, the imitation error drawn per step, the error model
-    with every landmark row stored, and the per-step covariance step."""
+    reading (a row of ``omega`` and ``accel``) at a time, the imitation
+    error drawn per step, the error model with every landmark row stored,
+    and the per-step mean and covariance steps."""
     Q = filt.noise.q_imu()
     g = filt.noise.gravity
     m = filt.n_landmarks
-    for meas in readings:
+    for w, a in zip(omega, accel):
         st = filt.state
         xi = (filt.rng.uniform(-filt.variant.r, filt.variant.r, 3)
               if filt.variant.tag == "ij_iekf" else None)
@@ -141,14 +161,14 @@ def _predict_per_step(filt, readings, dt):
                                 if m else np.zeros((0, 3))))
             F, G = _full_row_error_jacobians(st.R, g, m, levers, xi)
         else:
-            drift = -(st.R @ (meas.accel - st.b_a))
+            drift = -(st.R @ (a - st.b_a))
             F, G = _full_row_error_jacobians(st.R, drift, m, None, xi)
         # every landmark row is a basis row: U is the identity
         filt.P = _step_covariance(filt.P, F, G, np.eye(3 * m), Q, dt)
-        filt.state = imu.propagate_mean(st, meas, dt, g)
+        filt.state = _propagate_step(st, w, a, dt, g)
         if filt.anchor_state is not None:
-            filt.anchor_state = imu.propagate_mean(filt.anchor_state, meas,
-                                                   dt, g)
+            filt.anchor_state = _propagate_step(filt.anchor_state, w, a, dt,
+                                                g)
 
 
 @pytest.fixture(scope="session")
@@ -179,6 +199,11 @@ def step_covariance():
 @pytest.fixture(scope="session")
 def full_row_error_jacobians():
     return _full_row_error_jacobians
+
+
+@pytest.fixture(scope="session")
+def propagate_step():
+    return _propagate_step
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from iekf_kit import cli, config
+from iekf_kit.exceptions import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -71,6 +72,50 @@ def test_bad_variant_exits_2(tmp_path, capsys):
     assert run_cli(["simulate", cfg]) == 2
     # "ekf" alone would match inside "qekf"; the message lists the tags
     assert "choose from ekf, fej, iekf, ij_iekf" in capsys.readouterr().err
+
+
+def smoke_with(**overrides):
+    """SMOKE_YAML with top-level keys replaced and scenario keys updated."""
+    doc = yaml.safe_load(SMOKE_YAML)
+    doc["scenario"].update(overrides.pop("scenario", {}))
+    doc.update(overrides)
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(scenario=dict(duration=float("inf"))),
+                 id="duration-inf"),
+    pytest.param(dict(scenario=dict(imu_rate=float("inf"))),
+                 id="imu_rate-inf"),
+    pytest.param(dict(scenario=dict(n_landmarks=-1)), id="n_landmarks-neg"),
+    pytest.param(dict(scenario=dict(n_landmarks=2.5)),
+                 id="n_landmarks-float"),
+    pytest.param(dict(scenario=dict(pixel_sigma=0)), id="pixel_sigma-zero"),
+    pytest.param(dict(scenario=dict(max_range=float("nan"))),
+                 id="max_range-nan"),
+    pytest.param(dict(variants=["ij_iekf:nan"]), id="r-nan"),
+    pytest.param(dict(variants=["ij_iekf:inf"]), id="r-inf"),
+    pytest.param(dict(seed=-1), id="seed-neg"),
+])
+def test_out_of_range_number_exits_2(tmp_path, capsys, overrides):
+    # each of these used to end in a traceback mid-run, in a singular
+    # innovation (exit 3), or in a run of the wrong size; none writes output
+    cfg = write_config(tmp_path, smoke_with(**overrides))
+    out = tmp_path / "out"
+    assert run_cli(["simulate", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["runs", "seed", "parallelism"])
+def test_boolean_is_not_an_integer(tmp_path, key):
+    # YAML's true is the int 1 to Python: runs: true would run one run
+    cfg = write_config(tmp_path, smoke_with(**{key: True}))
+    with pytest.raises(ConfigError, match=key):
+        config.load_config(cfg)
+    assert run_cli(["simulate", cfg, "--output-dir",
+                    str(tmp_path / "out")]) == 2
 
 
 def test_malformed_yaml_exits_2(tmp_path):

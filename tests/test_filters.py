@@ -31,8 +31,9 @@ def make_filter(tag, rng, r=0.0, landmarks=None, P_scale=0.01):
                                   landmarks=landmarks)
 
 
-MEAS = imu.ImuMeasurement(np.array([0.1, -0.2, 0.05]),
-                          np.array([0.3, 0.1, 9.7]))
+# one IMU reading, as the one-row stacks that predict takes
+OMEGA = np.array([[0.1, -0.2, 0.05]])
+ACCEL = np.array([[0.3, 0.1, 9.7]])
 
 
 def test_variant_validation():
@@ -61,8 +62,8 @@ def test_ij_zero_range_bit_identical_to_iekf():
                                imu.ImuNoiseSpec(),
                                rng=np.random.default_rng(7))
     for k in range(20):
-        a.predict([MEAS], 0.01)
-        b.predict([MEAS], 0.01)
+        a.predict(OMEGA, ACCEL, 0.01)
+        b.predict(OMEGA, ACCEL, 0.01)
         if k % 5 == 0:
             H = np.zeros((3, 15))
             H[:, 3:6] = np.eye(3)
@@ -266,7 +267,7 @@ def test_right_invariant_error_unchanged_by_right_translation():
     assert np.abs(eta - eta_t).max() < 1e-10
 
 
-def finite_difference_F(filt_tag, st, lms, meas, dt=1e-5):
+def finite_difference_F(filt_tag, st, lms, omega, accel, dt=1e-5):
     """Numeric dc/dt for the correction vector c under the true nonlinear
     propagation, linearized at zero error via central differences."""
     m = len(lms)
@@ -284,8 +285,9 @@ def finite_difference_F(filt_tag, st, lms, meas, dt=1e-5):
                 np.eye(d) * 0.01, imu.ImuNoiseSpec(), landmarks=lms)
             truth.apply_correction(c)
             # both consume the same raw reading; each subtracts its own bias
-            tru_next = imu.propagate_mean(truth.state, meas, dt, g)
-            est_next = imu.propagate_mean(st, meas, dt, g)
+            tru_next = imu.propagate_mean(truth.state, omega, accel, dt,
+                                          g)[0]
+            est_next = imu.propagate_mean(st, omega, accel, dt, g)[0]
             rows.append(correction_between(filt_tag, est_next, tru_next,
                                            truth.landmarks, lms))
         # (c_next(+eps) - c_next(-eps)) / (2 eps) is a column of the one-step
@@ -320,8 +322,8 @@ def test_error_jacobian_matches_finite_difference(tag, variant_jacobians,
     rng = np.random.default_rng(11)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
-    F_fd = finite_difference_F(tag, st, lms, MEAS)
-    F, _ = expand(*variant_jacobians(tag, st, lms, MEAS.accel), 21)
+    F_fd = finite_difference_F(tag, st, lms, OMEGA, ACCEL)
+    F, _ = expand(*variant_jacobians(tag, st, lms, ACCEL[0]), 21)
     assert np.abs(F - F_fd[:, :15]).max() < 1e-3
     # landmarks are static: nothing depends on their errors
     assert np.abs(F_fd[:, 15:]).max() < 1e-3
@@ -353,7 +355,7 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
     for tag in filters.ALL_TAGS:
         xi_d = (imu.sample_imitating_error(0.4, rng, 1) if tag == "ij_iekf"
                 else None)
-        F, G, U = variant_jacobians(tag, st, lms, MEAS.accel, xi_d)
+        F, G, U = variant_jacobians(tag, st, lms, ACCEL[0], xi_d)
         r = (0 if not m or tag not in filters.INVARIANT_TAGS
              else 9 if tag == "ij_iekf" else 3)
         assert F.shape == (15 + r, 15) and G.shape == (15 + r, 12)
@@ -381,9 +383,12 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
 
 
 def interval_readings(rng, n):
-    return [imu.ImuMeasurement(rng.normal(0.0, 0.3, 3),
-                               rng.normal(0.0, 1.0, 3) + [0.0, 0.0, 9.8])
-            for _ in range(n)]
+    """n readings as (omega, accel), (n, 3) each, drawn one reading at a
+    time."""
+    x = np.array([np.concatenate((rng.normal(0.0, 0.3, 3),
+                                  rng.normal(0.0, 1.0, 3)))
+                  for _ in range(n)])
+    return x[:, :3], x[:, 3:] + [0.0, 0.0, 9.8]
 
 
 @pytest.mark.parametrize("with_delta", [False, True])
@@ -400,10 +405,8 @@ def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
     st.b_omega, st.b_a = rng.normal(0.0, 0.01, 3), rng.normal(0.0, 0.1, 3)
     lms = rng.normal(0.0, 10.0, (m, 3))
     n, dt, g = 10, 0.01, imu.DEFAULT_GRAVITY
-    readings = interval_readings(rng, n)
-    accel = np.array([r.accel for r in readings])
-    _, R, p, v, Ra = imu.propagate_interval(
-        st, np.array([r.omega for r in readings]), accel, dt, g)
+    omega, accel = interval_readings(rng, n)
+    _, R, p, v, Ra = imu.propagate_mean(st, omega, accel, dt, g)
     xi = imu.sample_imitating_error(0.4, rng, n) if with_delta else None
     if tag in filters.INVARIANT_TAGS:
         F, G, U = filters.error_jacobians(
@@ -434,7 +437,7 @@ def test_predict_propagates_clones_like_propagate_covariance(
         f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(0.0, R_c, p_c)
-        F, G, U = variant_jacobians(tag, f.state, f.landmarks, MEAS.accel)
+        F, G, U = variant_jacobians(tag, f.state, f.landmarks, ACCEL[0])
         Q = f.noise.q_imu()
         V, Qd = imu.compose_error_dynamics(F[None], G[None],
                                            imu.noise_kernel(Q, dt), dt)
@@ -443,7 +446,7 @@ def test_predict_propagates_clones_like_propagate_covariance(
         F_sq, G_sq = expand(F, G, U, 27)
         dense = dense_closed_form(f.P, square(F_sq, 27), G_sq, Q, dt)
         clone_block = f.P[21:, 21:].copy()
-        f.predict([MEAS], dt)
+        f.predict(OMEGA, ACCEL, dt)
         assert np.array_equal(f.P, expected)
         assert np.abs(f.P - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(f.P[21:, 21:], clone_block)
@@ -469,10 +472,10 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
         R_c, p_c = vision.camera_pose(
             f.state, vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
         f.clone_camera_pose(t, R_c, p_c)
-    readings = interval_readings(rng, n)
+    omega, accel = interval_readings(rng, n)
     ref = copy.deepcopy(f)
-    f.predict(readings, 0.01)
-    predict_per_step(ref, readings, 0.01)
+    f.predict(omega, accel, 0.01)
+    predict_per_step(ref, omega, accel, 0.01)
     assert np.abs(f.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
     assert np.array_equal(f.P, f.P.T)
     pairs = [(f.state, ref.state)]
@@ -489,7 +492,7 @@ def test_fej_keeps_dead_reckoned_anchor():
     f = make_filter("fej", rng)
     assert f.anchor_state is not None
     p_before = f.anchor_state.p.copy()
-    f.predict([MEAS], 0.01)
+    f.predict(OMEGA, ACCEL, 0.01)
     moved = f.anchor_state.p.copy()
     assert not np.allclose(moved, p_before)
     # updates must not touch the anchor

@@ -1,5 +1,5 @@
 """IMU model tests: mean propagation against analytic kinematics and the
-interval chain against the per-step one, the closed-form discretized
+interval chain against the per-step oracle, the closed-form discretized
 covariance in its row-factored form against independent quadrature, the Van
 Loan block exponential and the same closed form on the square dynamics, the
 error Jacobians of the 15-state for the invariant and the EKF family, the
@@ -36,9 +36,9 @@ def one_step(P, F, G, U, Q, dt):
 
 def test_propagate_mean_free_fall():
     st = imu.ImuState.identity()
-    meas = imu.ImuMeasurement(np.zeros(3), np.zeros(3))
-    out = imu.propagate_mean(st, meas, 2.0)
     g = imu.DEFAULT_GRAVITY
+    out = imu.propagate_mean(st, np.zeros((1, 3)), np.zeros((1, 3)), 2.0,
+                             g)[0]
     assert np.allclose(out.v, 2.0 * g)
     assert np.allclose(out.p, 2.0 * g)  # 0.5 * g * t^2 at t = 2
     assert np.allclose(out.R, np.eye(3))
@@ -47,26 +47,23 @@ def test_propagate_mean_free_fall():
 def test_propagate_mean_bias_correction():
     rng = np.random.default_rng(0)
     st = random_state(rng)
-    w = rng.normal(0.0, 0.3, 3)
-    a = rng.normal(0.0, 1.0, 3)
+    w = rng.normal(0.0, 0.3, (1, 3))
+    a = rng.normal(0.0, 1.0, (1, 3))
+    g = imu.DEFAULT_GRAVITY
     # feeding measurement = signal + bias must reproduce the unbiased step
     clean = imu.propagate_mean(
         imu.ImuState(st.R, st.p, st.v, np.zeros(3), np.zeros(3)),
-        imu.ImuMeasurement(w, a), 0.01)
-    biased = imu.propagate_mean(st, imu.ImuMeasurement(w + st.b_omega,
-                                                       a + st.b_a), 0.01)
+        w, a, 0.01, g)[0]
+    biased = imu.propagate_mean(st, w + st.b_omega, a + st.b_a, 0.01, g)[0]
     assert np.abs(clean.R - biased.R).max() < 1e-14
     assert np.abs(clean.p - biased.p).max() < 1e-14
 
 
 def test_propagate_mean_rejects_bad_dt():
     st = imu.ImuState.identity()
-    meas = imu.ImuMeasurement(np.zeros(3), np.zeros(3))
     with pytest.raises(NonPositiveDt):
-        imu.propagate_mean(st, meas, 0.0)
-    with pytest.raises(NonPositiveDt):
-        imu.propagate_interval(st, np.zeros((2, 3)), np.zeros((2, 3)), 0.0,
-                               imu.DEFAULT_GRAVITY)
+        imu.propagate_mean(st, np.zeros((2, 3)), np.zeros((2, 3)), 0.0,
+                           imu.DEFAULT_GRAVITY)
     with pytest.raises(NonPositiveDt):
         imu.compose_error_dynamics(np.zeros((1, 15, 15)),
                                    np.zeros((1, 15, 12)), np.eye(48), -0.1)
@@ -301,20 +298,19 @@ def test_interval_draw_equals_per_step_draws(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 20])
-def test_interval_chain_matches_per_step_chain(n):
-    # the stacked chain equals a loop of propagate_mean bit for bit: the
-    # states along the way, the end state and the rotated specific force
+def test_interval_chain_matches_per_step_chain(n, propagate_step):
+    # the stacked chain equals a loop of the per-step oracle bit for bit:
+    # the states along the way, the end state and the rotated specific force
     rng = np.random.default_rng(22 + n)
     st = random_state(rng)
     omega = rng.normal(0.0, 0.5, (n, 3))
     accel = rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.8]
     dt = 0.01
     g = imu.DEFAULT_GRAVITY
-    end, R, p, v, Ra = imu.propagate_interval(st, omega, accel, dt, g)
+    end, R, p, v, Ra = imu.propagate_mean(st, omega, accel, dt, g)
     chain = [st]
     for w, a in zip(omega, accel):
-        chain.append(imu.propagate_mean(chain[-1], imu.ImuMeasurement(w, a),
-                                        dt, g))
+        chain.append(propagate_step(chain[-1], w, a, dt, g))
     for f, got in (("R", R), ("p", p), ("v", v)):
         want = np.array([getattr(s_, f) for s_ in chain])
         assert got.tobytes() == want.tobytes(), f

@@ -74,10 +74,8 @@ def test_noise_free_stream_dead_reckons_trajectory():
     sc = sim.Scenario(duration=100.0, imu_rate=200.0)
     truth = sim.synthesize_truth(sc, np.random.default_rng(0),
                                  with_noise=False)
-    st = truth.states[0].copy()
-    dt = 1.0 / sc.imu_rate
-    for m in truth.measurements:
-        st = imu.propagate_mean(st, m, dt, sc.noise.gravity)
+    st = imu.propagate_mean(truth.states[0], truth.omega, truth.accel,
+                            1.0 / sc.imu_rate, sc.noise.gravity)[0]
     assert np.linalg.norm(st.p - sc.trajectory.position(100.0)) < 0.05
     # the stored truth chain is the same discrete propagation
     assert np.abs(st.p - truth.states[-1].p).max() < 1e-9
@@ -99,9 +97,11 @@ def attitude_loop(spec, t):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def synthesize_truth_loop(scenario, rng, with_noise=True, landmarks=None):
+def synthesize_truth_loop(scenario, rng, propagate_step, with_noise=True,
+                          landmarks=None):
     """The per-step loop that ``sim.synthesize_truth`` replaced, kept as its
-    oracle."""
+    oracle, with ``propagate_step`` the per-step mean oracle.  Returns the
+    truth with the readings as (n, 3) arrays."""
     sc = scenario
     dt = 1.0 / sc.imu_rate
     n = int(round(sc.duration * sc.imu_rate))
@@ -116,43 +116,42 @@ def synthesize_truth_loop(scenario, rng, with_noise=True, landmarks=None):
     st = imu.ImuState(attitude_loop(spec, 0.0), spec.position(0.0),
                       spec.velocity(0.0), np.zeros(3), np.zeros(3))
     states = [st]
-    meas = []
+    omega, accel = [], []
     times = np.arange(n + 1) * dt
     for k in range(n):
         t0, t1 = k * dt, (k + 1) * dt
         R_k = attitude_loop(spec, t0)
         dv = spec.velocity(t1) - spec.velocity(t0)
-        clean = imu.ImuMeasurement(
-            lie.so3_log(R_k.T @ attitude_loop(spec, t1)) / dt,
-            R_k.T @ (dv / dt - g),
-            t=t0)
-        meas.append(imu.ImuMeasurement(
-            clean.omega + b_w + sw * rng.standard_normal(3),
-            clean.accel + b_a + sa * rng.standard_normal(3),
-            t=clean.t))
+        clean_w = lie.so3_log(R_k.T @ attitude_loop(spec, t1)) / dt
+        clean_a = R_k.T @ (dv / dt - g)
+        omega.append(clean_w + b_w + sw * rng.standard_normal(3))
+        accel.append(clean_a + b_a + sa * rng.standard_normal(3))
         b_w = b_w + sbw * rng.standard_normal(3)
         b_a = b_a + sba * rng.standard_normal(3)
         prev = states[-1]
         clean_state = imu.ImuState(prev.R, prev.p, prev.v,
                                    np.zeros(3), np.zeros(3))
-        nxt = imu.propagate_mean(clean_state, clean, dt, g)
+        nxt = propagate_step(clean_state, clean_w, clean_a, dt, g)
         nxt.b_omega = b_w.copy()
         nxt.b_a = b_a.copy()
         states.append(nxt)
     if landmarks is None:
         landmarks = sc.make_landmarks(rng)
-    return sim.TruthData(times, states, meas, landmarks)
+    return sim.TruthData(times, states, np.array(omega).reshape(n, 3),
+                         np.array(accel).reshape(n, 3), landmarks)
 
 
 def stacked(records, field):
-    """The bytes of one field over a list of states or measurements."""
+    """The bytes of one field over a list of states."""
     return np.array([getattr(r, field) for r in records]).tobytes()
 
 
-def test_truth_matches_per_step_loop():
-    # the default 200 Hz scenario, the study shape and the window shape
+def test_truth_matches_per_step_loop(propagate_step):
+    # the default 200 Hz scenario, the study shape, criterion 7's shape and
+    # the window shape
     scenarios = [sim.Scenario(),
                  sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0),
+                 sim.Scenario(duration=120.0, imu_rate=50.0, cam_rate=25.0),
                  sim.Scenario(duration=4.4, imu_rate=100.0, cam_rate=5.0,
                               n_landmarks=200, max_range=90.0)]
     given = np.random.default_rng(17).uniform(-50.0, 50.0, (9, 3))
@@ -174,16 +173,16 @@ def test_truth_matches_per_step_loop():
         for kw in cases:
             rng_loop = np.random.default_rng(18)
             rng_array = np.random.default_rng(18)
-            want = synthesize_truth_loop(sc, rng_loop, **kw)
+            want = synthesize_truth_loop(sc, rng_loop, propagate_step, **kw)
             got = sim.synthesize_truth(sc, rng_array, **kw)
             assert got.times.tobytes() == want.times.tobytes()
             assert len(got.states) == len(want.states) == n + 1
             for f in ("R", "p", "v", "b_omega", "b_a"):
                 assert stacked(got.states, f) == stacked(want.states, f), f
-            assert len(got.measurements) == len(want.measurements) == n
-            for f in ("omega", "accel", "t"):
-                assert (stacked(got.measurements, f)
-                        == stacked(want.measurements, f)), f
+            for f in ("omega", "accel"):
+                got_f, want_f = getattr(got, f), getattr(want, f)
+                assert got_f.shape == want_f.shape == (n, 3), f
+                assert got_f.tobytes() == want_f.tobytes(), f
             assert got.landmarks.tobytes() == want.landmarks.tobytes()
             assert (rng_array.bit_generator.state
                     == rng_loop.bit_generator.state)
