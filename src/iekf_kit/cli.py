@@ -37,13 +37,10 @@ def _threads_override(default):
 
 def _load(args):
     from .config import load_config
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    if getattr(args, "runs", None) is not None:
-        cfg.runs = args.runs
+    given = {"seed": args.seed, "output_dir": args.output_dir,
+             "runs": getattr(args, "runs", None)}
+    cfg = load_config(args.config,
+                      {k: v for k, v in given.items() if v is not None})
     cfg.parallelism = _threads_override(cfg.parallelism)
     return cfg
 

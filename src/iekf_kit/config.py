@@ -69,8 +69,10 @@ _SCENARIO_KEYS = {"duration", "imu_rate", "cam_rate", "n_landmarks",
                   "pixel_sigma", "max_range"}
 
 
-def load_config(path):
-    """Read and fully validate a YAML config file.
+def load_config(path, overrides=None):
+    """Read and fully validate a YAML config file.  ``overrides`` maps
+    top-level keys to values that replace the file's (the command line's
+    ``--seed``, ``--runs`` and ``--output-dir``); they pass the same checks.
 
     Raises:
         ConfigError: unreadable file, malformed YAML, unknown keys, or
@@ -87,6 +89,7 @@ def load_config(path):
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    doc = {**doc, **(overrides or {})}
     unknown = sorted(set(doc) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {unknown}")

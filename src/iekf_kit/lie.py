@@ -115,30 +115,49 @@ def so3_exp_stack(w):
 
 
 def so3_log(R):
-    """Rotation vector of R.
+    """Rotation vector of R (3, 3), or of each matrix of an (n, 3, 3) stack
+    as (n, 3), equal to the per-matrix log bit for bit.
 
     Raises:
-        AngleNearPi: if the rotation angle is within NEAR_PI_MARGIN of pi,
+        AngleNearPi: if a rotation angle is within NEAR_PI_MARGIN of pi,
             where the logarithm is ill-conditioned.
     """
     R = np.asarray(R, dtype=float)
-    axis_times_2sin = so3_vee(R - R.T)
+    if R.ndim == 2:
+        axis_times_2sin = so3_vee(R - R.T)
+        # the norm and the trace add in the order np.linalg.norm and
+        # np.trace do
+        sin_theta = 0.5 * math.sqrt(axis_times_2sin.dot(axis_times_2sin))
+        trace = R[0, 0] + R[1, 1] + R[2, 2]
+        return _log_factor(sin_theta, (trace - 1.0) / 2.0) * axis_times_2sin
+    A = R - R.swapaxes(1, 2)
+    axis_times_2sin = np.column_stack([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]])
+    trace = R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2]
+    # math.atan2 per row, as the single-matrix log takes it: numpy's
+    # arctan2 differs from it in the last bit on some inputs
+    factor = [_log_factor(0.5 * s, c) for s, c in
+              zip(_row_norms(axis_times_2sin), ((trace - 1.0) / 2.0).tolist())]
+    return np.array(factor).reshape(-1, 1) * axis_times_2sin
+
+
+def _log_factor(sin_theta, cos_theta):
+    """theta / (2 sin theta) of the rotation angle theta, from its sine and
+    cosine.
+
+    Raises:
+        AngleNearPi: theta is within NEAR_PI_MARGIN of pi.
+    """
     # atan2 rather than arccos of the trace: near pi, arccos amplifies the
     # rounding of the trace into an angle error of order eps / (pi - theta)
-    # the norm and the trace add in the order np.linalg.norm and np.trace do
-    sin_theta = 0.5 * math.sqrt(axis_times_2sin.dot(axis_times_2sin))
-    trace = R[0, 0] + R[1, 1] + R[2, 2]
-    theta = math.atan2(sin_theta, (trace - 1.0) / 2.0)
+    theta = math.atan2(sin_theta, cos_theta)
     if theta >= np.pi - NEAR_PI_MARGIN:
         raise AngleNearPi(f"rotation angle {theta:.12f} too close to pi")
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         # theta / (2 sin theta) expanded around 0.
-        factor = 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-                        + 31.0 * t2 * t2 * t2 / 15120.0)
-    else:
-        factor = theta / (2.0 * sin_theta)
-    return factor * axis_times_2sin
+        return 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+                      + 31.0 * t2 * t2 * t2 / 15120.0)
+    return theta / (2.0 * sin_theta)
 
 
 def so3_left_jacobian(w):

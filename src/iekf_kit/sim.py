@@ -187,12 +187,12 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     grid, the increments are stacked products, all noise is one (n, 12)
     draw (row k: gyro, accel, gyro-bias and accel-bias noise of step k, drawn
     also when ``with_noise`` is False) and the bias random walks are
-    cumulative sums.  The true states are one ``imu.propagate_mean`` call
-    over the clean stream from the initial state with zero biases, and
-    carry the bias walks.  Only the per-step rotation log is a loop.  Times,
-    states, readings, landmarks and the rng state afterwards equal those of
-    a per-step loop bit for bit (the test suite keeps that loop as the
-    oracle).
+    cumulative sums.  The rotation logs are one stacked ``lie.so3_log``
+    call.  The true states are one ``imu.propagate_mean`` call over the
+    clean stream from the initial state with zero biases, and carry the bias
+    walks.  Times, states, readings, landmarks and the rng state afterwards
+    equal those of a per-step loop bit for bit (the test suite keeps that
+    loop as the oracle).
     """
     sc = scenario
     dt = 1.0 / sc.imu_rate
@@ -206,8 +206,7 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     R = sc.trajectory.attitude(times)
     v = sc.trajectory.velocity(times).T
     R_kT = R[:-1].swapaxes(1, 2)
-    logs = [lie.so3_log(dR) for dR in R_kT @ R[1:]]
-    omega = np.array(logs).reshape(n, 3) / dt
+    omega = lie.so3_log(R_kT @ R[1:]) / dt
     accel = (R_kT @ ((v[1:] - v[:-1]) / dt - g)[:, :, None])[:, :, 0]
     noise = rng.standard_normal((n, 12))
     # the walks start at zero and add one step per row, as a loop would

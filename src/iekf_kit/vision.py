@@ -17,19 +17,22 @@ raising.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lie
-from .exceptions import (BehindCamera, DegenerateGeometry, Diverged,
-                         ZeroRange)
+from .exceptions import BehindCamera, DegenerateGeometry, ZeroRange
 
 DEPTH_EPS = 1e-9
 RANGE_EPS = 1e-12
 RANK_RTOL = 1e-10
 TRIANGULATE_MAX_ITERS = 20
 TRIANGULATE_STEP_TOL = 1e-8
+# why SlidingWindowUpdater.dropped says an ended track went unused
+DROP_REASONS = ("too_short", "degenerate", "diverged", "outside_domain",
+                "max_features")
 
 
 @dataclass
@@ -143,8 +146,9 @@ def camera_pose(state, ext):
 
 def world_to_camera(R_c, p_c, f_world):
     """Camera-frame coordinates R_c^T (f - p_c) as rows: of a world point
-    (3,) or points (n, 3) seen from one pose, or of one point seen from
-    poses stacked as R_c (n, 3, 3) and p_c (n, 3)."""
+    (3,) or points (n, 3) seen from one pose, of one point seen from poses
+    stacked as R_c (n, 3, 3) and p_c (n, 3), or of g such points (g, 1, 3)
+    each seen from its own stack of poses (g, n, 3, 3) and (g, n, 3)."""
     d = np.asarray(f_world, dtype=float) - p_c
     return (d[..., None, :] @ R_c)[..., 0, :]
 
@@ -203,100 +207,153 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
 
 
 # --- clone-based (sliding window) updates ----------------------------------
+#
+# The clone path works on groups of g tracks of one length L: clone indices
+# (g, L), pixels (g, L, 2), poses (g, L, 3, 3) and (g, L, 3).  Every stacked
+# product, solve and factorization runs one item per track with the shapes
+# and strides of a single track's call, so each track's numbers do not depend
+# on the group it is in.  A track that fails is a flag in a mask, and its
+# output rows are NaN.
 
 def clone_feature_jacobians(filt, model, clone_indices, f_world):
-    """Stacked prediction (2n,), H_x (2n, dim) and H_f (2n, 3) of one
-    track: the observations of a triangulated feature at f_world from the
-    clones ``clone_indices`` (n,), rows 2i and 2i + 1 for the i-th clone.
+    """Stacked predictions (g, 2L), H_x (g, 2L, dim) and H_f (g, 2L, 3) of
+    g tracks: the observations of the triangulated features f_world (g, 3)
+    from the clones ``clone_indices`` (g, L), rows 2i and 2i + 1 of a track
+    for its i-th clone, and the mask ``outside`` (g,) of the tracks whose
+    feature is outside a clone's projection domain (see
+    CameraModel.outside_domain).
 
     H_x is zero outside the 6 columns of each row pair's clone; H_f is the
     feature block to be removed by nullspace projection.
-
-    Raises:
-        ZeroRange, BehindCamera: the feature is outside a clone's projection
-            domain (see CameraModel.outside_domain).
     """
-    clone_indices = np.asarray(clone_indices, dtype=int).reshape(-1)
+    clone_indices = np.asarray(clone_indices, dtype=int)
     f_world = np.asarray(f_world, dtype=float)
-    n = len(clone_indices)
-    R = np.array([filt.clones[i].R for i in clone_indices])
-    p = np.array([filt.clones[i].p for i in clone_indices])
-    x_cam = world_to_camera(R, p, f_world)
+    g, L = clone_indices.shape
+    R = np.array([cl.R for cl in filt.clones])[clone_indices]
+    p = np.array([cl.p for cl in filt.clones])[clone_indices]
+    x_cam = world_to_camera(R, p, f_world[:, None, :]).reshape(-1, 3)
     zero_range, behind = model.outside_domain(x_cam)
-    if np.any(zero_range):
-        raise ZeroRange("feature at a clone's camera center")
-    if np.any(behind):
-        raise BehindCamera(f"depth {x_cam[:, 2].min():.3e}")
+    outside = (zero_range | behind).reshape(g, L).any(axis=1)
+    outside_rows = np.repeat(outside, L)
+    # NaN points project to NaN rows, without a division warning
+    x_cam[outside_rows] = np.nan
     pred, J_pi = model.project_batch(x_cam)
-    JS = J_pi @ R.transpose(0, 2, 1)
+    JS = J_pi.reshape(g, L, 2, 3) @ R.swapaxes(-1, -2)
     if filt.variant.invariant:
-        rot = JS @ lie.so3_hat(f_world)
+        rot = JS @ lie.so3_hat_stack(f_world)[:, None]
     else:
         # J_pi S u^ is the row-wise cross product with the lever arm u
-        rot = _cross_rows(JS, (f_world - p)[:, None, :])
-    block = np.concatenate([rot, -JS], axis=2)
-    H_x = np.zeros((n, 2, filt.dim))
-    cols = filt.clone_index(clone_indices)[:, None, None] + np.arange(6)
-    H_x[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = block
-    return pred.reshape(-1), H_x.reshape(2 * n, filt.dim), JS.reshape(-1, 3)
+        rot = _cross_rows(JS, (f_world[:, None, :] - p)[:, :, None, :])
+    block = np.concatenate([rot, -JS], axis=3).reshape(g * L, 2, 6)
+    H_x = np.zeros((g * L, 2, filt.dim))
+    cols = filt.clone_index(clone_indices.reshape(-1))[:, None, None] + \
+        np.arange(6)
+    H_x[np.arange(g * L)[:, None, None], np.arange(2)[:, None], cols] = block
+    H_x[outside_rows] = np.nan
+    return (pred.reshape(g, 2 * L), H_x.reshape(g, 2 * L, filt.dim),
+            JS.reshape(g, 2 * L, 3), outside)
 
 
 def nullspace_project(residual, H_x, H_f):
-    """Remove the feature-error columns by projecting onto the left nullspace
-    of H_f (2k x 3).
+    """Remove the feature-error columns of g tracks by projecting each onto
+    the left nullspace of its H_f (g, m, 3): returns the projected residuals
+    (g, m - 3), rows (g, m - 3, dim) and the mask ``degenerate`` (g,) of the
+    tracks whose H_f is rank deficient (no 3D constraint).
 
     Raises:
-        DegenerateGeometry: if H_f is rank deficient (no 3D constraint).
+        DegenerateGeometry: fewer than four rows (m < 4).
     """
     H_f = np.asarray(H_f, dtype=float)
-    if H_f.shape[0] < 4:
+    if H_f.shape[1] < 4:
         raise DegenerateGeometry("need at least two observations")
     Q, Rf = np.linalg.qr(H_f, mode="complete")
-    if np.abs(np.diag(Rf)[:3]).min() <= RANK_RTOL * np.abs(Rf).max():
-        raise DegenerateGeometry("feature Jacobian is rank deficient")
-    Q2 = Q[:, 3:]
-    return Q2.T @ residual, Q2.T @ H_x
+    diag = np.abs(np.diagonal(Rf, axis1=1, axis2=2))
+    degenerate = diag.min(axis=1) <= RANK_RTOL * np.abs(Rf).max(axis=(1, 2))
+    Q2t = Q[:, :, 3:].swapaxes(1, 2)
+    r0 = (Q2t @ np.asarray(residual, dtype=float)[:, :, None])[:, :, 0]
+    H0 = Q2t @ H_x
+    r0[degenerate] = np.nan
+    H0[degenerate] = np.nan
+    return r0, H0, degenerate
 
 
-def triangulate(model, poses, pixels):
-    """Triangulate a world point from one pixel track over known camera
-    poses [(R_c, p_c), ...].
+def triangulate(model, R, p, pixels):
+    """Triangulate the world points (g, 3) of g pixel tracks (g, L, 2) seen
+    from the camera poses R (g, L, 3, 3), p (g, L, 3).
 
     Linear (midpoint/DLT) initialization followed by Gauss-Newton on the
-    reprojection error; each step works on the whole track as arrays.
+    reprojection error, each step on all of the tracks still iterating: a
+    track stops once its step is below TRIANGULATE_STEP_TOL, so it runs
+    the iterations it would run alone.  Returns (f, degenerate, diverged),
+    f NaN on the rows of the failed tracks, with the masks (g,):
 
-    Raises:
-        DegenerateGeometry: parallel/degenerate rays (no linear solution).
-        Diverged: the refined point moved behind a camera, or Gauss-Newton
-            did not reach the step tolerance.
+    * ``degenerate``: parallel/degenerate rays (no linear solution), or a
+      singular Gauss-Newton normal matrix;
+    * ``diverged``: the refined point moved behind a camera, or Gauss-Newton
+      did not reach the step tolerance in TRIANGULATE_MAX_ITERS steps.
     """
-    R = np.array([R_c for R_c, _ in poses], dtype=float)
-    p = np.array([p_c for _, p_c in poses], dtype=float)
-    uv = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    rays = np.linalg.solve(model.K, np.vstack([uv.T, np.ones(len(uv))])).T
-    rays = R @ (rays / np.linalg.norm(rays, axis=1)[:, None])[:, :, None]
-    P = np.eye(3) - rays * rays.transpose(0, 2, 1)
-    A = P.reshape(-1, 3)
-    b = (P @ p[:, :, None]).reshape(-1)
+    R = np.asarray(R, dtype=float)
+    p = np.asarray(p, dtype=float)
+    uv = np.asarray(pixels, dtype=float)
+    g, L = uv.shape[:2]
+    # one solve against K per track, on its (3, L) homogeneous pixels
+    hom = np.concatenate([uv, np.ones((g, L, 1))], axis=2)
+    rays = np.linalg.solve(model.K, hom.swapaxes(1, 2)).swapaxes(1, 2)
+    rays = R @ (rays / np.linalg.norm(rays, axis=2)[:, :, None])[..., None]
+    P = np.eye(3) - rays * rays.swapaxes(-1, -2)
+    A = P.reshape(g, -1, 3)
+    b = (P @ p[..., None]).reshape(g, -1)
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv[2] <= RANK_RTOL * sv[0]:
-        raise DegenerateGeometry("rays do not intersect transversally")
-    f, *_ = np.linalg.lstsq(A, b, rcond=None)
-    Rt = R.transpose(0, 2, 1)
+    degenerate = sv[:, 2] <= RANK_RTOL * sv[:, 0]
+    diverged = np.zeros(g, dtype=bool)
+    f = np.full((g, 3), np.nan)
+    active = np.flatnonzero(~degenerate)
+    for k in active:
+        # lstsq takes no stack
+        f[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+    Rt = R.swapaxes(-1, -2)
     for _ in range(TRIANGULATE_MAX_ITERS):
-        x_cam = world_to_camera(R, p, f)
-        if np.any(x_cam[:, 2] <= DEPTH_EPS):
-            raise Diverged("refined point moved behind a camera")
-        pred, J_pi = model.project_batch(x_cam)
-        J = (J_pi @ Rt).reshape(-1, 3)
+        x_cam = world_to_camera(R[active], p[active], f[active][:, None, :])
+        behind = (x_cam[:, :, 2] <= DEPTH_EPS).any(axis=1)
+        if behind.any():
+            diverged[active[behind]] = True
+            active, x_cam = active[~behind], x_cam[~behind]
+        n = len(active)
+        if not n:
+            break
+        pred, J_pi = model.project_batch(x_cam.reshape(-1, 3))
+        J = (J_pi.reshape(n, L, 2, 3) @ Rt[active]).reshape(n, 2 * L, 3)
+        Jt = J.swapaxes(1, 2)
+        res = (uv[active] - pred.reshape(n, L, 2)).reshape(n, 2 * L, 1)
+        step, singular = _solve_each(Jt @ J, Jt @ res)
+        if singular.any():
+            degenerate[active[singular]] = True
+            active, step = active[~singular], step[~singular]
+        f[active] += step
+        done = np.sqrt(step[:, None, :] @ step[:, :, None]).ravel() \
+            < TRIANGULATE_STEP_TOL
+        active = active[~done]
+    diverged[active] = True
+    f[degenerate | diverged] = np.nan
+    return f, degenerate, diverged
+
+
+def _solve_each(A, b):
+    """Solutions (n, 3) of the systems A (n, 3, 3) x = b (n, 3, 1) and the
+    mask (n,) of the singular ones.  A stacked solve fails as a whole when
+    one member is singular; then each system is solved on its own."""
+    try:
+        return np.linalg.solve(A, b)[:, :, 0], np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full(b.shape[:2], np.nan)
+    singular = np.zeros(len(A), dtype=bool)
+    for k in range(len(A)):
         try:
-            step = np.linalg.solve(J.T @ J, J.T @ (uv - pred).reshape(-1))
-        except np.linalg.LinAlgError as e:
-            raise DegenerateGeometry(str(e)) from e
-        f = f + step
-        if np.linalg.norm(step) < TRIANGULATE_STEP_TOL:
-            return f
-    raise Diverged(f"no convergence in {TRIANGULATE_MAX_ITERS} iterations")
+            x[k] = np.linalg.solve(A[k], b[k])[:, 0]
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return x, singular
 
 
 def compress_measurement(residual, H):
@@ -322,6 +379,12 @@ class SlidingWindowUpdater:
     when a track ends (feature lost or the window slides past its first
     observation) the feature is triangulated, its stacked measurement is
     projected off the feature error, and the filter is updated.
+
+    ``dropped`` counts the ended tracks that no update used, by reason:
+    ``too_short`` (fewer than three observations in the window),
+    ``degenerate``, ``diverged``, ``outside_domain`` (the triangulated
+    feature is outside a clone's projection domain) and ``max_features``
+    (ended after the flush had its ``max_features`` tracks).
     """
 
     def __init__(self, model, ext, max_clones=11, max_features=40,
@@ -332,6 +395,7 @@ class SlidingWindowUpdater:
         self.max_features = max_features
         self.sigma_px = sigma_px
         self.tracks = {}          # feature id -> list of (clone seq, pixel)
+        self.dropped = Counter(dict.fromkeys(DROP_REASONS, 0))
         self._seq = 0             # monotone id of the next clone
         self._window = []         # clone seqs aligned with filt.clones
 
@@ -359,39 +423,73 @@ class SlidingWindowUpdater:
         return n_updated
 
     def _flush(self, filt, feature_ids):
-        rows_r, rows_H = [], []
-        used = 0
-        for fid in feature_ids:
-            track = self.tracks.pop(fid)
-            if used >= self.max_features:
-                continue
-            track = [(s, uv) for s, uv in track if s in self._window]
-            if len(track) < 3:
-                continue
-            idx = [self._window.index(s) for s, _ in track]
-            poses = [(filt.clones[i].R, filt.clones[i].p) for i in idx]
-            pixels = np.array([uv for _, uv in track])
-            try:
-                f = triangulate(self.model, poses, pixels)
-            except (DegenerateGeometry, Diverged):
-                continue
-            try:
-                pred, H_x, H_f = clone_feature_jacobians(
-                    filt, self.model, idx, f)
-                r0, H0 = nullspace_project(pixels.reshape(-1) - pred, H_x,
-                                           H_f)
-            except (DegenerateGeometry, BehindCamera, ZeroRange):
-                continue
-            rows_r.append(r0)
-            rows_H.append(H0)
-            used += 1
-        if not rows_r:
+        """Update on the ended tracks ``feature_ids``: the first
+        ``max_features`` of them, in order, that are long enough and whose
+        feature triangulates and projects, with their rows in that order.
+
+        The tracks go in rounds: each takes as many of the next tracks as
+        there are free places, so that no more are triangulated than an
+        update can use, and runs them in groups of equal length."""
+        where = {s: i for i, s in enumerate(self._window)}
+        tracks = [[(where[s], uv) for s, uv in self.tracks.pop(fid)
+                   if s in where] for fid in feature_ids]
+        long_enough = [k for k, tr in enumerate(tracks) if len(tr) >= 3]
+        rows = {}                 # position in feature_ids -> (r0, H0)
+        taken = 0
+        while len(rows) < self.max_features and taken < len(long_enough):
+            batch = long_enough[taken:taken + self.max_features - len(rows)]
+            taken += len(batch)
+            rows.update(self._project_tracks(filt, tracks, batch))
+        # the round that filled the update ends at its last track
+        end = len(tracks)
+        if len(rows) >= self.max_features:
+            end = long_enough[taken - 1] + 1 if taken else 0
+        self.dropped["max_features"] += len(tracks) - end
+        self.dropped["too_short"] += end - taken
+        if not rows:
             return 0
-        residual, H = compress_measurement(np.concatenate(rows_r),
-                                           np.vstack(rows_H))
+        order = sorted(rows)
+        residual, H = compress_measurement(
+            np.concatenate([rows[k][0] for k in order]),
+            np.vstack([rows[k][1] for k in order]))
         N = np.eye(len(residual)) * self.sigma_px ** 2
         filt.update_raw(residual, H, N)
-        return used
+        return len(order)
+
+    def _project_tracks(self, filt, tracks, positions):
+        """{position: (r0, H0)} of the tracks at ``positions`` that pass,
+        one group per track length; the others are counted in ``dropped``."""
+        groups = {}
+        for k in positions:
+            groups.setdefault(len(tracks[k]), []).append(k)
+        R_all = np.array([cl.R for cl in filt.clones])
+        p_all = np.array([cl.p for cl in filt.clones])
+        out = {}
+        for keys in groups.values():
+            keys = np.array(keys)
+            idx = np.array([[i for i, _ in tracks[k]] for k in keys])
+            uv = np.array([[z for _, z in tracks[k]] for k in keys])
+            f, degenerate, diverged = triangulate(
+                self.model, R_all[idx], p_all[idx], uv)
+            self.dropped["degenerate"] += int(degenerate.sum())
+            self.dropped["diverged"] += int(diverged.sum())
+            ok = ~(degenerate | diverged)
+            if not ok.any():
+                continue
+            keys, idx, uv = keys[ok], idx[ok], uv[ok]
+            pred, H_x, H_f, outside = clone_feature_jacobians(
+                filt, self.model, idx, f[ok])
+            self.dropped["outside_domain"] += int(outside.sum())
+            ok = ~outside
+            if not ok.any():
+                continue
+            r0, H0, degenerate = nullspace_project(
+                uv[ok].reshape(ok.sum(), -1) - pred[ok], H_x[ok], H_f[ok])
+            self.dropped["degenerate"] += int(degenerate.sum())
+            for k, r, H in zip(keys[ok][~degenerate], r0[~degenerate],
+                               H0[~degenerate]):
+                out[k] = (r, H)
+        return out
 
     def _drop_clone(self, filt, i):
         filt.marginalize_clone(i)

@@ -1,10 +1,12 @@
-"""Shared test helpers, and the per-step mean and covariance steps that the
-interval predict replaced, kept as their oracles."""
+"""Shared test helpers; the per-step mean and covariance steps that the
+interval predict replaced, and the per-track triangulation and window flush
+that the batched flush replaced, kept as their oracles."""
 
 import numpy as np
 import pytest
 
-from iekf_kit import filters, imu, lie
+from iekf_kit import filters, imu, lie, vision
+from iekf_kit.exceptions import DegenerateGeometry, Diverged
 
 ACCEL = np.array([0.3, 0.1, 9.7])
 
@@ -169,6 +171,105 @@ def _predict_per_step(filt, omega, accel, dt):
         if filt.anchor_state is not None:
             filt.anchor_state = _propagate_step(filt.anchor_state, w, a, dt,
                                                 g)
+
+
+def _triangulate_track(model, poses, pixels):
+    """``vision.triangulate`` of one track, as it was before it took a
+    stack of tracks: the world point from the pixels (n, 2) seen from the
+    camera poses [(R_c, p_c), ...].
+
+    Raises:
+        DegenerateGeometry: parallel/degenerate rays, or a singular normal
+            matrix.
+        Diverged: the refined point moved behind a camera, or Gauss-Newton
+            did not reach the step tolerance.
+    """
+    R = np.array([R_c for R_c, _ in poses], dtype=float)
+    p = np.array([p_c for _, p_c in poses], dtype=float)
+    uv = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    rays = np.linalg.solve(model.K, np.vstack([uv.T, np.ones(len(uv))])).T
+    rays = R @ (rays / np.linalg.norm(rays, axis=1)[:, None])[:, :, None]
+    P = np.eye(3) - rays * rays.transpose(0, 2, 1)
+    A = P.reshape(-1, 3)
+    b = (P @ p[:, :, None]).reshape(-1)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[2] <= vision.RANK_RTOL * sv[0]:
+        raise DegenerateGeometry("rays do not intersect transversally")
+    f, *_ = np.linalg.lstsq(A, b, rcond=None)
+    Rt = R.transpose(0, 2, 1)
+    for _ in range(vision.TRIANGULATE_MAX_ITERS):
+        x_cam = vision.world_to_camera(R, p, f)
+        if np.any(x_cam[:, 2] <= vision.DEPTH_EPS):
+            raise Diverged("refined point moved behind a camera")
+        pred, J_pi = model.project_batch(x_cam)
+        J = (J_pi @ Rt).reshape(-1, 3)
+        try:
+            step = np.linalg.solve(J.T @ J, J.T @ (uv - pred).reshape(-1))
+        except np.linalg.LinAlgError as e:
+            raise DegenerateGeometry(str(e)) from e
+        f = f + step
+        if np.linalg.norm(step) < vision.TRIANGULATE_STEP_TOL:
+            return f
+    raise Diverged("no convergence")
+
+
+def _flush_per_track(upd, filt, feature_ids):
+    """``SlidingWindowUpdater._flush`` as it ran before the tracks were
+    batched: one track at a time, in order, until ``max_features`` are used,
+    each triangulated by ``_triangulate_track`` and passed to the clone
+    Jacobians and the nullspace projection as a group of one; the drops are
+    counted in ``upd.dropped``."""
+    rows_r, rows_H = [], []
+    used = 0
+    for fid in feature_ids:
+        track = upd.tracks.pop(fid)
+        if used >= upd.max_features:
+            upd.dropped["max_features"] += 1
+            continue
+        track = [(s, uv) for s, uv in track if s in upd._window]
+        if len(track) < 3:
+            upd.dropped["too_short"] += 1
+            continue
+        idx = [upd._window.index(s) for s, _ in track]
+        poses = [(filt.clones[i].R, filt.clones[i].p) for i in idx]
+        pixels = np.array([uv for _, uv in track])
+        try:
+            f = _triangulate_track(upd.model, poses, pixels)
+        except DegenerateGeometry:
+            upd.dropped["degenerate"] += 1
+            continue
+        except Diverged:
+            upd.dropped["diverged"] += 1
+            continue
+        pred, H_x, H_f, outside = vision.clone_feature_jacobians(
+            filt, upd.model, [idx], f[None])
+        if outside[0]:
+            upd.dropped["outside_domain"] += 1
+            continue
+        r0, H0, degenerate = vision.nullspace_project(
+            pixels.reshape(1, -1) - pred, H_x, H_f)
+        if degenerate[0]:
+            upd.dropped["degenerate"] += 1
+            continue
+        rows_r.append(r0[0])
+        rows_H.append(H0[0])
+        used += 1
+    if not rows_r:
+        return 0
+    residual, H = vision.compress_measurement(np.concatenate(rows_r),
+                                              np.vstack(rows_H))
+    filt.update_raw(residual, H, np.eye(len(residual)) * upd.sigma_px ** 2)
+    return used
+
+
+@pytest.fixture(scope="session")
+def triangulate_track():
+    return _triangulate_track
+
+
+@pytest.fixture(scope="session")
+def flush_per_track():
+    return _flush_per_track
 
 
 @pytest.fixture(scope="session")

@@ -226,9 +226,10 @@ def test_criterion_09_sliding_window(verdict):
         uv = np.concatenate([
             model.project(vision.world_to_camera(R_c, p_c, f_true))
             for R_c, p_c in poses])
-        pred, H_x, Hf = vision.clone_feature_jacobians(
-            filt, model, range(len(poses)), f_true)
-        r0, _ = vision.nullspace_project(uv - pred, H_x, Hf)
+        pred, H_x, Hf, _ = vision.clone_feature_jacobians(
+            filt, model, [range(len(poses))], f_true[None])
+        r0, _, _ = vision.nullspace_project(uv - pred, H_x, Hf)
+        Hf = Hf[0]
         Q, _ = np.linalg.qr(Hf, mode="complete")
         worst_hf = max(worst_hf, np.linalg.norm(Q[:, 3:].T @ Hf))
         worst_res = max(worst_res, np.abs(r0).max())

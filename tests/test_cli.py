@@ -118,6 +118,33 @@ def test_boolean_is_not_an_integer(tmp_path, key):
                     str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "-1"),
+    ("montecarlo", "--seed", "-1"),
+    ("montecarlo", "--runs", "0"),
+    ("montecarlo", "--runs", "-3"),
+])
+def test_out_of_range_override_exits_2(tmp_path, capsys, command, flag,
+                                       value):
+    # the command-line overrides pass the config file's checks: --seed -1
+    # used to end in a SeedSequence traceback, --runs 0 in header-only
+    # reports and exit 3
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli([command, cfg, flag, value, "--output-dir",
+                    str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert flag[2:] in err
+    assert not out.exists()
+
+
+def test_overrides_replace_the_file_values(tmp_path):
+    cfg = config.load_config(write_config(tmp_path),
+                             {"seed": 11, "runs": 3, "output_dir": "elsewhere"})
+    assert (cfg.seed, cfg.runs, cfg.output_dir) == (11, 3, "elsewhere")
+
+
 def test_malformed_yaml_exits_2(tmp_path):
     cfg = write_config(tmp_path, "variants: [iekf\n")
     assert run_cli(["simulate", cfg]) == 2

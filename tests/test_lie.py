@@ -318,12 +318,29 @@ def test_so3_exp_log_equal_their_numpy_forms(angle, seed):
 
 
 def test_so3_stacks_match_per_row():
-    # so3_exp_stack equals so3_exp row by row, and so3_left_jacobian_inv of
-    # a stack its per-row values, bit for bit, small-angle branches included
+    # so3_exp_stack equals so3_exp row by row, and so3_left_jacobian_inv and
+    # so3_log of a stack their per-row values, bit for bit, small-angle
+    # branches included
     rng = np.random.default_rng(23)
     w = rng.normal(0.0, 1.0, (40, 3)) * 10.0 ** rng.uniform(-9, 0, (40, 1))
     E = lie.so3_exp_stack(w)
     J = lie.so3_left_jacobian_inv(w)
+    # rotations that are not exact exp outputs, angles up to 3
+    M = lie.so3_exp_stack(3.0 * w) + 1e-13 * rng.normal(0.0, 1.0, (40, 3, 3))
+    logs = lie.so3_log(M)
+    assert logs.shape == (40, 3) and lie.so3_log(M[:0]).shape == (0, 3)
     for k in range(len(w)):
         assert np.array_equal(E[k], lie.so3_exp(w[k]))
         assert np.array_equal(J[k], lie.so3_left_jacobian_inv(w[k]))
+        assert np.array_equal(logs[k], lie.so3_log(M[k]))
+
+
+def test_so3_log_stack_guards_each_row():
+    # one rotation by pi in a stack raises, as it does alone
+    R = lie.so3_exp_stack(np.array([[0.1, 0.2, 0.3], [0.0, np.pi, 0.0],
+                                    [0.0, 0.0, 0.5]]))
+    with pytest.raises(AngleNearPi):
+        lie.so3_log(R[1])
+    with pytest.raises(AngleNearPi):
+        lie.so3_log(R)
+    lie.so3_log(R[[0, 2]])

@@ -6,7 +6,7 @@ import copy
 import numpy as np
 import pytest
 
-from iekf_kit import filters, imu, lie, vision
+from iekf_kit import filters, imu, lie, sim, vision
 from iekf_kit.exceptions import (BehindCamera, DegenerateGeometry, Diverged,
                                  ZeroRange)
 
@@ -258,7 +258,10 @@ def test_clone_feature_jacobians_finite_difference(tag):
     f_world = p_c + R_c @ np.array([0.4, -0.1, 5.0])
     # one track seen by clones 2 and 0: rows follow the given order
     track = [2, 0]
-    pred, H_x, H_f = vision.clone_feature_jacobians(f, MODEL, track, f_world)
+    pred, H_x, H_f, outside = vision.clone_feature_jacobians(
+        f, MODEL, [track], f_world[None])
+    assert not outside[0]
+    pred, H_x, H_f = pred[0], H_x[0], H_f[0]
 
     def observe(R_k, p_k, point):
         return MODEL.project(vision.world_to_camera(R_k, p_k, point))
@@ -294,6 +297,34 @@ def test_clone_feature_jacobians_finite_difference(tag):
     assert np.abs(H_f - Hf_fd).max() < 1e-4
 
 
+@pytest.mark.parametrize("tag", ["iekf", "ekf"])
+def test_clone_feature_jacobians_flag_features_outside_the_domain(tag):
+    # a group of three tracks whose middle feature is behind one of its
+    # clones: that track is flagged with NaN rows, and the others equal
+    # their calls as groups of one bit for bit
+    rng = np.random.default_rng(14)
+    f = make_filter(tag, rng)
+    ext = vision.Extrinsics()
+    R_c, p_c = vision.camera_pose(f.state, ext)
+    for _ in range(4):
+        f.clone_camera_pose(0.0, R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
+                            p_c + rng.normal(0.0, 0.5, 3))
+    idx = np.array([[0, 1, 2], [3, 1, 0], [2, 3, 1]])
+    points = p_c + np.array([[0.4, -0.1, 5.0], [0.2, 0.3, 6.0],
+                             [-0.5, 0.2, 8.0]]) @ R_c.T
+    points[1] = f.clones[1].p - 2.0 * f.clones[1].R[:, 2]
+    pred, H_x, H_f, outside = vision.clone_feature_jacobians(f, MODEL, idx,
+                                                             points)
+    assert outside.tolist() == [False, True, False]
+    assert np.isnan(pred[1]).all() and np.isnan(H_x[1]).all()
+    assert np.isnan(H_f[1]).all()
+    for k in (0, 2):
+        one = vision.clone_feature_jacobians(f, MODEL, idx[k:k + 1],
+                                             points[k:k + 1])
+        for got, want in zip((pred, H_x, H_f), one):
+            assert got[k].tobytes() == want[0].tobytes()
+
+
 def synthetic_track(rng, n_views=6, noise=0.0):
     f_true = np.array([2.0, 1.0, 30.0]) + rng.normal(0.0, 1.0, 3)
     poses, pixels = [], []
@@ -306,12 +337,27 @@ def synthetic_track(rng, n_views=6, noise=0.0):
     return f_true, poses, pixels
 
 
+def stack_tracks(tracks):
+    """The arguments (R (g, L, 3, 3), p (g, L, 3), pixels (g, L, 2)) of
+    ``vision.triangulate`` for tracks [(poses, pixels), ...] of one
+    length."""
+    R = np.array([[R_c for R_c, _ in poses] for poses, _ in tracks])
+    p = np.array([[p_c for _, p_c in poses] for poses, _ in tracks])
+    uv = np.array([np.reshape(pixels, (-1, 2)) for _, pixels in tracks])
+    return R, p, uv
+
+
 def test_triangulation_recovers_point():
     rng = np.random.default_rng(6)
+    truths, tracks = [], []
     for _ in range(20):
         f_true, poses, pixels = synthetic_track(rng)
-        f_est = vision.triangulate(MODEL, poses, pixels)
-        assert np.linalg.norm(f_est - f_true) < 1e-6
+        truths.append(f_true)
+        tracks.append((poses, pixels))
+    f_est, degenerate, diverged = vision.triangulate(MODEL,
+                                                     *stack_tracks(tracks))
+    assert not degenerate.any() and not diverged.any()
+    assert np.linalg.norm(f_est - truths, axis=1).max() < 1e-6
 
 
 def triangulate_loop(model, poses, pixels):
@@ -353,60 +399,144 @@ def triangulate_loop(model, poses, pixels):
 
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
 def test_triangulation_matches_per_observation_loop(mode):
+    # one call per track length on 20 tracks each
     model = vision.CameraModel(mode=mode)
     rng = np.random.default_rng(13)
     for n_views in (3, 6, 11):
-        for _ in range(20):
-            _, poses, pixels = synthetic_track(rng, n_views, noise=1.0)
-            want = triangulate_loop(model, poses, pixels)
-            got = vision.triangulate(model, poses, pixels)
-            assert (np.linalg.norm(got - want)
-                    <= 1e-12 * np.linalg.norm(want))
+        tracks = [synthetic_track(rng, n_views, noise=1.0)[1:]
+                  for _ in range(20)]
+        got, degenerate, diverged = vision.triangulate(model,
+                                                       *stack_tracks(tracks))
+        assert not degenerate.any() and not diverged.any()
+        for f, track in zip(got, tracks):
+            want = triangulate_loop(model, *track)
+            assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# lines that meet 5 m behind the cameras, so that the linear start is behind
+# them and the refinement stops on its depth check
+def behind_track(n):
+    return ([(np.eye(3), np.array([float(k), 0.0, 0.0])) for k in range(n)],
+            [np.array([320.0 + 250.0 * (k - 0.5) / 5.0, 240.0])
+             for k in range(n)])
 
 
 def test_triangulation_degenerate_rays():
-    # parallel rays; and rays whose lines meet 5 m behind the cameras, so
-    # that the linear start is behind them and the refinement stops on its
-    # depth check.  The per-observation loop raises the same.
+    # parallel rays, and the lines that meet behind the cameras, in one
+    # call; the per-observation loop raises the same
     parallel = ([(np.eye(3), np.zeros(3))] * 3,
                 [np.array([320.0, 240.0])] * 3)
-    behind = ([(np.eye(3), np.array([float(k), 0.0, 0.0])) for k in range(3)],
-              [np.array([320.0 + 250.0 * (k - 0.5) / 5.0, 240.0])
-               for k in range(3)])
-    for fn in (vision.triangulate, triangulate_loop):
-        with pytest.raises(DegenerateGeometry):
-            fn(MODEL, *parallel)
-        with pytest.raises(Diverged):
-            fn(MODEL, *behind)
+    behind = behind_track(3)
+    f, degenerate, diverged = vision.triangulate(
+        MODEL, *stack_tracks([parallel, behind]))
+    assert degenerate.tolist() == [True, False]
+    assert diverged.tolist() == [False, True]
+    assert np.isnan(f).all()
+    with pytest.raises(DegenerateGeometry):
+        triangulate_loop(MODEL, *parallel)
+    with pytest.raises(Diverged):
+        triangulate_loop(MODEL, *behind)
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_triangulation_batch_isolates_failures(mode, triangulate_track):
+    # good tracks mixed with one track of each way to fail: parallel rays
+    # (degenerate), lines meeting behind the cameras (behind), a scene so
+    # far out that no step falls below the absolute step tolerance (no
+    # convergence), and one so far out that the normal matrix underflows to
+    # zero (singular, which fails a stacked solve as a whole; its squared
+    # depths overflow on the way).  Each track gets the per-track oracle's
+    # point bit for bit, or its failure.
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(15)
+
+    def scaled(scale):
+        _, poses, pixels = synthetic_track(rng, 4, noise=1.0)
+        return [(R_c, scale * p_c) for R_c, p_c in poses], pixels
+
+    tracks = [scaled(1.0), ([(np.eye(3), np.zeros(3))] * 4,
+                            [np.array([300.0, 250.0])] * 4),
+              scaled(1.0), behind_track(4), scaled(1e9), scaled(1.0),
+              scaled(1e200), scaled(1.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, degenerate, diverged = vision.triangulate(model,
+                                                     *stack_tracks(tracks))
+    outcome = []
+    for k, track in enumerate(tracks):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = triangulate_track(model, *track)
+        except (DegenerateGeometry, Diverged) as e:
+            outcome.append(type(e).__name__)
+            assert np.isnan(f[k]).all()
+            continue
+        outcome.append("ok")
+        assert f[k].tobytes() == want.tobytes()
+    assert outcome == ["ok", "DegenerateGeometry", "ok", "Diverged",
+                       "Diverged", "ok", "DegenerateGeometry", "ok"]
+    assert degenerate.tolist() == [o == "DegenerateGeometry" for o in outcome]
+    assert diverged.tolist() == [o == "Diverged" for o in outcome]
+
+
+def test_triangulation_of_one_track(triangulate_track):
+    rng = np.random.default_rng(17)
+    _, poses, pixels = synthetic_track(rng, 5, noise=1.0)
+    f, degenerate, diverged = vision.triangulate(
+        MODEL, *stack_tracks([(poses, pixels)]))
+    assert f.shape == (1, 3) and not degenerate[0] and not diverged[0]
+    assert f[0].tobytes() == triangulate_track(MODEL, poses,
+                                               pixels).tobytes()
 
 
 def test_nullspace_projection_annihilates_feature_block():
-    # 100 synthetic tracks: |Q2^T H_f| < 1e-10, noise-free projected
-    # residuals < 1e-8
+    # 100 synthetic tracks projected in one call: |Q2^T H_f| < 1e-10,
+    # noise-free projected residuals < 1e-8, and each track equal to its
+    # call as a group of one bit for bit
     rng = np.random.default_rng(7)
-    worst_hf = 0.0
-    worst_res = 0.0
+    residuals, H_xs, H_fs = [], [], []
     for _ in range(100):
         f_true, poses, pixels = synthetic_track(rng)
         filt = make_filter("iekf", rng)
         for R_c, p_c in poses:
             filt.clone_camera_pose(0.0, R_c, p_c)
-        pred, H_x, Hf = vision.clone_feature_jacobians(
-            filt, MODEL, range(len(poses)), f_true)
-        r0, H0 = vision.nullspace_project(np.concatenate(pixels) - pred,
-                                          H_x, Hf)
+        pred, H_x, Hf, outside = vision.clone_feature_jacobians(
+            filt, MODEL, [range(len(poses))], f_true[None])
+        assert not outside[0]
+        residuals.append(np.concatenate(pixels) - pred[0])
+        H_xs.append(H_x[0])
+        H_fs.append(Hf[0])
+    r0, H0, degenerate = vision.nullspace_project(
+        np.array(residuals), np.array(H_xs), np.array(H_fs))
+    assert not degenerate.any()
+    assert H0.shape == (100, 2 * len(pixels) - 3, filt.dim)
+    worst_hf = 0.0
+    for k, Hf in enumerate(H_fs):
         Q, _ = np.linalg.qr(Hf, mode="complete")
         worst_hf = max(worst_hf, np.linalg.norm(Q[:, 3:].T @ Hf))
-        worst_res = max(worst_res, np.abs(r0).max())
-        assert H0.shape[0] == 2 * len(pixels) - 3
+        one = vision.nullspace_project(residuals[k][None], H_xs[k][None],
+                                       Hf[None])
+        assert r0[k].tobytes() == one[0][0].tobytes()
+        assert H0[k].tobytes() == one[1][0].tobytes()
     assert worst_hf < 1e-10
-    assert worst_res < 1e-8
+    assert np.abs(r0).max() < 1e-8
+
+
+def test_nullspace_projection_flags_rank_deficient_tracks():
+    # a track whose feature block has rank 2 among full-rank ones
+    rng = np.random.default_rng(18)
+    H_f = rng.normal(0.0, 1.0, (3, 8, 3))
+    H_f[1, :, 2] = H_f[1, :, 0] - H_f[1, :, 1]
+    r0, H0, degenerate = vision.nullspace_project(
+        rng.normal(0.0, 1.0, (3, 8)), rng.normal(0.0, 1.0, (3, 8, 21)), H_f)
+    assert degenerate.tolist() == [False, True, False]
+    assert np.isnan(r0[1]).all() and np.isnan(H0[1]).all()
+    assert np.isfinite(r0[[0, 2]]).all() and np.isfinite(H0[[0, 2]]).all()
 
 
 def test_nullspace_projection_needs_enough_rows():
     with pytest.raises(DegenerateGeometry):
-        vision.nullspace_project(np.zeros(2), np.zeros((2, 15)),
-                                 np.ones((2, 3)))
+        vision.nullspace_project(np.zeros((1, 2)), np.zeros((1, 2, 15)),
+                                 np.ones((1, 2, 3)))
 
 
 def mean_vector(filt):
@@ -449,6 +579,152 @@ def test_compressed_update_matches_tall_update():
     for rows in (d, 10):
         r_s, H_s = vision.compress_measurement(residual[:rows], H[:rows])
         assert r_s.base is residual and H_s.base is H
+
+
+# criterion 9's sliding-window scenario, over the benchmark's 4.4 s
+WINDOW = sim.Scenario(duration=4.4, imu_rate=100.0, cam_rate=5.0,
+                      n_landmarks=200, max_range=90.0,
+                      landmark_box=((-60.0, 60.0), (-50.0, 50.0),
+                                    (-60.0, -30.0)))
+
+
+def record_flushes(monkeypatch, flush):
+    """Make ``flush`` the updaters' flush while recording, per flush, its
+    return value and the stacked (residual, H) it hands to
+    ``compress_measurement``; returns (updaters, returns, stacks), filled
+    as the flushes run."""
+    updaters, returns, stacks = [], [], []
+    compress = vision.compress_measurement
+
+    def recording_compress(residual, H):
+        stacks.append((residual.copy(), H.copy()))
+        return compress(residual, H)
+
+    def recording_flush(self, filt, feature_ids):
+        if self not in updaters:
+            updaters.append(self)
+        returns.append(flush(self, filt, feature_ids))
+        return returns[-1]
+
+    monkeypatch.setattr(vision, "compress_measurement", recording_compress)
+    monkeypatch.setattr(vision.SlidingWindowUpdater, "_flush",
+                        recording_flush)
+    return updaters, returns, stacks
+
+
+def assert_same_flushes(batched, per_track):
+    """The recordings of two runs of ``record_flushes`` agree bit for bit:
+    tracks used per flush, stacked rows and drop counts."""
+    (upd_b,), returns_b, stacks_b = batched
+    (upd_o,), returns_o, stacks_o = per_track
+    assert returns_b == returns_o
+    assert len(stacks_b) == len(stacks_o)
+    for (r_b, H_b), (r_o, H_o) in zip(stacks_b, stacks_o):
+        assert r_b.tobytes() == r_o.tobytes()
+        assert H_b.tobytes() == H_o.tobytes()
+    assert upd_b.dropped == upd_o.dropped
+
+
+# the drop counts of the realization of seed 0
+PINNED_DROPS = {0: {"too_short": 4, "degenerate": 0, "diverged": 0,
+                    "outside_domain": 0, "max_features": 52}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_flush_matches_per_track_flush(monkeypatch, seed,
+                                              flush_per_track):
+    # the window pipeline with the batched flush and with the per-track
+    # flush: the same tracks in the same order, residuals and rows bit for
+    # bit, the same drop counts and the same estimates
+    runs = []
+    for flush in (vision.SlidingWindowUpdater._flush, flush_per_track):
+        with monkeypatch.context() as m:
+            rec = record_flushes(m, flush)
+            truth = sim.synthesize_truth(WINDOW, np.random.default_rng(seed))
+            _, errs = sim.run_sliding_window(WINDOW, truth, seed=seed)
+        runs.append((rec, errs))
+    (batched, errs_b), (per_track, errs_o) = runs
+    assert_same_flushes(batched, per_track)
+    assert errs_b.tobytes() == errs_o.tobytes()
+    dropped = batched[0][0].dropped
+    assert max(batched[1]) == 40 and dropped["max_features"] > 0
+    if seed in PINNED_DROPS:
+        assert dict(dropped) == PINNED_DROPS[seed]
+
+
+def ended_tracks(rng, specs, n_epochs=6):
+    """(filter, poses, frames): a filter, ``n_epochs`` camera poses along a
+    line, and per pose the pixel observations {feature id: pixel} of one
+    track per spec, feature id the spec's position, each track ending at
+    the last pose.  A spec is (length, kind): kind "good" is a noisy view
+    of a point ahead, "parallel" the pixels of one direction at infinity,
+    "behind" views of a point behind every camera."""
+    filt = make_filter("iekf", rng)
+    poses = [(lie.so3_exp(rng.normal(0.0, 0.05, 3)),
+              np.array([1.5 * k, 0.3 * k, 0.1 * k])) for k in range(n_epochs)]
+    frames = [{} for _ in range(n_epochs)]
+    for fid, (length, kind) in enumerate(specs):
+        if kind == "good":
+            point = np.array([2.0, 1.0, 30.0]) + rng.normal(0.0, 1.0, 3)
+        elif kind == "parallel":
+            direction = np.array([0.1, -0.05, 1.0]) + rng.normal(0.0, 0.02, 3)
+        else:
+            point = np.array([3.0, 0.5, -20.0]) + rng.normal(0.0, 1.0, 3)
+        for k in range(n_epochs - length, n_epochs):
+            R_c, p_c = poses[k]
+            x_cam = (direction @ R_c if kind == "parallel"
+                     else vision.world_to_camera(R_c, p_c, point))
+            uv = MODEL.project_batch(x_cam[None])[0][0]
+            frames[k][fid] = uv + (rng.normal(0.0, 1.0, 2) if kind == "good"
+                                   else 0.0)
+    return filt, poses, frames
+
+
+def flush_ended_tracks(monkeypatch, flush, filt, poses, frames):
+    """Ingest ``frames`` at ``poses`` into a copy of ``filt``, then one
+    epoch with no observation, which ends every track, with ``flush`` as
+    the flush; returns the ``record_flushes`` recording and the filter."""
+    filt = copy.deepcopy(filt)
+    upd = vision.SlidingWindowUpdater(MODEL, vision.Extrinsics())
+    with monkeypatch.context() as m:
+        rec = record_flushes(m, flush)
+        for t, ((R_c, p_c), obs) in enumerate(zip(poses + [poses[-1]],
+                                                  frames + [{}])):
+            filt.state.R, filt.state.p = R_c, p_c
+            upd.ingest(filt, float(t), obs)
+    return rec, filt
+
+
+@pytest.mark.parametrize("case", ["refill", "single"])
+def test_ended_tracks_flush_like_per_track_flush(monkeypatch, case,
+                                                 flush_per_track):
+    rng = np.random.default_rng(19)
+    if case == "refill":
+        # 60 tracks of 2 to 6 views ending together, at the default cap of
+        # 40 (max_features).  They flush in the order of their first view,
+        # longest first; five of the first 40 fail, so a second round takes
+        # the next five.  The three short tracks start last and are among
+        # the 15 past the cap.
+        kinds = {3: "parallel", 9: "behind", 17: "parallel", 26: "behind",
+                 33: "parallel"}
+        specs = [(2 if k in (5, 21, 50) else 3 + k % 4, kinds.get(k, "good"))
+                 for k in range(60)]
+        want_used = 40
+        want_drops = {"degenerate": 3, "diverged": 2, "max_features": 15}
+    else:
+        specs = [(4, "good"), (2, "good")]
+        want_used = 1
+        want_drops = {"too_short": 1}
+    filt, poses, frames = ended_tracks(rng, specs)
+    runs = [flush_ended_tracks(monkeypatch, flush, filt, poses, frames)
+            for flush in (vision.SlidingWindowUpdater._flush,
+                          flush_per_track)]
+    (batched, filt_b), (per_track, filt_o) = runs
+    assert_same_flushes(batched, per_track)
+    assert batched[1][-1] == want_used
+    assert +batched[0][0].dropped == want_drops
+    assert filt_b.P.tobytes() == filt_o.P.tobytes()
+    assert mean_vector(filt_b).tobytes() == mean_vector(filt_o).tobytes()
 
 
 def test_sliding_window_updater_marginalizes():
