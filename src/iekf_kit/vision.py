@@ -215,22 +215,29 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
 # on the group it is in.  A track that fails is a flag in a mask, and its
 # output rows are NaN.
 
-def clone_feature_jacobians(filt, model, clone_indices, f_world):
+def clone_poses(filt):
+    """The camera poses of the filter's clones as stacks R (n, 3, 3) and
+    p (n, 3), indexed like ``filt.clones``."""
+    return (np.array([cl.R for cl in filt.clones]),
+            np.array([cl.p for cl in filt.clones]))
+
+
+def clone_feature_jacobians(filt, model, clone_indices, R, p, f_world):
     """Stacked predictions (g, 2L), H_x (g, 2L, dim) and H_f (g, 2L, 3) of
     g tracks: the observations of the triangulated features f_world (g, 3)
-    from the clones ``clone_indices`` (g, L), rows 2i and 2i + 1 of a track
-    for its i-th clone, and the mask ``outside`` (g,) of the tracks whose
-    feature is outside a clone's projection domain (see
-    CameraModel.outside_domain).
+    from the clones ``clone_indices`` (g, L), whose poses are R (g, L, 3, 3)
+    and p (g, L, 3) (see clone_poses), rows 2i and 2i + 1 of a track for its
+    i-th clone, and the mask ``outside`` (g,) of the tracks whose feature is
+    outside a clone's projection domain (see CameraModel.outside_domain).
 
     H_x is zero outside the 6 columns of each row pair's clone; H_f is the
     feature block to be removed by nullspace projection.
     """
     clone_indices = np.asarray(clone_indices, dtype=int)
     f_world = np.asarray(f_world, dtype=float)
+    R = np.asarray(R, dtype=float)
+    p = np.asarray(p, dtype=float)
     g, L = clone_indices.shape
-    R = np.array([cl.R for cl in filt.clones])[clone_indices]
-    p = np.array([cl.p for cl in filt.clones])[clone_indices]
     x_cam = world_to_camera(R, p, f_world[:, None, :]).reshape(-1, 3)
     zero_range, behind = model.outside_domain(x_cam)
     outside = (zero_range | behind).reshape(g, L).any(axis=1)
@@ -462,15 +469,14 @@ class SlidingWindowUpdater:
         groups = {}
         for k in positions:
             groups.setdefault(len(tracks[k]), []).append(k)
-        R_all = np.array([cl.R for cl in filt.clones])
-        p_all = np.array([cl.p for cl in filt.clones])
+        R_all, p_all = clone_poses(filt)
         out = {}
         for keys in groups.values():
             keys = np.array(keys)
             idx = np.array([[i for i, _ in tracks[k]] for k in keys])
             uv = np.array([[z for _, z in tracks[k]] for k in keys])
-            f, degenerate, diverged = triangulate(
-                self.model, R_all[idx], p_all[idx], uv)
+            R, p = R_all[idx], p_all[idx]
+            f, degenerate, diverged = triangulate(self.model, R, p, uv)
             self.dropped["degenerate"] += int(degenerate.sum())
             self.dropped["diverged"] += int(diverged.sum())
             ok = ~(degenerate | diverged)
@@ -478,7 +484,7 @@ class SlidingWindowUpdater:
                 continue
             keys, idx, uv = keys[ok], idx[ok], uv[ok]
             pred, H_x, H_f, outside = clone_feature_jacobians(
-                filt, self.model, idx, f[ok])
+                filt, self.model, idx, R[ok], p[ok], f[ok])
             self.dropped["outside_domain"] += int(outside.sum())
             ok = ~outside
             if not ok.any():

@@ -1,12 +1,14 @@
 """Shared test helpers; the per-step mean and covariance steps that the
-interval predict replaced, and the per-track triangulation and window flush
-that the batched flush replaced, kept as their oracles."""
+interval predict replaced, and the per-track triangulation, clone Jacobians,
+nullspace projection and window flush that the batched flush replaced, kept
+as their oracles."""
 
 import numpy as np
 import pytest
 
 from iekf_kit import filters, imu, lie, vision
-from iekf_kit.exceptions import DegenerateGeometry, Diverged
+from iekf_kit.exceptions import (BehindCamera, DegenerateGeometry, Diverged,
+                                 ZeroRange)
 
 ACCEL = np.array([0.3, 0.1, 9.7])
 
@@ -213,12 +215,64 @@ def _triangulate_track(model, poses, pixels):
     raise Diverged("no convergence")
 
 
+def _clone_feature_jacobians_track(filt, model, clone_indices, f_world):
+    """``vision.clone_feature_jacobians`` of one track, as it was before it
+    took a stack of tracks: the prediction (2n,), H_x (2n, dim) and H_f
+    (2n, 3) of the feature f_world seen from the clones ``clone_indices``
+    (n,).
+
+    Raises:
+        ZeroRange, BehindCamera: the feature is outside a clone's projection
+            domain.
+    """
+    clone_indices = np.asarray(clone_indices, dtype=int).reshape(-1)
+    f_world = np.asarray(f_world, dtype=float)
+    n = len(clone_indices)
+    R = np.array([filt.clones[i].R for i in clone_indices])
+    p = np.array([filt.clones[i].p for i in clone_indices])
+    x_cam = vision.world_to_camera(R, p, f_world)
+    zero_range, behind = model.outside_domain(x_cam)
+    if np.any(zero_range):
+        raise ZeroRange("feature at a clone's camera center")
+    if np.any(behind):
+        raise BehindCamera(f"depth {x_cam[:, 2].min():.3e}")
+    pred, J_pi = model.project_batch(x_cam)
+    JS = J_pi @ R.transpose(0, 2, 1)
+    if filt.variant.invariant:
+        rot = JS @ lie.so3_hat(f_world)
+    else:
+        rot = vision._cross_rows(JS, (f_world - p)[:, None, :])
+    block = np.concatenate([rot, -JS], axis=2)
+    H_x = np.zeros((n, 2, filt.dim))
+    cols = filt.clone_index(clone_indices)[:, None, None] + np.arange(6)
+    H_x[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = block
+    return pred.reshape(-1), H_x.reshape(2 * n, filt.dim), JS.reshape(-1, 3)
+
+
+def _nullspace_project_track(residual, H_x, H_f):
+    """``vision.nullspace_project`` of one track, as it was before it took
+    a stack of tracks: the residual (m,) and rows H_x (m, dim) projected
+    onto the left nullspace of H_f (m, 3).
+
+    Raises:
+        DegenerateGeometry: fewer than four rows, or H_f rank deficient.
+    """
+    H_f = np.asarray(H_f, dtype=float)
+    if H_f.shape[0] < 4:
+        raise DegenerateGeometry("need at least two observations")
+    Q, Rf = np.linalg.qr(H_f, mode="complete")
+    if np.abs(np.diag(Rf)[:3]).min() <= vision.RANK_RTOL * np.abs(Rf).max():
+        raise DegenerateGeometry("feature Jacobian is rank deficient")
+    Q2 = Q[:, 3:]
+    return Q2.T @ residual, Q2.T @ H_x
+
+
 def _flush_per_track(upd, filt, feature_ids):
     """``SlidingWindowUpdater._flush`` as it ran before the tracks were
     batched: one track at a time, in order, until ``max_features`` are used,
-    each triangulated by ``_triangulate_track`` and passed to the clone
-    Jacobians and the nullspace projection as a group of one; the drops are
-    counted in ``upd.dropped``."""
+    each through ``_triangulate_track``, ``_clone_feature_jacobians_track``
+    and ``_nullspace_project_track``; the drops are counted in
+    ``upd.dropped``."""
     rows_r, rows_H = [], []
     used = 0
     for fid in feature_ids:
@@ -241,18 +295,20 @@ def _flush_per_track(upd, filt, feature_ids):
         except Diverged:
             upd.dropped["diverged"] += 1
             continue
-        pred, H_x, H_f, outside = vision.clone_feature_jacobians(
-            filt, upd.model, [idx], f[None])
-        if outside[0]:
+        try:
+            pred, H_x, H_f = _clone_feature_jacobians_track(filt, upd.model,
+                                                            idx, f)
+        except (ZeroRange, BehindCamera):
             upd.dropped["outside_domain"] += 1
             continue
-        r0, H0, degenerate = vision.nullspace_project(
-            pixels.reshape(1, -1) - pred, H_x, H_f)
-        if degenerate[0]:
+        try:
+            r0, H0 = _nullspace_project_track(pixels.reshape(-1) - pred,
+                                              H_x, H_f)
+        except DegenerateGeometry:
             upd.dropped["degenerate"] += 1
             continue
-        rows_r.append(r0[0])
-        rows_H.append(H0[0])
+        rows_r.append(r0)
+        rows_H.append(H0)
         used += 1
     if not rows_r:
         return 0
@@ -265,6 +321,16 @@ def _flush_per_track(upd, filt, feature_ids):
 @pytest.fixture(scope="session")
 def triangulate_track():
     return _triangulate_track
+
+
+@pytest.fixture(scope="session")
+def clone_feature_jacobians_track():
+    return _clone_feature_jacobians_track
+
+
+@pytest.fixture(scope="session")
+def nullspace_project_track():
+    return _nullspace_project_track
 
 
 @pytest.fixture(scope="session")

@@ -258,8 +258,10 @@ def test_clone_feature_jacobians_finite_difference(tag):
     f_world = p_c + R_c @ np.array([0.4, -0.1, 5.0])
     # one track seen by clones 2 and 0: rows follow the given order
     track = [2, 0]
+    R_all, p_all = vision.clone_poses(f)
+    idx = np.array([track])
     pred, H_x, H_f, outside = vision.clone_feature_jacobians(
-        f, MODEL, [track], f_world[None])
+        f, MODEL, idx, R_all[idx], p_all[idx], f_world[None])
     assert not outside[0]
     pred, H_x, H_f = pred[0], H_x[0], H_f[0]
 
@@ -298,10 +300,12 @@ def test_clone_feature_jacobians_finite_difference(tag):
 
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
-def test_clone_feature_jacobians_flag_features_outside_the_domain(tag):
+def test_clone_feature_jacobians_flag_features_outside_the_domain(
+        tag, clone_feature_jacobians_track):
     # a group of three tracks whose middle feature is behind one of its
-    # clones: that track is flagged with NaN rows, and the others equal
-    # their calls as groups of one bit for bit
+    # clones: that track is flagged with NaN rows (the per-track oracle
+    # raises), and the others equal their calls as groups of one and the
+    # oracle bit for bit
     rng = np.random.default_rng(14)
     f = make_filter(tag, rng)
     ext = vision.Extrinsics()
@@ -313,16 +317,21 @@ def test_clone_feature_jacobians_flag_features_outside_the_domain(tag):
     points = p_c + np.array([[0.4, -0.1, 5.0], [0.2, 0.3, 6.0],
                              [-0.5, 0.2, 8.0]]) @ R_c.T
     points[1] = f.clones[1].p - 2.0 * f.clones[1].R[:, 2]
-    pred, H_x, H_f, outside = vision.clone_feature_jacobians(f, MODEL, idx,
-                                                             points)
+    R_all, p_all = vision.clone_poses(f)
+    pred, H_x, H_f, outside = vision.clone_feature_jacobians(
+        f, MODEL, idx, R_all[idx], p_all[idx], points)
     assert outside.tolist() == [False, True, False]
     assert np.isnan(pred[1]).all() and np.isnan(H_x[1]).all()
     assert np.isnan(H_f[1]).all()
+    with pytest.raises(BehindCamera):
+        clone_feature_jacobians_track(f, MODEL, idx[1], points[1])
     for k in (0, 2):
-        one = vision.clone_feature_jacobians(f, MODEL, idx[k:k + 1],
-                                             points[k:k + 1])
-        for got, want in zip((pred, H_x, H_f), one):
-            assert got[k].tobytes() == want[0].tobytes()
+        one = vision.clone_feature_jacobians(
+            f, MODEL, idx[k:k + 1], R_all[idx[k:k + 1]], p_all[idx[k:k + 1]],
+            points[k:k + 1])
+        oracle = clone_feature_jacobians_track(f, MODEL, idx[k], points[k])
+        for got, want, old in zip((pred, H_x, H_f), one, oracle):
+            assert got[k].tobytes() == want[0].tobytes() == old.tobytes()
 
 
 def synthetic_track(rng, n_views=6, noise=0.0):
@@ -488,10 +497,11 @@ def test_triangulation_of_one_track(triangulate_track):
                                                pixels).tobytes()
 
 
-def test_nullspace_projection_annihilates_feature_block():
+def test_nullspace_projection_annihilates_feature_block(
+        clone_feature_jacobians_track, nullspace_project_track):
     # 100 synthetic tracks projected in one call: |Q2^T H_f| < 1e-10,
     # noise-free projected residuals < 1e-8, and each track equal to its
-    # call as a group of one bit for bit
+    # call as a group of one and to the per-track oracles bit for bit
     rng = np.random.default_rng(7)
     residuals, H_xs, H_fs = [], [], []
     for _ in range(100):
@@ -499,9 +509,14 @@ def test_nullspace_projection_annihilates_feature_block():
         filt = make_filter("iekf", rng)
         for R_c, p_c in poses:
             filt.clone_camera_pose(0.0, R_c, p_c)
+        R_all, p_all = vision.clone_poses(filt)
+        idx = np.arange(len(poses))[None]
         pred, H_x, Hf, outside = vision.clone_feature_jacobians(
-            filt, MODEL, [range(len(poses))], f_true[None])
+            filt, MODEL, idx, R_all[idx], p_all[idx], f_true[None])
         assert not outside[0]
+        for got, old in zip((pred, H_x, Hf), clone_feature_jacobians_track(
+                filt, MODEL, idx[0], f_true)):
+            assert got[0].tobytes() == old.tobytes()
         residuals.append(np.concatenate(pixels) - pred[0])
         H_xs.append(H_x[0])
         H_fs.append(Hf[0])
@@ -515,8 +530,9 @@ def test_nullspace_projection_annihilates_feature_block():
         worst_hf = max(worst_hf, np.linalg.norm(Q[:, 3:].T @ Hf))
         one = vision.nullspace_project(residuals[k][None], H_xs[k][None],
                                        Hf[None])
-        assert r0[k].tobytes() == one[0][0].tobytes()
-        assert H0[k].tobytes() == one[1][0].tobytes()
+        old = nullspace_project_track(residuals[k], H_xs[k], Hf)
+        assert r0[k].tobytes() == one[0][0].tobytes() == old[0].tobytes()
+        assert H0[k].tobytes() == one[1][0].tobytes() == old[1].tobytes()
     assert worst_hf < 1e-10
     assert np.abs(r0).max() < 1e-8
 
