@@ -33,20 +33,8 @@ class SingularCovariance(IekfKitError):
     """Covariance block is numerically singular; NEES undefined."""
 
 
-class BehindCamera(IekfKitError):
-    """Point has non-positive depth in the camera frame."""
-
-
-class ZeroRange(IekfKitError):
-    """Point is at (numerically) zero range from the camera center."""
-
-
 class DegenerateGeometry(IekfKitError):
     """Triangulation or nullspace-projection geometry is rank deficient."""
-
-
-class Diverged(IekfKitError):
-    """Iterative refinement failed to converge."""
 
 
 class EmptyReport(IekfKitError):

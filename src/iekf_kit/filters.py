@@ -31,7 +31,7 @@ ALL_TAGS = EKF_FAMILY_TAGS + INVARIANT_TAGS
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 # e_a^ for a = 0, 1, 2: the basis of the imitated landmark rows
-_BASIS_HATS = lie.so3_hat_stack(_EYE3)
+_BASIS_HATS = lie.so3_hat(_EYE3)
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,6 @@ class FilterVariant:
         return self.tag
 
 
-@dataclass
-class CloneEntry:
-    """Stored camera pose (world frame) with its timestamp."""
-
-    t: float
-    R: np.ndarray
-    p: np.ndarray
-
-
 def _lever_arms(state, landmarks):
     """The lever arms of the invariant error as rows: p, v, f_1, ..., f_m."""
     if landmarks is None or len(landmarks) == 0:
@@ -82,7 +73,7 @@ def _lever_arms(state, landmarks):
 def _lever_products(levers, R):
     """Stack of u^ R, one 3x3 block per row u of ``levers`` (..., m, 3), as
     (..., 3 m, 3)."""
-    hats = lie.so3_hat_stack(levers)
+    hats = lie.so3_hat(levers)
     return hats.reshape(hats.shape[:-3] + (-1, 3)) @ R
 
 
@@ -138,7 +129,7 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
         Jinv = lie.so3_left_jacobian_inv(xi_delta)[:, None]
         B = (Jinv @ B.reshape(n, 3, 3, 6)).reshape(n, 9, 6)
     F[:, 3:6, 6:9] = _EYE3
-    F[:, 6:9, :3] = lie.so3_hat_stack(drift)
+    F[:, 6:9, :3] = lie.so3_hat(drift)
     F[:, :9, 9:15] = -B
     G[:, :9, :6] = B
     G[:, 9:15, 6:] = _EYE6
@@ -146,7 +137,7 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
         return F, G, np.zeros((0, 0))
     if r == 3:
         basis = R
-        U = lie.so3_hat_stack(landmarks).reshape(-1, 3)
+        U = lie.so3_hat(landmarks).reshape(-1, 3)
     else:
         basis = (Jinv @ _BASIS_HATS @ R[:, None]).reshape(n, 9, 3)
         U = (landmarks[:, None, :, None] * _EYE3[:, None]).reshape(-1, 9)
@@ -173,7 +164,8 @@ class FilterInstance:
         self.noise = noise
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.landmarks = None if landmarks is None else np.array(landmarks, float)
-        self.clones = []
+        self.clone_R = np.zeros((0, 3, 3))    # camera-pose clones
+        self.clone_p = np.zeros((0, 3))
         self.anchor_state = state.copy() if variant.tag == "fej" else None
         self.anchor_landmarks = (None if self.landmarks is None
                                  else self.landmarks.copy())
@@ -194,7 +186,7 @@ class FilterInstance:
 
     @property
     def dim(self):
-        return self.core_dim + 6 * len(self.clones)
+        return self.core_dim + 6 * len(self.clone_p)
 
     def clone_index(self, i):
         """First covariance row of clone i."""
@@ -269,42 +261,47 @@ class FilterInstance:
         self.P = self.P - W.T @ W
 
     def apply_correction(self, d):
-        """Apply a correction vector in this filter's error convention."""
+        """Apply a correction vector in this filter's error convention.
+
+        The rotation parts of the IMU pose and of each clone, the rows
+        [omega; omega_1; ...], go through one stacked exponential E: every
+        rotation becomes E R.  The invariant error left-multiplies each pose
+        by exp(c) on SE_n(3), so each translation column t with tangent part
+        u (p, v and the landmarks for the IMU pose, p for a clone) becomes
+        E t + J(omega) u; the EKF family adds u to t.
+        """
         d = np.asarray(d, dtype=float)
         st = self.state
         m = self.n_landmarks
+        c = d[self.core_dim:].reshape(-1, 6)
+        omega = np.concatenate((d[None, :3], c[:, :3]))
+        E = lie.so3_exp_stack(omega)
         if self.variant.invariant:
-            # joint pose+landmark correction on SE_{m+2}(3), left-multiplied
-            tangent = np.concatenate([d[:9], d[15:15 + 3 * m]])
-            cols = [st.p, st.v] + ([] if m == 0 else [self.landmarks])
-            X = lie.sen_from_parts(st.R, np.vstack(cols))
-            X = lie.sen_exp(tangent) @ X
-            st.R = lie.sen_rotation(X)
-            new_cols = lie.sen_columns(X)
-            st.p, st.v = new_cols[0], new_cols[1]
+            J = lie.so3_left_jacobian(omega)
+            u = np.concatenate((d[3:9], d[15:15 + 3 * m])).reshape(-1, 3)
+            t = _lever_arms(st, self.landmarks) @ E[0].T + u @ J[0].T
+            st.p, st.v = t[0], t[1]
             if m:
-                self.landmarks = new_cols[2:]
-            for i, cl in enumerate(self.clones):
-                k = self.clone_index(i)
-                Xc = lie.sen_exp(d[k:k + 6]) @ lie.sen_from_parts(cl.R, [cl.p])
-                cl.R = lie.sen_rotation(Xc)
-                cl.p = lie.sen_columns(Xc)[0]
+                self.landmarks = t[2:]
+            if len(c):
+                self.clone_p = (E[1:] @ self.clone_p[:, :, None]
+                                + J[1:] @ c[:, 3:, None])[:, :, 0]
         else:
-            st.R = lie.so3_exp(d[:3]) @ st.R
             st.p = st.p + d[3:6]
             st.v = st.v + d[6:9]
             if m:
                 self.landmarks = self.landmarks + d[15:15 + 3 * m].reshape(m, 3)
-            for i, cl in enumerate(self.clones):
-                k = self.clone_index(i)
-                cl.R = lie.so3_exp(d[k:k + 3]) @ cl.R
-                cl.p = cl.p + d[k + 3:k + 6]
+            if len(c):
+                self.clone_p = self.clone_p + c[:, 3:]
+        st.R = E[0] @ st.R
+        if len(c):
+            self.clone_R = E[1:] @ self.clone_R
         st.b_omega = st.b_omega + d[9:12]
         st.b_a = st.b_a + d[12:15]
 
     # -- clones -------------------------------------------------------------
 
-    def clone_camera_pose(self, t, R_cam, p_cam):
+    def clone_camera_pose(self, R_cam, p_cam):
         """Append a camera-pose clone and augment the covariance."""
         J = np.zeros((6, self.dim))
         J[:3, :3] = np.eye(3)
@@ -317,14 +314,16 @@ class FilterInstance:
         # P and the off-diagonal blocks are exactly symmetric already
         JPJt = J @ PJt
         self.P = np.block([[self.P, PJt], [PJt.T, 0.5 * (JPJt + JPJt.T)]])
-        self.clones.append(CloneEntry(t, np.array(R_cam), np.array(p_cam)))
+        self.clone_R = np.concatenate((self.clone_R, [R_cam]))
+        self.clone_p = np.concatenate((self.clone_p, [p_cam]))
 
     def marginalize_clone(self, i):
         """Drop clone i and its covariance rows/columns."""
         k = self.clone_index(i)
         keep = np.r_[0:k, k + 6:self.dim]
         self.P = self.P[np.ix_(keep, keep)]
-        del self.clones[i]
+        self.clone_R = np.delete(self.clone_R, i, axis=0)
+        self.clone_p = np.delete(self.clone_p, i, axis=0)
 
     # -- evaluation ---------------------------------------------------------
 

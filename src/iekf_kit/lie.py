@@ -43,22 +43,15 @@ SINGULARITY_MARGIN = 1e-6
 _EYE3 = np.eye(3)
 
 
-def so3_hat(w):
-    """Map a 3-vector to its skew-symmetric matrix."""
-    w = np.asarray(w, dtype=float)
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
-
-
 # row k is so3_hat(e_k) flattened, so u @ _HAT_MAP is so3_hat(u) flattened
-_HAT_MAP = np.array([so3_hat(e).ravel() for e in _EYE3])
+_HAT_MAP = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                     [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
-def so3_hat_stack(w):
-    """so3_hat of each row of an (..., 3) array, as (..., 3, 3)."""
+def so3_hat(w):
+    """Skew-symmetric matrix of a 3-vector, or of each row of an (..., 3)
+    array as (..., 3, 3)."""
     w = np.asarray(w, dtype=float)
     return (w @ _HAT_MAP).reshape(w.shape[:-1] + (3, 3))
 
@@ -105,7 +98,7 @@ def so3_exp_stack(w):
     per-row so3_exp bit for bit."""
     w = np.asarray(w, dtype=float)
     a, b = np.array([_sin_cos_coeffs(t) for t in _row_norms(w)]).T
-    W = so3_hat_stack(w)
+    W = so3_hat(w)
     E = a[:, None, None] * W
     E += _EYE3
     WW = W @ W
@@ -161,18 +154,27 @@ def _log_factor(sin_theta, cos_theta):
 
 
 def so3_left_jacobian(w):
-    """Left Jacobian of SO(3): J = I + b*W + c*W^2 with the sin/cos closed form."""
+    """Left Jacobian of SO(3), J = I + b W + c W^2 with the sin/cos closed
+    form, at a 3-vector, or at each row of an (n, 3) array as (n, 3, 3)."""
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    W = so3_hat(w)
-    _, b = _sin_cos_coeffs(theta)
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        c = (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-             - t2 * t2 * t2 / 362880.0)
-    else:
-        c = (theta - np.sin(theta)) / (theta ** 3)
-    return _EYE3 + b * W + c * (W @ W)
+    rows = w.reshape(-1, 3)
+    coeffs = []
+    for theta in _row_norms(rows):
+        if theta < SMALL_ANGLE:
+            t2 = theta * theta
+            c = (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+                 - t2 * t2 * t2 / 362880.0)
+        else:
+            c = (theta - np.sin(theta)) / (theta ** 3)
+        coeffs.append((_sin_cos_coeffs(theta)[1], c))
+    b, c = np.array(coeffs).reshape(-1, 2).T
+    W = so3_hat(rows)
+    J = b[:, None, None] * W
+    J += _EYE3
+    WW = W @ W
+    WW *= c[:, None, None]
+    J += WW
+    return J.reshape(w.shape[:-1] + (3, 3))
 
 
 def so3_left_jacobian_inv(w):
@@ -198,7 +200,7 @@ def so3_left_jacobian_inv(w):
             half = 0.5 * theta
             d.append((1.0 - half * math.cos(half) / math.sin(half))
                      / (theta * theta))
-    W = so3_hat_stack(rows)
+    W = so3_hat(rows)
     J = _EYE3 - 0.5 * W
     J += np.array(d)[:, None, None] * (W @ W)
     return J.reshape(w.shape[:-1] + (3, 3))
@@ -293,26 +295,6 @@ def sen_vee(M):
     for i in range(n):
         xi[3 * (i + 1):3 * (i + 2)] = M[:3, 3 + i]
     return xi
-
-
-def sen_from_parts(R, columns):
-    """Group element from a rotation and its n translation columns, given as
-    a sequence of 3-vectors or an (n, 3) array."""
-    t = np.asarray(columns, dtype=float).reshape(-1, 3)
-    X = np.eye(3 + len(t))
-    X[:3, :3] = R
-    X[:3, 3:] = t.T
-    return X
-
-
-def sen_rotation(X):
-    return np.asarray(X, dtype=float)[:3, :3]
-
-
-def sen_columns(X):
-    """Translation columns of a group element as the rows of an (n, 3)
-    array (a copy)."""
-    return np.asarray(X, dtype=float)[:3, 3:].T.copy()
 
 
 def sen_inverse(X):

@@ -233,7 +233,7 @@ def camera_frame(scenario, state, landmarks, rng):
     x = vision.world_to_camera(R_c, p_c, landmarks)
     near = np.flatnonzero((x[:, 2] >= 1.0) & (np.linalg.norm(x, axis=1)
                                               <= scenario.max_range))
-    uv, _ = cam.project_batch(x[near])
+    uv, _ = cam.project(x[near])
     inside = ((0.0 <= uv[:, 0]) & (uv[:, 0] <= cam.width)
               & (0.0 <= uv[:, 1]) & (uv[:, 1] <= cam.height))
     pixels = uv[inside] + scenario.pixel_sigma * rng.standard_normal(
@@ -427,7 +427,7 @@ def run_sliding_window(scenario, truth, variant=None, seed=0,
     for _, t, st_true in _camera_epochs(scenario, truth, filt):
         if updates:
             obs = camera_frame(scenario, st_true, truth.landmarks, rng_cam)
-            upd.ingest(filt, t, obs)
+            upd.ingest(filt, obs)
         times.append(t)
         errs.append(float(np.linalg.norm(filt.state.p - st_true.p)))
     return np.array(times), np.array(errs)

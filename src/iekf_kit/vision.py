@@ -6,13 +6,13 @@ measurements are 2-vectors (u, v).  Two projection modes are supported:
 
 * "pinhole": u = fx x/z + cx, defined for z > 0 only;
 * "bearing": the ray x/|x| is scaled by K and dehomogenized.  On z > 0 this
-  coincides with the pinhole map (and shares its Jacobian); its domain error
-  at the origin differs (zero range rather than non-positive depth).
+  coincides with the pinhole map (and shares its Jacobian); its domain also
+  excludes the camera center (zero range).
 
-Both modes share one domain guard, ``CameraModel.outside_domain``.  The
-camera-rate update of the in-state landmarks builds all of an epoch's rows in
-one call, which drops the observations outside that domain instead of
-raising.
+``CameraModel.project`` maps stacks of camera-frame points, and one guard,
+``CameraModel.outside_domain``, masks the points outside the domain: the
+camera-rate update of the in-state landmarks drops those observations, and
+the sliding-window update the tracks that have one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lie
-from .exceptions import BehindCamera, DegenerateGeometry, ZeroRange
+from .exceptions import DegenerateGeometry
 
 DEPTH_EPS = 1e-9
 RANGE_EPS = 1e-12
@@ -58,61 +58,22 @@ class CameraModel:
                          [0.0, 0.0, 1.0]])
 
     def outside_domain(self, x_cam):
-        """Where the projection is undefined, for one camera-frame point (3,)
-        or a stack of them (n, 3): the pair (zero_range, behind) of flags or
-        boolean masks.  ``zero_range``: bearing mode, point at the camera
-        center (always False in pinhole mode); ``behind``: non-positive
-        depth.  project() and projection_jacobian() raise ZeroRange and
-        BehindCamera on exactly these points, ZeroRange first."""
-        x_cam = np.asarray(x_cam, dtype=float)
-        behind = x_cam.T[2] <= DEPTH_EPS
+        """Where the projection is undefined, for camera-frame points
+        (n, 3): the pair (zero_range, behind) of boolean masks (n,).
+        ``zero_range``: bearing mode, point at the camera center (False in
+        pinhole mode); ``behind``: non-positive depth."""
+        behind = x_cam[:, 2] <= DEPTH_EPS
         if self.mode == "bearing":
-            return np.linalg.norm(x_cam, axis=-1) < RANGE_EPS, behind
+            return np.linalg.norm(x_cam, axis=1) < RANGE_EPS, behind
         return False, behind
 
-    def _check_domain(self, x_cam):
-        # a pinhole point in front of the camera is inside the domain; the
-        # shortcut skips the guard's call overhead on the single-point path
-        if self.mode == "pinhole" and x_cam[2] > DEPTH_EPS:
-            return
-        zero_range, behind = self.outside_domain(x_cam)
-        if zero_range:
-            raise ZeroRange("point at the camera center")
-        if behind:
-            raise BehindCamera(f"depth {x_cam[2]:.3e}")
-
     def project(self, x_cam):
-        """Project a camera-frame point to pixels.
-
-        Raises:
-            ZeroRange: bearing mode, point at the camera center.
-            BehindCamera: non-positive depth (dehomogenization undefined).
-        """
-        x_cam = np.asarray(x_cam, dtype=float)
-        self._check_domain(x_cam)
-        if self.mode == "bearing":
-            y = self.K @ (x_cam / np.linalg.norm(x_cam))
-            return y[:2] / y[2]
-        return np.array([self.fx * x_cam[0] / x_cam[2] + self.cx,
-                         self.fy * x_cam[1] / x_cam[2] + self.cy])
-
-    def projection_jacobian(self, x_cam):
-        """2x3 derivative of project() w.r.t. the camera-frame point.
-
-        The bearing map equals the pinhole map wherever both are defined, so
-        the Jacobian is shared; only the domain guards differ.
-        """
-        x_cam = np.asarray(x_cam, dtype=float)
-        self._check_domain(x_cam)
-        x, y, z = x_cam
-        return np.array([[self.fx / z, 0.0, -self.fx * x / z ** 2],
-                         [0.0, self.fy / z, -self.fy * y / z ** 2]])
-
-    def project_batch(self, x_cam):
         """Pixels (n, 2) and projection Jacobians (n, 2, 3) of camera-frame
-        points (n, 3) inside the domain (see outside_domain).  The pixels
-        equal project() bit for bit in either mode, the Jacobians
-        projection_jacobian()."""
+        points (n, 3) inside the domain (see outside_domain).
+
+        The bearing map equals the pinhole map wherever both are defined,
+        so the Jacobian is shared; only the domains differ.
+        """
         x, y, z = x_cam.T
         if self.mode == "bearing":
             # the stacked row-times-column product sums as x.dot(x) does, so
@@ -187,7 +148,7 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
         x_cam, pixels = x_cam[kept], pixels[kept]
         landmark_index = landmark_index[kept]
     n = len(kept)
-    pred, J_pi = model.project_batch(x_cam)
+    pred, J_pi = model.project(x_cam)
     # J_pi S with S = R_c^T; J_pi S u^ is the row-wise cross product with u
     JS = J_pi @ R_c.T
     H = np.zeros((n, 2, filt.dim))
@@ -215,20 +176,13 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
 # on the group it is in.  A track that fails is a flag in a mask, and its
 # output rows are NaN.
 
-def clone_poses(filt):
-    """The camera poses of the filter's clones as stacks R (n, 3, 3) and
-    p (n, 3), indexed like ``filt.clones``."""
-    return (np.array([cl.R for cl in filt.clones]),
-            np.array([cl.p for cl in filt.clones]))
-
-
 def clone_feature_jacobians(filt, model, clone_indices, R, p, f_world):
     """Stacked predictions (g, 2L), H_x (g, 2L, dim) and H_f (g, 2L, 3) of
     g tracks: the observations of the triangulated features f_world (g, 3)
     from the clones ``clone_indices`` (g, L), whose poses are R (g, L, 3, 3)
-    and p (g, L, 3) (see clone_poses), rows 2i and 2i + 1 of a track for its
-    i-th clone, and the mask ``outside`` (g,) of the tracks whose feature is
-    outside a clone's projection domain (see CameraModel.outside_domain).
+    and p (g, L, 3), rows 2i and 2i + 1 of a track for its i-th clone, and
+    the mask ``outside`` (g,) of the tracks whose feature is outside a
+    clone's projection domain (see CameraModel.outside_domain).
 
     H_x is zero outside the 6 columns of each row pair's clone; H_f is the
     feature block to be removed by nullspace projection.
@@ -244,10 +198,10 @@ def clone_feature_jacobians(filt, model, clone_indices, R, p, f_world):
     outside_rows = np.repeat(outside, L)
     # NaN points project to NaN rows, without a division warning
     x_cam[outside_rows] = np.nan
-    pred, J_pi = model.project_batch(x_cam)
+    pred, J_pi = model.project(x_cam)
     JS = J_pi.reshape(g, L, 2, 3) @ R.swapaxes(-1, -2)
     if filt.variant.invariant:
-        rot = JS @ lie.so3_hat_stack(f_world)[:, None]
+        rot = JS @ lie.so3_hat(f_world)[:, None]
     else:
         # J_pi S u^ is the row-wise cross product with the lever arm u
         rot = _cross_rows(JS, (f_world[:, None, :] - p)[:, :, None, :])
@@ -328,7 +282,7 @@ def triangulate(model, R, p, pixels):
         n = len(active)
         if not n:
             break
-        pred, J_pi = model.project_batch(x_cam.reshape(-1, 3))
+        pred, J_pi = model.project(x_cam.reshape(-1, 3))
         J = (J_pi.reshape(n, L, 2, 3) @ Rt[active]).reshape(n, 2 * L, 3)
         Jt = J.swapaxes(1, 2)
         res = (uv[active] - pred.reshape(n, L, 2)).reshape(n, 2 * L, 1)
@@ -404,16 +358,16 @@ class SlidingWindowUpdater:
         self.tracks = {}          # feature id -> list of (clone seq, pixel)
         self.dropped = Counter(dict.fromkeys(DROP_REASONS, 0))
         self._seq = 0             # monotone id of the next clone
-        self._window = []         # clone seqs aligned with filt.clones
+        self._window = []         # clone seqs, one per row of filt.clone_R
 
-    def ingest(self, filt, t, observations):
+    def ingest(self, filt, observations):
         """One camera epoch: clone, extend tracks, update on dead tracks,
         slide the window.
 
         ``observations`` maps feature id -> pixel measurement.
         """
         R_c, p_c = camera_pose(filt.state, self.ext)
-        filt.clone_camera_pose(t, R_c, p_c)
+        filt.clone_camera_pose(R_c, p_c)
         self._window.append(self._seq)
         self._seq += 1
         for fid, uv in observations.items():
@@ -469,13 +423,12 @@ class SlidingWindowUpdater:
         groups = {}
         for k in positions:
             groups.setdefault(len(tracks[k]), []).append(k)
-        R_all, p_all = clone_poses(filt)
         out = {}
         for keys in groups.values():
             keys = np.array(keys)
             idx = np.array([[i for i, _ in tracks[k]] for k in keys])
             uv = np.array([[z for _, z in tracks[k]] for k in keys])
-            R, p = R_all[idx], p_all[idx]
+            R, p = filt.clone_R[idx], filt.clone_p[idx]
             f, degenerate, diverged = triangulate(self.model, R, p, uv)
             self.dropped["degenerate"] += int(degenerate.sum())
             self.dropped["diverged"] += int(diverged.sum())

@@ -1,16 +1,131 @@
 """Shared test helpers; the per-step mean and covariance steps that the
-interval predict replaced, and the per-track triangulation, clone Jacobians,
-nullspace projection and window flush that the batched flush replaced, kept
-as their oracles."""
+interval predict replaced, the per-track triangulation, clone Jacobians,
+nullspace projection and window flush that the batched flush replaced, the
+per-point camera projection, the single-vector SO(3) left Jacobian and the
+per-clone group-product correction that the stacked forms replaced, kept as
+their oracles."""
+
+import types
 
 import numpy as np
 import pytest
 
 from iekf_kit import filters, imu, lie, vision
-from iekf_kit.exceptions import (BehindCamera, DegenerateGeometry, Diverged,
-                                 ZeroRange)
+from iekf_kit.exceptions import DegenerateGeometry
 
 ACCEL = np.array([0.3, 0.1, 9.7])
+
+
+# the failures that the per-item oracles raise where the package sets a mask
+class BehindCamera(Exception):
+    """Point has non-positive depth in the camera frame."""
+
+
+class ZeroRange(Exception):
+    """Point is at (numerically) zero range from the camera center."""
+
+
+class Diverged(Exception):
+    """Iterative refinement failed to converge."""
+
+
+def _check_domain(model, x_cam):
+    if model.mode == "bearing" and np.linalg.norm(x_cam) < vision.RANGE_EPS:
+        raise ZeroRange("point at the camera center")
+    if x_cam[2] <= vision.DEPTH_EPS:
+        raise BehindCamera(f"depth {x_cam[2]:.3e}")
+
+
+def _project_point(model, x_cam):
+    """``CameraModel.project`` of one camera-frame point (3,), as it was
+    before it took stacks: the pixel (2,).
+
+    Raises:
+        ZeroRange: bearing mode, point at the camera center.
+        BehindCamera: non-positive depth.
+    """
+    x_cam = np.asarray(x_cam, dtype=float)
+    _check_domain(model, x_cam)
+    if model.mode == "bearing":
+        y = model.K @ (x_cam / np.linalg.norm(x_cam))
+        return y[:2] / y[2]
+    return np.array([model.fx * x_cam[0] / x_cam[2] + model.cx,
+                     model.fy * x_cam[1] / x_cam[2] + model.cy])
+
+
+def _projection_jacobian_point(model, x_cam):
+    """The 2 x 3 derivative of ``_project_point``, shared by both modes.
+
+    Raises:
+        ZeroRange, BehindCamera: as ``_project_point``.
+    """
+    x_cam = np.asarray(x_cam, dtype=float)
+    _check_domain(model, x_cam)
+    x, y, z = x_cam
+    return np.array([[model.fx / z, 0.0, -model.fx * x / z ** 2],
+                     [0.0, model.fy / z, -model.fy * y / z ** 2]])
+
+
+def _so3_left_jacobian_vector(w):
+    """``lie.so3_left_jacobian`` at one 3-vector, as it was before it took
+    stacks."""
+    w = np.asarray(w, dtype=float)
+    theta = float(np.linalg.norm(w))
+    W = lie.so3_hat(w)
+    _, b = lie._sin_cos_coeffs(theta)
+    if theta < lie.SMALL_ANGLE:
+        t2 = theta * theta
+        c = (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+             - t2 * t2 * t2 / 362880.0)
+    else:
+        c = (theta - np.sin(theta)) / (theta ** 3)
+    return np.eye(3) + b * W + c * (W @ W)
+
+
+def _group_element(R, columns):
+    """The SE_n(3) matrix of a rotation and its n translation columns."""
+    t = np.asarray(columns, dtype=float).reshape(-1, 3)
+    X = np.eye(3 + len(t))
+    X[:3, :3] = R
+    X[:3, 3:] = t.T
+    return X
+
+
+def _apply_correction_per_clone(filt, d):
+    """``FilterInstance.apply_correction`` as it was before the clones were
+    stacked: for the invariant error the group product sen_exp(c) X on
+    SE_{m+2}(3) for the IMU pose and landmarks and on SE(3) for each clone,
+    for the EKF family one rotation exponential per pose; clone by clone."""
+    d = np.asarray(d, dtype=float)
+    st = filt.state
+    m = filt.n_landmarks
+    if filt.variant.invariant:
+        tangent = np.concatenate([d[:9], d[15:15 + 3 * m]])
+        X = lie.sen_exp(tangent) @ _group_element(
+            st.R, [st.p, st.v] + ([] if m == 0 else list(filt.landmarks)))
+        st.R = X[:3, :3].copy()
+        cols = X[:3, 3:].T.copy()
+        st.p, st.v = cols[0], cols[1]
+        if m:
+            filt.landmarks = cols[2:]
+        for i in range(len(filt.clone_p)):
+            k = filt.clone_index(i)
+            Xc = lie.sen_exp(d[k:k + 6]) @ _group_element(filt.clone_R[i],
+                                                          filt.clone_p[i])
+            filt.clone_R[i] = Xc[:3, :3]
+            filt.clone_p[i] = Xc[:3, 3]
+    else:
+        st.R = lie.so3_exp(d[:3]) @ st.R
+        st.p = st.p + d[3:6]
+        st.v = st.v + d[6:9]
+        if m:
+            filt.landmarks = filt.landmarks + d[15:15 + 3 * m].reshape(m, 3)
+        for i in range(len(filt.clone_p)):
+            k = filt.clone_index(i)
+            filt.clone_R[i] = lie.so3_exp(d[k:k + 3]) @ filt.clone_R[i]
+            filt.clone_p[i] = filt.clone_p[i] + d[k + 3:k + 6]
+    st.b_omega = st.b_omega + d[9:12]
+    st.b_a = st.b_a + d[12:15]
 
 
 def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
@@ -203,7 +318,7 @@ def _triangulate_track(model, poses, pixels):
         x_cam = vision.world_to_camera(R, p, f)
         if np.any(x_cam[:, 2] <= vision.DEPTH_EPS):
             raise Diverged("refined point moved behind a camera")
-        pred, J_pi = model.project_batch(x_cam)
+        pred, J_pi = model.project(x_cam)
         J = (J_pi @ Rt).reshape(-1, 3)
         try:
             step = np.linalg.solve(J.T @ J, J.T @ (uv - pred).reshape(-1))
@@ -228,15 +343,15 @@ def _clone_feature_jacobians_track(filt, model, clone_indices, f_world):
     clone_indices = np.asarray(clone_indices, dtype=int).reshape(-1)
     f_world = np.asarray(f_world, dtype=float)
     n = len(clone_indices)
-    R = np.array([filt.clones[i].R for i in clone_indices])
-    p = np.array([filt.clones[i].p for i in clone_indices])
+    R = filt.clone_R[clone_indices]
+    p = filt.clone_p[clone_indices]
     x_cam = vision.world_to_camera(R, p, f_world)
     zero_range, behind = model.outside_domain(x_cam)
     if np.any(zero_range):
         raise ZeroRange("feature at a clone's camera center")
     if np.any(behind):
         raise BehindCamera(f"depth {x_cam[:, 2].min():.3e}")
-    pred, J_pi = model.project_batch(x_cam)
+    pred, J_pi = model.project(x_cam)
     JS = J_pi @ R.transpose(0, 2, 1)
     if filt.variant.invariant:
         rot = JS @ lie.so3_hat(f_world)
@@ -285,7 +400,7 @@ def _flush_per_track(upd, filt, feature_ids):
             upd.dropped["too_short"] += 1
             continue
         idx = [upd._window.index(s) for s, _ in track]
-        poses = [(filt.clones[i].R, filt.clones[i].p) for i in idx]
+        poses = list(zip(filt.clone_R[idx], filt.clone_p[idx]))
         pixels = np.array([uv for _, uv in track])
         try:
             f = _triangulate_track(upd.model, poses, pixels)
@@ -316,6 +431,32 @@ def _flush_per_track(upd, filt, feature_ids):
                                               np.vstack(rows_H))
     filt.update_raw(residual, H, np.eye(len(residual)) * upd.sigma_px ** 2)
     return used
+
+
+@pytest.fixture(scope="session")
+def oracle_errors():
+    return types.SimpleNamespace(BehindCamera=BehindCamera,
+                                 ZeroRange=ZeroRange, Diverged=Diverged)
+
+
+@pytest.fixture(scope="session")
+def project_point():
+    return _project_point
+
+
+@pytest.fixture(scope="session")
+def projection_jacobian_point():
+    return _projection_jacobian_point
+
+
+@pytest.fixture(scope="session")
+def so3_left_jacobian_vector():
+    return _so3_left_jacobian_vector
+
+
+@pytest.fixture(scope="session")
+def apply_correction_per_clone():
+    return _apply_correction_per_clone
 
 
 @pytest.fixture(scope="session")

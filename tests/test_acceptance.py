@@ -217,19 +217,15 @@ def test_criterion_09_sliding_window(verdict):
         filt = filters.FilterInstance(
             filters.FilterVariant("iekf"), imu.ImuState.identity(),
             np.eye(15) * 0.01, imu.ImuNoiseSpec())
-        poses = []
         for k in range(6):
-            R_c = lie.so3_exp(rng.normal(0.0, 0.05, 3))
-            p_c = np.array([1.5 * k, 0.3 * k, 0.1 * k])
-            poses.append((R_c, p_c))
-            filt.clone_camera_pose(0.0, R_c, p_c)
-        uv = np.concatenate([
-            model.project(vision.world_to_camera(R_c, p_c, f_true))
-            for R_c, p_c in poses])
-        R_all, p_all = vision.clone_poses(filt)
-        idx = np.arange(len(poses))[None]
+            filt.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.05, 3)),
+                                   np.array([1.5 * k, 0.3 * k, 0.1 * k]))
+        uv = model.project(vision.world_to_camera(
+            filt.clone_R, filt.clone_p, f_true))[0].ravel()
+        idx = np.arange(6)[None]
         pred, H_x, Hf, outside = vision.clone_feature_jacobians(
-            filt, model, idx, R_all[idx], p_all[idx], f_true[None])
+            filt, model, idx, filt.clone_R[idx], filt.clone_p[idx],
+            f_true[None])
         r0, _, degenerate = vision.nullspace_project(uv - pred, H_x, Hf)
         # a failed track has NaN rows, which max() would pass over
         failed += int(outside[0] or degenerate[0])

@@ -31,6 +31,15 @@ def make_filter(tag, rng, r=0.0, landmarks=None, P_scale=0.01):
                                   landmarks=landmarks)
 
 
+def group_element(R, columns):
+    """The SE_n(3) matrix of a rotation and its n translation columns."""
+    t = np.asarray(columns, dtype=float).reshape(-1, 3)
+    X = np.eye(3 + len(t))
+    X[:3, :3] = R
+    X[:3, 3:] = t.T
+    return X
+
+
 # one IMU reading, as the one-row stacks that predict takes
 OMEGA = np.array([[0.1, -0.2, 0.05]])
 ACCEL = np.array([[0.3, 0.1, 9.7]])
@@ -126,7 +135,7 @@ def test_update_raw_keeps_covariance_symmetric_psd(tag, m, n_obs, log_scale,
     f.P = A @ A.T
     idx = rng.choice(m, size=min(n_obs, m), replace=False)
     model = vision.CameraModel()
-    pix = np.array([model.project(x) for x in x_cam[idx]])
+    pix = model.project(x_cam[idx])[0]
     pix += rng.normal(0.0, sigma_px, pix.shape)
     r, H, N, _ = vision.landmark_measurement(f, model, ext, pix, sigma_px,
                                              landmark_index=idx)
@@ -147,9 +156,8 @@ def test_invariant_correction_is_group_exact():
     L0 = f.landmarks.copy()
     c = rng.normal(0.0, 0.05, 21)
     f.apply_correction(c)
-    X0 = lie.sen_from_parts(R0, [p0, v0] + list(L0))
-    X1 = lie.sen_from_parts(f.state.R,
-                            [f.state.p, f.state.v] + list(f.landmarks))
+    X0 = group_element(R0, [p0, v0] + list(L0))
+    X1 = group_element(f.state.R, [f.state.p, f.state.v] + list(f.landmarks))
     expected = lie.sen_exp(np.concatenate([c[:9], c[15:]])) @ X0
     assert np.abs(expected - X1).max() < 1e-12
     assert np.allclose(f.state.b_omega, c[9:12])
@@ -167,13 +175,64 @@ def test_ekf_correction_is_world_frame():
     assert np.allclose(f.state.p, p0 + c[3:6])
 
 
+@pytest.mark.parametrize("m", [0, 12])
+@pytest.mark.parametrize("n_clones", [0, 11])
+@pytest.mark.parametrize("tag", filters.ALL_TAGS)
+def test_correction_matches_per_clone_group_product(
+        tag, n_clones, m, monkeypatch, apply_correction_per_clone):
+    # the stacked correction against the per-pose one, clone by clone (the
+    # group product sen_exp(c_i) X_i for the invariant error): the EKF
+    # family bit for bit, the invariant error within 1e-14 of each part's
+    # magnitude; one stacked exponential, and one stacked left Jacobian for
+    # the invariant error, on the pose row and the clone rows together
+    rng = np.random.default_rng(33)
+    f = make_filter(tag, rng, r=0.3 if tag == "ij_iekf" else 0.0,
+                    landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
+    for _ in range(n_clones):
+        f.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 1.0, 3)),
+                            rng.normal(0.0, 5.0, 3))
+    d = rng.normal(0.0, 0.1, f.dim)
+    if n_clones:
+        # a clone rotation row on the small-angle branch
+        d[f.clone_index(3):f.clone_index(3) + 3] *= 1e-8
+    ref = copy.deepcopy(f)
+    calls = []
+
+    def counted(fn):
+        def wrapper(w):
+            calls.append((fn.__name__, np.shape(w)))
+            return fn(w)
+        return wrapper
+
+    for name in ("so3_exp_stack", "so3_left_jacobian"):
+        monkeypatch.setattr(lie, name, counted(getattr(lie, name)))
+    f.apply_correction(d)
+    monkeypatch.undo()
+    apply_correction_per_clone(ref, d)
+    rows = (1 + n_clones, 3)
+    assert calls == [("so3_exp_stack", rows)] + (
+        [("so3_left_jacobian", rows)] if f.variant.invariant else [])
+    parts = [(f.state.R, ref.state.R), (f.state.p, ref.state.p),
+             (f.state.v, ref.state.v), (f.state.b_omega, ref.state.b_omega),
+             (f.state.b_a, ref.state.b_a), (f.clone_R, ref.clone_R),
+             (f.clone_p, ref.clone_p)]
+    if m:
+        parts.append((f.landmarks, ref.landmarks))
+    for got, want in parts:
+        assert got.shape == want.shape
+        if f.variant.invariant and want.size:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 def test_clone_augment_then_marginalize_is_identity():
     rng = np.random.default_rng(6)
     for tag in ("iekf", "ekf"):
         f = make_filter(tag, rng)
         P0 = f.P.copy()
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
-        f.clone_camera_pose(0.0, R_c, p_c)
+        f.clone_camera_pose(R_c, p_c)
         assert f.dim == 21
         assert np.array_equal(f.P, f.P.T)
         f.marginalize_clone(0)
@@ -198,7 +257,7 @@ def test_clone_block_symmetrization_matches_full_pass():
     J[3:6, :3] = -lie.so3_hat(p_c - f.state.p)
     PJt = f.P @ J.T
     full = np.block([[f.P, PJt], [PJt.T, J @ PJt]])
-    f.clone_camera_pose(0.0, R_c, p_c)
+    f.clone_camera_pose(R_c, p_c)
     assert np.array_equal(f.P, 0.5 * (full + full.T))
 
 
@@ -206,12 +265,13 @@ def test_clone_covariance_blocks():
     rng = np.random.default_rng(7)
     f = make_filter("iekf", rng)
     R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
-    f.clone_camera_pose(0.5, R_c, p_c)
+    f.clone_camera_pose(R_c, p_c)
     # invariant clone error equals the IMU pose error: exact identity blocks
     assert np.allclose(f.P[15:18, 15:18], f.P[:3, :3])
     assert np.allclose(f.P[18:21, 18:21], f.P[3:6, 3:6])
     assert np.allclose(f.P[15:21, :6], f.P[:6, :6])
-    assert f.clones[0].t == 0.5
+    assert np.array_equal(f.clone_R, [R_c]) and np.array_equal(f.clone_p,
+                                                               [p_c])
 
 
 def test_nees_trivial_values():
@@ -301,8 +361,8 @@ def correction_between(tag, est, tru, lms_true, lms_est):
     m = len(lms_est)
     out = np.zeros(15 + 3 * m)
     if tag in ("iekf", "ij_iekf"):
-        Xe = lie.sen_from_parts(est.R, [est.p, est.v] + list(lms_est))
-        Xt = lie.sen_from_parts(tru.R, [tru.p, tru.v] + list(lms_true))
+        Xe = group_element(est.R, [est.p, est.v] + list(lms_est))
+        Xt = group_element(tru.R, [tru.p, tru.v] + list(lms_true))
         xi = lie.sen_log(Xt @ lie.sen_inverse(Xe))
         out[:9] = xi[:9]
         out[15:] = xi[9:]
@@ -436,7 +496,7 @@ def test_predict_propagates_clones_like_propagate_covariance(
     for tag in ("iekf", "ekf"):
         f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
-        f.clone_camera_pose(0.0, R_c, p_c)
+        f.clone_camera_pose(R_c, p_c)
         F, G, U = variant_jacobians(tag, f.state, f.landmarks, ACCEL[0])
         Q = f.noise.q_imu()
         V, Qd = imu.compose_error_dynamics(F[None], G[None],
@@ -468,10 +528,10 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
     f.state.b_a = rng.normal(0.0, 0.1, 3)
     A = rng.normal(0.0, 0.1, (f.dim, f.dim))
     f.P = A @ A.T + 1e-3 * np.eye(f.dim)
-    for t in (0.0, 0.1):
+    for _ in range(2):
         R_c, p_c = vision.camera_pose(
             f.state, vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
-        f.clone_camera_pose(t, R_c, p_c)
+        f.clone_camera_pose(R_c, p_c)
     omega, accel = interval_readings(rng, n)
     ref = copy.deepcopy(f)
     f.predict(omega, accel, 0.01)

@@ -261,12 +261,6 @@ def test_sen_exp_log_roundtrip_across_branch_switches(n, angle, seed):
     assert np.abs(X - ref).max() <= 1e-14 * np.abs(ref).max()
     tol = 1e-9 * (1.0 + np.abs(xi).max())
     assert np.abs(lie.sen_log(X) - xi).max() <= tol
-    cols = lie.sen_columns(X)
-    assert cols.shape == (n, 3)
-    assert np.array_equal(cols, X[:3, 3:].T)
-    R = lie.sen_rotation(X)
-    assert np.array_equal(lie.sen_from_parts(R, cols), X)
-    assert np.array_equal(lie.sen_from_parts(R, list(cols)), X)
 
 
 def so3_exp_numpy_forms(w):
@@ -333,6 +327,39 @@ def test_so3_stacks_match_per_row():
         assert np.array_equal(E[k], lie.so3_exp(w[k]))
         assert np.array_equal(J[k], lie.so3_left_jacobian_inv(w[k]))
         assert np.array_equal(logs[k], lie.so3_log(M[k]))
+
+
+def test_so3_left_jacobian_stack_matches_vector_form(
+        so3_left_jacobian_vector):
+    # each row of the stacked left Jacobian, and the stacked form called on
+    # the row alone, equal the single-vector form bit for bit: rows on both
+    # sides of the small-angle switch, zero, and an empty stack
+    rng = np.random.default_rng(24)
+    w = rng.normal(0.0, 1.0, (60, 3)) * 10.0 ** rng.uniform(-12, 0.5, (60, 1))
+    w[0] = 0.0
+    w[1:4] = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])[:, None] * (
+        lie.SMALL_ANGLE / np.sqrt(3.0))
+    assert (np.linalg.norm(w, axis=1) < lie.SMALL_ANGLE).sum() >= 10
+    J = lie.so3_left_jacobian(w)
+    assert J.shape == (60, 3, 3)
+    for k in range(len(w)):
+        want = so3_left_jacobian_vector(w[k]).tobytes()
+        assert J[k].tobytes() == want
+        assert lie.so3_left_jacobian(w[k]).tobytes() == want
+    assert lie.so3_left_jacobian(np.zeros((0, 3))).shape == (0, 3, 3)
+
+
+def test_so3_hat_of_a_stack_is_per_row():
+    # so3_hat maps every 3-vector of an (..., 3) array, as it maps one
+    rng = np.random.default_rng(25)
+    w = rng.normal(0.0, 1.0, (4, 5, 3))
+    H = lie.so3_hat(w)
+    assert H.shape == (4, 5, 3, 3)
+    for u, W in zip(w.reshape(-1, 3), H.reshape(-1, 3, 3)):
+        assert np.array_equal(W, [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]],
+                                  [-u[1], u[0], 0.0]])
+        assert np.array_equal(lie.so3_hat(u), W)
+        assert np.array_equal(lie.so3_vee(W), u)
 
 
 def test_so3_log_stack_guards_each_row():

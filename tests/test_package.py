@@ -1,10 +1,10 @@
 """Package-shape tests: every public function and method of iekf_kit is
-reached from inside the package, so code that only the tests exercise does
-not accumulate.  A name counts as reached when it appears as a name or an
-attribute anywhere in the package outside its own definition; the check is
-by name only, so it can miss dead code that shares a name with live code,
-but it never flags live code.  The package runs on numpy and PyYAML alone:
-scipy is a test dependency only."""
+reached from inside the package, and every exception class is raised there,
+so code that only the tests exercise does not accumulate.  A name counts as
+reached when it appears as a name or an attribute anywhere in the package
+outside its own definition; the check is by name only, so it can miss dead
+code that shares a name with live code, but it never flags live code.  The
+package runs on numpy and PyYAML alone: scipy is a test dependency only."""
 
 import ast
 import collections
@@ -71,6 +71,26 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert sorted(set(unreferenced) - set(ALLOWED)) == []
     # an entry that gained a caller, or is gone, leaves the allowlist
     assert sorted(set(ALLOWED) - set(unreferenced)) == []
+
+
+def unraised_exceptions():
+    """The classes of exceptions.py, other than the base IekfKitError, that
+    no raise statement in the package names."""
+    tree = ast.parse((PACKAGE / "exceptions.py").read_text())
+    classes = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)} - {"IekfKitError"}
+    raised = collections.Counter()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                raised += _referenced_names(
+                    exc.func if isinstance(exc, ast.Call) else exc)
+    return sorted(classes - set(raised))
+
+
+def test_every_exception_is_raised_in_the_package():
+    assert unraised_exceptions() == []
 
 
 # imports every module, runs every self-check and one short simulation,

@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 from iekf_kit import filters, imu, lie, sim, vision
-from iekf_kit.exceptions import (BehindCamera, DegenerateGeometry, Diverged,
-                                 ZeroRange)
+from iekf_kit.exceptions import DegenerateGeometry
 
 
 MODEL = vision.CameraModel()
+
+
+class Diverged(Exception):
+    """The per-observation triangulation oracle did not converge."""
+
+
+def pixel(model, x_cam):
+    """The pixel (2,) of one camera-frame point (3,)."""
+    return model.project(np.reshape(x_cam, (1, 3)))[0][0]
 
 
 def make_filter(tag, rng, landmarks=None):
@@ -27,51 +35,50 @@ def make_filter(tag, rng, landmarks=None):
 
 
 def test_pinhole_projection_values():
-    uv = MODEL.project(np.array([0.0, 0.0, 2.0]))
-    assert np.allclose(uv, [MODEL.cx, MODEL.cy])
-    uv = MODEL.project(np.array([1.0, 0.0, 1.0]))
-    assert np.allclose(uv, [MODEL.cx + MODEL.fx, MODEL.cy])
+    uv, _ = MODEL.project(np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 1.0]]))
+    assert np.allclose(uv, [[MODEL.cx, MODEL.cy],
+                            [MODEL.cx + MODEL.fx, MODEL.cy]])
 
 
 def test_bearing_equals_pinhole_on_front_domain():
     bearing = vision.CameraModel(mode="bearing")
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = rng.normal(0.0, 1.0, 3)
-        x[2] = abs(x[2]) + 0.2
-        assert np.abs(bearing.project(x) - MODEL.project(x)).max() < 1e-9
+    x = rng.normal(0.0, 1.0, (50, 3))
+    x[:, 2] = np.abs(x[:, 2]) + 0.2
+    (uv_b, J_b), (uv_p, J_p) = bearing.project(x), MODEL.project(x)
+    assert np.abs(uv_b - uv_p).max() < 1e-9
+    assert np.array_equal(J_b, J_p)
 
 
 def test_projection_domain_errors():
-    with pytest.raises(BehindCamera):
-        MODEL.project(np.array([0.1, 0.2, -1.0]))
-    with pytest.raises(BehindCamera):
-        MODEL.project(np.array([0.1, 0.2, 0.0]))
+    # the domain guard flags points behind the camera in both modes, and
+    # the camera center as zero range in bearing mode
+    x = np.array([[0.1, 0.2, -1.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.0],
+                  [0.0, 0.0, -2.0], [0.1, 0.2, 1.0]])
+    zero_range, behind = MODEL.outside_domain(x)
+    assert zero_range is False
+    assert behind.tolist() == [True, True, True, True, False]
     bearing = vision.CameraModel(mode="bearing")
-    with pytest.raises(ZeroRange):
-        bearing.project(np.zeros(3))
-    with pytest.raises(BehindCamera):
-        bearing.project(np.array([0.0, 0.0, -2.0]))
+    zero_range, behind = bearing.outside_domain(x)
+    assert zero_range.tolist() == [False, False, True, False, False]
+    assert behind.tolist() == [True, True, True, True, False]
     with pytest.raises(ValueError):
         vision.CameraModel(mode="fisheye")
 
 
 def test_projection_jacobian_finite_difference():
-    # 100 seeded configurations per mode, tolerance 1e-5
+    # 100 seeded points per mode in one stack, tolerance 1e-5
     rng = np.random.default_rng(1)
+    eps = 1e-6
     for mode in ("pinhole", "bearing"):
         model = vision.CameraModel(mode=mode)
-        worst = 0.0
-        for _ in range(100):
-            x = rng.normal(0.0, 1.0, 3)
-            x[2] = abs(x[2]) + 0.5
-            J = model.projection_jacobian(x)
-            eps = 1e-6
-            Jfd = np.column_stack([
-                (model.project(x + eps * e) - model.project(x - eps * e))
-                / (2 * eps) for e in np.eye(3)])
-            worst = max(worst, np.abs(J - Jfd).max())
-        assert worst < 1e-5
+        x = rng.normal(0.0, 1.0, (100, 3))
+        x[:, 2] = np.abs(x[:, 2]) + 0.5
+        _, J = model.project(x)
+        Jfd = np.stack([(model.project(x + eps * e)[0]
+                         - model.project(x - eps * e)[0]) / (2 * eps)
+                        for e in np.eye(3)], axis=2)
+        assert np.abs(J - Jfd).max() < 1e-5
 
 
 def fd_measurement_jacobian(filt, ext, landmark_index):
@@ -90,7 +97,7 @@ def fd_measurement_jacobian(filt, ext, landmark_index):
                                        landmarks=filt.landmarks)
             g.apply_correction(c)
             R_c, p_c = vision.camera_pose(g.state, ext)
-            cols.append(MODEL.project(vision.world_to_camera(
+            cols.append(pixel(MODEL, vision.world_to_camera(
                 R_c, p_c, g.landmarks[landmark_index])))
         H_fd[:, a] = (cols[0] - cols[1]) / (2 * eps)
     return H_fd
@@ -106,7 +113,7 @@ def test_landmark_jacobian_in_state(tag):
     f.landmarks = np.array([p_c + R_c @ np.array([0.5, 0.2, 5.0]),
                             p_c + R_c @ np.array([-1.0, 0.8, 7.0])])
     j = 1
-    pix = MODEL.project(vision.world_to_camera(R_c, p_c, f.landmarks[j]))
+    pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[j]))
     _, H, _, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
                                              landmark_index=[j])
     H_fd = fd_measurement_jacobian(f, ext, j)
@@ -119,7 +126,7 @@ def test_landmark_residual_at_truth_is_zero():
     f = make_filter("iekf", rng, landmarks=np.zeros((1, 3)))
     R_c, p_c = vision.camera_pose(f.state, ext)
     f.landmarks = (p_c + R_c @ np.array([0.0, 0.0, 4.0]))[None, :]
-    pix = MODEL.project(vision.world_to_camera(R_c, p_c, f.landmarks[0]))
+    pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[0]))
     r, _, N, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 2.0,
                                              landmark_index=[0])
     assert np.abs(r).max() < 1e-12
@@ -139,7 +146,7 @@ def epoch_in_front(tag, rng, n=5):
     f.anchor_landmarks = f.landmarks + rng.normal(0.0, 0.3, (n, 3))
     if f.anchor_state is not None:
         f.anchor_state.p = f.anchor_state.p + rng.normal(0.0, 0.5, 3)
-    pix = np.array([MODEL.project(x) for x in x_cam])
+    pix, _ = MODEL.project(x_cam)
     return f, ext, pix + rng.normal(0.0, 1.0, (n, 2))
 
 
@@ -175,12 +182,11 @@ def test_epoch_drops_observations_outside_the_domain(mode):
     R_c, p_c = vision.camera_pose(f.state, ext)
     if mode == "pinhole":
         f.landmarks[2] = p_c + R_c @ np.array([0.5, -0.3, -4.0])
-        raised = BehindCamera
     else:
         f.landmarks[2] = p_c
-        raised = ZeroRange
-    with pytest.raises(raised):
-        model.project(vision.world_to_camera(R_c, p_c, f.landmarks[2]))
+    zero_range, behind = model.outside_domain(
+        vision.world_to_camera(R_c, p_c, f.landmarks[2:3]))
+    assert (zero_range if mode == "bearing" else behind)[0]
     idx = np.array([0, 1, 2, 3])
     r, H, N, kept = vision.landmark_measurement(f, model, ext, pix, 1.0,
                                                 landmark_index=idx)
@@ -214,9 +220,10 @@ def test_cross_rows_equals_np_cross():
 
 
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
-def test_batch_projection_matches_single_point_forms(mode):
-    # the stacked guard and maps agree with project()/projection_jacobian(),
-    # points on both sides of the depth and range thresholds included
+def test_batch_projection_matches_single_point_forms(
+        mode, project_point, projection_jacobian_point, oracle_errors):
+    # the stacked guard and maps agree with the per-point oracles, points
+    # on both sides of the depth and range thresholds included
     model = vision.CameraModel(mode=mode)
     rng = np.random.default_rng(11)
     x = rng.normal(0.0, 1.0, (40, 3))
@@ -228,21 +235,19 @@ def test_batch_projection_matches_single_point_forms(mode):
     zero_range, behind = model.outside_domain(x)
     zero_range = np.broadcast_to(zero_range, behind.shape)
     inside = ~(zero_range | behind)
-    uv, J = model.project_batch(x[inside])
+    uv, J = model.project(x[inside])
     for k, point in enumerate(x):
-        for fn in (model.project, model.projection_jacobian):
-            if zero_range[k]:
-                with pytest.raises(ZeroRange):
-                    fn(point)
-            elif behind[k]:
-                with pytest.raises(BehindCamera):
-                    fn(point)
-            else:
-                fn(point)
+        for fn in (project_point, projection_jacobian_point):
+            if inside[k]:
+                fn(model, point)
+                continue
+            with pytest.raises(oracle_errors.ZeroRange if zero_range[k]
+                               else oracle_errors.BehindCamera):
+                fn(model, point)
     assert inside[:10].all() and not inside[10:12].any()
     for point, uv_k, J_k in zip(x[inside], uv, J):
-        assert np.array_equal(J_k, model.projection_jacobian(point))
-        assert np.array_equal(uv_k, model.project(point))
+        assert np.array_equal(J_k, projection_jacobian_point(model, point))
+        assert np.array_equal(uv_k, project_point(model, point))
 
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
@@ -254,19 +259,18 @@ def test_clone_feature_jacobians_finite_difference(tag):
     poses = [(R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
               p_c + rng.normal(0.0, 0.5, 3)) for _ in range(3)]
     for R_k, p_k in poses:
-        f.clone_camera_pose(0.0, R_k, p_k)
+        f.clone_camera_pose(R_k, p_k)
     f_world = p_c + R_c @ np.array([0.4, -0.1, 5.0])
     # one track seen by clones 2 and 0: rows follow the given order
     track = [2, 0]
-    R_all, p_all = vision.clone_poses(f)
     idx = np.array([track])
     pred, H_x, H_f, outside = vision.clone_feature_jacobians(
-        f, MODEL, idx, R_all[idx], p_all[idx], f_world[None])
+        f, MODEL, idx, f.clone_R[idx], f.clone_p[idx], f_world[None])
     assert not outside[0]
     pred, H_x, H_f = pred[0], H_x[0], H_f[0]
 
     def observe(R_k, p_k, point):
-        return MODEL.project(vision.world_to_camera(R_k, p_k, point))
+        return pixel(MODEL, vision.world_to_camera(R_k, p_k, point))
 
     assert np.array_equal(pred, np.concatenate(
         [observe(*poses[i], f_world) for i in track]))
@@ -281,10 +285,10 @@ def test_clone_feature_jacobians_finite_difference(tag):
             g = filters.FilterInstance(f.variant, f.state, np.eye(15) * 0.01,
                                        imu.ImuNoiseSpec())
             for R_k, p_k in poses:
-                g.clone_camera_pose(0.0, R_k, p_k)
+                g.clone_camera_pose(R_k, p_k)
             g.apply_correction(c)
             cols.append(np.concatenate(
-                [observe(g.clones[i].R, g.clones[i].p, f_world)
+                [observe(g.clone_R[i], g.clone_p[i], f_world)
                  for i in track]))
         H_fd[:, a] = (cols[0] - cols[1]) / (2 * eps)
     assert np.abs(H_x - H_fd).max() < 1e-4
@@ -301,7 +305,7 @@ def test_clone_feature_jacobians_finite_difference(tag):
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
 def test_clone_feature_jacobians_flag_features_outside_the_domain(
-        tag, clone_feature_jacobians_track):
+        tag, clone_feature_jacobians_track, oracle_errors):
     # a group of three tracks whose middle feature is behind one of its
     # clones: that track is flagged with NaN rows (the per-track oracle
     # raises), and the others equal their calls as groups of one and the
@@ -311,24 +315,23 @@ def test_clone_feature_jacobians_flag_features_outside_the_domain(
     ext = vision.Extrinsics()
     R_c, p_c = vision.camera_pose(f.state, ext)
     for _ in range(4):
-        f.clone_camera_pose(0.0, R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
+        f.clone_camera_pose(R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
                             p_c + rng.normal(0.0, 0.5, 3))
     idx = np.array([[0, 1, 2], [3, 1, 0], [2, 3, 1]])
     points = p_c + np.array([[0.4, -0.1, 5.0], [0.2, 0.3, 6.0],
                              [-0.5, 0.2, 8.0]]) @ R_c.T
-    points[1] = f.clones[1].p - 2.0 * f.clones[1].R[:, 2]
-    R_all, p_all = vision.clone_poses(f)
+    points[1] = f.clone_p[1] - 2.0 * f.clone_R[1][:, 2]
     pred, H_x, H_f, outside = vision.clone_feature_jacobians(
-        f, MODEL, idx, R_all[idx], p_all[idx], points)
+        f, MODEL, idx, f.clone_R[idx], f.clone_p[idx], points)
     assert outside.tolist() == [False, True, False]
     assert np.isnan(pred[1]).all() and np.isnan(H_x[1]).all()
     assert np.isnan(H_f[1]).all()
-    with pytest.raises(BehindCamera):
+    with pytest.raises(oracle_errors.BehindCamera):
         clone_feature_jacobians_track(f, MODEL, idx[1], points[1])
     for k in (0, 2):
         one = vision.clone_feature_jacobians(
-            f, MODEL, idx[k:k + 1], R_all[idx[k:k + 1]], p_all[idx[k:k + 1]],
-            points[k:k + 1])
+            f, MODEL, idx[k:k + 1], f.clone_R[idx[k:k + 1]],
+            f.clone_p[idx[k:k + 1]], points[k:k + 1])
         oracle = clone_feature_jacobians_track(f, MODEL, idx[k], points[k])
         for got, want, old in zip((pred, H_x, H_f), one, oracle):
             assert got[k].tobytes() == want[0].tobytes() == old.tobytes()
@@ -340,7 +343,7 @@ def synthetic_track(rng, n_views=6, noise=0.0):
     for k in range(n_views):
         R_c = lie.so3_exp(rng.normal(0.0, 0.05, 3))
         p_c = np.array([1.5 * k, 0.3 * k, 0.1 * k])
-        uv = MODEL.project(vision.world_to_camera(R_c, p_c, f_true))
+        uv = pixel(MODEL, vision.world_to_camera(R_c, p_c, f_true))
         poses.append((R_c, p_c))
         pixels.append(uv + noise * rng.standard_normal(2))
     return f_true, poses, pixels
@@ -392,8 +395,9 @@ def triangulate_loop(model, poses, pixels):
             x_cam = R_c.T @ (f - p_c)
             if x_cam[2] <= vision.DEPTH_EPS:
                 raise Diverged("refined point moved behind a camera")
-            J = model.projection_jacobian(x_cam) @ R_c.T
-            r = np.asarray(uv, dtype=float) - model.project(x_cam)
+            pred, J_pi = model.project(x_cam[None])
+            J = J_pi[0] @ R_c.T
+            r = np.asarray(uv, dtype=float) - pred[0]
             JtJ += J.T @ J
             Jtr += J.T @ r
         try:
@@ -448,7 +452,8 @@ def test_triangulation_degenerate_rays():
 
 
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
-def test_triangulation_batch_isolates_failures(mode, triangulate_track):
+def test_triangulation_batch_isolates_failures(mode, triangulate_track,
+                                               oracle_errors):
     # good tracks mixed with one track of each way to fail: parallel rays
     # (degenerate), lines meeting behind the cameras (behind), a scene so
     # far out that no step falls below the absolute step tolerance (no
@@ -475,7 +480,7 @@ def test_triangulation_batch_isolates_failures(mode, triangulate_track):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 want = triangulate_track(model, *track)
-        except (DegenerateGeometry, Diverged) as e:
+        except (DegenerateGeometry, oracle_errors.Diverged) as e:
             outcome.append(type(e).__name__)
             assert np.isnan(f[k]).all()
             continue
@@ -508,11 +513,11 @@ def test_nullspace_projection_annihilates_feature_block(
         f_true, poses, pixels = synthetic_track(rng)
         filt = make_filter("iekf", rng)
         for R_c, p_c in poses:
-            filt.clone_camera_pose(0.0, R_c, p_c)
-        R_all, p_all = vision.clone_poses(filt)
+            filt.clone_camera_pose(R_c, p_c)
         idx = np.arange(len(poses))[None]
         pred, H_x, Hf, outside = vision.clone_feature_jacobians(
-            filt, MODEL, idx, R_all[idx], p_all[idx], f_true[None])
+            filt, MODEL, idx, filt.clone_R[idx], filt.clone_p[idx],
+            f_true[None])
         assert not outside[0]
         for got, old in zip((pred, H_x, Hf), clone_feature_jacobians_track(
                 filt, MODEL, idx[0], f_true)):
@@ -557,8 +562,9 @@ def test_nullspace_projection_needs_enough_rows():
 
 def mean_vector(filt):
     st = filt.state
-    return np.concatenate([st.R.ravel(), st.p, st.v, st.b_omega, st.b_a]
-                          + [np.r_[cl.R.ravel(), cl.p] for cl in filt.clones])
+    clones = np.hstack((filt.clone_R.reshape(-1, 9), filt.clone_p))
+    return np.concatenate([st.R.ravel(), st.p, st.v, st.b_omega, st.b_a,
+                           clones.ravel()])
 
 
 def test_compressed_update_matches_tall_update():
@@ -566,8 +572,8 @@ def test_compressed_update_matches_tall_update():
     # velocity and bias columns all zero
     rng = np.random.default_rng(12)
     filt = make_filter("iekf", rng)
-    for k in range(12):
-        filt.clone_camera_pose(float(k), lie.so3_exp(rng.normal(0.0, 0.3, 3)),
+    for _ in range(12):
+        filt.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.3, 3)),
                                rng.normal(0.0, 5.0, 3))
     d = filt.dim
     A = rng.normal(0.0, 0.03, (d, d))
@@ -690,7 +696,7 @@ def ended_tracks(rng, specs, n_epochs=6):
             R_c, p_c = poses[k]
             x_cam = (direction @ R_c if kind == "parallel"
                      else vision.world_to_camera(R_c, p_c, point))
-            uv = MODEL.project_batch(x_cam[None])[0][0]
+            uv = pixel(MODEL, x_cam)
             frames[k][fid] = uv + (rng.normal(0.0, 1.0, 2) if kind == "good"
                                    else 0.0)
     return filt, poses, frames
@@ -704,10 +710,9 @@ def flush_ended_tracks(monkeypatch, flush, filt, poses, frames):
     upd = vision.SlidingWindowUpdater(MODEL, vision.Extrinsics())
     with monkeypatch.context() as m:
         rec = record_flushes(m, flush)
-        for t, ((R_c, p_c), obs) in enumerate(zip(poses + [poses[-1]],
-                                                  frames + [{}])):
+        for (R_c, p_c), obs in zip(poses + [poses[-1]], frames + [{}]):
             filt.state.R, filt.state.p = R_c, p_c
-            upd.ingest(filt, float(t), obs)
+            upd.ingest(filt, obs)
     return rec, filt
 
 
@@ -748,10 +753,10 @@ def test_sliding_window_updater_marginalizes():
     filt = make_filter("iekf", rng)
     upd = vision.SlidingWindowUpdater(MODEL, vision.Extrinsics(),
                                       max_clones=3)
-    for k in range(6):
-        upd.ingest(filt, float(k), {})
-        assert len(filt.clones) <= 3
-    assert len(upd._window) == len(filt.clones)
+    for _ in range(6):
+        upd.ingest(filt, {})
+        assert len(filt.clone_p) <= 3
+    assert len(upd._window) == len(filt.clone_p) == len(filt.clone_R)
 
 
 def test_observability_nullspace_dimension_stable():
