@@ -28,6 +28,12 @@ INVARIANT_TAGS = ("iekf", "ij_iekf")
 EKF_FAMILY_TAGS = ("ekf", "fej")
 ALL_TAGS = EKF_FAMILY_TAGS + INVARIANT_TAGS
 
+# rows per block of update_raw's forward substitution against the
+# innovation factor (numpy has no triangular solve): a few small inverses
+# and products cost less than np.linalg.solve's pivoted LU, and an update
+# of at most 24 rows, as every one of the study's is, takes one block
+SOLVE_BLOCK = 24
+
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 # e_a^ for a = 0, 1, 2: the basis of the imitated landmark rows
@@ -226,11 +232,17 @@ class FilterInstance:
         """Kalman update in square-root form; the gain-weighted residual is
         applied directly as a correction in this filter's error convention.
 
-        With HP = H P, S = HP H^T + N = L L^T and W = L^-1 HP (one solve
-        against [HP | r]), the correction is W^T L^-1 r and the covariance
-        becomes P - W^T W.  The Cholesky factorization reads only the lower
-        triangle of S, and W^T W is exactly symmetric, so P stays exactly
-        symmetric without a symmetrization pass.
+        With HP = H P, S = HP H^T + N = L L^T and W = L^-1 HP, the
+        correction is W^T L^-1 r and the covariance becomes P - W^T W.
+        L^-1 [HP | r] is a blocked forward substitution, in row blocks of
+        ``SOLVE_BLOCK``: each block's rows are reduced by the rows already
+        solved in one product, then multiplied by the inverse of L's
+        diagonal block, so one block is inv(L) [HP | r].  P - W^T W is
+        formed in the buffer of W^T W, a new array; the array that was P
+        is never written, so callers may share it.  The Cholesky
+        factorization reads only the lower triangle of S, and W^T W is
+        exactly symmetric, so P stays exactly symmetric without a
+        symmetrization pass.
 
         Raises:
             SingularInnovation: if the Cholesky factorization of the
@@ -255,10 +267,15 @@ class FilterInstance:
         if ratio > 1e12:
             raise SingularInnovation(
                 f"innovation Cholesky diagonal ratio squared {ratio:.3e}")
-        Wz = np.linalg.solve(L, np.column_stack((HP, residual)))
+        Wz = np.column_stack((HP, residual))
+        for s in range(0, len(L), SOLVE_BLOCK):
+            e = s + SOLVE_BLOCK
+            rhs = Wz[s:e] - L[s:e, :s] @ Wz[:s] if s else Wz[s:e]
+            Wz[s:e] = np.linalg.inv(L[s:e, s:e]) @ rhs
         W, z = Wz[:, :-1], Wz[:, -1]
         self.apply_correction(W.T @ z)
-        self.P = self.P - W.T @ W
+        WtW = W.T @ W
+        self.P = np.subtract(self.P, WtW, out=WtW)
 
     def apply_correction(self, d):
         """Apply a correction vector in this filter's error convention.

@@ -2,8 +2,9 @@
 interval predict replaced, the per-track triangulation, clone Jacobians,
 nullspace projection and window flush that the batched flush replaced, the
 per-point camera projection, the single-vector SO(3) left Jacobian and the
-per-clone group-product correction that the stacked forms replaced, kept as
-their oracles."""
+per-clone group-product correction that the stacked forms replaced, and the
+Kalman update by one LU solve that the blocked forward substitution
+replaced, kept as their oracles."""
 
 import types
 
@@ -126,6 +127,29 @@ def _apply_correction_per_clone(filt, d):
             filt.clone_p[i] = filt.clone_p[i] + d[k + 3:k + 6]
     st.b_omega = st.b_omega + d[9:12]
     st.b_a = st.b_a + d[12:15]
+
+
+def _mean_vector(filt):
+    """The filter's mean as one vector: the IMU state, each clone's R and p,
+    then the landmarks if the filter has any."""
+    st = filt.state
+    clones = np.hstack((filt.clone_R.reshape(-1, 9), filt.clone_p))
+    parts = [st.R.ravel(), st.p, st.v, st.b_omega, st.b_a, clones.ravel()]
+    if filt.landmarks is not None:
+        parts.append(filt.landmarks.ravel())
+    return np.concatenate(parts)
+
+
+def _update_raw_lu(filt, residual, H, N):
+    """``FilterInstance.update_raw`` as it was before the blocked forward
+    substitution: W and z from one ``np.linalg.solve`` (a pivoted LU)
+    against the Cholesky factor L of S, and P - W^T W as a fresh array."""
+    HP = H @ filt.P
+    L = np.linalg.cholesky(HP @ H.T + N)
+    Wz = np.linalg.solve(L, np.column_stack((HP, residual)))
+    W, z = Wz[:, :-1], Wz[:, -1]
+    filt.apply_correction(W.T @ z)
+    filt.P = filt.P - W.T @ W
 
 
 def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
@@ -477,6 +501,16 @@ def nullspace_project_track():
 @pytest.fixture(scope="session")
 def flush_per_track():
     return _flush_per_track
+
+
+@pytest.fixture(scope="session")
+def mean_vector():
+    return _mean_vector
+
+
+@pytest.fixture(scope="session")
+def update_raw_lu():
+    return _update_raw_lu
 
 
 @pytest.fixture(scope="session")

@@ -117,8 +117,9 @@ def test_update_rejects_singular_innovation():
 
 
 @settings(max_examples=60, deadline=None)
+# up to 48 rows: the update's forward substitution takes one row block or two
 @given(tag=st_.sampled_from(["ekf", "fej", "iekf"]),
-       m=st_.integers(1, 6), n_obs=st_.integers(1, 6),
+       m=st_.integers(1, 24), n_obs=st_.integers(1, 24),
        log_scale=st_.floats(-6.0, 2.0), sigma_px=st_.floats(0.05, 5.0),
        seed=st_.integers(0, 2 ** 32 - 1))
 def test_update_raw_keeps_covariance_symmetric_psd(tag, m, n_obs, log_scale,
@@ -146,6 +147,46 @@ def test_update_raw_keeps_covariance_symmetric_psd(tag, m, n_obs, log_scale,
     assert np.array_equal(f.P, f.P.T)
     norm = np.linalg.norm(f.P, 2)
     assert np.linalg.eigvalsh(f.P).min() >= -1e-12 * norm
+
+
+B = filters.SOLVE_BLOCK
+
+
+# one row block, its edges and several blocks at the dense workload's
+# d = 195 (60 landmarks), and the sliding window's tall 840-row stack at
+# d = 87 (12 clones, velocity and bias columns all zero)
+@pytest.mark.parametrize("rows, m, n_clones",
+                         [(1, 60, 0), (B - 1, 60, 0), (B, 60, 0),
+                          (B + 1, 60, 0), (78, 60, 0), (840, 0, 12)])
+def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
+                                     mean_vector):
+    rng = np.random.default_rng(rows)
+    f = make_filter("iekf", rng,
+                    landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
+    for _ in range(n_clones):
+        f.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.3, 3)),
+                            rng.normal(0.0, 5.0, 3))
+    d = f.dim
+    A = rng.normal(0.0, 0.03, (d, d))
+    f.P = A @ A.T + 1e-4 * np.eye(d)
+    H = rng.normal(0.0, 5.0, (rows, d))
+    if n_clones:
+        H[:, 6:15] = 0.0
+    residual = rng.normal(0.0, 1.0, rows)
+    N = np.eye(rows)
+    ref = copy.deepcopy(f)
+    P_before = f.P
+    P_bytes = P_before.tobytes()
+    f.update_raw(residual, H, N)
+    update_raw_lu(ref, residual, H, N)
+    assert np.array_equal(f.P, f.P.T)
+    assert np.abs(f.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+    mean = mean_vector(ref)
+    assert (np.abs(mean_vector(f) - mean).max()
+            <= 1e-12 * np.abs(mean).max())
+    # the array that was P is never written: callers may share it
+    assert f.P is not P_before and P_before.tobytes() == P_bytes
+    assert f.P.flags.c_contiguous
 
 
 def test_invariant_correction_is_group_exact():

@@ -560,14 +560,7 @@ def test_nullspace_projection_needs_enough_rows():
                                  np.ones((1, 2, 3)))
 
 
-def mean_vector(filt):
-    st = filt.state
-    clones = np.hstack((filt.clone_R.reshape(-1, 9), filt.clone_p))
-    return np.concatenate([st.R.ravel(), st.p, st.v, st.b_omega, st.b_a,
-                           clones.ravel()])
-
-
-def test_compressed_update_matches_tall_update():
+def test_compressed_update_matches_tall_update(mean_vector):
     # the sliding window's shape: 12 clones (d = 87) and 840 stacked rows,
     # velocity and bias columns all zero
     rng = np.random.default_rng(12)
@@ -718,7 +711,8 @@ def flush_ended_tracks(monkeypatch, flush, filt, poses, frames):
 
 @pytest.mark.parametrize("case", ["refill", "single"])
 def test_ended_tracks_flush_like_per_track_flush(monkeypatch, case,
-                                                 flush_per_track):
+                                                 flush_per_track,
+                                                 mean_vector):
     rng = np.random.default_rng(19)
     if case == "refill":
         # 60 tracks of 2 to 6 views ending together, at the default cap of
