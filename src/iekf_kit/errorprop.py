@@ -7,8 +7,9 @@ trajectory and a noisy open-loop tracker are implemented:
 * the closed-form ODE for xi = log(eta)^vee, whose only nonlinear term is the
   inverse left Jacobian multiplying the noise.
 
-Both the left form (body-frame inputs) and the right form (fixed-frame inputs,
-noise transported by the adjoint of the estimate) are provided.
+The log-error ODE is given in its left form (body-frame inputs); the
+group-level ODE also in the right form (fixed-frame inputs, noise
+transported by the adjoint of the estimate).
 """
 
 from __future__ import annotations
@@ -26,15 +27,6 @@ def left_error_rate(xi, vb, w, A):
     xi = np.asarray(xi, dtype=float)
     return (-lie.sen_ad(vb) @ xi
             + lie.sen_left_jacobian_inv(-xi) @ np.asarray(w, dtype=float)
-            + np.asarray(A, dtype=float) @ xi)
-
-
-def right_error_rate(xi, vg, w, adjoint_of_estimate, A):
-    """Rate of the right log-error: ad(vg) xi + J(ad_xi)^-1 Ad_est w + A xi."""
-    xi = np.asarray(xi, dtype=float)
-    return (lie.sen_ad(vg) @ xi
-            + lie.sen_left_jacobian_inv(xi)
-            @ (np.asarray(adjoint_of_estimate, dtype=float) @ np.asarray(w, dtype=float))
             + np.asarray(A, dtype=float) @ xi)
 
 

@@ -12,6 +12,11 @@ left-multiplicative exp(c) on the group part for the invariant variants,
 world-frame rotation times additive vector parts for the EKF family.
 Measurement builders must therefore supply H with residual ~ H c + noise;
 the gain times residual is then applied directly as a correction.
+
+The filters of one paired run go through each camera epoch in lock step:
+``predict_all``, ``errors`` and ``nees`` take a list of filters and run
+each stage once for all of them; the update stays one ``update_raw`` per
+filter.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ SOLVE_BLOCK = 24
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
+# the position and orientation blocks of the covariance, in NEES order
+_NEES_BLOCKS = (slice(3, 6), slice(0, 3))
 # e_a^ for a = 0, 1, 2: the basis of the imitated landmark rows
 _BASIS_HATS = lie.so3_hat(_EYE3)
 
@@ -118,38 +125,172 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
     the landmark rows J_k^-1 f_j^ R_k = sum_a f_ja J_k^-1 e_a^ R_k take
     r = 9: landmark j's block of U is [f_j1 I | f_j2 I | f_j3 I], and basis
     block a is J_k^-1 e_a^ R_k.  Draws that are all zero are no imitation.
+
+    Every input but a gravity drift may carry a leading batch axis of B
+    filters: R (B, n, 3, 3), a drift (B, n, 3), ``levers`` (B, n, 2, 3),
+    ``landmarks`` (B, m, 3) and ``xi_delta`` (B, n, 3); F, G and U then
+    carry it too.  The filters share one r: 9 if any of them drew a nonzero
+    imitation error, and a filter without draws takes zeros, whose inverse
+    left Jacobian is exactly I.  Each filter's F, G and U equal those of its
+    own call bit for bit where its r is that of its own call.
     """
-    n = len(R)
-    m = 0 if landmarks is None else len(landmarks)
+    lead = R.shape[:-2]            # (n,) or (B, n)
+    m = 0 if landmarks is None else landmarks.shape[-2]
     if xi_delta is not None and not xi_delta.any():
         xi_delta = None
     r = 0 if m == 0 else 3 if xi_delta is None else 9
-    F = np.zeros((n, 15 + r, 15))
-    G = np.zeros((n, 15 + r, 12))
-    B = np.zeros((n, 9, 6))
-    B[:, :3, :3] = R
-    B[:, 6:9, 3:6] = R
+    F = np.zeros(lead + (15 + r, 15))
+    G = np.zeros(lead + (15 + r, 12))
+    B = np.zeros(lead + (9, 6))
+    B[..., :3, :3] = R
+    B[..., 6:9, 3:6] = R
     if levers is not None:
-        B[:, 3:9, :3] = _lever_products(levers, R)
+        B[..., 3:9, :3] = _lever_products(levers, R)
     if xi_delta is not None:
-        Jinv = lie.so3_left_jacobian_inv(xi_delta)[:, None]
-        B = (Jinv @ B.reshape(n, 3, 3, 6)).reshape(n, 9, 6)
-    F[:, 3:6, 6:9] = _EYE3
-    F[:, 6:9, :3] = lie.so3_hat(drift)
-    F[:, :9, 9:15] = -B
-    G[:, :9, :6] = B
-    G[:, 9:15, 6:] = _EYE6
+        Jinv = lie.so3_left_jacobian_inv(xi_delta)[..., None, :, :]
+        B = (Jinv @ B.reshape(lead + (3, 3, 6))).reshape(lead + (9, 6))
+    F[..., 3:6, 6:9] = _EYE3
+    F[..., 6:9, :3] = lie.so3_hat(drift)
+    F[..., :9, 9:15] = -B
+    G[..., :9, :6] = B
+    G[..., 9:15, 6:] = _EYE6
     if r == 0:
-        return F, G, np.zeros((0, 0))
+        return F, G, np.zeros(lead[:-1] + (0, 0))
     if r == 3:
         basis = R
-        U = lie.so3_hat(landmarks).reshape(-1, 3)
+        U = lie.so3_hat(landmarks).reshape(lead[:-1] + (-1, 3))
     else:
-        basis = (Jinv @ _BASIS_HATS @ R[:, None]).reshape(n, 9, 3)
-        U = (landmarks[:, None, :, None] * _EYE3[:, None]).reshape(-1, 9)
-    F[:, 15:, 9:12] = -basis
-    G[:, 15:, :3] = basis
+        basis = (Jinv @ _BASIS_HATS @ R[..., None, :, :]).reshape(
+            lead + (9, 3))
+        U = (landmarks[..., None, :, None] * _EYE3[:, None]).reshape(
+            lead[:-1] + (-1, 9))
+    F[..., 15:, 9:12] = -basis
+    G[..., 15:, :3] = basis
     return F, G, U
+
+
+def predict_all(filts, omega, accel, dt):
+    """Propagate the filters ``filts`` through one interval of IMU readings
+    ``dt`` apart, the rows of ``omega`` and ``accel`` ((n, 3) each), in lock
+    step: every filter's mean, and the ``fej`` anchors, in one
+    ``imu.propagate_mean``, then the covariances by bank.
+
+    A bank is the filters that share one error model: the EKF family
+    (r = 0), and the invariant filters, whose r is the largest among them
+    over the interval (9 if any ``ij_iekf`` drew a nonzero imitation error,
+    else 3; see ``error_jacobians``).  Each bank takes one
+    ``error_jacobians``, one ``imu.compose_error_dynamics`` and one
+    ``imu.propagate_covariance``.  Every ``ij_iekf`` draws its imitation
+    errors from its own ``rng`` as it would alone, so each filter's
+    numbers equal those of its own ``predict`` bit for bit, except that
+    an r padded from 3 to 9 changes the rounding of the landmark rows.
+
+    Raises:
+        ValueError: if the filters differ in state dimension or landmark
+            count, or do not share one noise spec.
+    """
+    noise = filts[0].noise
+    if len(filts) > 1 and (len({(f.dim, f.n_landmarks) for f in filts}) > 1
+                           or any(f.noise is not noise for f in filts)):
+        raise ValueError("filters predicted together need one state layout "
+                         "and one noise spec")
+    anchored = [f for f in filts if f.anchor_state is not None]
+    states = [f.state for f in filts] + [f.anchor_state for f in anchored]
+    stacked = imu_model.ImuState(
+        np.array([s.R for s in states]), np.array([s.p for s in states]),
+        np.array([s.v for s in states]), np.array([s.b_omega for s in states]),
+        np.array([s.b_a for s in states]))
+    end, R, p, v, Ra = imu_model.propagate_mean(stacked, omega, accel, dt,
+                                                noise.gravity)
+    ends = [imu_model.ImuState(*fields) for fields in
+            zip(end.R, end.p, end.v, end.b_omega, end.b_a)]
+    for f, st in zip(filts, ends):
+        f.state = st
+    for f, st in zip(anchored, ends[len(filts):]):
+        f.anchor_state = st
+    kernel = filts[0]._noise_kernel(dt)
+    for invariant in (False, True):
+        bank = [i for i, f in enumerate(filts)
+                if f.variant.invariant == invariant]
+        if not bank:
+            continue
+        members = [filts[i] for i in bank]
+        # a bank of every filter takes views of the chain (whose last rows
+        # are the anchors), not copies
+        if len(bank) == len(filts):
+            bank = slice(len(filts))
+        if invariant:
+            draws = [imu_model.sample_imitating_error(f.variant.r, f.rng,
+                                                      len(omega))
+                     if f.variant.tag == "ij_iekf" else None
+                     for f in members]
+            xi_delta = None
+            if any(x is not None for x in draws):
+                xi_delta = np.array([np.zeros((len(omega), 3)) if x is None
+                                     else x for x in draws])
+            landmarks = (None if members[0].landmarks is None else
+                         np.array([f.landmarks for f in members]))
+            levers = np.concatenate((p[bank, :-1, None], v[bank, :-1, None]),
+                                    axis=-2)
+            F, G, U = error_jacobians(R[bank, :-1], noise.gravity, levers,
+                                      landmarks, xi_delta)
+        else:
+            F, G, U = error_jacobians(R[bank, :-1], -Ra[bank])
+        V, Q = imu_model.compose_error_dynamics(F, G, kernel, dt)
+        for f, P in zip(members, imu_model.propagate_covariance(
+                [f.P for f in members], V, Q, U)):
+            f.P = P
+
+
+def errors(filts, truth):
+    """(pos_err, ang_err), (B, 3) each, of the B filters ``filts`` against
+    one truth state, each in its filter's error convention.
+
+    Orientation error is log(R_hat R^T) for every variant, one stacked
+    ``lie.so3_log``; position error is p_hat - R_tilde p
+    (R_tilde = R_hat R^T) for the invariant filters and p_hat - p for the
+    EKF family.
+    """
+    R_tilde = np.array([f.state.R for f in filts]) @ truth.R.T
+    p_hat = np.array([f.state.p for f in filts])
+    invariant = np.array([[f.variant.invariant] for f in filts])
+    pos_err = np.where(invariant, p_hat - R_tilde @ truth.p, p_hat - truth.p)
+    return pos_err, lie.so3_log(R_tilde)
+
+
+def nees(filts, errors):
+    """DOF-normalized position and orientation NEES, (B,) each, of the B
+    filters ``filts`` with the error pair ``errors(filts, truth)``
+    returned, each against its filter's covariance.
+
+    The 2B 3x3 blocks are factored as L L^T in one stacked Cholesky, and
+    the NEES is |L^-1 e|^2 / 3 by forward substitution on all blocks at
+    once.
+
+    Raises:
+        SingularCovariance: if a block's Cholesky factorization fails, or
+            if the squared ratio of the largest to the smallest diagonal
+            entry of L (a lower bound on the block's condition number,
+            whatever its units) exceeds 1e12.
+    """
+    # rows 2i and 2i + 1: filter i's position and orientation blocks
+    blocks = np.array([f.P[sl, sl] for f in filts for sl in _NEES_BLOCKS])
+    e = np.concatenate(errors, axis=1).reshape(-1, 3)
+    try:
+        L = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance(
+            "NEES block is not positive definite") from None
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    ratio = (diag.max(axis=1) / diag.min(axis=1)) ** 2
+    if ratio.max() > 1e12:
+        raise SingularCovariance(
+            f"NEES block Cholesky diagonal ratio squared {ratio.max():.3e}")
+    y0 = e[:, 0] / L[:, 0, 0]
+    y1 = (e[:, 1] - L[:, 1, 0] * y0) / L[:, 1, 1]
+    y2 = (e[:, 2] - L[:, 2, 0] * y0 - L[:, 2, 1] * y1) / L[:, 2, 2]
+    out = (y0 * y0 + y1 * y1 + y2 * y2) / 3.0
+    return out[0::2], out[1::2]
 
 
 class FilterInstance:
@@ -202,29 +343,17 @@ class FilterInstance:
 
     def predict(self, omega, accel, dt):
         """Propagate through one interval of IMU readings ``dt`` apart, the
-        rows of ``omega`` and ``accel`` ((n, 3) each): the mean by
-        ``imu.propagate_mean``, then the covariance once, with the
-        interval's error dynamics composed on the core rows."""
-        g = self.noise.gravity
-        self.state, R, p, v, Ra = imu_model.propagate_mean(
-            self.state, omega, accel, dt, g)
-        if self.anchor_state is not None:
-            self.anchor_state = imu_model.propagate_mean(
-                self.anchor_state, omega, accel, dt, g)[0]
-        if self.variant.invariant:
-            xi_delta = (imu_model.sample_imitating_error(
-                self.variant.r, self.rng, len(omega))
-                if self.variant.tag == "ij_iekf" else None)
-            F, G, U = error_jacobians(R[:-1], g,
-                                      np.stack((p[:-1], v[:-1]), axis=1),
-                                      self.landmarks, xi_delta)
-        else:
-            F, G, U = error_jacobians(R[:-1], -Ra)
+        rows of ``omega`` and ``accel`` ((n, 3) each): ``predict_all`` of
+        this filter alone."""
+        predict_all([self], omega, accel, dt)
+
+    def _noise_kernel(self, dt):
+        """``imu.noise_kernel`` of this filter's noise at step ``dt``, kept
+        for the next interval with the same step."""
         if self._kernel is None or self._kernel[0] != dt:
             self._kernel = (dt, imu_model.noise_kernel(self.noise.q_imu(),
                                                        dt))
-        V, Q = imu_model.compose_error_dynamics(F, G, self._kernel[1], dt)
-        self.P = imu_model.propagate_covariance(self.P, V, Q, U)
+        return self._kernel[1]
 
     # -- update -------------------------------------------------------------
 
@@ -341,56 +470,6 @@ class FilterInstance:
         self.P = self.P[np.ix_(keep, keep)]
         self.clone_R = np.delete(self.clone_R, i, axis=0)
         self.clone_p = np.delete(self.clone_p, i, axis=0)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def nees(self, errors):
-        """DOF-normalized position and orientation NEES of the error pair
-        ``errors(truth)`` returned, against this filter's covariance.
-
-        Each 3x3 block is factored as L L^T and the NEES is |L^-1 e|^2 / 3.
-
-        Raises:
-            SingularCovariance: if a block's Cholesky factorization fails, or
-                if the squared ratio of the largest to the smallest diagonal
-                entry of L (a lower bound on the block's condition number,
-                whatever its units) exceeds 1e12.
-        """
-        pos_err, ang_err = errors
-        out = []
-        for err, sl in ((pos_err, slice(3, 6)), (ang_err, slice(0, 3))):
-            try:
-                L = np.linalg.cholesky(self.P[sl, sl])
-            except np.linalg.LinAlgError:
-                raise SingularCovariance(
-                    "NEES block is not positive definite") from None
-            (l00, _, _), (l10, l11, _), (l20, l21, l22) = L.tolist()
-            ratio = (max(l00, l11, l22) / min(l00, l11, l22)) ** 2
-            if ratio > 1e12:
-                raise SingularCovariance(
-                    f"NEES block Cholesky diagonal ratio squared {ratio:.3e}")
-            e0, e1, e2 = np.asarray(err, dtype=float).tolist()
-            y0 = e0 / l00
-            y1 = (e1 - l10 * y0) / l11
-            y2 = (e2 - l20 * y0 - l21 * y1) / l22
-            out.append((y0 * y0 + y1 * y1 + y2 * y2) / 3.0)
-        return out[0], out[1]
-
-    def errors(self, truth):
-        """(pos_err_vec, ang_err_vec) against a truth state, in this filter's
-        error convention.
-
-        Orientation error is log(R_hat R^T) for every variant; position error
-        is p_hat - R_tilde p (R_tilde = R_hat R^T) for the invariant filters
-        and p_hat - p for the EKF family.
-        """
-        R_tilde = self.state.R @ truth.R.T
-        ang_err = lie.so3_log(R_tilde)
-        if self.variant.invariant:
-            pos_err = self.state.p - R_tilde @ truth.p
-        else:
-            pos_err = self.state.p - truth.p
-        return pos_err, ang_err
 
 
 def invariant_initial_covariance(state, sig, landmarks=None):

@@ -8,6 +8,8 @@ difference.  Noise ordering: (n_omega, n_a, n_b_omega, n_b_a), 12-dimensional.
 IMU readings come as stacks: gyro rates and specific forces, (n, 3) each.
 ``propagate_mean`` is the one mean propagator; it chains any number of
 steps, one camera interval for a filter or a whole stream for the truth.
+The propagators take a leading batch axis for the filters of one paired
+run, each filter's numbers equal to those of its own call.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ class ImuState:
     v: np.ndarray
     b_omega: np.ndarray
     b_a: np.ndarray
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
 
     def copy(self):
         return ImuState(self.R.copy(), self.p.copy(), self.v.copy(),
@@ -84,28 +82,40 @@ def propagate_mean(state, omega, accel, dt, gravity):
     are the chain from the start state to the end state, and Ra (n, 3) holds
     R_k (a_k - b_a), the bias-corrected specific force of step k in the world
     frame.
+
+    The state may carry a leading batch axis, its fields stacked as R
+    (B, 3, 3) and p, v, b_omega, b_a (B, 3): the B states then go through
+    the same readings at once, the end state and the chain arrays carry the
+    batch axis in front, and each state's numbers equal those of its own
+    call bit for bit.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
     n = len(omega)
-    dR = lie.so3_exp_stack((omega - state.b_omega) * dt)
-    R = np.empty((n + 1, 3, 3))
-    R[0] = state.R
+    lead = np.shape(state.b_omega)[:-1]    # () or (B,)
+    w = (omega - state.b_omega[..., None, :]) * dt
+    dR = lie.so3_exp_stack(w.reshape(-1, 3)).reshape(lead + (n, 3, 3))
+    R = np.empty(lead + (n + 1, 3, 3))
+    # the loop runs on step-major views: integer indexing is the cheapest
+    R_k, dR_k = (R.swapaxes(0, 1), dR.swapaxes(0, 1)) if lead else (R, dR)
+    R_k[0] = state.R
     for k in range(n):
-        np.matmul(R[k], dR[k], out=R[k + 1])
-    Ra = (R[:n] @ (accel - state.b_a)[:, :, None])[:, :, 0]
+        np.matmul(R_k[k], dR_k[k], out=R_k[k + 1])
+    Ra = (R[..., :n, :, :]
+          @ (accel - state.b_a[..., None, :])[..., None])[..., 0]
     a_world = Ra + gravity
     # v_k+1 = v_k + a_k dt and p_k+1 = (p_k + v_k dt) + a_k dt^2 / 2
-    steps = np.empty((n + 1, 3))
-    steps[0] = state.v
-    steps[1:] = a_world * dt
-    v = np.cumsum(steps, axis=0)
-    steps = np.empty((2 * n + 1, 3))
-    steps[0] = state.p
-    steps[1::2] = v[:n] * dt
-    steps[2::2] = 0.5 * a_world * dt * dt
-    p = np.cumsum(steps, axis=0)[::2]
-    end = ImuState(R[n], p[n], v[n], state.b_omega.copy(), state.b_a.copy())
+    steps = np.empty(lead + (n + 1, 3))
+    steps[..., 0, :] = state.v
+    steps[..., 1:, :] = a_world * dt
+    v = np.cumsum(steps, axis=-2)
+    steps = np.empty(lead + (2 * n + 1, 3))
+    steps[..., 0, :] = state.p
+    steps[..., 1::2, :] = v[..., :n, :] * dt
+    steps[..., 2::2, :] = 0.5 * a_world * dt * dt
+    p = np.cumsum(steps, axis=-2)[..., ::2, :]
+    end = ImuState(R[..., n, :, :], p[..., n, :], v[..., n, :],
+                   state.b_omega.copy(), state.b_a.copy())
     return end, R, p, v, Ra
 
 
@@ -156,29 +166,36 @@ def compose_error_dynamics(F, G, kernel, dt):
     The composition is associative, so it runs as a tree: each round
     composes adjacent pairs as one batched product, ceil(log2 n) rounds in
     all, and nothing is composed onto a single step.
+
+    F and G may carry a leading batch axis, (B, n, k + r, k) and
+    (B, n, k + r, 12), for B filters with one kernel; V and Q then carry it
+    too, and each filter's pair equals that of its own call bit for bit.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
-    k = F.shape[2]
-    Fk = F[:, :k]
-    Gk = G[:, :k]
+    k = F.shape[-1]
+    if F.ndim == 4:
+        # step-major views: the tree below takes the steps on axis 0
+        F, G = F.swapaxes(0, 1), G.swapaxes(0, 1)
+    Fk = F[..., :k, :]
+    Gk = G[..., :k, :]
     M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
-    M.reshape(len(F), -1)[:, ::k + 1] += dt    # + dt I
+    M.reshape(M.shape[:-2] + (-1,))[..., ::k + 1] += dt    # + dt I
     FkGk = Fk @ Gk
-    X = F @ np.concatenate((M, Gk, FkGk, Fk @ FkGk), axis=2)
-    V = X[:, :, :k]
-    W = np.concatenate((G, X[:, :, k:]), axis=2)
-    Q = W @ kernel @ W.transpose(0, 2, 1)
+    X = F @ np.concatenate((M, Gk, FkGk, Fk @ FkGk), axis=-1)
+    V = X[..., :k]
+    W = np.concatenate((G, X[..., k:]), axis=-1)
+    Q = W @ kernel @ W.swapaxes(-1, -2)
     while len(V) > 1:
         # compose steps 2i and 2i + 1 of this round; an odd last step
         # passes on to the next round as it is
         h = len(V) // 2
         Va, Vb = V[0:2 * h:2], V[1:2 * h:2]
-        A = Q[0:2 * h:2] + Vb @ Q[0:2 * h:2, :k]    # Phi_b Q_a
-        Qn = A + A[:, :, :k] @ Vb.transpose(0, 2, 1)
+        A = Q[0:2 * h:2] + Vb @ Q[0:2 * h:2, ..., :k, :]    # Phi_b Q_a
+        Qn = A + A[..., :k] @ Vb.swapaxes(-1, -2)
         Qn += Q[1:2 * h:2]
         Vn = Va + Vb
-        Vn += Vb @ Va[:, :k]
+        Vn += Vb @ Va[..., :k, :]
         if len(V) % 2:
             Vn = np.concatenate((Vn, V[-1:]))
             Qn = np.concatenate((Qn, Q[-1:]))
@@ -201,35 +218,52 @@ def propagate_covariance(P, V, Q, U):
     on the first k + n rows, zero below.  This costs O(k^2 d + r d^2) for a
     d x d P, and for an exactly symmetric P the result is exactly symmetric.
 
+    Batched: with V, Q and U carrying a leading batch axis of B filters, P
+    is a list of their B covariances (d x d each) and so is the result;
+    each equals that of its own call bit for bit.  Only the k dense rows of
+    the P are gathered (one P is read in place); P with static rows are
+    copied once, into one stacked result, and the list holds views of it.
+    P is never written.
+
     Raises:
-        ValueError: if U does not have V.shape[0] - V.shape[1] columns.
+        ValueError: if U does not have V.shape[-2] - V.shape[-1] columns.
     """
-    k = V.shape[1]
-    r = V.shape[0] - k
-    if U.shape[1] != r:
-        raise ValueError(f"U has {U.shape[1]} columns for {r} basis rows")
-    Zr = V @ P[:k]
-    D = Zr[:, :k] @ V.T + Q
+    k = V.shape[-1]
+    r = V.shape[-2] - k
+    if U.shape[-1] != r:
+        raise ValueError(f"U has {U.shape[-1]} columns for {r} basis rows")
+    single = V.ndim == 2
+    if single:
+        P, V, Q, U = [P], V[None], Q[None], U[None]
+    d = len(P[0])
+    # the dense rows of one P are a view, of several a stacked copy
+    Pk = (P[0][None, :k] if len(P) == 1
+          else np.array([P_i[:k] for P_i in P]))
+    Zr = V @ Pk
+    D = Zr[..., :k] @ V.swapaxes(-1, -2) + Q
     if r:
-        n = len(U)
-        Zr[:, :k + n] += np.hstack((0.5 * D[:, :k], (0.5 * D[:, k:]) @ U.T))
-        Z = np.empty((k + n, len(P)))
-        Z[:k] = Zr[:k]
-        np.matmul(U, Zr[k:], out=Z[k:])
+        n = U.shape[-2]
+        Zr[..., :k + n] += np.concatenate(
+            (0.5 * D[..., :k], (0.5 * D[..., k:]) @ U.swapaxes(-1, -2)),
+            axis=-1)
+        Z = np.empty((len(P), k + n, d))
+        Z[:, :k] = Zr[:, :k]
+        np.matmul(U, Zr[:, k:], out=Z[:, k:])
     else:
         Z = Zr
-        Z[:, :k] += 0.5 * D
-    c = len(Z)
-    if c == len(P):
-        P_new = Z + Z.T
-        P_new += P
-        return P_new
-    P_new = P.copy()
-    Zc = Z[:, :c]
-    P_new[:c, :c] += Zc + Zc.T
-    P_new[:c, c:] += Z[:, c:]
-    P_new[c:, :c] = P_new[:c, c:].T
-    return P_new
+        Z[..., :k] += 0.5 * D
+    c = Z.shape[-2]
+    if c == d:
+        P_new = Z + Z.swapaxes(-1, -2)
+        for P_i, P_old in zip(P_new, P):
+            P_i += P_old
+    else:
+        P_new = np.array(P)
+        Zc = Z[..., :c]
+        P_new[:, :c, :c] += Zc + Zc.swapaxes(-1, -2)
+        P_new[:, :c, c:] += Z[..., c:]
+        P_new[:, c:, :c] = P_new[:, :c, c:].swapaxes(-1, -2)
+    return P_new[0] if single else list(P_new)
 
 
 def sample_imitating_error(r, rng, n):

@@ -286,17 +286,6 @@ def sen_hat(xi, n=None):
     return M
 
 
-def sen_vee(M):
-    """Inverse of :func:`sen_hat` (exact)."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0] - 3
-    xi = np.empty(3 * (n + 1))
-    xi[:3] = so3_vee(M[:3, :3])
-    for i in range(n):
-        xi[3 * (i + 1):3 * (i + 2)] = M[:3, 3 + i]
-    return xi
-
-
 def sen_inverse(X):
     """Group inverse: (R, t_i) -> (R^T, -R^T t_i)."""
     X = np.asarray(X, dtype=float)
@@ -316,38 +305,6 @@ def sen_exp(xi):
     X[:3, :3] = so3_exp(xi[:3])
     X[:3, 3:] = so3_left_jacobian(xi[:3]) @ xi[3:].reshape(n, 3).T
     return X
-
-
-def sen_log(X):
-    """Logarithm map, the exact inverse of :func:`sen_exp` inside the
-    injectivity radius.
-
-    Raises:
-        AngleNearPi: if the rotation angle is within NEAR_PI_MARGIN of pi.
-    """
-    X = np.asarray(X, dtype=float)
-    omega = so3_log(X[:3, :3])
-    Jinv = so3_left_jacobian_inv(omega)
-    n = X.shape[0] - 3
-    xi = np.empty(3 * (n + 1))
-    xi[:3] = omega
-    for i in range(n):
-        xi[3 * (i + 1):3 * (i + 2)] = Jinv @ X[:3, 3 + i]
-    return xi
-
-
-def sen_adjoint(X):
-    """Matrix of Ad_X: R on the block diagonal, t_i^ R in the first block column."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0] - 3
-    R = X[:3, :3]
-    A = np.zeros((3 * (n + 1), 3 * (n + 1)))
-    A[:3, :3] = R
-    for i in range(n):
-        r = 3 * (i + 1)
-        A[r:r + 3, r:r + 3] = R
-        A[r:r + 3, :3] = so3_hat(X[:3, 3 + i]) @ R
-    return A
 
 
 def sen_ad(xi):

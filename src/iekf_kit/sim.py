@@ -11,7 +11,8 @@ trajectory.  Each IMU reading is the discrete increment of the analytic
 trajectory over its step, so that exact dead reckoning of the noise-free
 stream stays within centimeters of the analytic trajectory over a hundred
 seconds.  The stream is two (n, 3) arrays, gyro rates and specific forces,
-from synthesis through the truth chain to each filter's ``predict``.
+from synthesis through the truth chain to ``filters.predict_all``, which
+predicts the filters of a paired run in lock step.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import filters
 from . import imu as imu_model
 from . import lie
 from . import vision
@@ -284,41 +286,50 @@ def perturbed_filter(variant, truth0, landmarks, init, scenario, rng):
                           landmarks=lm_est)
 
 
-def _camera_epochs(scenario, truth, filt):
-    """Predict ``filt`` through the IMU stream one camera interval at a
-    time, yielding (i, t, true state) at camera epoch i, after the
-    prediction to it."""
+def _camera_epochs(scenario, truth, predict):
+    """Call ``predict(omega, accel, dt)`` on the IMU stream one camera
+    interval at a time, yielding (i, t, true state) at camera epoch i,
+    after the prediction to it; t is a Python float."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
     for i in range(len(truth.omega) // every):
         k = (i + 1) * every
-        filt.predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
-        yield i, truth.times[k], truth.states[k]
+        predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
+        yield i, float(truth.times[k]), truth.states[k]
 
 
-def run_filter(scenario, truth, frames, filt):
-    """Drive one filter through one truth realization with in-state landmark
-    updates at the camera rate.
+def run_filter(scenario, truth, frames, filts):
+    """Drive the filters ``filts`` in lock step through one truth
+    realization with in-state landmark updates at the camera rate.
 
     ``frames`` is the list of camera epochs (dicts of pixel observations),
-    shared across variants for paired-noise comparisons.  Returns a list of
-    per-epoch tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|).
+    shared across variants for paired-noise comparisons.  The filters share
+    the state dimension and the noise spec.  Each camera epoch runs one
+    ``filters.predict_all``, one ``vision.landmark_measurement`` and one
+    ``filters.errors`` and ``filters.nees`` for all of them; only the update
+    is one ``update_raw`` per filter.  Returns one list per filter of
+    per-epoch tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|) of
+    Python floats, the epoch time t one object shared by every filter.
     """
-    records = []
-    for i, t, st_true in _camera_epochs(scenario, truth, filt):
+    records = [[] for _ in filts]
+    predict = functools.partial(filters.predict_all, filts)
+    for i, t, st_true in _camera_epochs(scenario, truth, predict):
         frame = frames[i]
         # observations predicted outside the projection domain are dropped
-        residual, H, N, _ = vision.landmark_measurement(
-            filt, scenario.camera, scenario.extrinsics,
+        rows = vision.landmark_measurement(
+            filts, scenario.camera, scenario.extrinsics,
             list(frame.values()), scenario.pixel_sigma,
             landmark_index=list(frame))
-        if len(residual):
-            filt.update_raw(residual, H, N)
-        errors = filt.errors(st_true)
-        pos_nees, ang_nees = filt.nees(errors)
-        records.append((t, pos_nees, ang_nees,
-                        float(np.linalg.norm(errors[0])),
-                        float(np.linalg.norm(errors[1]))))
+        for filt, (residual, H, N, _) in zip(filts, rows):
+            if len(residual):
+                filt.update_raw(residual, H, N)
+        errors = filters.errors(filts, st_true)
+        pos_nees, ang_nees = filters.nees(filts, errors)
+        # one 1 x 3 by 3 x 1 product per row sums as np.linalg.norm does
+        norms = lie._row_norms(np.concatenate(errors))
+        for out, row in zip(records, zip(pos_nees.tolist(), ang_nees.tolist(),
+                                         norms, norms[len(filts):])):
+            out.append((t,) + row)
     return records
 
 
@@ -342,13 +353,17 @@ class MonteCarloReport:
             rows = [r for run in self.records[v.label] for r in run]
             if not rows:
                 raise EmptyReport(f"no records for {v.label}")
-            arr = np.array(rows)
+
+            # one field at a time, not an (epochs, 5) array, so the report
+            # holds a few columns of memory on top of the records
+            def column(i, rows=rows):
+                return np.fromiter((r[i] for r in rows), float, len(rows))
             out[v.label] = {
-                "mean_pos_nees": float(arr[:, 1].mean()),
-                "mean_ang_nees": float(arr[:, 2].mean()),
-                "pos_rmse": float(np.sqrt((arr[:, 3] ** 2).mean())),
-                "ang_rmse": float(np.sqrt((arr[:, 4] ** 2).mean())),
-                "epochs": int(len(arr)),
+                "mean_pos_nees": float(column(1).mean()),
+                "mean_ang_nees": float(column(2).mean()),
+                "pos_rmse": float(np.sqrt((column(3) ** 2).mean())),
+                "ang_rmse": float(np.sqrt((column(4) ** 2).mean())),
+                "epochs": len(rows),
             }
         return out
 
@@ -369,13 +384,13 @@ def monte_carlo_single_run(scenario, variants, init, seed, run_index):
     frames = [camera_frame(scenario, st, truth.landmarks, rng_cam)
               for st in truth.states[every::every]]
     init_state = rng_init.bit_generator.state
-    out = {}
+    filts = []
     for v in variants:
         rng_init.bit_generator.state = init_state
-        filt = perturbed_filter(v, truth.states[0], truth.landmarks,
-                                init, scenario, rng_init)
-        out[v.label] = run_filter(scenario, truth, frames, filt)
-    return out
+        filts.append(perturbed_filter(v, truth.states[0], truth.landmarks,
+                                      init, scenario, rng_init))
+    records = run_filter(scenario, truth, frames, filts)
+    return {v.label: rows for v, rows in zip(variants, records)}
 
 
 def run_monte_carlo(scenario, variants, n_runs=50, seed=0, init=None,
@@ -424,7 +439,7 @@ def run_sliding_window(scenario, truth, variant=None, seed=0,
         scenario.camera, scenario.extrinsics, max_clones=max_clones,
         max_features=max_features, sigma_px=scenario.pixel_sigma)
     times, errs = [], []
-    for _, t, st_true in _camera_epochs(scenario, truth, filt):
+    for _, t, st_true in _camera_epochs(scenario, truth, filt.predict):
         if updates:
             obs = camera_frame(scenario, st_true, truth.landmarks, rng_cam)
             upd.ingest(filt, obs)

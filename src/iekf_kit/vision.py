@@ -135,36 +135,67 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
     (k,) in the input of the observations used, in input order, own rows 2i
     and 2i + 1.  H follows the filter's error convention, so the
     gain-weighted residual is a correction.
+
+    ``filt`` may be a list of B filters of one state dimension, which see
+    the same observations: the result is then a list of B such tuples.  The
+    rows of every filter and observation are built at once, those of the
+    dropped observations as NaN; when the filters keep the same
+    observations they share one slice of the rows, N and ``kept``, and
+    otherwise each takes its own.  Each filter's tuple equals that of its
+    own call bit for bit.
     """
-    st = filt.state
+    filts = filt if isinstance(filt, list) else [filt]
     landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
-    f_world = filt.landmarks[landmark_index]
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    R_c, p_c = camera_pose(st, ext)
-    x_cam = world_to_camera(R_c, p_c, f_world)
-    zero_range, behind = model.outside_domain(x_cam)
-    kept = np.flatnonzero(~(zero_range | behind))
-    if len(kept) < len(x_cam):
-        x_cam, pixels = x_cam[kept], pixels[kept]
-        landmark_index = landmark_index[kept]
-    n = len(kept)
-    pred, J_pi = model.project(x_cam)
+    b, n, dim = len(filts), len(landmark_index), filts[0].dim
+    # camera_pose of every filter's state
+    R = np.array([f.state.R for f in filts])
+    R_c = R @ ext.R_ic
+    p_c = np.array([f.state.p for f in filts]) + R @ ext.p_ic
+    f_world = np.array([f.landmarks[landmark_index] for f in filts])
+    x_cam = world_to_camera(R_c[:, None], p_c[:, None], f_world)
+    zero_range, behind = model.outside_domain(x_cam.reshape(-1, 3))
+    keep = ~(zero_range | behind).reshape(b, n)
+    if not keep.all():
+        # NaN points project to NaN rows, without a division warning
+        x_cam[~keep] = np.nan
+    pred, J_pi = model.project(x_cam.reshape(-1, 3))
     # J_pi S with S = R_c^T; J_pi S u^ is the row-wise cross product with u
-    JS = J_pi @ R_c.T
-    H = np.zeros((n, 2, filt.dim))
-    H[:, :, 3:6] = -JS
+    JS = J_pi.reshape(b, n, 2, 3) @ R_c.swapaxes(1, 2)[:, None]
+    H = np.zeros((b, n, 2, dim))
+    H[..., 3:6] = -JS
     # the invariant error's orientation part cancels for in-state landmarks
-    if not filt.variant.invariant:
-        p_ref, f_ref = st.p, filt.landmarks[landmark_index]
-        if filt.anchor_state is not None:
-            p_ref = filt.anchor_state.p
-            f_ref = filt.anchor_landmarks[landmark_index]
-        H[:, :, 0:3] = _cross_rows(JS, (f_ref - p_ref)[:, None, :])
+    ekf = [i for i, f in enumerate(filts) if not f.variant.invariant]
+    if ekf:
+        levers = []
+        for i in ekf:
+            f = filts[i]
+            p_ref, f_ref = f.state.p, f_world[i]
+            if f.anchor_state is not None:
+                p_ref = f.anchor_state.p
+                f_ref = f.anchor_landmarks[landmark_index]
+            levers.append(f_ref - p_ref)
+        H[ekf, ..., 0:3] = _cross_rows(JS[ekf],
+                                       np.array(levers)[:, :, None, :])
     cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
-    H[np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
-    residual = (pixels - pred).reshape(-1)
-    N = np.eye(2 * n) * sigma_px ** 2
-    return residual, H.reshape(2 * n, filt.dim), N, kept
+    H[:, np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
+    residual = (pixels - pred.reshape(b, n, 2)).reshape(b, 2 * n)
+    H = H.reshape(b, 2 * n, dim)
+    if (keep == keep[0]).all():
+        kept = np.flatnonzero(keep[0])
+        if len(kept) < n:
+            rows = (2 * kept[:, None] + np.arange(2)).ravel()
+            residual, H = residual[:, rows], H[:, rows]
+        N = np.eye(2 * len(kept)) * sigma_px ** 2
+        out = [(r, h, N, kept) for r, h in zip(residual, H)]
+    else:
+        out = []
+        for r, h, k in zip(residual, H, keep):
+            kept = np.flatnonzero(k)
+            rows = (2 * kept[:, None] + np.arange(2)).ravel()
+            out.append((r[rows], h[rows],
+                        np.eye(2 * len(kept)) * sigma_px ** 2, kept))
+    return out if isinstance(filt, list) else out[0]
 
 
 # --- clone-based (sliding window) updates ----------------------------------

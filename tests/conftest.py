@@ -2,17 +2,20 @@
 interval predict replaced, the per-track triangulation, clone Jacobians,
 nullspace projection and window flush that the batched flush replaced, the
 per-point camera projection, the single-vector SO(3) left Jacobian and the
-per-clone group-product correction that the stacked forms replaced, and the
+per-clone group-product correction that the stacked forms replaced, the
 Kalman update by one LU solve that the blocked forward substitution
-replaced, kept as their oracles."""
+replaced, and the per-variant driver with its per-filter errors and NEES
+that the lock-step driver replaced, kept as their oracles; and the public
+functions that only the tests called (the SE_n(3) log, vee and adjoint,
+the right log-error rate and the identity IMU state), kept as oracles."""
 
 import types
 
 import numpy as np
 import pytest
 
-from iekf_kit import filters, imu, lie, vision
-from iekf_kit.exceptions import DegenerateGeometry
+from iekf_kit import filters, imu, lie, sim, vision
+from iekf_kit.exceptions import DegenerateGeometry, SingularCovariance
 
 ACCEL = np.array([0.3, 0.1, 9.7])
 
@@ -457,6 +460,157 @@ def _flush_per_track(upd, filt, feature_ids):
     return used
 
 
+def _sen_vee(M):
+    """Inverse of ``lie.sen_hat`` (exact)."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0] - 3
+    xi = np.empty(3 * (n + 1))
+    xi[:3] = lie.so3_vee(M[:3, :3])
+    for i in range(n):
+        xi[3 * (i + 1):3 * (i + 2)] = M[:3, 3 + i]
+    return xi
+
+
+def _sen_log(X):
+    """Logarithm map, the exact inverse of ``lie.sen_exp`` inside the
+    injectivity radius.
+
+    Raises:
+        AngleNearPi: if the rotation angle is within NEAR_PI_MARGIN of pi.
+    """
+    X = np.asarray(X, dtype=float)
+    omega = lie.so3_log(X[:3, :3])
+    Jinv = lie.so3_left_jacobian_inv(omega)
+    n = X.shape[0] - 3
+    xi = np.empty(3 * (n + 1))
+    xi[:3] = omega
+    for i in range(n):
+        xi[3 * (i + 1):3 * (i + 2)] = Jinv @ X[:3, 3 + i]
+    return xi
+
+
+def _sen_adjoint(X):
+    """Matrix of Ad_X: R on the block diagonal, t_i^ R in the first block
+    column."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0] - 3
+    R = X[:3, :3]
+    A = np.zeros((3 * (n + 1), 3 * (n + 1)))
+    A[:3, :3] = R
+    for i in range(n):
+        r = 3 * (i + 1)
+        A[r:r + 3, r:r + 3] = R
+        A[r:r + 3, :3] = lie.so3_hat(X[:3, 3 + i]) @ R
+    return A
+
+
+def _right_error_rate(xi, vg, w, adjoint_of_estimate, A):
+    """Rate of the right log-error: ad(vg) xi + J(ad_xi)^-1 Ad_est w + A xi."""
+    xi = np.asarray(xi, dtype=float)
+    return (lie.sen_ad(vg) @ xi
+            + lie.sen_left_jacobian_inv(xi)
+            @ (np.asarray(adjoint_of_estimate, dtype=float)
+               @ np.asarray(w, dtype=float))
+            + np.asarray(A, dtype=float) @ xi)
+
+
+def _identity_state():
+    """The identity IMU state: R = I, zero position, velocity and biases."""
+    return imu.ImuState(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                        np.zeros(3))
+
+
+def _errors_filter(filt, truth):
+    """``filters.errors`` of one filter, as the ``FilterInstance.errors``
+    method computed it before the filters were stacked: (pos_err, ang_err)
+    (3,) each."""
+    R_tilde = filt.state.R @ truth.R.T
+    ang_err = lie.so3_log(R_tilde)
+    if filt.variant.invariant:
+        pos_err = filt.state.p - R_tilde @ truth.p
+    else:
+        pos_err = filt.state.p - truth.p
+    return pos_err, ang_err
+
+
+def _nees_filter(filt, errors):
+    """``filters.nees`` of one filter, as the ``FilterInstance.nees`` method
+    computed it before the filters were stacked: one Cholesky per 3x3
+    block and the forward substitution on Python floats.
+
+    Raises:
+        SingularCovariance: as ``filters.nees``.
+    """
+    pos_err, ang_err = errors
+    out = []
+    for err, sl in ((pos_err, slice(3, 6)), (ang_err, slice(0, 3))):
+        try:
+            L = np.linalg.cholesky(filt.P[sl, sl])
+        except np.linalg.LinAlgError:
+            raise SingularCovariance(
+                "NEES block is not positive definite") from None
+        (l00, _, _), (l10, l11, _), (l20, l21, l22) = L.tolist()
+        ratio = (max(l00, l11, l22) / min(l00, l11, l22)) ** 2
+        if ratio > 1e12:
+            raise SingularCovariance(
+                f"NEES block Cholesky diagonal ratio squared {ratio:.3e}")
+        e0, e1, e2 = np.asarray(err, dtype=float).tolist()
+        y0 = e0 / l00
+        y1 = (e1 - l10 * y0) / l11
+        y2 = (e2 - l20 * y0 - l21 * y1) / l22
+        out.append((y0 * y0 + y1 * y1 + y2 * y2) / 3.0)
+    return out[0], out[1]
+
+
+def _run_filter_per_variant(scenario, truth, frames, filt):
+    """``sim.run_filter`` of one filter, as it ran before the variants were
+    driven in lock step: the filter's own ``predict``, its own
+    ``vision.landmark_measurement`` and update, and ``_errors_filter`` and
+    ``_nees_filter`` at each camera epoch.  Returns its list of per-epoch
+    tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|)."""
+    dt = 1.0 / scenario.imu_rate
+    every = scenario.camera_every
+    records = []
+    for i, frame in enumerate(frames):
+        k = (i + 1) * every
+        filt.predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
+        residual, H, N, _ = vision.landmark_measurement(
+            filt, scenario.camera, scenario.extrinsics,
+            list(frame.values()), scenario.pixel_sigma,
+            landmark_index=list(frame))
+        if len(residual):
+            filt.update_raw(residual, H, N)
+        errors = _errors_filter(filt, truth.states[k])
+        pos_nees, ang_nees = _nees_filter(filt, errors)
+        records.append((truth.times[k], pos_nees, ang_nees,
+                        float(np.linalg.norm(errors[0])),
+                        float(np.linalg.norm(errors[1]))))
+    return records
+
+
+def _monte_carlo_single_run_per_variant(scenario, variants, init, seed,
+                                        run_index):
+    """``sim.monte_carlo_single_run`` as it ran before the variants were
+    driven in lock step: the same truth, frames and initial perturbation,
+    then ``_run_filter_per_variant`` for one variant after the other."""
+    children = np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(3)
+    rng_truth = np.random.default_rng(children[0])
+    rng_cam = np.random.default_rng(children[1])
+    rng_init = np.random.default_rng(children[2])
+    truth = sim.synthesize_truth(scenario, rng_truth)
+    every = scenario.camera_every
+    frames = [sim.camera_frame(scenario, st, truth.landmarks, rng_cam)
+              for st in truth.states[every::every]]
+    init_state = rng_init.bit_generator.state
+    out = {}
+    for v in variants:
+        rng_init.bit_generator.state = init_state
+        filt = sim.perturbed_filter(v, truth.states[0], truth.landmarks,
+                                    init, scenario, rng_init)
+        out[v.label] = _run_filter_per_variant(scenario, truth, frames, filt)
+    return out
+
+
 @pytest.fixture(scope="session")
 def oracle_errors():
     return types.SimpleNamespace(BehindCamera=BehindCamera,
@@ -551,3 +705,48 @@ def propagate_step():
 @pytest.fixture(scope="session")
 def predict_per_step():
     return _predict_per_step
+
+
+@pytest.fixture(scope="session")
+def sen_vee():
+    return _sen_vee
+
+
+@pytest.fixture(scope="session")
+def sen_log():
+    return _sen_log
+
+
+@pytest.fixture(scope="session")
+def sen_adjoint():
+    return _sen_adjoint
+
+
+@pytest.fixture(scope="session")
+def right_error_rate():
+    return _right_error_rate
+
+
+@pytest.fixture(scope="session")
+def identity_state():
+    return _identity_state
+
+
+@pytest.fixture(scope="session")
+def errors_filter():
+    return _errors_filter
+
+
+@pytest.fixture(scope="session")
+def nees_filter():
+    return _nees_filter
+
+
+@pytest.fixture(scope="session")
+def run_filter_per_variant():
+    return _run_filter_per_variant
+
+
+@pytest.fixture(scope="session")
+def monte_carlo_single_run_per_variant():
+    return _monte_carlo_single_run_per_variant

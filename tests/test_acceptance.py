@@ -31,7 +31,7 @@ def verdict(capsys):
 
 # --- 1: exp/log roundtrip ---------------------------------------------------
 
-def test_criterion_01_log_exp_roundtrip(verdict):
+def test_criterion_01_log_exp_roundtrip(verdict, sen_log):
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     worst = 0.0
@@ -40,7 +40,7 @@ def test_criterion_01_log_exp_roundtrip(verdict):
         n = np.linalg.norm(xi[:3])
         if n > 3.0:
             xi[:3] *= 3.0 * rng.uniform() / n
-        back = lie.sen_log(lie.sen_exp(xi))
+        back = sen_log(lie.sen_exp(xi))
         worst = max(worst, np.abs(back - xi).max())
     elapsed = time.perf_counter() - t0
     verdict(1, worst < 1e-9 and elapsed < 1.0,
@@ -208,14 +208,14 @@ def test_criterion_08_imitation_robustness(verdict, study):
 
 # --- 9: sliding-window pipeline ---------------------------------------------
 
-def test_criterion_09_sliding_window(verdict):
+def test_criterion_09_sliding_window(verdict, identity_state):
     model = vision.CameraModel()
     rng = np.random.default_rng(109)
     worst_hf, worst_res, failed = 0.0, 0.0, 0
     for _ in range(100):
         f_true = np.array([2.0, 1.0, 30.0]) + rng.normal(0.0, 1.0, 3)
         filt = filters.FilterInstance(
-            filters.FilterVariant("iekf"), imu.ImuState.identity(),
+            filters.FilterVariant("iekf"), identity_state(),
             np.eye(15) * 0.01, imu.ImuNoiseSpec())
         for k in range(6):
             filt.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.05, 3)),

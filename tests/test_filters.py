@@ -315,18 +315,24 @@ def test_clone_covariance_blocks():
                                                                [p_c])
 
 
+def nees_one(f, errors):
+    """``filters.nees`` of one filter with its error pair (3,) each."""
+    pos, ang = filters.nees([f], (errors[0][None], errors[1][None]))
+    return pos[0], ang[0]
+
+
 def test_nees_trivial_values():
     rng = np.random.default_rng(8)
     f = make_filter("iekf", rng, P_scale=0.04)
     truth = f.state.copy()
-    pos, ang = f.nees(f.errors(truth))
-    assert pos < 1e-20 and ang < 1e-20
+    pos, ang = filters.nees([f], filters.errors([f], truth))
+    assert pos[0] < 1e-20 and ang[0] < 1e-20
     # error = sigma * unit vector with P = sigma^2 I gives NEES = 1/3
     f2 = make_filter("ekf", rng, P_scale=0.04)
     truth2 = f2.state.copy()
     truth2.p = truth2.p + np.array([0.2, 0.0, 0.0])
-    pos2, _ = f2.nees(f2.errors(truth2))
-    assert abs(pos2 - 1.0 / 3.0) < 1e-12
+    pos2, _ = filters.nees([f2], filters.errors([f2], truth2))
+    assert abs(pos2[0] - 1.0 / 3.0) < 1e-12
 
 
 def test_nees_rejects_singular_covariance():
@@ -334,7 +340,11 @@ def test_nees_rejects_singular_covariance():
     f = make_filter("iekf", rng, P_scale=0.0)
     truth = f.state.copy()
     with pytest.raises(SingularCovariance):
-        f.nees(f.errors(truth))
+        filters.nees([f], filters.errors([f], truth))
+    # one singular filter among well-conditioned ones fails the stack
+    g = make_filter("ekf", rng)
+    with pytest.raises(SingularCovariance):
+        filters.nees([g, f], filters.errors([g, f], truth))
 
 
 def test_nees_guard_is_scale_free():
@@ -344,16 +354,38 @@ def test_nees_guard_is_scale_free():
     C = A @ A.T + 6.0 * np.eye(6)     # well conditioned, unit scale
     err = (rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
     f.P[:6, :6] = C
-    ref = f.nees(err)
+    ref = nees_one(f, err)
     # the same covariance at 1e-11 m^2 (and rad^2), errors scaled alike
     f.P[:6, :6] = 1e-11 * C
-    scaled = f.nees((err[0] * np.sqrt(1e-11), err[1] * np.sqrt(1e-11)))
+    scaled = nees_one(f, (err[0] * np.sqrt(1e-11), err[1] * np.sqrt(1e-11)))
     assert np.allclose(scaled, ref, rtol=1e-12, atol=0.0)
     # a large block with condition number 1e14 factors but is rejected
     U = np.linalg.qr(rng.normal(0.0, 1.0, (3, 3)))[0]
     f.P[3:6, 3:6] = 1e6 * U @ np.diag([1.0, 1.0, 1e-14]) @ U.T
     with pytest.raises(SingularCovariance):
-        f.nees(err)
+        nees_one(f, err)
+
+
+def test_stacked_errors_and_nees_equal_per_filter_oracles(errors_filter,
+                                                         nees_filter):
+    # every variant, with landmarks, against one truth: the stacked
+    # errors and NEES equal the per-filter ones bit for bit
+    rng = np.random.default_rng(33)
+    filts = [make_filter(tag, rng, r=0.2 if tag == "ij_iekf" else 0.0,
+                         landmarks=rng.normal(0.0, 10.0, (3, 3)))
+             for tag in filters.ALL_TAGS + ("ekf", "iekf")]
+    for f in filts:
+        A = rng.normal(0.0, 0.1, (f.dim, f.dim))
+        f.P = A @ A.T + 1e-3 * np.eye(f.dim)
+    truth = make_state(rng)
+    pos_err, ang_err = filters.errors(filts, truth)
+    pos_nees, ang_nees = filters.nees(filts, (pos_err, ang_err))
+    assert pos_err.shape == ang_err.shape == (len(filts), 3)
+    for i, f in enumerate(filts):
+        want = errors_filter(f, truth)
+        assert pos_err[i].tobytes() == want[0].tobytes()
+        assert ang_err[i].tobytes() == want[1].tobytes()
+        assert (pos_nees[i], ang_nees[i]) == nees_filter(f, want)
 
 
 def test_right_invariant_error_unchanged_by_right_translation():
@@ -368,7 +400,7 @@ def test_right_invariant_error_unchanged_by_right_translation():
     assert np.abs(eta - eta_t).max() < 1e-10
 
 
-def finite_difference_F(filt_tag, st, lms, omega, accel, dt=1e-5):
+def finite_difference_F(filt_tag, st, lms, omega, accel, sen_log, dt=1e-5):
     """Numeric dc/dt for the correction vector c under the true nonlinear
     propagation, linearized at zero error via central differences."""
     m = len(lms)
@@ -390,21 +422,22 @@ def finite_difference_F(filt_tag, st, lms, omega, accel, dt=1e-5):
                                           g)[0]
             est_next = imu.propagate_mean(st, omega, accel, dt, g)[0]
             rows.append(correction_between(filt_tag, est_next, tru_next,
-                                           truth.landmarks, lms))
+                                           truth.landmarks, lms, sen_log))
         # (c_next(+eps) - c_next(-eps)) / (2 eps) is a column of the one-step
         # map I + F dt
         F_fd[:, a] = (rows[0] - rows[1]) / 2e-6
     return (F_fd - np.eye(d)) / dt
 
 
-def correction_between(tag, est, tru, lms_true, lms_est):
-    """Correction vector c such that applying c to est gives tru."""
+def correction_between(tag, est, tru, lms_true, lms_est, sen_log):
+    """Correction vector c such that applying c to est gives tru, with
+    ``sen_log`` the SE_n(3) logarithm."""
     m = len(lms_est)
     out = np.zeros(15 + 3 * m)
     if tag in ("iekf", "ij_iekf"):
         Xe = group_element(est.R, [est.p, est.v] + list(lms_est))
         Xt = group_element(tru.R, [tru.p, tru.v] + list(lms_true))
-        xi = lie.sen_log(Xt @ lie.sen_inverse(Xe))
+        xi = sen_log(Xt @ lie.sen_inverse(Xe))
         out[:9] = xi[:9]
         out[15:] = xi[9:]
     else:
@@ -419,11 +452,11 @@ def correction_between(tag, est, tru, lms_true, lms_est):
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
 def test_error_jacobian_matches_finite_difference(tag, variant_jacobians,
-                                                  expand):
+                                                  expand, sen_log):
     rng = np.random.default_rng(11)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
-    F_fd = finite_difference_F(tag, st, lms, OMEGA, ACCEL)
+    F_fd = finite_difference_F(tag, st, lms, OMEGA, ACCEL, sen_log)
     F, _ = expand(*variant_jacobians(tag, st, lms, ACCEL[0]), 21)
     assert np.abs(F - F_fd[:, :15]).max() < 1e-3
     # landmarks are static: nothing depends on their errors
@@ -586,6 +619,89 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
         for name in ("R", "p", "v", "b_omega", "b_a"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
     assert f.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_batched_error_model_equals_one_call_per_filter():
+    # the stacked inputs of B filters give each filter's F, G and U bit
+    # for bit, for the EKF family, the invariant error and the imitated
+    # one; a filter without draws (zeros) beside one with draws takes r = 9
+    rng = np.random.default_rng(34)
+    b, n, m = 3, 4, 5
+    R = lie.so3_exp_stack(rng.normal(0.0, 0.5, (b * n, 3))).reshape(b, n, 3,
+                                                                     3)
+    drift = rng.normal(0.0, 9.8, (b, n, 3))
+    levers = rng.normal(0.0, 10.0, (b, n, 2, 3))
+    lms = rng.normal(0.0, 10.0, (b, m, 3))
+    xi = rng.uniform(-0.3, 0.3, (b, n, 3))
+    cases = [((R, drift), lambda i: (R[i], drift[i])),
+             ((R, imu.DEFAULT_GRAVITY, levers, lms),
+              lambda i: (R[i], imu.DEFAULT_GRAVITY, levers[i], lms[i])),
+             ((R, imu.DEFAULT_GRAVITY, levers, lms, xi),
+              lambda i: (R[i], imu.DEFAULT_GRAVITY, levers[i], lms[i],
+                         xi[i]))]
+    for batched, single in cases:
+        F, G, U = filters.error_jacobians(*batched)
+        assert len(F) == len(G) == len(U) == b
+        for i in range(b):
+            for got, want in zip((F[i], G[i], U[i]),
+                                 filters.error_jacobians(*single(i))):
+                assert got.tobytes() == want.tobytes()
+    xi[0] = 0.0
+    F, _, U = filters.error_jacobians(R, imu.DEFAULT_GRAVITY, levers, lms, xi)
+    assert F.shape == (b, n, 24, 15) and U.shape == (b, 3 * m, 9)
+
+
+def test_predict_all_equals_predict_per_filter():
+    # every variant with landmarks and the same readings: predict_all
+    # equals each filter's own predict bit for bit on the mean, the FEJ
+    # anchor and the generator; P too where the filter's r is that of its
+    # own predict (all but the invariant filters without draws, iekf and
+    # ij_iekf with r = 0, beside an ij_iekf with nonzero draws: they are
+    # padded from r = 3 to 9 and agree to rounding)
+    rng = np.random.default_rng(35)
+    lms = rng.normal(0.0, 10.0, (4, 3))
+    noise = imu.ImuNoiseSpec()
+    omega, accel = interval_readings(rng, 3)
+    for tags in [("ekf", "fej", "iekf", "ij_iekf", "ij_iekf"),
+                 ("iekf", "ij_iekf", "ekf")]:
+        filts = []
+        for i, tag in enumerate(tags):
+            f = make_filter(tag, rng, landmarks=lms.copy(),
+                            r=0.3 * (i % 2) if tag == "ij_iekf" else 0.0)
+            f.noise = noise
+            A = rng.normal(0.0, 0.1, (f.dim, f.dim))
+            f.P = A @ A.T + 1e-3 * np.eye(f.dim)
+            filts.append(f)
+        padded = any(f.variant.r > 0 for f in filts)
+        refs = copy.deepcopy(filts)
+        filters.predict_all(filts, omega, accel, 0.01)
+        for f, ref in zip(filts, refs):
+            ref.predict(omega, accel, 0.01)
+            pairs = [(f.state, ref.state)]
+            if f.anchor_state is not None:
+                pairs.append((f.anchor_state, ref.anchor_state))
+            for got, want in pairs:
+                for name in ("R", "p", "v", "b_omega", "b_a"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name))
+            assert f.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert np.array_equal(f.P, f.P.T)
+            if f.variant.invariant and f.variant.r == 0 and padded:
+                assert (np.abs(f.P - ref.P).max()
+                        <= 1e-12 * np.abs(ref.P).max())
+            else:
+                assert np.array_equal(f.P, ref.P), f.variant.label
+
+
+def test_predict_all_rejects_mixed_layouts():
+    rng = np.random.default_rng(36)
+    a = make_filter("iekf", rng, landmarks=np.zeros((2, 3)))
+    b = make_filter("iekf", rng)
+    with pytest.raises(ValueError):
+        filters.predict_all([a, b], OMEGA, ACCEL, 0.01)
+    c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        filters.predict_all([a, c], OMEGA, ACCEL, 0.01)
 
 
 def test_fej_keeps_dead_reckoned_anchor():

@@ -34,8 +34,8 @@ def one_step(P, F, G, U, Q, dt):
     return imu.propagate_covariance(P, V, Qd, U)
 
 
-def test_propagate_mean_free_fall():
-    st = imu.ImuState.identity()
+def test_propagate_mean_free_fall(identity_state):
+    st = identity_state()
     g = imu.DEFAULT_GRAVITY
     out = imu.propagate_mean(st, np.zeros((1, 3)), np.zeros((1, 3)), 2.0,
                              g)[0]
@@ -59,8 +59,8 @@ def test_propagate_mean_bias_correction():
     assert np.abs(clean.p - biased.p).max() < 1e-14
 
 
-def test_propagate_mean_rejects_bad_dt():
-    st = imu.ImuState.identity()
+def test_propagate_mean_rejects_bad_dt(identity_state):
+    st = identity_state()
     with pytest.raises(NonPositiveDt):
         imu.propagate_mean(st, np.zeros((2, 3)), np.zeros((2, 3)), 0.0,
                            imu.DEFAULT_GRAVITY)
@@ -263,9 +263,10 @@ def test_propagate_covariance_rejects_wide_f():
                                  np.zeros((18, 18)), np.zeros((6, 2)))
 
 
-def test_transition_matrix_polynomial_display(variant_jacobians, expand):
+def test_transition_matrix_polynomial_display(variant_jacobians, expand,
+                                              identity_state):
     # Phi = exp(F dt) carries dt*I, dt*g^ and (dt^2/2) g^ in the pose rows
-    st = imu.ImuState.identity()
+    st = identity_state()
     F, _ = expand(*variant_jacobians("iekf", st), 15)
     dt = 0.1
     Phi = errorprop.loglinear_transition(F, dt)
@@ -318,6 +319,60 @@ def test_interval_chain_matches_per_step_chain(n, propagate_step):
         assert np.array_equal(getattr(end, f), getattr(chain[-1], f)), f
     want_Ra = np.array([s_.R @ (a - s_.b_a) for s_, a in zip(chain, accel)])
     assert Ra.tobytes() == want_Ra.tobytes()
+
+
+def test_batched_chain_equals_one_call_per_state():
+    # B states through the same readings in one call: each state's chain,
+    # end state and rotated specific force equal its own call bit for bit
+    rng = np.random.default_rng(40)
+    states = [random_state(rng) for _ in range(4)]
+    omega = rng.normal(0.0, 0.5, (3, 3))
+    accel = rng.normal(0.0, 3.0, (3, 3)) + [0.0, 0.0, 9.8]
+    fields = ("R", "p", "v", "b_omega", "b_a")
+    stacked = imu.ImuState(*(np.stack([getattr(s_, f) for s_ in states])
+                             for f in fields))
+    g = imu.DEFAULT_GRAVITY
+    end, R, p, v, Ra = imu.propagate_mean(stacked, omega, accel, 0.02, g)
+    assert R.shape == (4, 4, 3, 3) and Ra.shape == (4, 3, 3)
+    for i, s_ in enumerate(states):
+        want = imu.propagate_mean(s_, omega, accel, 0.02, g)
+        for got, ref in zip((R[i], p[i], v[i], Ra[i]), want[1:]):
+            assert got.tobytes() == ref.tobytes()
+        for f in fields:
+            assert (getattr(end, f)[i].tobytes()
+                    == getattr(want[0], f).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("r", [0, 3, 9])
+def test_batched_covariance_step_equals_one_call_per_filter(n, r):
+    # B filters' interval dynamics composed and applied in one call each:
+    # every V, Q and P equals its own call bit for bit, with static rows
+    # (a copy of P) and without (P + Z + Z^T), and P is not written
+    rng = np.random.default_rng(41 + n + r)
+    b, k, m = 3, 15, 4
+    kernel = imu.noise_kernel(imu.ImuNoiseSpec().q_imu(), 0.02)
+    F = rng.normal(0.0, 0.3, (b, n, k + r, k))
+    G = rng.normal(0.0, 0.3, (b, n, k + r, 12))
+    U = rng.normal(0.0, 1.0, (b, 3 * m if r else 0, r))
+    V, Q = imu.compose_error_dynamics(F, G, kernel, 0.02)
+    for static in (0, 6):
+        d = k + len(U[0]) + static
+        Ps = []
+        for _ in range(b):
+            A = rng.normal(0.0, 0.1, (d, d))
+            Ps.append(A @ A.T + 1e-3 * np.eye(d))
+        before = [P.copy() for P in Ps]
+        got = imu.propagate_covariance(Ps, V, Q, U)
+        assert len(got) == b
+        for i in range(b):
+            V_i, Q_i = imu.compose_error_dynamics(F[i], G[i], kernel, 0.02)
+            assert V[i].tobytes() == V_i.tobytes()
+            assert Q[i].tobytes() == Q_i.tobytes()
+            want = imu.propagate_covariance(Ps[i], V_i, Q_i, U[i])
+            assert got[i].tobytes() == want.tobytes()
+            assert np.array_equal(got[i], got[i].T)
+            assert np.array_equal(Ps[i], before[i])
 
 
 def test_noise_spec_q_matrix():

@@ -20,12 +20,6 @@ PACKAGE = pathlib.Path(iekf_kit.__file__).parent
 # public API with no caller inside the package, one reason each
 ALLOWED = {
     "sim.run_sliding_window": "criterion 9 and the perfbench window workload",
-    "errorprop.right_error_rate": "right-invariant log-error rate; tests "
-                                  "check it against the group-level oracle",
-    "lie.sen_log": "public Lie API; tests use it as an oracle",
-    "lie.sen_vee": "public Lie API; tests use it as an oracle",
-    "lie.sen_adjoint": "public Lie API; tests use it as an oracle",
-    "imu.ImuState.identity": "public constructor of the identity state",
 }
 
 

@@ -203,6 +203,47 @@ def test_epoch_drops_observations_outside_the_domain(mode):
         (0,), (0, f.dim), (0, 0), 0)
 
 
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
+    # the rows of filters of every variant built at once equal each
+    # filter's own call bit for bit: with every observation kept, with one
+    # dropped by all of them (one shared slice), and with one dropped by a
+    # single filter (rows taken per filter)
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(17)
+    f, ext, pix = epoch_in_front("ekf", rng, n=4)
+    filts = []
+    for tag in ("ekf", "fej", "iekf", "ij_iekf"):
+        g = copy.deepcopy(f)
+        g.variant = filters.FilterVariant(tag)
+        g.anchor_state = f.state.copy() if tag == "fej" else None
+        if g.anchor_state is not None:
+            g.anchor_state.p = g.anchor_state.p + rng.normal(0.0, 0.5, 3)
+        g.state.p = g.state.p + rng.normal(0.0, 0.05, 3)
+        filts.append(g)
+    idx = np.array([2, 0, 3, 1])
+    R_c, p_c = vision.camera_pose(f.state, ext)
+    behind = p_c + R_c @ np.array([0.5, -0.3, -4.0])
+    cases = {"all kept": [], "one dropped by all": list(range(4)),
+             "one dropped by one": [2]}
+    for case, moved in cases.items():
+        for i in moved:
+            filts[i].landmarks[1] = behind
+        got = vision.landmark_measurement(filts, model, ext, pix, 1.5,
+                                          landmark_index=idx)
+        assert len(got) == len(filts)
+        for g, rows in zip(filts, got):
+            want = vision.landmark_measurement(g, model, ext, pix, 1.5,
+                                               landmark_index=idx)
+            for a, b in zip(rows, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        kept = [len(rows[3]) for rows in got]
+        assert kept == {"all kept": [4] * 4, "one dropped by all": [3] * 4,
+                        "one dropped by one": [4, 4, 3, 4]}[case], case
+        for g, fresh in zip(filts, [f] * 4):
+            g.landmarks[1] = fresh.landmarks[1]
+
+
 def test_cross_rows_equals_np_cross():
     # the row-wise cross product of the EKF-family orientation blocks
     rng = np.random.default_rng(16)
