@@ -14,9 +14,9 @@ Measurement builders must therefore supply H with residual ~ H c + noise;
 the gain times residual is then applied directly as a correction.
 
 The filters of one paired run go through each camera epoch in lock step:
-``predict_all``, ``errors`` and ``nees`` take a list of filters and run
-each stage once for all of them; the update stays one ``update_raw`` per
-filter.
+``predict_all``, ``errors`` and ``nees`` take a list of filters, and
+``FilterInstance.update_raw`` and ``apply_correction`` take one when
+called on the class, and each runs its stages once for all of them.
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ def _lever_arms(state, landmarks):
     if landmarks is None or len(landmarks) == 0:
         return np.array((state.p, state.v))
     return np.vstack((state.p, state.v, landmarks))
+
+
+def _stack(arrays):
+    """np.array(arrays); of one array, a view of it with a leading axis."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _lever_products(levers, R):
@@ -373,38 +378,60 @@ class FilterInstance:
         exactly symmetric, so P stays exactly symmetric without a
         symmetrization pass.
 
+        Called on the class with a list of B filters of one state layout,
+        ``FilterInstance.update_raw(filts, residual, H, N)``, it updates
+        them all with the stacks residual (B, m), H (B, m, dim) and N
+        (m, m) or (B, m, m): S, its factor and guard, the substitution
+        and W^T z run once on the stack, and the correction is one
+        ``apply_correction``; H P_i and P_i - W_i^T W_i stay one product
+        per filter, HP written into its slice of the stacked [HP | r].
+        Each filter's numbers equal those of its own call bit for bit.
+
         Raises:
             SingularInnovation: if the Cholesky factorization of the
                 innovation covariance S fails, or if the squared ratio of the
                 largest to the smallest diagonal entry of its factor (a
                 scale-free lower bound on the condition number of S) exceeds
-                1e12.  The state is left unchanged.
+                1e12, for any filter of the list.  Every filter's state is
+                left unchanged.
         """
+        filts = self if isinstance(self, list) else [self]
         residual = np.asarray(residual, dtype=float)
         H = np.asarray(H, dtype=float)
-        N = np.asarray(N, dtype=float)
-        if H.shape[1] != self.dim:
-            raise ValueError(f"H has {H.shape[1]} columns, state dim {self.dim}")
-        HP = H @ self.P
+        if filts is not self:
+            residual, H = residual[None], H[None]
+        dim = filts[0].dim
+        if (H.shape[::2] != (len(filts), dim)
+                or residual.shape != H.shape[:2]):
+            raise ValueError(f"residual {residual.shape} and H {H.shape} for "
+                             f"{len(filts)} filter(s) of state dim {dim}")
+        m = H.shape[1]
+        Wz = np.empty((len(filts), m, dim + 1))
+        for f, h, out in zip(filts, H, Wz):
+            np.matmul(h, f.P, out=out[:, :-1])
+        Wz[..., -1] = residual
+        HP = Wz[..., :-1]
         try:
-            L = np.linalg.cholesky(HP @ H.T + N)
+            L = np.linalg.cholesky(HP @ H.swapaxes(1, 2) + N)
         except np.linalg.LinAlgError:
             raise SingularInnovation(
                 "innovation covariance is not positive definite") from None
-        diag = np.diagonal(L)
-        ratio = (diag.max() / diag.min()) ** 2
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        # squaring is monotone: the largest square is the square of the max
+        ratio = (diag.max(axis=1) / diag.min(axis=1)).max() ** 2
         if ratio > 1e12:
             raise SingularInnovation(
                 f"innovation Cholesky diagonal ratio squared {ratio:.3e}")
-        Wz = np.column_stack((HP, residual))
-        for s in range(0, len(L), SOLVE_BLOCK):
+        for s in range(0, m, SOLVE_BLOCK):
             e = s + SOLVE_BLOCK
-            rhs = Wz[s:e] - L[s:e, :s] @ Wz[:s] if s else Wz[s:e]
-            Wz[s:e] = np.linalg.inv(L[s:e, s:e]) @ rhs
-        W, z = Wz[:, :-1], Wz[:, -1]
-        self.apply_correction(W.T @ z)
-        WtW = W.T @ W
-        self.P = np.subtract(self.P, WtW, out=WtW)
+            rhs = Wz[:, s:e] - L[:, s:e, :s] @ Wz[:, :s] if s else Wz[:, s:e]
+            Wz[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ rhs
+        W = Wz[..., :-1]
+        FilterInstance.apply_correction(
+            filts, (W.swapaxes(1, 2) @ Wz[..., -1:])[..., 0])
+        for f, w in zip(filts, W):
+            WtW = w.T @ w
+            f.P = np.subtract(f.P, WtW, out=WtW)
 
     def apply_correction(self, d):
         """Apply a correction vector in this filter's error convention.
@@ -415,35 +442,65 @@ class FilterInstance:
         by exp(c) on SE_n(3), so each translation column t with tangent part
         u (p, v and the landmarks for the IMU pose, p for a clone) becomes
         E t + J(omega) u; the EKF family adds u to t.
+
+        Called on the class with a list of B filters of one state layout and
+        corrections d (B, dim), it corrects them all: every filter's
+        rotation rows go through one exponential, and the invariant
+        filters' rows through one left Jacobian.
         """
+        filts = self if isinstance(self, list) else [self]
+        b, first = len(filts), filts[0]
+        m, k = first.n_landmarks, len(first.clone_p)
+        if b > 1 and len({(f.n_landmarks, len(f.clone_p))
+                          for f in filts}) > 1:
+            raise ValueError("filters corrected together need one state "
+                             "layout")
         d = np.asarray(d, dtype=float)
-        st = self.state
-        m = self.n_landmarks
-        c = d[self.core_dim:].reshape(-1, 6)
-        omega = np.concatenate((d[None, :3], c[:, :3]))
-        E = lie.so3_exp_stack(omega)
-        if self.variant.invariant:
-            J = lie.so3_left_jacobian(omega)
-            u = np.concatenate((d[3:9], d[15:15 + 3 * m])).reshape(-1, 3)
-            t = _lever_arms(st, self.landmarks) @ E[0].T + u @ J[0].T
-            st.p, st.v = t[0], t[1]
+        if filts is not self:
+            d = d[None]
+        if d.shape != (b, first.dim):
+            raise ValueError(f"corrections of shape {d.shape} for {b} "
+                             f"filter(s) of state dim {first.dim}")
+        c = d[:, first.core_dim:].reshape(b, k, 6)
+        omega = np.concatenate((d[:, None, :3], c[..., :3]), axis=1)
+        E = lie.so3_exp_stack(omega.reshape(-1, 3)).reshape(b, k + 1, 3, 3)
+        # the translation columns (p, v and the landmarks; the clones' p)
+        # and their tangent parts
+        t = np.array([(f.state.p, f.state.v) for f in filts])
+        if m:
+            t = np.concatenate((t, _stack([f.landmarks for f in filts])),
+                               axis=1)
+        u = np.concatenate((d[:, 3:9], d[:, 15:15 + 3 * m]),
+                           axis=1).reshape(b, -1, 3)
+        tc, uc = _stack([f.clone_p for f in filts]), c[..., 3:]
+        # the EKF family's correction for every filter, then the invariant
+        # filters' rows replaced by theirs
+        t_new, tc_new = t + u, tc + uc
+        inv = [i for i, f in enumerate(filts) if f.variant.invariant]
+        if inv:
+            if len(inv) == b:
+                inv = slice(b)
+            J = lie.so3_left_jacobian(omega[inv].reshape(-1, 3)).reshape(
+                -1, k + 1, 3, 3)
+            Ei = E[inv]
+            t_new[inv] = (t[inv] @ Ei[:, 0].swapaxes(1, 2)
+                          + u[inv] @ J[:, 0].swapaxes(1, 2))
+            if k:
+                tc_new[inv] = (Ei[:, 1:] @ tc[inv][..., None]
+                               + J[:, 1:] @ uc[inv][..., None])[..., 0]
+        R = E[:, 0] @ _stack([f.state.R for f in filts])
+        b_omega = _stack([f.state.b_omega for f in filts]) + d[:, 9:12]
+        b_a = _stack([f.state.b_a for f in filts]) + d[:, 12:15]
+        if k:
+            clone_R = E[:, 1:] @ _stack([f.clone_R for f in filts])
+        for i, f in enumerate(filts):
+            st = f.state
+            st.R, st.p, st.v = R[i], t_new[i, 0], t_new[i, 1]
+            st.b_omega, st.b_a = b_omega[i], b_a[i]
             if m:
-                self.landmarks = t[2:]
-            if len(c):
-                self.clone_p = (E[1:] @ self.clone_p[:, :, None]
-                                + J[1:] @ c[:, 3:, None])[:, :, 0]
-        else:
-            st.p = st.p + d[3:6]
-            st.v = st.v + d[6:9]
-            if m:
-                self.landmarks = self.landmarks + d[15:15 + 3 * m].reshape(m, 3)
-            if len(c):
-                self.clone_p = self.clone_p + c[:, 3:]
-        st.R = E[0] @ st.R
-        if len(c):
-            self.clone_R = E[1:] @ self.clone_R
-        st.b_omega = st.b_omega + d[9:12]
-        st.b_a = st.b_a + d[12:15]
+                f.landmarks = t_new[i, 2:]
+            if k:
+                f.clone_R, f.clone_p = clone_R[i], tc_new[i]
 
     # -- clones -------------------------------------------------------------
 

@@ -305,13 +305,15 @@ def run_filter(scenario, truth, frames, filts):
     ``frames`` is the list of camera epochs (dicts of pixel observations),
     shared across variants for paired-noise comparisons.  The filters share
     the state dimension and the noise spec.  Each camera epoch runs one
-    ``filters.predict_all``, one ``vision.landmark_measurement`` and one
-    ``filters.errors`` and ``filters.nees`` for all of them; only the update
-    is one ``update_raw`` per filter.  Returns one list per filter of
-    per-epoch tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|) of
-    Python floats, the epoch time t one object shared by every filter.
+    ``filters.predict_all``, one ``vision.landmark_measurement``, one
+    ``FilterInstance.update_raw`` of the list and one ``filters.errors``
+    and ``filters.nees`` for all of them; only when the filters keep
+    different observations is each updated alone with its own rows.
+    Returns one float64 (epochs, 5) array per filter, of the rows
+    (t, pos_nees, ang_nees, |pos_err|, |ang_err|).
     """
-    records = [[] for _ in filts]
+    every = scenario.camera_every
+    records = np.empty((len(filts), len(truth.omega) // every, 5))
     predict = functools.partial(filters.predict_all, filts)
     for i, t, st_true in _camera_epochs(scenario, truth, predict):
         frame = frames[i]
@@ -320,17 +322,42 @@ def run_filter(scenario, truth, frames, filts):
             filts, scenario.camera, scenario.extrinsics,
             list(frame.values()), scenario.pixel_sigma,
             landmark_index=list(frame))
-        for filt, (residual, H, N, _) in zip(filts, rows):
-            if len(residual):
-                filt.update_raw(residual, H, N)
+        # filters that keep the same observations share one kept array
+        kept = rows[0][3]
+        if all(r[3] is kept for r in rows):
+            if len(kept):
+                FilterInstance.update_raw(
+                    filts, np.array([r[0] for r in rows]),
+                    np.array([r[1] for r in rows]), rows[0][2])
+        else:
+            for filt, (residual, H, N, _) in zip(filts, rows):
+                if len(residual):
+                    filt.update_raw(residual, H, N)
         errors = filters.errors(filts, st_true)
         pos_nees, ang_nees = filters.nees(filts, errors)
         # one 1 x 3 by 3 x 1 product per row sums as np.linalg.norm does
         norms = lie._row_norms(np.concatenate(errors))
-        for out, row in zip(records, zip(pos_nees.tolist(), ang_nees.tolist(),
-                                         norms, norms[len(filts):])):
-            out.append((t,) + row)
-    return records
+        records[:, i] = np.column_stack((np.full(len(filts), t), pos_nees,
+                                         ang_nees, norms[:len(filts)],
+                                         norms[len(filts):]))
+    return list(records)
+
+
+class PairedRecords(dict):
+    """The records of one paired run, {variant label: float64 (epochs, 5)
+    array}.  Two compare equal when they hold the same labels and their
+    arrays are equal bit for bit (``np.array_equal``), so that whole runs
+    compare with ``==``, as a rerun is checked against its first run."""
+
+    def __eq__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        return self.keys() == other.keys() and all(
+            np.array_equal(rows, other[label]) for label, rows in self.items())
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
 
 @dataclass
@@ -338,7 +365,7 @@ class MonteCarloReport:
     """Per-variant, per-run, per-epoch records of NEES and error norms."""
 
     variants: list
-    records: dict          # label -> list over runs of list of tuples
+    records: dict          # label -> list over runs of (epochs, 5) arrays
     n_runs: int
     seed: int
 
@@ -350,20 +377,22 @@ class MonteCarloReport:
         """
         out = {}
         for v in self.variants:
-            rows = [r for run in self.records[v.label] for r in run]
-            if not rows:
+            runs = self.records[v.label]
+            n = sum(len(run) for run in runs)
+            if not n:
                 raise EmptyReport(f"no records for {v.label}")
 
-            # one field at a time, not an (epochs, 5) array, so the report
-            # holds a few columns of memory on top of the records
-            def column(i, rows=rows):
-                return np.fromiter((r[i] for r in rows), float, len(rows))
+            # one field at a time, each a contiguous concatenation of the
+            # runs' columns, so the report holds a column of memory on top
+            # of the records
+            def column(i, runs=runs):
+                return np.concatenate([run[:, i] for run in runs])
             out[v.label] = {
                 "mean_pos_nees": float(column(1).mean()),
                 "mean_ang_nees": float(column(2).mean()),
                 "pos_rmse": float(np.sqrt((column(3) ** 2).mean())),
                 "ang_rmse": float(np.sqrt((column(4) ** 2).mean())),
-                "epochs": len(rows),
+                "epochs": n,
             }
         return out
 
@@ -373,7 +402,8 @@ def monte_carlo_single_run(scenario, variants, init, seed, run_index):
     noise, and initial perturbation; only the estimator differs.
 
     Seeding is a pure function of (seed, run_index), so results do not depend
-    on execution order or parallelism degree.
+    on execution order or parallelism degree.  Returns the ``PairedRecords``
+    of the variants.
     """
     children = np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(3)
     rng_truth = np.random.default_rng(children[0])
@@ -390,7 +420,7 @@ def monte_carlo_single_run(scenario, variants, init, seed, run_index):
         filts.append(perturbed_filter(v, truth.states[0], truth.landmarks,
                                       init, scenario, rng_init))
     records = run_filter(scenario, truth, frames, filts)
-    return {v.label: rows for v, rows in zip(variants, records)}
+    return PairedRecords(zip((v.label for v in variants), records))
 
 
 def run_monte_carlo(scenario, variants, n_runs=50, seed=0, init=None,
@@ -474,7 +504,7 @@ def write_reports(report, out_dir, scenario=None, extra_meta=None):
             w.writerow(["run", "t", "pos_nees", "ang_nees",
                         "pos_err", "ang_err"])
             for run_i, run in enumerate(report.records[label]):
-                for row in run:
+                for row in run.tolist():
                     w.writerow([run_i] + [f"{x:.9g}" for x in row])
         _atomic_write(path, body)
     agg = report.aggregate()

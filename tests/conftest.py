@@ -4,7 +4,8 @@ nullspace projection and window flush that the batched flush replaced, the
 per-point camera projection, the single-vector SO(3) left Jacobian and the
 per-clone group-product correction that the stacked forms replaced, the
 Kalman update by one LU solve that the blocked forward substitution
-replaced, and the per-variant driver with its per-filter errors and NEES
+replaced, the one-filter update and correction that the stacked update of
+a list of filters replaced, and the per-variant driver with its per-filter errors and NEES
 that the lock-step driver replaced, kept as their oracles; and the public
 functions that only the tests called (the SE_n(3) log, vee and adjoint,
 the right log-error rate and the identity IMU state), kept as oracles."""
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from iekf_kit import filters, imu, lie, sim, vision
-from iekf_kit.exceptions import DegenerateGeometry, SingularCovariance
+from iekf_kit.exceptions import (DegenerateGeometry, SingularCovariance,
+                                 SingularInnovation)
 
 ACCEL = np.array([0.3, 0.1, 9.7])
 
@@ -153,6 +155,71 @@ def _update_raw_lu(filt, residual, H, N):
     W, z = Wz[:, :-1], Wz[:, -1]
     filt.apply_correction(W.T @ z)
     filt.P = filt.P - W.T @ W
+
+
+def _update_raw_filter(filt, residual, H, N):
+    """``FilterInstance.update_raw`` of one filter as it was before the
+    filters of a paired run were updated in one call: 2-D products, one
+    Cholesky factor, and ``_apply_correction_filter``."""
+    residual = np.asarray(residual, dtype=float)
+    H = np.asarray(H, dtype=float)
+    N = np.asarray(N, dtype=float)
+    HP = H @ filt.P
+    try:
+        L = np.linalg.cholesky(HP @ H.T + N)
+    except np.linalg.LinAlgError:
+        raise SingularInnovation(
+            "innovation covariance is not positive definite") from None
+    diag = np.diagonal(L)
+    ratio = (diag.max() / diag.min()) ** 2
+    if ratio > 1e12:
+        raise SingularInnovation(
+            f"innovation Cholesky diagonal ratio squared {ratio:.3e}")
+    Wz = np.column_stack((HP, residual))
+    for s in range(0, len(L), filters.SOLVE_BLOCK):
+        e = s + filters.SOLVE_BLOCK
+        rhs = Wz[s:e] - L[s:e, :s] @ Wz[:s] if s else Wz[s:e]
+        Wz[s:e] = np.linalg.inv(L[s:e, s:e]) @ rhs
+    W, z = Wz[:, :-1], Wz[:, -1]
+    _apply_correction_filter(filt, W.T @ z)
+    WtW = W.T @ W
+    filt.P = np.subtract(filt.P, WtW, out=WtW)
+
+
+def _apply_correction_filter(filt, d):
+    """``FilterInstance.apply_correction`` of one filter as it was before
+    the filters of a paired run were corrected in one call: one stacked
+    exponential and left Jacobian on the filter's pose and clone rows."""
+    d = np.asarray(d, dtype=float)
+    st = filt.state
+    m = filt.n_landmarks
+    c = d[filt.core_dim:].reshape(-1, 6)
+    omega = np.concatenate((d[None, :3], c[:, :3]))
+    E = lie.so3_exp_stack(omega)
+    if filt.variant.invariant:
+        J = lie.so3_left_jacobian(omega)
+        u = np.concatenate((d[3:9], d[15:15 + 3 * m])).reshape(-1, 3)
+        levers = (np.array((st.p, st.v)) if m == 0
+                  else np.vstack((st.p, st.v, filt.landmarks)))
+        t = levers @ E[0].T + u @ J[0].T
+        st.p, st.v = t[0], t[1]
+        if m:
+            filt.landmarks = t[2:]
+        if len(c):
+            filt.clone_p = (E[1:] @ filt.clone_p[:, :, None]
+                            + J[1:] @ c[:, 3:, None])[:, :, 0]
+    else:
+        st.p = st.p + d[3:6]
+        st.v = st.v + d[6:9]
+        if m:
+            filt.landmarks = filt.landmarks + d[15:15 + 3 * m].reshape(m, 3)
+        if len(c):
+            filt.clone_p = filt.clone_p + c[:, 3:]
+    st.R = E[0] @ st.R
+    if len(c):
+        filt.clone_R = E[1:] @ filt.clone_R
+    st.b_omega = st.b_omega + d[9:12]
+    st.b_a = st.b_a + d[12:15]
 
 
 def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
@@ -565,8 +632,8 @@ def _nees_filter(filt, errors):
 def _run_filter_per_variant(scenario, truth, frames, filt):
     """``sim.run_filter`` of one filter, as it ran before the variants were
     driven in lock step: the filter's own ``predict``, its own
-    ``vision.landmark_measurement`` and update, and ``_errors_filter`` and
-    ``_nees_filter`` at each camera epoch.  Returns its list of per-epoch
+    ``vision.landmark_measurement``, ``_update_raw_filter``, and
+    ``_errors_filter`` and ``_nees_filter`` at each camera epoch.  Returns its list of per-epoch
     tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|)."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
@@ -579,7 +646,7 @@ def _run_filter_per_variant(scenario, truth, frames, filt):
             list(frame.values()), scenario.pixel_sigma,
             landmark_index=list(frame))
         if len(residual):
-            filt.update_raw(residual, H, N)
+            _update_raw_filter(filt, residual, H, N)
         errors = _errors_filter(filt, truth.states[k])
         pos_nees, ang_nees = _nees_filter(filt, errors)
         records.append((truth.times[k], pos_nees, ang_nees,
@@ -665,6 +732,16 @@ def mean_vector():
 @pytest.fixture(scope="session")
 def update_raw_lu():
     return _update_raw_lu
+
+
+@pytest.fixture(scope="session")
+def update_raw_filter():
+    return _update_raw_filter
+
+
+@pytest.fixture(scope="session")
+def apply_correction_filter():
+    return _apply_correction_filter
 
 
 @pytest.fixture(scope="session")

@@ -199,7 +199,8 @@ def test_criterion_08_imitation_robustness(verdict, study):
     sc = sim.Scenario(duration=5.0)
     pair = [filters.FilterVariant("iekf"), filters.FilterVariant("ij_iekf", 0.0)]
     rep = sim.run_monte_carlo(sc, pair, n_runs=1, seed=3)
-    identical = rep.records["iekf"] == rep.records[pair[1].label]
+    identical = all(np.array_equal(x, y) for x, y in
+                    zip(rep.records["iekf"], rep.records[pair[1].label]))
     verdict(8, rmse_ok and identical,
             f"RMSE ratio ij(0.1)/iekf "
             f"{agg['ij_iekf-0.1']['pos_rmse'] / agg['iekf']['pos_rmse']:.4f}, "

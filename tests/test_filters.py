@@ -189,6 +189,133 @@ def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
     assert f.P.flags.c_contiguous
 
 
+def make_batch(tags, rng, m=0, n_clones=0):
+    """Filters of one state layout, each with its own mean, clones and a
+    random positive definite P."""
+    filts = []
+    for tag in tags:
+        f = make_filter(tag, rng, r=0.3 if tag == "ij_iekf" else 0.0,
+                        landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
+        for _ in range(n_clones):
+            f.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.3, 3)),
+                                rng.normal(0.0, 5.0, 3))
+        A = rng.normal(0.0, 0.03, (f.dim, f.dim))
+        f.P = A @ A.T + 1e-4 * np.eye(f.dim)
+        filts.append(f)
+    return filts
+
+
+STUDY_TAGS = ("ekf", "fej", "iekf", "ij_iekf", "ij_iekf")
+
+
+# the study's shape with fej (d = 51, 24 rows: one row block), two row
+# blocks, and clones beside landmarks, whose rows the correction stacks too
+@pytest.mark.parametrize("tags, m, n_clones, rows, stacked_N", [
+    (STUDY_TAGS, 12, 0, 24, False),
+    (STUDY_TAGS, 12, 0, B + 6, True),
+    (("iekf", "ekf", "fej", "ij_iekf"), 2, 5, 20, False),
+    (("iekf",), 0, 8, 30, False)])
+def test_update_of_a_list_equals_one_update_per_filter(
+        tags, m, n_clones, rows, stacked_N, update_raw_filter, mean_vector):
+    rng = np.random.default_rng(rows + m)
+    filts = make_batch(tags, rng, m, n_clones)
+    d = filts[0].dim
+    H = rng.normal(0.0, 5.0, (len(filts), rows, d))
+    residual = rng.normal(0.0, 1.0, (len(filts), rows))
+    N = np.eye(rows) * 2.0
+    if stacked_N:
+        N = N * rng.uniform(0.5, 2.0, (len(filts), 1, 1))
+    refs = copy.deepcopy(filts)
+    P_before = [(f.P, f.P.tobytes()) for f in filts]
+    filters.FilterInstance.update_raw(filts, residual, H, N)
+    for i, ref in enumerate(refs):
+        update_raw_filter(ref, residual[i], H[i],
+                          N[i] if stacked_N else N)
+    for f, ref, (P, P_bytes) in zip(filts, refs, P_before):
+        assert f.P.tobytes() == ref.P.tobytes(), f.variant.label
+        assert mean_vector(f).tobytes() == mean_vector(ref).tobytes()
+        assert f.landmarks is None or f.landmarks.shape == (m, 3)
+        assert f.clone_R.shape == (n_clones, 3, 3)
+        # the arrays that were P are never written
+        assert P.tobytes() == P_bytes and f.P.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m, n_clones", [(12, 0), (0, 6), (3, 4)])
+def test_correction_of_a_list_equals_one_correction_per_filter(
+        m, n_clones, monkeypatch, apply_correction_filter, mean_vector):
+    # one stacked exponential on every filter's pose and clone rows, and
+    # one stacked left Jacobian on the invariant filters' rows
+    rng = np.random.default_rng(3 + m)
+    tags = ("ij_iekf", "ekf", "iekf", "fej", "iekf")
+    filts = make_batch(tags, rng, m, n_clones)
+    D = rng.normal(0.0, 0.1, (len(filts), filts[0].dim))
+    D[2, :3] *= 1e-8    # a pose rotation row on the small-angle branch
+    refs = copy.deepcopy(filts)
+    calls = []
+
+    def counted(fn):
+        def wrapper(w):
+            calls.append((fn.__name__, np.shape(w)))
+            return fn(w)
+        return wrapper
+
+    for name in ("so3_exp_stack", "so3_left_jacobian"):
+        monkeypatch.setattr(lie, name, counted(getattr(lie, name)))
+    filters.FilterInstance.apply_correction(filts, D)
+    monkeypatch.undo()
+    for ref, d in zip(refs, D):
+        apply_correction_filter(ref, d)
+    assert calls == [("so3_exp_stack", (5 * (1 + n_clones), 3)),
+                     ("so3_left_jacobian", (3 * (1 + n_clones), 3))]
+    for f, ref in zip(filts, refs):
+        assert mean_vector(f).tobytes() == mean_vector(ref).tobytes()
+
+
+def test_correction_of_a_list_rejects_mixed_layouts():
+    rng = np.random.default_rng(8)
+    a, b = make_batch(("iekf", "ekf"), rng)
+    b.clone_camera_pose(np.eye(3), np.zeros(3))
+    c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)))
+    for other in (b, c):
+        with pytest.raises(ValueError, match="one state layout"):
+            filters.FilterInstance.apply_correction(
+                [a, other], np.zeros((2, other.dim)))
+
+
+def test_update_of_a_list_rejects_unstacked_rows():
+    # the rows of a list's update carry the batch axis: an (m, dim) H or an
+    # (m,) residual is not split among the filters nor shared by them
+    rng = np.random.default_rng(10)
+    filts = make_batch(("iekf", "ekf"), rng)
+    H = rng.normal(0.0, 1.0, (2, 4, 15))
+    for residual, rows in ((np.ones((2, 4)), H.reshape(8, 15)),
+                           (np.ones(4), H), (np.ones((2, 4)), H[..., :14])):
+        with pytest.raises(ValueError, match="filter"):
+            filters.FilterInstance.update_raw(filts, residual, rows,
+                                              np.eye(4))
+    with pytest.raises(ValueError, match="filter"):
+        filters.FilterInstance.apply_correction(filts, np.zeros(15))
+
+
+@pytest.mark.parametrize("near", [False, True])
+def test_singular_member_leaves_every_filter_unchanged(near, mean_vector):
+    # one member's S is singular (a duplicated row, zero noise) or has a
+    # condition number near 1e14 (a nearly duplicated row): the update of
+    # the list raises before any filter is corrected
+    rng = np.random.default_rng(9)
+    filts = make_batch(("ekf", "iekf", "ij_iekf"), rng, m=2)
+    H = rng.normal(0.0, 1.0, (3, 4, filts[0].dim))
+    H[1, 3] = H[1, 2]
+    if near:
+        H[1, 3, 4] += 1e-7 * np.abs(H[1, 2]).max()
+    before = [(f.P.tobytes(), mean_vector(f).tobytes()) for f in filts]
+    with pytest.raises(SingularInnovation):
+        filters.FilterInstance.update_raw(filts, np.ones((3, 4)), H,
+                                          np.zeros((4, 4)))
+    assert [(f.P.tobytes(), mean_vector(f).tobytes())
+            for f in filts] == before
+
+
 def test_invariant_correction_is_group_exact():
     rng = np.random.default_rng(4)
     lms = rng.normal(0.0, 10.0, (2, 3))

@@ -327,13 +327,12 @@ def test_lock_step_matches_per_variant_driver(
             STUDY, STUDY_VARIANTS, STUDY_INIT, 0, run_index)
         assert list(got) == list(want)
         for label in ("ekf", "fej", "ij_iekf-0.1", "ij_iekf-0.5"):
-            assert got[label] == want[label], (run_index, label)
+            assert np.array_equal(got[label], want[label]), (run_index, label)
         assert len(got["iekf"]) == len(want["iekf"]) == 50
         assert max_relative_difference(got["iekf"], want["iekf"]) <= 1e-11
-        # one time object per epoch, shared by every variant's row
-        assert all(type(row[0]) is float for row in got["ekf"])
-        assert all(got["ekf"][k][0] is got[label][k][0]
-                   for label in got for k in range(50))
+        # one float64 (epochs, 5) array per variant
+        assert all(rows.dtype == np.float64 and rows.shape == (50, 5)
+                   for rows in got.values())
 
 
 def test_iekf_beside_ij_iekf_zero_is_bit_identical(
@@ -345,8 +344,9 @@ def test_iekf_beside_ij_iekf_zero_is_bit_identical(
                                                                  0.0)]
     got = sim.monte_carlo_single_run(sc, pair, sim.InitSpec(), 3, 0)
     want = monte_carlo_single_run_per_variant(sc, pair, sim.InitSpec(), 3, 0)
-    assert got == want
-    assert got["iekf"] == got["ij_iekf-0"]
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[label], want[label]) for label in got)
+    assert np.array_equal(got["iekf"], got["ij_iekf-0"])
 
 
 def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
@@ -385,7 +385,63 @@ def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
     assert np.array_equal(kept[0], kept[2]) and len(kept[0]) == len(frame)
     got = sim.run_filter(sc, truth, frames, filts)
     want = [run_filter_per_variant(sc, truth, frames, f) for f in build()]
-    assert got == want
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_run_filter_updates_the_filters_in_one_call(monkeypatch):
+    # one update_raw of the list per camera epoch when the filters keep the
+    # same observations; one per filter, with its own rows, when they differ
+    sc = sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0)
+    rng = np.random.default_rng(21)
+    truth = sim.synthesize_truth(sc, rng)
+    every = sc.camera_every
+    frames = [sim.camera_frame(sc, st, truth.landmarks, rng)
+              for st in truth.states[every::every]]
+    original = filters.FilterInstance.update_raw
+    calls = []
+
+    def update_raw(self, residual, H, N):
+        calls.append((self, np.shape(residual), np.shape(H)))
+        return original(self, residual, H, N)
+
+    monkeypatch.setattr(filters.FilterInstance, "update_raw", update_raw)
+    filts = [sim.perturbed_filter(v, truth.states[0], truth.landmarks,
+                                  STUDY_INIT, sc, np.random.default_rng(5))
+             for v in STUDY_VARIANTS]
+    sim.run_filter(sc, truth, frames, filts)
+    assert len(calls) == len(frames)
+    for self, residual, H in calls:
+        assert self == filts
+        assert residual[0] == H[0] == len(filts) and H[2] == filts[0].dim
+    # the iekf estimate of a landmark behind the camera (as in
+    # test_lock_step_when_kept_observations_differ)
+    calls.clear()
+    filts = [sim.perturbed_filter(v, truth.states[0], truth.landmarks,
+                                  STUDY_INIT, sc, np.random.default_rng(5))
+             for v in STUDY_VARIANTS]
+    filts[2].landmarks[next(iter(frames[0])), 2] = filts[2].state.p[2] + 30.0
+    sim.run_filter(sc, truth, frames, filts)
+    each = [c for c in calls if not isinstance(c[0], list)]
+    assert [c[0] for c in each[:len(filts)]] == filts
+    assert all(len(c[1]) == 1 and len(c[2]) == 2 for c in each)
+    assert len(calls) - len(each) == len(frames) - len(each) // len(filts)
+
+
+def test_paired_records_compare_as_a_whole():
+    # equal labels and bit-identical arrays compare equal, in either order
+    # and against a plain dict; == never compares element-wise
+    a = sim.monte_carlo_single_run(STUDY, STUDY_VARIANTS[:2], STUDY_INIT, 0, 1)
+    b = sim.monte_carlo_single_run(STUDY, STUDY_VARIANTS[:2], STUDY_INIT, 0, 1)
+    assert isinstance(a, sim.PairedRecords)
+    assert a == b and b == a and not a != b and a == dict(b)
+    assert dict(b) == a
+    changed = sim.PairedRecords(b)
+    changed["fej"] = b["fej"].copy()
+    changed["fej"][-1, 1] = np.nextafter(b["fej"][-1, 1], np.inf)
+    assert a != changed and not a == changed
+    assert a != sim.PairedRecords(ekf=a["ekf"])
+    assert a != [a["ekf"], a["fej"]]
 
 
 def test_paired_seeding_reproducible():
@@ -393,9 +449,11 @@ def test_paired_seeding_reproducible():
     v = [filters.FilterVariant("iekf")]
     r1 = sim.run_monte_carlo(sc, v, n_runs=2, seed=5)
     r2 = sim.run_monte_carlo(sc, v, n_runs=2, seed=5)
-    assert r1.records["iekf"] == r2.records["iekf"]
+    assert all(np.array_equal(a, b) for a, b in zip(r1.records["iekf"],
+                                                     r2.records["iekf"]))
     r3 = sim.run_monte_carlo(sc, v, n_runs=2, seed=6)
-    assert r1.records["iekf"] != r3.records["iekf"]
+    assert not all(np.array_equal(a, b) for a, b in zip(r1.records["iekf"],
+                                                        r3.records["iekf"]))
 
 
 def test_nees_chi_square_calibration():
@@ -467,6 +525,10 @@ def test_parallel_matches_serial():
                                  progress=lambda *a: calls[1].append(a))
     parallel = sim.run_monte_carlo(sc, v, n_runs=2, seed=9, parallelism=2,
                                    progress=lambda *a: calls[2].append(a))
-    assert serial.records == parallel.records
+    assert list(serial.records) == list(parallel.records)
+    assert all(len(serial.records[k]) == len(parallel.records[k])
+               and all(np.array_equal(a, b) for a, b in
+                       zip(serial.records[k], parallel.records[k]))
+               for k in serial.records)
     # progress counts completed runs in run order on both paths
     assert calls[1] == calls[2] == [(1, 2), (2, 2)]
