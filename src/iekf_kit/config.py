@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
 import yaml
 
 from .exceptions import ConfigError
@@ -95,10 +94,7 @@ def load_config(path, overrides=None):
         raise ConfigError(f"{path}: unknown top-level keys {unknown}")
 
     trajectory = _build(TrajectorySpec, doc.get("trajectory"), "trajectory")
-    noise_data = dict(doc.get("noise") or {})
-    if "gravity" in noise_data:
-        noise_data["gravity"] = np.asarray(noise_data["gravity"], dtype=float)
-    noise = _build(ImuNoiseSpec, noise_data, "noise")
+    noise = _build(ImuNoiseSpec, doc.get("noise"), "noise")
     camera = _build(CameraModel, doc.get("camera"), "camera")
     init = _build(InitSpec, doc.get("init"), "init")
 

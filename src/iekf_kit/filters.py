@@ -1,9 +1,12 @@
 """Four estimator variants on one predict/update skeleton.
 
-Variants: "ekf" (conventional world-frame error-state model), "fej" (same
-model with first-estimate anchors for position-dependent measurement
-Jacobians), "iekf" (right-invariant error model), and "ij_iekf" (iekf with
-imitated-Jacobian covariance compensation of range r).
+Variants: "ekf" (conventional world-frame error-state model), "fej" (the
+ekf with the first-estimates Jacobian of Huang, Mourikis & Roumeliotis,
+ISER 2008: the landmark rows' orientation block takes its lever arm from
+each landmark's first estimate, ``first_landmarks``, and the predicted
+position; propagation and the clone rows stay the ekf's, without the FEJ
+of Li & Mourikis, IJRR 2013), "iekf" (right-invariant error model), and
+"ij_iekf" (iekf with imitated-Jacobian covariance compensation of range r).
 
 Error-state layout: (xi_omega, xi_p, xi_v, bg_err, ba_err[, landmarks...,
 clones...]).  The covariance describes the "correction" convention: the
@@ -177,8 +180,8 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
 def predict_all(filts, omega, accel, dt):
     """Propagate the filters ``filts`` through one interval of IMU readings
     ``dt`` apart, the rows of ``omega`` and ``accel`` ((n, 3) each), in lock
-    step: every filter's mean, and the ``fej`` anchors, in one
-    ``imu.propagate_mean``, then the covariances by bank.
+    step: every filter's mean in one ``imu.propagate_mean``, then the
+    covariances by bank.
 
     A bank is the filters that share one error model: the EKF family
     (r = 0), and the invariant filters, whose r is the largest among them
@@ -199,20 +202,13 @@ def predict_all(filts, omega, accel, dt):
                            or any(f.noise is not noise for f in filts)):
         raise ValueError("filters predicted together need one state layout "
                          "and one noise spec")
-    anchored = [f for f in filts if f.anchor_state is not None]
-    states = [f.state for f in filts] + [f.anchor_state for f in anchored]
-    stacked = imu_model.ImuState(
-        np.array([s.R for s in states]), np.array([s.p for s in states]),
-        np.array([s.v for s in states]), np.array([s.b_omega for s in states]),
-        np.array([s.b_a for s in states]))
+    # each field of the filters' states stacked, in ImuState's field order
+    stacked = imu_model.ImuState(*map(np.array, zip(
+        *(vars(f.state).values() for f in filts))))
     end, R, p, v, Ra = imu_model.propagate_mean(stacked, omega, accel, dt,
                                                 noise.gravity)
-    ends = [imu_model.ImuState(*fields) for fields in
-            zip(end.R, end.p, end.v, end.b_omega, end.b_a)]
-    for f, st in zip(filts, ends):
-        f.state = st
-    for f, st in zip(anchored, ends[len(filts):]):
-        f.anchor_state = st
+    for f, *fields in zip(filts, *vars(end).values()):
+        f.state = imu_model.ImuState(*fields)
     kernel = filts[0]._noise_kernel(dt)
     for invariant in (False, True):
         bank = [i for i, f in enumerate(filts)
@@ -220,8 +216,7 @@ def predict_all(filts, omega, accel, dt):
         if not bank:
             continue
         members = [filts[i] for i in bank]
-        # a bank of every filter takes views of the chain (whose last rows
-        # are the anchors), not copies
+        # a bank of every filter takes views of the chain, not copies
         if len(bank) == len(filts):
             bank = slice(len(filts))
         if invariant:
@@ -318,9 +313,9 @@ class FilterInstance:
         self.landmarks = None if landmarks is None else np.array(landmarks, float)
         self.clone_R = np.zeros((0, 3, 3))    # camera-pose clones
         self.clone_p = np.zeros((0, 3))
-        self.anchor_state = state.copy() if variant.tag == "fej" else None
-        self.anchor_landmarks = (None if self.landmarks is None
-                                 else self.landmarks.copy())
+        # fej's linearization points of the landmark rows
+        self.first_landmarks = (self.landmarks.copy() if variant.tag == "fej"
+                                and self.landmarks is not None else None)
         self._kernel = None    # (dt, imu.noise_kernel(Q, dt))
         expected = self.core_dim
         if self.P.shape != (expected, expected):

@@ -9,8 +9,8 @@ IMU readings come as stacks: gyro rates and specific forces, (n, 3) each.
 ``propagate_mean`` is the one mean propagator; it chains any number of
 steps, one camera interval for a filter or a whole stream for the truth.
 The propagators take a leading batch axis for the filters of one paired
-run, each filter's numbers equal to those of its own call.
-"""
+run (the covariance step only that), each filter's numbers equal to those
+of a batch of it alone."""
 
 from __future__ import annotations
 
@@ -55,9 +55,14 @@ class ImuNoiseSpec:
 
     def __post_init__(self):
         self.gravity = np.asarray(self.gravity, dtype=float)
+        if self.gravity.shape != (3,) or not np.isfinite(self.gravity).all():
+            raise ValueError(f"gravity must be a finite 3-vector, got "
+                             f"{self.gravity.tolist()!r}")
         for name in ("sigma_gw", "sigma_aw", "sigma_gbw", "sigma_abw"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            x = getattr(self, name)
+            if not (np.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {x!r}")
 
     def q_imu(self):
         """12x12 diagonal process-noise density matrix."""
@@ -150,33 +155,30 @@ def compose_error_dynamics(F, G, kernel, dt):
     P <- Phi P Phi^T + T Q T^T with Phi = I + T [V 0] (see
     ``propagate_covariance``).
 
-    F ((n, k + r, k)) and G ((n, k + r, 12)) stack the steps' dynamics in
-    the row-factored form that ``filters.error_jacobians`` builds: k dense
-    rows and r basis rows, which a factor U constant over the interval maps
-    to the driven rows.  Step j, with F = F[j], G = G[j] and Fk, Gk their
-    dense rows, is exact for F^4 = 0: its transition is I + [V_j 0] on the
-    core rows for V_j = F (dt I + dt^2/2 Fk + dt^3/6 Fk^2), and its noise is
-    W_j K W_j^T for W_j = [G, F Gk, F Fk Gk, F Fk^2 Gk] and
-    K = C(dt) kron Q (``kernel``, see ``noise_kernel``).  Because the basis
-    rows read only the dense columns, the steps compose on the core: step b
-    after the steps (V, Q), with Phi_b = I + [V_b 0], gives
+    F ((B, n, k + r, k)) and G ((B, n, k + r, 12)) stack the steps'
+    dynamics of B filters with one kernel, in the row-factored form that
+    ``filters.error_jacobians`` builds: k dense rows and r basis rows,
+    which a factor U constant over the interval maps to the driven rows;
+    V and Q carry the batch axis.  Step j of a filter, with F, G its
+    dynamics and Fk, Gk their dense rows, is exact for F^4 = 0: its
+    transition is I + [V_j 0] on the core rows for V_j = F (dt I +
+    dt^2/2 Fk + dt^3/6 Fk^2), and its noise is W_j K W_j^T for
+    W_j = [G, F Gk, F Fk Gk, F Fk^2 Gk] and K = C(dt) kron Q (``kernel``,
+    see ``noise_kernel``).  Because the basis rows read only the dense
+    columns, the steps compose on the core: step b after the steps (V, Q),
+    with Phi_b = I + [V_b 0], gives
 
         V <- V + V_b + V_b V[:k],   Q <- Phi_b Q Phi_b^T + W_b K W_b^T.
 
     The composition is associative, so it runs as a tree: each round
     composes adjacent pairs as one batched product, ceil(log2 n) rounds in
     all, and nothing is composed onto a single step.
-
-    F and G may carry a leading batch axis, (B, n, k + r, k) and
-    (B, n, k + r, 12), for B filters with one kernel; V and Q then carry it
-    too, and each filter's pair equals that of its own call bit for bit.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
     k = F.shape[-1]
-    if F.ndim == 4:
-        # step-major views: the tree below takes the steps on axis 0
-        F, G = F.swapaxes(0, 1), G.swapaxes(0, 1)
+    # step-major views: the tree below takes the steps on axis 0
+    F, G = F.swapaxes(0, 1), G.swapaxes(0, 1)
     Fk = F[..., :k, :]
     Gk = G[..., :k, :]
     M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
@@ -204,7 +206,9 @@ def compose_error_dynamics(F, G, kernel, dt):
 
 
 def propagate_covariance(P, V, Q, U):
-    """One covariance step P <- Phi P Phi^T + T Q T^T of composed dynamics.
+    """One covariance step P <- Phi P Phi^T + T Q T^T of composed dynamics
+    for each of B filters: P is the list of their covariances (d x d each),
+    V, Q and U carry a leading batch axis, and the result is a list.
 
     Of the d rows of P the first k are dense, the next n are driven
     through the n x r factor U, and the rest are static, so with
@@ -218,12 +222,10 @@ def propagate_covariance(P, V, Q, U):
     on the first k + n rows, zero below.  This costs O(k^2 d + r d^2) for a
     d x d P, and for an exactly symmetric P the result is exactly symmetric.
 
-    Batched: with V, Q and U carrying a leading batch axis of B filters, P
-    is a list of their B covariances (d x d each) and so is the result;
-    each equals that of its own call bit for bit.  Only the k dense rows of
-    the P are gathered (one P is read in place); P with static rows are
-    copied once, into one stacked result, and the list holds views of it.
-    P is never written.
+    Each result equals that of a list of its P alone bit for bit.  Only the
+    k dense rows of the P are gathered (one P is read in place); P with
+    static rows are copied once, into one stacked result, and the list
+    holds views of it.  P is never written.
 
     Raises:
         ValueError: if U does not have V.shape[-2] - V.shape[-1] columns.
@@ -232,9 +234,6 @@ def propagate_covariance(P, V, Q, U):
     r = V.shape[-2] - k
     if U.shape[-1] != r:
         raise ValueError(f"U has {U.shape[-1]} columns for {r} basis rows")
-    single = V.ndim == 2
-    if single:
-        P, V, Q, U = [P], V[None], Q[None], U[None]
     d = len(P[0])
     # the dense rows of one P are a view, of several a stacked copy
     Pk = (P[0][None, :k] if len(P) == 1
@@ -263,7 +262,7 @@ def propagate_covariance(P, V, Q, U):
         P_new[:, :c, :c] += Zc + Zc.swapaxes(-1, -2)
         P_new[:, :c, c:] += Z[..., c:]
         P_new[:, c:, :c] = P_new[:, :c, c:].swapaxes(-1, -2)
-    return P_new[0] if single else list(P_new)
+    return list(P_new)
 
 
 def sample_imitating_error(r, rng, n):

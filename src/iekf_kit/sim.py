@@ -51,6 +51,11 @@ class TrajectorySpec:
     wz: float = 0.05
     phz: float = 1.0
 
+    def __post_init__(self):
+        for name, x in vars(self).items():
+            if not np.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
+
     def position(self, t):
         return np.array([self.ax * np.cos(self.wx * t),
                          self.ay * np.sin(self.wy * t),
@@ -253,6 +258,12 @@ class InitSpec:
     sigma_bw: float = 0.0
     sigma_ba: float = 0.0
     sigma_f: float = 0.5
+
+    def __post_init__(self):
+        for name, x in vars(self).items():
+            if not (np.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {x!r}")
 
     def sigmas(self, n_landmarks=0):
         base = np.repeat([self.sigma_theta, self.sigma_p, self.sigma_v,

@@ -50,6 +50,11 @@ class CameraModel:
     def __post_init__(self):
         if self.mode not in ("pinhole", "bearing"):
             raise ValueError(f"unknown projection mode {self.mode!r}")
+        for name in ("fx", "fy", "width", "height", "cx", "cy"):
+            x = getattr(self, name)
+            if not (np.isfinite(x) and (x > 0 or name in ("cx", "cy"))):
+                raise ValueError(f"{name} = {x!r}: fx, fy, width, height must "
+                                 f"be finite and positive, cx and cy finite")
 
     @property
     def K(self):
@@ -124,34 +129,33 @@ def _cross_rows(a, b):
 
 # --- landmark updates against the live state -------------------------------
 
-def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
+def landmark_measurement(filts, model, ext, pixels, sigma_px, landmark_index):
     """Stacked residual, H and N of one camera epoch's observations ``pixels``
     (n, 2) of the in-state landmarks ``landmark_index`` (n,) against the
-    current state.
+    current state of each of the B filters ``filts`` (one state dimension).
 
     An observation whose predicted camera-frame point is outside the
     projection domain (``CameraModel.outside_domain``) is dropped.  Returns
-    (residual (2k,), H (2k, dim), N (2k, 2k), kept): the positions ``kept``
-    (k,) in the input of the observations used, in input order, own rows 2i
-    and 2i + 1.  H follows the filter's error convention, so the
-    gain-weighted residual is a correction.
+    B tuples (residual (2k,), H (2k, dim), N (2k, 2k), kept): the positions
+    ``kept`` (k,) in the input of the observations used, in input order,
+    own rows 2i and 2i + 1.  H follows the filter's error convention, so the
+    gain-weighted residual is a correction.  The EKF family's orientation
+    block is J_pi S (f - p)^ at the predicted position p, with f the
+    landmark's estimate, or for ``fej`` its first estimate.
 
-    ``filt`` may be a list of B filters of one state dimension, which see
-    the same observations: the result is then a list of B such tuples.  The
-    rows of every filter and observation are built at once, those of the
-    dropped observations as NaN; when the filters keep the same
+    The rows of every filter and observation are built at once, those of
+    the dropped observations as NaN; when the filters keep the same
     observations they share one slice of the rows, N and ``kept``, and
-    otherwise each takes its own.  Each filter's tuple equals that of its
-    own call bit for bit.
+    otherwise each takes its own, equal to that of its list alone.
     """
-    filts = filt if isinstance(filt, list) else [filt]
     landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     b, n, dim = len(filts), len(landmark_index), filts[0].dim
     # camera_pose of every filter's state
     R = np.array([f.state.R for f in filts])
     R_c = R @ ext.R_ic
-    p_c = np.array([f.state.p for f in filts]) + R @ ext.p_ic
+    p = np.array([f.state.p for f in filts])
+    p_c = p + R @ ext.p_ic
     f_world = np.array([f.landmarks[landmark_index] for f in filts])
     x_cam = world_to_camera(R_c[:, None], p_c[:, None], f_world)
     zero_range, behind = model.outside_domain(x_cam.reshape(-1, 3))
@@ -167,16 +171,11 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
     # the invariant error's orientation part cancels for in-state landmarks
     ekf = [i for i, f in enumerate(filts) if not f.variant.invariant]
     if ekf:
-        levers = []
-        for i in ekf:
-            f = filts[i]
-            p_ref, f_ref = f.state.p, f_world[i]
-            if f.anchor_state is not None:
-                p_ref = f.anchor_state.p
-                f_ref = f.anchor_landmarks[landmark_index]
-            levers.append(f_ref - p_ref)
-        H[ekf, ..., 0:3] = _cross_rows(JS[ekf],
-                                       np.array(levers)[:, :, None, :])
+        f_lin = np.array([f.landmarks if f.first_landmarks is None
+                          else f.first_landmarks for f in
+                          (filts[i] for i in ekf)])[:, landmark_index]
+        H[ekf, ..., 0:3] = _cross_rows(
+            JS[ekf], (f_lin - p[ekf, None])[:, :, None, :])
     cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
     H[:, np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
     residual = (pixels - pred.reshape(b, n, 2)).reshape(b, 2 * n)
@@ -187,15 +186,14 @@ def landmark_measurement(filt, model, ext, pixels, sigma_px, landmark_index):
             rows = (2 * kept[:, None] + np.arange(2)).ravel()
             residual, H = residual[:, rows], H[:, rows]
         N = np.eye(2 * len(kept)) * sigma_px ** 2
-        out = [(r, h, N, kept) for r, h in zip(residual, H)]
-    else:
-        out = []
-        for r, h, k in zip(residual, H, keep):
-            kept = np.flatnonzero(k)
-            rows = (2 * kept[:, None] + np.arange(2)).ravel()
-            out.append((r[rows], h[rows],
-                        np.eye(2 * len(kept)) * sigma_px ** 2, kept))
-    return out if isinstance(filt, list) else out[0]
+        return [(r, h, N, kept) for r, h in zip(residual, H)]
+    out = []
+    for r, h, k in zip(residual, H, keep):
+        kept = np.flatnonzero(k)
+        rows = (2 * kept[:, None] + np.arange(2)).ravel()
+        out.append((r[rows], h[rows], np.eye(2 * len(kept)) * sigma_px ** 2,
+                    kept))
+    return out
 
 
 # --- clone-based (sliding window) updates ----------------------------------

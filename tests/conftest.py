@@ -379,9 +379,6 @@ def _predict_per_step(filt, omega, accel, dt):
         # every landmark row is a basis row: U is the identity
         filt.P = _step_covariance(filt.P, F, G, np.eye(3 * m), Q, dt)
         filt.state = _propagate_step(st, w, a, dt, g)
-        if filt.anchor_state is not None:
-            filt.anchor_state = _propagate_step(filt.anchor_state, w, a, dt,
-                                                g)
 
 
 def _triangulate_track(model, poses, pixels):
@@ -641,8 +638,8 @@ def _run_filter_per_variant(scenario, truth, frames, filt):
     for i, frame in enumerate(frames):
         k = (i + 1) * every
         filt.predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
-        residual, H, N, _ = vision.landmark_measurement(
-            filt, scenario.camera, scenario.extrinsics,
+        (residual, H, N, _), = vision.landmark_measurement(
+            [filt], scenario.camera, scenario.extrinsics,
             list(frame.values()), scenario.pixel_sigma,
             landmark_index=list(frame))
         if len(residual):

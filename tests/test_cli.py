@@ -96,10 +96,22 @@ def smoke_with(**overrides):
     pytest.param(dict(variants=["ij_iekf:nan"]), id="r-nan"),
     pytest.param(dict(variants=["ij_iekf:inf"]), id="r-inf"),
     pytest.param(dict(seed=-1), id="seed-neg"),
+    pytest.param(dict(noise=dict(sigma_gw=float("nan"))),
+                 id="noise-sigma_gw-nan"),
+    pytest.param(dict(noise=dict(gravity=[0.0, 0.0])),
+                 id="noise-gravity-shape"),
+    pytest.param(dict(init=dict(sigma_p=float("nan"))), id="init-sigma_p-nan"),
+    pytest.param(dict(init=dict(sigma_theta=-0.1)), id="init-sigma_theta-neg"),
+    pytest.param(dict(trajectory=dict(ax=float("inf"))),
+                 id="trajectory-ax-inf"),
+    pytest.param(dict(camera=dict(fx=float("nan"))), id="camera-fx-nan"),
+    pytest.param(dict(camera=dict(width=0)), id="camera-width-zero"),
 ])
 def test_out_of_range_number_exits_2(tmp_path, capsys, overrides):
-    # each of these used to end in a traceback mid-run, in a singular
-    # innovation (exit 3), or in a run of the wrong size; none writes output
+    # each of these used to end in a traceback mid-run (exit 1), in a
+    # singular innovation (exit 3), in a run of the wrong size, or in a
+    # summary of NaN rows or a run without updates (exit 0); none writes
+    # output
     cfg = write_config(tmp_path, smoke_with(**overrides))
     out = tmp_path / "out"
     assert run_cli(["simulate", cfg, "--output-dir", str(out)]) == 2

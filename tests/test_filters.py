@@ -138,8 +138,8 @@ def test_update_raw_keeps_covariance_symmetric_psd(tag, m, n_obs, log_scale,
     model = vision.CameraModel()
     pix = model.project(x_cam[idx])[0]
     pix += rng.normal(0.0, sigma_px, pix.shape)
-    r, H, N, _ = vision.landmark_measurement(f, model, ext, pix, sigma_px,
-                                             landmark_index=idx)
+    (r, H, N, _), = vision.landmark_measurement([f], model, ext, pix,
+                                                sigma_px, landmark_index=idx)
     try:
         f.update_raw(r, H, N)
     except SingularInnovation:
@@ -700,9 +700,9 @@ def test_predict_propagates_clones_like_propagate_covariance(
         f.clone_camera_pose(R_c, p_c)
         F, G, U = variant_jacobians(tag, f.state, f.landmarks, ACCEL[0])
         Q = f.noise.q_imu()
-        V, Qd = imu.compose_error_dynamics(F[None], G[None],
+        V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
                                            imu.noise_kernel(Q, dt), dt)
-        expected = imu.propagate_covariance(f.P, V, Qd, U)
+        expected, = imu.propagate_covariance([f.P], V, Qd, U[None])
         # the same step on the square 27 x 27 dynamics, clones static
         F_sq, G_sq = expand(F, G, U, 27)
         dense = dense_closed_form(f.P, square(F_sq, 27), G_sq, Q, dt)
@@ -721,7 +721,7 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
     # one predict over n readings against n per-step predicts (per-step
     # draws, full landmark rows, the d x d step each time), with landmarks
     # and two clones: the covariance within 1e-12 and exactly symmetric,
-    # the mean, the FEJ anchor and the generator's state bit for bit
+    # the mean and the generator's state bit for bit
     rng = np.random.default_rng(32)
     f = make_filter(tag, rng, r=0.3 if tag == "ij_iekf" else 0.0,
                     landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
@@ -739,12 +739,9 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
     predict_per_step(ref, omega, accel, 0.01)
     assert np.abs(f.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
     assert np.array_equal(f.P, f.P.T)
-    pairs = [(f.state, ref.state)]
-    if tag == "fej":
-        pairs.append((f.anchor_state, ref.anchor_state))
-    for got, want in pairs:
-        for name in ("R", "p", "v", "b_omega", "b_a"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("R", "p", "v", "b_omega", "b_a"):
+        assert np.array_equal(getattr(f.state, name),
+                              getattr(ref.state, name))
     assert f.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
@@ -780,8 +777,8 @@ def test_batched_error_model_equals_one_call_per_filter():
 
 def test_predict_all_equals_predict_per_filter():
     # every variant with landmarks and the same readings: predict_all
-    # equals each filter's own predict bit for bit on the mean, the FEJ
-    # anchor and the generator; P too where the filter's r is that of its
+    # equals each filter's own predict bit for bit on the mean and the
+    # generator; P too where the filter's r is that of its
     # own predict (all but the invariant filters without draws, iekf and
     # ij_iekf with r = 0, beside an ij_iekf with nonzero draws: they are
     # padded from r = 3 to 9 and agree to rounding)
@@ -804,13 +801,9 @@ def test_predict_all_equals_predict_per_filter():
         filters.predict_all(filts, omega, accel, 0.01)
         for f, ref in zip(filts, refs):
             ref.predict(omega, accel, 0.01)
-            pairs = [(f.state, ref.state)]
-            if f.anchor_state is not None:
-                pairs.append((f.anchor_state, ref.anchor_state))
-            for got, want in pairs:
-                for name in ("R", "p", "v", "b_omega", "b_a"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(want, name))
+            for name in ("R", "p", "v", "b_omega", "b_a"):
+                assert np.array_equal(getattr(f.state, name),
+                                      getattr(ref.state, name))
             assert f.rng.bit_generator.state == ref.rng.bit_generator.state
             assert np.array_equal(f.P, f.P.T)
             if f.variant.invariant and f.variant.r == 0 and padded:
@@ -831,20 +824,54 @@ def test_predict_all_rejects_mixed_layouts():
         filters.predict_all([a, c], OMEGA, ACCEL, 0.01)
 
 
-def test_fej_keeps_dead_reckoned_anchor():
+def test_fej_linearizes_at_first_landmark_estimates():
+    # fej keeps each landmark's first estimate through predict and update
+    # while the estimate moves, and builds the orientation block of its
+    # landmark rows as J_pi S (f_first - p_hat)^ at the predicted position;
+    # every other block, and the residual, is the ekf's
     rng = np.random.default_rng(13)
-    f = make_filter("fej", rng)
-    assert f.anchor_state is not None
-    p_before = f.anchor_state.p.copy()
+    ext = vision.Extrinsics(R_ic=lie.so3_exp(rng.normal(0.0, 0.2, 3)),
+                            p_ic=rng.normal(0.0, 0.1, 3))
+    st = make_state(rng)
+    R_c, p_c = vision.camera_pose(st, ext)
+    x_cam = np.column_stack([rng.uniform(-2.0, 2.0, (3, 2)),
+                             rng.uniform(3.0, 9.0, 3)])
+    f = filters.FilterInstance(filters.FilterVariant("fej"), st,
+                               np.eye(24) * 0.01, imu.ImuNoiseSpec(),
+                               landmarks=p_c + x_cam @ R_c.T)
+    assert np.array_equal(f.first_landmarks, f.landmarks)
+    assert f.first_landmarks is not f.landmarks
+    first = f.first_landmarks.copy()
+    model = vision.CameraModel()
     f.predict(OMEGA, ACCEL, 0.01)
-    moved = f.anchor_state.p.copy()
-    assert not np.allclose(moved, p_before)
-    # updates must not touch the anchor
-    H = np.zeros((3, 15))
-    H[:, 3:6] = np.eye(3)
-    f.update_raw(np.array([0.5, -0.5, 0.2]), H, np.eye(3) * 0.01)
-    assert np.array_equal(f.anchor_state.p, moved)
-    assert not np.allclose(f.state.p, f.anchor_state.p)
+    idx = np.array([2, 0, 1])
+    (r, H, N, kept), = vision.landmark_measurement(
+        [f], model, ext, model.project(x_cam[idx])[0] + 3.0, 1.0,
+        landmark_index=idx)
+    assert len(kept) == 3
+    f.update_raw(r, H, N)
+    assert np.array_equal(f.first_landmarks, first)
+    assert not np.allclose(f.landmarks, first)
+    f.predict(OMEGA, ACCEL, 0.01)
+    assert np.array_equal(f.first_landmarks, first)
+    ekf = copy.deepcopy(f)
+    ekf.variant, ekf.first_landmarks = filters.FilterVariant("ekf"), None
+    (r, H, _, _), (r_ekf, H_ekf, _, _) = vision.landmark_measurement(
+        [f, ekf], model, ext, model.project(x_cam[idx])[0], 1.0,
+        landmark_index=idx)
+    R_c, p_c = vision.camera_pose(f.state, ext)
+    _, J_pi = model.project(vision.world_to_camera(R_c, p_c,
+                                                   f.landmarks[idx]))
+    for i, j in enumerate(idx):
+        rows = slice(2 * i, 2 * i + 2)
+        JS = J_pi[i] @ R_c.T
+        want = JS @ lie.so3_hat(first[j] - f.state.p)
+        assert np.abs(H[rows, :3] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.allclose(H_ekf[rows, :3],
+                           JS @ lie.so3_hat(f.landmarks[j] - f.state.p))
+    assert not np.allclose(H[:, :3], H_ekf[:, :3])
+    assert np.array_equal(H[:, 3:], H_ekf[:, 3:])
+    assert np.array_equal(r, r_ekf)
 
 
 def test_initial_covariance_transport():

@@ -28,10 +28,11 @@ def random_state(rng):
 
 
 def one_step(P, F, G, U, Q, dt):
-    """The covariance step of a one-step interval with dynamics (F, G, U)."""
-    V, Qd = imu.compose_error_dynamics(F[None], G[None],
+    """The covariance step of a one-step interval with dynamics (F, G, U),
+    for a batch of one filter."""
+    V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
                                        imu.noise_kernel(Q, dt), dt)
-    return imu.propagate_covariance(P, V, Qd, U)
+    return imu.propagate_covariance([P], V, Qd, U[None])[0]
 
 
 def test_propagate_mean_free_fall(identity_state):
@@ -65,8 +66,8 @@ def test_propagate_mean_rejects_bad_dt(identity_state):
         imu.propagate_mean(st, np.zeros((2, 3)), np.zeros((2, 3)), 0.0,
                            imu.DEFAULT_GRAVITY)
     with pytest.raises(NonPositiveDt):
-        imu.compose_error_dynamics(np.zeros((1, 15, 15)),
-                                   np.zeros((1, 15, 12)), np.eye(48), -0.1)
+        imu.compose_error_dynamics(np.zeros((1, 1, 15, 15)),
+                                   np.zeros((1, 1, 15, 12)), np.eye(48), -0.1)
 
 
 def test_error_matrix_a_is_nilpotent():
@@ -255,12 +256,12 @@ def test_leading_columns_match_square_f(expand, square, dense_closed_form,
 
 def test_propagate_covariance_rejects_wide_f():
     with pytest.raises(ValueError):
-        imu.propagate_covariance(np.eye(15), np.zeros((15, 16)),
-                                 np.zeros((15, 15)), np.zeros((0, 0)))
+        imu.propagate_covariance([np.eye(15)], np.zeros((1, 15, 16)),
+                                 np.zeros((1, 15, 15)), np.zeros((1, 0, 0)))
     # U must have one column per basis row of V
     with pytest.raises(ValueError):
-        imu.propagate_covariance(np.eye(21), np.zeros((18, 15)),
-                                 np.zeros((18, 18)), np.zeros((6, 2)))
+        imu.propagate_covariance([np.eye(21)], np.zeros((1, 18, 15)),
+                                 np.zeros((1, 18, 18)), np.zeros((1, 6, 2)))
 
 
 def test_transition_matrix_polynomial_display(variant_jacobians, expand,
@@ -347,7 +348,7 @@ def test_batched_chain_equals_one_call_per_state():
 @pytest.mark.parametrize("r", [0, 3, 9])
 def test_batched_covariance_step_equals_one_call_per_filter(n, r):
     # B filters' interval dynamics composed and applied in one call each:
-    # every V, Q and P equals its own call bit for bit, with static rows
+    # every V, Q and P equals its batch of one bit for bit, with static rows
     # (a copy of P) and without (P + Z + Z^T), and P is not written
     rng = np.random.default_rng(41 + n + r)
     b, k, m = 3, 15, 4
@@ -366,10 +367,11 @@ def test_batched_covariance_step_equals_one_call_per_filter(n, r):
         got = imu.propagate_covariance(Ps, V, Q, U)
         assert len(got) == b
         for i in range(b):
-            V_i, Q_i = imu.compose_error_dynamics(F[i], G[i], kernel, 0.02)
-            assert V[i].tobytes() == V_i.tobytes()
-            assert Q[i].tobytes() == Q_i.tobytes()
-            want = imu.propagate_covariance(Ps[i], V_i, Q_i, U[i])
+            V_i, Q_i = imu.compose_error_dynamics(F[i:i + 1], G[i:i + 1],
+                                                  kernel, 0.02)
+            assert V[i].tobytes() == V_i[0].tobytes()
+            assert Q[i].tobytes() == Q_i[0].tobytes()
+            want, = imu.propagate_covariance([Ps[i]], V_i, Q_i, U[i:i + 1])
             assert got[i].tobytes() == want.tobytes()
             assert np.array_equal(got[i], got[i].T)
             assert np.array_equal(Ps[i], before[i])

@@ -428,6 +428,35 @@ def test_run_filter_updates_the_filters_in_one_call(monkeypatch):
     assert len(calls) - len(each) == len(frames) - len(each) // len(filts)
 
 
+# every tag a config accepts, on one realization of criterion 7's scenario
+# cut to 60 s (seed 2024, run 0)
+GATE_VARIANTS = [filters.FilterVariant(t, 0.5 if t == "ij_iekf" else 0.0)
+                 for t in filters.ALL_TAGS]
+
+
+@pytest.fixture(scope="module")
+def gate_run():
+    sc = sim.Scenario(duration=60.0, imu_rate=50.0, cam_rate=25.0)
+    init = sim.InitSpec(sigma_bw=0.002, sigma_ba=0.02, sigma_f=2.0)
+    return sim.monte_carlo_single_run(sc, GATE_VARIANTS, init, 2024, 0)
+
+
+@pytest.mark.parametrize("variant", GATE_VARIANTS, ids=lambda v: v.label)
+def test_no_variant_diverges(gate_run, variant):
+    # pos RMSE at most 1.25 times ekf's and mean pos NEES at most 1.6, the
+    # top of criterion 7's band.  On runs 0-3 the RMSE ratios to ekf read
+    # 0.75-1.01 for fej and 0.80-1.04 for iekf and ij_iekf, and every mean
+    # pos NEES 0.19-1.21.  A filter linearized about a dead-reckoned
+    # chain, which no update corrects, drifts off by kilometres (1.9 km,
+    # NEES 1.2e6 on this run) and fails both bounds by orders of magnitude
+    def rmse(rows):
+        return np.sqrt(np.mean(rows[:, 3] ** 2))
+    rows = gate_run[variant.label]
+    assert len(rows) == 1500 and np.isfinite(rows).all()
+    assert rmse(rows) <= 1.25 * rmse(gate_run["ekf"])
+    assert rows[:, 1].mean() <= 1.6
+
+
 def test_paired_records_compare_as_a_whole():
     # equal labels and bit-identical arrays compare equal, in either order
     # and against a plain dict; == never compares element-wise

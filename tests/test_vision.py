@@ -114,8 +114,8 @@ def test_landmark_jacobian_in_state(tag):
                             p_c + R_c @ np.array([-1.0, 0.8, 7.0])])
     j = 1
     pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[j]))
-    _, H, _, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
-                                             landmark_index=[j])
+    (_, H, _, _), = vision.landmark_measurement([f], MODEL, ext, [pix], 1.0,
+                                                landmark_index=[j])
     H_fd = fd_measurement_jacobian(f, ext, j)
     assert np.abs(H - H_fd).max() < 1e-4
 
@@ -127,15 +127,16 @@ def test_landmark_residual_at_truth_is_zero():
     R_c, p_c = vision.camera_pose(f.state, ext)
     f.landmarks = (p_c + R_c @ np.array([0.0, 0.0, 4.0]))[None, :]
     pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[0]))
-    r, _, N, _ = vision.landmark_measurement(f, MODEL, ext, [pix], 2.0,
-                                             landmark_index=[0])
+    (r, _, N, _), = vision.landmark_measurement([f], MODEL, ext, [pix], 2.0,
+                                                landmark_index=[0])
     assert np.abs(r).max() < 1e-12
     assert np.allclose(N, 4.0 * np.eye(2))
 
 
 def epoch_in_front(tag, rng, n=5):
-    """A filter with n in-state landmarks in front of its camera (the fej
-    anchors moved off the estimate) and noisy pixels of all of them."""
+    """A filter with n in-state landmarks in front of its camera (fej's
+    first estimates moved off the estimate) and noisy pixels of all of
+    them."""
     ext = vision.Extrinsics(R_ic=lie.so3_exp(rng.normal(0.0, 0.2, 3)),
                             p_ic=rng.normal(0.0, 0.1, 3))
     f = make_filter(tag, rng, landmarks=np.zeros((n, 3)))
@@ -143,9 +144,10 @@ def epoch_in_front(tag, rng, n=5):
     x_cam = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
                              rng.uniform(3.0, 9.0, n)])
     f.landmarks = p_c + x_cam @ R_c.T
-    f.anchor_landmarks = f.landmarks + rng.normal(0.0, 0.3, (n, 3))
-    if f.anchor_state is not None:
-        f.anchor_state.p = f.anchor_state.p + rng.normal(0.0, 0.5, 3)
+    # drawn for every tag, so that each tag's pixel noise is the same
+    first = f.landmarks + rng.normal(0.0, 0.3, (n, 3))
+    if tag == "fej":
+        f.first_landmarks = first
     pix, _ = MODEL.project(x_cam)
     return f, ext, pix + rng.normal(0.0, 1.0, (n, 2))
 
@@ -160,8 +162,8 @@ def test_epoch_rows_stack_single_observation_rows(tag, in_state):
     order = np.array([3, 0, 4, 1, 2])
 
     def rows(sel):
-        return vision.landmark_measurement(f, MODEL, ext, pix[sel], 1.5,
-                                           landmark_index=order[sel])
+        return vision.landmark_measurement([f], MODEL, ext, pix[sel], 1.5,
+                                           landmark_index=order[sel])[0]
 
     r, H, N, kept = rows(slice(None))
     singles = [rows(slice(k, k + 1)) for k in range(len(order))]
@@ -188,17 +190,17 @@ def test_epoch_drops_observations_outside_the_domain(mode):
         vision.world_to_camera(R_c, p_c, f.landmarks[2:3]))
     assert (zero_range if mode == "bearing" else behind)[0]
     idx = np.array([0, 1, 2, 3])
-    r, H, N, kept = vision.landmark_measurement(f, model, ext, pix, 1.0,
-                                                landmark_index=idx)
+    (r, H, N, kept), = vision.landmark_measurement([f], model, ext, pix, 1.0,
+                                                   landmark_index=idx)
     assert np.array_equal(kept, [0, 1, 3])
     assert r.shape == (6,) and H.shape == (6, f.dim) and N.shape == (6, 6)
-    r3, H3, _, kept3 = vision.landmark_measurement(
-        f, model, ext, pix[[0, 1, 3]], 1.0, landmark_index=idx[[0, 1, 3]])
+    (r3, H3, _, kept3), = vision.landmark_measurement(
+        [f], model, ext, pix[[0, 1, 3]], 1.0, landmark_index=idx[[0, 1, 3]])
     assert np.array_equal(kept3, [0, 1, 2])
     assert np.array_equal(r, r3) and np.array_equal(H, H3)
     # nothing is left when every observation is outside the domain
-    r0, H0, N0, kept0 = vision.landmark_measurement(
-        f, model, ext, pix[[2]], 1.0, landmark_index=[2])
+    (r0, H0, N0, kept0), = vision.landmark_measurement(
+        [f], model, ext, pix[[2]], 1.0, landmark_index=[2])
     assert (r0.shape, H0.shape, N0.shape, len(kept0)) == (
         (0,), (0, f.dim), (0, 0), 0)
 
@@ -206,7 +208,7 @@ def test_epoch_drops_observations_outside_the_domain(mode):
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
 def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
     # the rows of filters of every variant built at once equal each
-    # filter's own call bit for bit: with every observation kept, with one
+    # filter's call alone bit for bit: with every observation kept, with one
     # dropped by all of them (one shared slice), and with one dropped by a
     # single filter (rows taken per filter)
     model = vision.CameraModel(mode=mode)
@@ -216,9 +218,8 @@ def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
     for tag in ("ekf", "fej", "iekf", "ij_iekf"):
         g = copy.deepcopy(f)
         g.variant = filters.FilterVariant(tag)
-        g.anchor_state = f.state.copy() if tag == "fej" else None
-        if g.anchor_state is not None:
-            g.anchor_state.p = g.anchor_state.p + rng.normal(0.0, 0.5, 3)
+        if tag == "fej":
+            g.first_landmarks = g.landmarks + rng.normal(0.0, 0.3, (4, 3))
         g.state.p = g.state.p + rng.normal(0.0, 0.05, 3)
         filts.append(g)
     idx = np.array([2, 0, 3, 1])
@@ -233,8 +234,8 @@ def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
                                           landmark_index=idx)
         assert len(got) == len(filts)
         for g, rows in zip(filts, got):
-            want = vision.landmark_measurement(g, model, ext, pix, 1.5,
-                                               landmark_index=idx)
+            want, = vision.landmark_measurement([g], model, ext, pix, 1.5,
+                                                landmark_index=idx)
             for a, b in zip(rows, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         kept = [len(rows[3]) for rows in got]
