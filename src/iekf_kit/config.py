@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from ._checks import is_int
 from .exceptions import ConfigError
 from .filters import FilterVariant
 from .imu import ImuNoiseSpec
@@ -29,12 +30,6 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     parallelism: int = 1
-
-
-def _is_int(x):
-    """An int that is not a bool: YAML's true and false are ints to
-    Python."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_variant(spec):
@@ -119,16 +114,16 @@ def load_config(path, overrides=None):
         raise ConfigError(f"variants: duplicate labels in {labels}")
 
     runs = doc.get("runs", 50)
-    if not _is_int(runs) or runs < 1:
+    if not is_int(runs) or runs < 1:
         raise ConfigError(f"runs: expected a positive integer, got {runs!r}")
     seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ConfigError(
             f"seed: expected a non-negative integer, got {seed!r}")
     parallelism = doc.get("parallelism")
     if parallelism is None:
         parallelism = min(os.cpu_count() or 1, runs)
-    if not _is_int(parallelism) or parallelism < 1:
+    if not is_int(parallelism) or parallelism < 1:
         raise ConfigError(
             f"parallelism: expected a positive integer, got {parallelism!r}")
     output_dir = str(doc.get("output_dir", "out"))

@@ -511,15 +511,26 @@ class FilterInstance:
         PJt = self.P @ J.T
         # P and the off-diagonal blocks are exactly symmetric already
         JPJt = J @ PJt
-        self.P = np.block([[self.P, PJt], [PJt.T, 0.5 * (JPJt + JPJt.T)]])
+        d = self.dim
+        P = np.empty((d + 6, d + 6))
+        P[:d, :d] = self.P
+        P[:d, d:] = PJt
+        P[d:, :d] = PJt.T
+        P[d:, d:] = 0.5 * (JPJt + JPJt.T)
+        self.P = P
         self.clone_R = np.concatenate((self.clone_R, [R_cam]))
         self.clone_p = np.concatenate((self.clone_p, [p_cam]))
 
     def marginalize_clone(self, i):
         """Drop clone i and its covariance rows/columns."""
         k = self.clone_index(i)
-        keep = np.r_[0:k, k + 6:self.dim]
-        self.P = self.P[np.ix_(keep, keep)]
+        d = self.dim - 6
+        P = np.empty((d, d))
+        P[:k, :k] = self.P[:k, :k]
+        P[:k, k:] = self.P[:k, k + 6:]
+        P[k:, :k] = self.P[k + 6:, :k]
+        P[k:, k:] = self.P[k + 6:, k + 6:]
+        self.P = P
         self.clone_R = np.delete(self.clone_R, i, axis=0)
         self.clone_p = np.delete(self.clone_p, i, axis=0)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lie
+from ._checks import is_real
 from .exceptions import NegativeRange, NonPositiveDt
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -60,9 +61,9 @@ class ImuNoiseSpec:
                              f"{self.gravity.tolist()!r}")
         for name in ("sigma_gw", "sigma_aw", "sigma_gbw", "sigma_abw"):
             x = getattr(self, name)
-            if not (np.isfinite(x) and x >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {x!r}")
+            if not (is_real(x) and np.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be a finite non-negative "
+                                 f"number, got {x!r}")
 
     def q_imu(self):
         """12x12 diagonal process-noise density matrix."""

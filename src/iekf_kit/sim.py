@@ -32,6 +32,7 @@ from . import filters
 from . import imu as imu_model
 from . import lie
 from . import vision
+from ._checks import is_int, is_real
 from .exceptions import EmptyReport
 from .filters import (FilterInstance, FilterVariant,
                       invariant_initial_covariance)
@@ -53,8 +54,8 @@ class TrajectorySpec:
 
     def __post_init__(self):
         for name, x in vars(self).items():
-            if not np.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x!r}")
+            if not (is_real(x) and np.isfinite(x)):
+                raise ValueError(f"{name} must be a finite number, got {x!r}")
 
     def position(self, t):
         return np.array([self.ax * np.cos(self.wx * t),
@@ -115,11 +116,11 @@ class Scenario:
         for name in ("duration", "imu_rate", "cam_rate", "pixel_sigma",
                      "max_range"):
             x = getattr(self, name)
-            if not (np.isfinite(x) and x > 0):
-                raise ValueError(f"{name} must be finite and positive, "
+            if not (is_real(x) and np.isfinite(x) and x > 0):
+                raise ValueError(f"{name} must be a finite positive number, "
                                  f"got {x!r}")
         n = self.n_landmarks
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValueError(
                 f"n_landmarks must be a non-negative integer, got {n!r}")
         ratio = self.imu_rate / self.cam_rate
@@ -261,9 +262,9 @@ class InitSpec:
 
     def __post_init__(self):
         for name, x in vars(self).items():
-            if not (np.isfinite(x) and x >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {x!r}")
+            if not (is_real(x) and np.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be a finite non-negative "
+                                 f"number, got {x!r}")
 
     def sigmas(self, n_landmarks=0):
         base = np.repeat([self.sigma_theta, self.sigma_p, self.sigma_v,

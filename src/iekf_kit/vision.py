@@ -23,11 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lie
+from ._checks import is_real
 from .exceptions import DegenerateGeometry
 
 DEPTH_EPS = 1e-9
 RANGE_EPS = 1e-12
+# relative threshold on singular values: nullspace_project's QR diagonal
+# and the observability matrix's numerical rank
 RANK_RTOL = 1e-10
+# triangulate's rank test, on the eigenvalues of A = sum_i (I - b_i b_i^T)
+# over a track's unit rays b_i: A is S^T S for the stacked projectors S, so
+# its eigenvalues are their singular values squared, and RANK_RTOL squared
+# (1e-20) would lie below rounding.  A track is degenerate when
+# lambda_min <= 1e-12 lambda_max, i.e. sigma_min <= 1e-6 sigma_max
+TRIANGULATE_RANK_RTOL = 1e-12
 TRIANGULATE_MAX_ITERS = 20
 TRIANGULATE_STEP_TOL = 1e-8
 # why SlidingWindowUpdater.dropped says an ended track went unused
@@ -52,9 +61,11 @@ class CameraModel:
             raise ValueError(f"unknown projection mode {self.mode!r}")
         for name in ("fx", "fy", "width", "height", "cx", "cy"):
             x = getattr(self, name)
-            if not (np.isfinite(x) and (x > 0 or name in ("cx", "cy"))):
+            if not (is_real(x) and np.isfinite(x)
+                    and (x > 0 or name in ("cx", "cy"))):
                 raise ValueError(f"{name} = {x!r}: fx, fy, width, height must "
-                                 f"be finite and positive, cx and cy finite")
+                                 f"be finite positive numbers, cx and cy "
+                                 f"finite numbers")
 
     @property
     def K(self):
@@ -271,14 +282,18 @@ def triangulate(model, R, p, pixels):
     """Triangulate the world points (g, 3) of g pixel tracks (g, L, 2) seen
     from the camera poses R (g, L, 3, 3), p (g, L, 3).
 
-    Linear (midpoint/DLT) initialization followed by Gauss-Newton on the
-    reprojection error, each step on all of the tracks still iterating: a
-    track stops once its step is below TRIANGULATE_STEP_TOL, so it runs
-    the iterations it would run alone.  Returns (f, degenerate, diverged),
-    f NaN on the rows of the failed tracks, with the masks (g,):
+    The linear start is the point nearest to all of a track's rays in the
+    least-squares sense, from its 3x3 normal equations (the OpenVINS
+    feature initializer), one stacked solve for all tracks; then
+    Gauss-Newton on the reprojection error, each step on all of the tracks
+    still iterating: a track stops once its step is below
+    TRIANGULATE_STEP_TOL, so it runs the iterations it would run alone.
+    Returns (f, degenerate, diverged), f NaN on the rows of the failed
+    tracks, with the masks (g,):
 
-    * ``degenerate``: parallel/degenerate rays (no linear solution), or a
-      singular Gauss-Newton normal matrix;
+    * ``degenerate``: parallel/degenerate rays (the normal matrix's
+      eigenvalue ratio is at most TRIANGULATE_RANK_RTOL), or a singular
+      Gauss-Newton normal matrix;
     * ``diverged``: the refined point moved behind a camera, or Gauss-Newton
       did not reach the step tolerance in TRIANGULATE_MAX_ITERS steps.
     """
@@ -289,42 +304,52 @@ def triangulate(model, R, p, pixels):
     # one solve against K per track, on its (3, L) homogeneous pixels
     hom = np.concatenate([uv, np.ones((g, L, 1))], axis=2)
     rays = np.linalg.solve(model.K, hom.swapaxes(1, 2)).swapaxes(1, 2)
-    rays = R @ (rays / np.linalg.norm(rays, axis=2)[:, :, None])[..., None]
-    P = np.eye(3) - rays * rays.swapaxes(-1, -2)
-    A = P.reshape(g, -1, 3)
-    b = (P @ p[..., None]).reshape(g, -1)
-    sv = np.linalg.svd(A, compute_uv=False)
-    degenerate = sv[:, 2] <= RANK_RTOL * sv[:, 0]
+    rays = rays / np.linalg.norm(rays, axis=2)[:, :, None]
+    rays = (R @ rays[..., None])[..., 0]      # world-frame unit rays b_i
+    # the linear start solves the 3x3 normal equations of the rays' lines,
+    # A f = rhs with A = sum_i (I - b_i b_i^T) = L I - B^T B and
+    # rhs = sum_i (I - b_i b_i^T) p_i, the sums as matrix products
+    A = L * np.eye(3) - rays.swapaxes(1, 2) @ rays
+    along = rays * (rays[:, :, None, :] @ p[..., None])[..., 0]
+    rhs = (p - along).swapaxes(1, 2) @ np.ones((L, 1))
+    eig = np.linalg.eigvalsh(A)
+    degenerate = eig[:, 0] <= TRIANGULATE_RANK_RTOL * eig[:, 2]
     diverged = np.zeros(g, dtype=bool)
     f = np.full((g, 3), np.nan)
     active = np.flatnonzero(~degenerate)
-    for k in active:
-        # lstsq takes no stack
-        f[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
-    Rt = R.swapaxes(-1, -2)
+    f_a, singular = _solve_each(A[active], rhs[active])
+    degenerate[active[singular]] = True
+    active, f_a = active[~singular], f_a[~singular]
+    # the stacks of the tracks still iterating: gathered once, and again
+    # (by a mask) only when a track leaves
+    R_a, Rt_a = R[active], R.swapaxes(-1, -2)[active]
+    p_a, uv_a = p[active], uv[active]
     for _ in range(TRIANGULATE_MAX_ITERS):
-        x_cam = world_to_camera(R[active], p[active], f[active][:, None, :])
+        x_cam = world_to_camera(R_a, p_a, f_a[:, None, :])
         behind = (x_cam[:, :, 2] <= DEPTH_EPS).any(axis=1)
         if behind.any():
             diverged[active[behind]] = True
-            active, x_cam = active[~behind], x_cam[~behind]
+            active, f_a, x_cam, R_a, Rt_a, p_a, uv_a = (
+                a[~behind] for a in (active, f_a, x_cam, R_a, Rt_a, p_a, uv_a))
         n = len(active)
         if not n:
             break
         pred, J_pi = model.project(x_cam.reshape(-1, 3))
-        J = (J_pi.reshape(n, L, 2, 3) @ Rt[active]).reshape(n, 2 * L, 3)
+        J = (J_pi.reshape(n, L, 2, 3) @ Rt_a).reshape(n, 2 * L, 3)
         Jt = J.swapaxes(1, 2)
-        res = (uv[active] - pred.reshape(n, L, 2)).reshape(n, 2 * L, 1)
+        res = (uv_a - pred.reshape(n, L, 2)).reshape(n, 2 * L, 1)
         step, singular = _solve_each(Jt @ J, Jt @ res)
-        if singular.any():
-            degenerate[active[singular]] = True
-            active, step = active[~singular], step[~singular]
-        f[active] += step
+        f_a += step
         done = np.sqrt(step[:, None, :] @ step[:, :, None]).ravel() \
             < TRIANGULATE_STEP_TOL
-        active = active[~done]
+        leave = singular | done
+        if leave.any():
+            degenerate[active[singular]] = True
+            f[active[done]] = f_a[done]
+            keep = ~leave
+            active, f_a, R_a, Rt_a, p_a, uv_a = (
+                a[keep] for a in (active, f_a, R_a, Rt_a, p_a, uv_a))
     diverged[active] = True
-    f[degenerate | diverged] = np.nan
     return f, degenerate, diverged
 
 
@@ -397,16 +422,18 @@ class SlidingWindowUpdater:
         """
         R_c, p_c = camera_pose(filt.state, self.ext)
         filt.clone_camera_pose(R_c, p_c)
-        self._window.append(self._seq)
+        seq = self._seq
+        self._window.append(seq)
         self._seq += 1
+        # the pixels become one array per group in _project_tracks
         for fid, uv in observations.items():
-            self.tracks.setdefault(fid, []).append(
-                (self._window[-1], np.asarray(uv, dtype=float)))
+            self.tracks.setdefault(fid, []).append((seq, uv))
         dead = [fid for fid in self.tracks if fid not in observations]
         if len(self._window) > self.max_clones:
+            # the tracks observed now are the ones not dead already
             oldest = self._window[0]
             dead += [fid for fid, tr in self.tracks.items()
-                     if tr[0][0] == oldest and fid not in dead]
+                     if tr[0][0] == oldest and fid in observations]
         n_updated = self._flush(filt, dead)
         if len(self._window) > self.max_clones:
             self._drop_clone(filt, 0)
@@ -456,7 +483,8 @@ class SlidingWindowUpdater:
         for keys in groups.values():
             keys = np.array(keys)
             idx = np.array([[i for i, _ in tracks[k]] for k in keys])
-            uv = np.array([[z for _, z in tracks[k]] for k in keys])
+            uv = np.array([[z for _, z in tracks[k]] for k in keys],
+                          dtype=float)
             R, p = filt.clone_R[idx], filt.clone_p[idx]
             f, degenerate, diverged = triangulate(self.model, R, p, uv)
             self.dropped["degenerate"] += int(degenerate.sum())

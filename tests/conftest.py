@@ -1,14 +1,17 @@
 """Shared test helpers; the per-step mean and covariance steps that the
-interval predict replaced, the per-track triangulation, clone Jacobians,
-nullspace projection and window flush that the batched flush replaced, the
-per-point camera projection, the single-vector SO(3) left Jacobian and the
-per-clone group-product correction that the stacked forms replaced, the
-Kalman update by one LU solve that the blocked forward substitution
-replaced, the one-filter update and correction that the stacked update of
-a list of filters replaced, and the per-variant driver with its per-filter errors and NEES
-that the lock-step driver replaced, kept as their oracles; and the public
-functions that only the tests called (the SE_n(3) log, vee and adjoint,
-the right log-error rate and the identity IMU state), kept as oracles."""
+interval predict replaced, the per-track triangulation (with the SVD rank
+test and the ``lstsq`` start that the 3x3 normal equations replaced), clone
+Jacobians, nullspace projection and window flush that the batched flush
+replaced, the per-point camera projection, the single-vector SO(3) left
+Jacobian and the per-clone group-product correction that the stacked forms
+replaced, the Kalman update by one LU solve that the blocked forward
+substitution replaced, the one-filter update and correction that the
+stacked update of a list of filters replaced, the per-variant driver with
+its per-filter errors and NEES that the lock-step driver replaced, and the
+clone augmentation by ``np.block`` and marginalization by ``np.ix_`` that
+the block copies replaced, kept as their oracles; and the public functions
+that only the tests called (the SE_n(3) log, vee and adjoint, the right
+log-error rate and the identity IMU state), kept as oracles."""
 
 import types
 
@@ -132,6 +135,32 @@ def _apply_correction_per_clone(filt, d):
             filt.clone_p[i] = filt.clone_p[i] + d[k + 3:k + 6]
     st.b_omega = st.b_omega + d[9:12]
     st.b_a = st.b_a + d[12:15]
+
+
+def _clone_camera_pose_block(filt, R_cam, p_cam):
+    """``FilterInstance.clone_camera_pose`` as it was before it wrote the
+    augmented covariance by blocks: the four blocks joined by
+    ``np.block``."""
+    J = np.zeros((6, filt.dim))
+    J[:3, :3] = np.eye(3)
+    J[3:6, 3:6] = np.eye(3)
+    if not filt.variant.invariant:
+        J[3:6, :3] = -lie.so3_hat(p_cam - filt.state.p)
+    PJt = filt.P @ J.T
+    JPJt = J @ PJt
+    filt.P = np.block([[filt.P, PJt], [PJt.T, 0.5 * (JPJt + JPJt.T)]])
+    filt.clone_R = np.concatenate((filt.clone_R, [R_cam]))
+    filt.clone_p = np.concatenate((filt.clone_p, [p_cam]))
+
+
+def _marginalize_clone_ix(filt, i):
+    """``FilterInstance.marginalize_clone`` as it was before it copied the
+    covariance by blocks: the kept rows and columns through ``np.ix_``."""
+    k = filt.clone_index(i)
+    keep = np.r_[0:k, k + 6:filt.dim]
+    filt.P = filt.P[np.ix_(keep, keep)]
+    filt.clone_R = np.delete(filt.clone_R, i, axis=0)
+    filt.clone_p = np.delete(filt.clone_p, i, axis=0)
 
 
 def _mean_vector(filt):
@@ -383,8 +412,10 @@ def _predict_per_step(filt, omega, accel, dt):
 
 def _triangulate_track(model, poses, pixels):
     """``vision.triangulate`` of one track, as it was before it took a
-    stack of tracks: the world point from the pixels (n, 2) seen from the
-    camera poses [(R_c, p_c), ...].
+    stack of tracks and started from the 3x3 normal equations: the world
+    point from the pixels (n, 2) seen from the camera poses
+    [(R_c, p_c), ...], started by ``lstsq`` on the stacked projectors after
+    an SVD rank test.
 
     Raises:
         DegenerateGeometry: parallel/degenerate rays, or a singular normal
@@ -476,9 +507,9 @@ def _nullspace_project_track(residual, H_x, H_f):
 def _flush_per_track(upd, filt, feature_ids):
     """``SlidingWindowUpdater._flush`` as it ran before the tracks were
     batched: one track at a time, in order, until ``max_features`` are used,
-    each through ``_triangulate_track``, ``_clone_feature_jacobians_track``
-    and ``_nullspace_project_track``; the drops are counted in
-    ``upd.dropped``."""
+    each through ``vision.triangulate`` as a group of one,
+    ``_clone_feature_jacobians_track`` and ``_nullspace_project_track``;
+    the drops are counted in ``upd.dropped``."""
     rows_r, rows_H = [], []
     used = 0
     for fid in feature_ids:
@@ -491,16 +522,14 @@ def _flush_per_track(upd, filt, feature_ids):
             upd.dropped["too_short"] += 1
             continue
         idx = [upd._window.index(s) for s, _ in track]
-        poses = list(zip(filt.clone_R[idx], filt.clone_p[idx]))
         pixels = np.array([uv for _, uv in track])
-        try:
-            f = _triangulate_track(upd.model, poses, pixels)
-        except DegenerateGeometry:
-            upd.dropped["degenerate"] += 1
+        f, degenerate, diverged = vision.triangulate(
+            upd.model, filt.clone_R[idx][None], filt.clone_p[idx][None],
+            pixels[None])
+        if degenerate[0] or diverged[0]:
+            upd.dropped["degenerate" if degenerate[0] else "diverged"] += 1
             continue
-        except Diverged:
-            upd.dropped["diverged"] += 1
-            continue
+        f = f[0]
         try:
             pred, H_x, H_f = _clone_feature_jacobians_track(filt, upd.model,
                                                             idx, f)
@@ -719,6 +748,16 @@ def nullspace_project_track():
 @pytest.fixture(scope="session")
 def flush_per_track():
     return _flush_per_track
+
+
+@pytest.fixture(scope="session")
+def clone_camera_pose_block():
+    return _clone_camera_pose_block
+
+
+@pytest.fixture(scope="session")
+def marginalize_clone_ix():
+    return _marginalize_clone_ix
 
 
 @pytest.fixture(scope="session")

@@ -130,6 +130,31 @@ def test_boolean_is_not_an_integer(tmp_path, key):
                     str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("overrides, key", [
+    pytest.param(dict(scenario=dict(duration=True)), "duration",
+                 id="scenario-duration"),
+    pytest.param(dict(scenario=dict(pixel_sigma=True)), "pixel_sigma",
+                 id="scenario-pixel_sigma"),
+    pytest.param(dict(init=dict(sigma_p=True)), "sigma_p", id="init-sigma_p"),
+    pytest.param(dict(noise=dict(sigma_aw=False)), "sigma_aw",
+                 id="noise-sigma_aw"),
+    pytest.param(dict(trajectory=dict(ax=True)), "ax", id="trajectory-ax"),
+    pytest.param(dict(camera=dict(fx=True)), "fx", id="camera-fx"),
+    pytest.param(dict(camera=dict(cx=False)), "cx", id="camera-cx"),
+])
+def test_boolean_is_not_a_number(tmp_path, capsys, overrides, key):
+    # scenario.duration: true and init.sigma_p: true used to load and run
+    # as 1 (and sigma_aw: false as 0)
+    cfg = write_config(tmp_path, smoke_with(**overrides))
+    with pytest.raises(ConfigError, match=key):
+        config.load_config(cfg)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("simulate", "--seed", "-1"),
     ("montecarlo", "--seed", "-1"),

@@ -442,6 +442,40 @@ def test_clone_covariance_blocks():
                                                                [p_c])
 
 
+@pytest.mark.parametrize("tag", ["ekf", "iekf"])
+def test_clone_blocks_match_block_and_ix_oracles(tag, clone_camera_pose_block,
+                                                 marginalize_clone_ix):
+    # the augmented and the marginalized covariance written by block copies
+    # equal the np.block and np.ix_ forms bit for bit, on a dense P, and
+    # the old P is left as it was
+    rng = np.random.default_rng(23)
+    f = make_filter(tag, rng)
+    A = rng.normal(0.0, 0.1, (15, 15))
+    f.P = A @ A.T
+    ext = vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2]))
+    want = copy.deepcopy(f)
+    for _ in range(5):
+        f.state.R = lie.so3_exp(rng.normal(0.0, 0.3, 3)) @ f.state.R
+        f.state.p = f.state.p + rng.normal(0.0, 1.0, 3)
+        want.state = f.state.copy()
+        R_c, p_c = vision.camera_pose(f.state, ext)
+        P_old = f.P
+        before = P_old.copy()
+        f.clone_camera_pose(R_c, p_c)
+        clone_camera_pose_block(want, R_c, p_c)
+        assert f.P.tobytes() == want.P.tobytes()
+        assert P_old.tobytes() == before.tobytes()
+    for i in (0, 2, 4):
+        got, old = copy.deepcopy(f), copy.deepcopy(f)
+        got.marginalize_clone(i)
+        marginalize_clone_ix(old, i)
+        assert got.P.shape == (39, 39)
+        assert got.P.tobytes() == old.P.tobytes()
+        assert got.clone_R.tobytes() == old.clone_R.tobytes()
+        assert got.clone_p.tobytes() == old.clone_p.tobytes()
+    assert f.P.tobytes() == want.P.tobytes()
+
+
 def nees_one(f, errors):
     """``filters.nees`` of one filter with its error pair (3,) each."""
     pos, ang = filters.nees([f], (errors[0][None], errors[1][None]))

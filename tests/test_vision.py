@@ -466,6 +466,9 @@ def test_triangulation_matches_per_observation_loop(mode):
         for f, track in zip(got, tracks):
             want = triangulate_loop(model, *track)
             assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
+            # a track's point does not depend on the group it is in
+            one = vision.triangulate(model, *stack_tracks([track]))[0][0]
+            assert f.tobytes() == one.tobytes()
 
 
 # lines that meet 5 m behind the cameras, so that the linear start is behind
@@ -493,6 +496,42 @@ def test_triangulation_degenerate_rays():
         triangulate_loop(MODEL, *behind)
 
 
+def near_parallel_track(baseline):
+    """Three noise-free views of a point 10 m ahead from cameras on a line
+    ``baseline`` apart, and the eigenvalue ratio lambda_min / lambda_max of
+    the linear start's normal matrix sum_i (I - b_i b_i^T)."""
+    point = np.array([0.5, -0.3, 10.0])
+    poses = [(np.eye(3), baseline * k * np.array([1.0, 0.2, 0.0]))
+             for k in range(3)]
+    pixels = [pixel(MODEL, vision.world_to_camera(R_c, p_c, point))
+              for R_c, p_c in poses]
+    rays = [R_c @ np.linalg.solve(MODEL.K, [*uv, 1.0]) for (R_c, _), uv
+            in zip(poses, pixels)]
+    A = sum(np.eye(3) - np.outer(b, b) / (b @ b) for b in rays)
+    eig = np.linalg.eigvalsh(A)
+    return point, (poses, pixels), eig[0] / eig[2]
+
+
+def test_triangulation_rank_threshold_on_near_parallel_rays(
+        triangulate_track):
+    # the rank test compares the normal matrix's eigenvalue ratio with
+    # TRIANGULATE_RANK_RTOL = 1e-12: at a 20 um baseline (ratio 2.8e-12)
+    # the point triangulates, at 10 um (6.9e-13) the track is degenerate,
+    # although the former SVD test on the stacked projectors (singular
+    # value ratio 8.3e-7 against RANK_RTOL = 1e-10) took it
+    assert vision.TRIANGULATE_RANK_RTOL == 1e-12
+    point, wide, ratio_wide = near_parallel_track(2e-5)
+    _, narrow, ratio_narrow = near_parallel_track(1e-5)
+    assert 1e-12 < ratio_wide < 4e-12 and 4e-13 < ratio_narrow < 1e-12
+    f, degenerate, diverged = vision.triangulate(
+        MODEL, *stack_tracks([wide, narrow]))
+    assert degenerate.tolist() == [False, True]
+    assert not diverged.any()
+    assert np.linalg.norm(f[0] - point) < 1e-6 and np.isnan(f[1]).all()
+    assert np.sqrt(ratio_narrow) > vision.RANK_RTOL
+    assert np.isfinite(triangulate_track(MODEL, *narrow)).all()
+
+
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
 def test_triangulation_batch_isolates_failures(mode, triangulate_track,
                                                oracle_errors):
@@ -501,8 +540,9 @@ def test_triangulation_batch_isolates_failures(mode, triangulate_track,
     # far out that no step falls below the absolute step tolerance (no
     # convergence), and one so far out that the normal matrix underflows to
     # zero (singular, which fails a stacked solve as a whole; its squared
-    # depths overflow on the way).  Each track gets the per-track oracle's
-    # point bit for bit, or its failure.
+    # depths overflow on the way).  Each track gets its point as a group of
+    # one bit for bit, and the per-track oracle's point (started by lstsq)
+    # within 1e-12 relative, or the oracle's failure.
     model = vision.CameraModel(mode=mode)
     rng = np.random.default_rng(15)
 
@@ -519,6 +559,10 @@ def test_triangulation_batch_isolates_failures(mode, triangulate_track,
                                                      *stack_tracks(tracks))
     outcome = []
     for k, track in enumerate(tracks):
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = vision.triangulate(model, *stack_tracks([track]))
+        assert f[k].tobytes() == one[0][0].tobytes()
+        assert (degenerate[k], diverged[k]) == (one[1][0], one[2][0])
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 want = triangulate_track(model, *track)
@@ -527,7 +571,7 @@ def test_triangulation_batch_isolates_failures(mode, triangulate_track,
             assert np.isnan(f[k]).all()
             continue
         outcome.append("ok")
-        assert f[k].tobytes() == want.tobytes()
+        assert np.linalg.norm(f[k] - want) <= 1e-12 * np.linalg.norm(want)
     assert outcome == ["ok", "DegenerateGeometry", "ok", "Diverged",
                        "Diverged", "ok", "DegenerateGeometry", "ok"]
     assert degenerate.tolist() == [o == "DegenerateGeometry" for o in outcome]
@@ -540,8 +584,8 @@ def test_triangulation_of_one_track(triangulate_track):
     f, degenerate, diverged = vision.triangulate(
         MODEL, *stack_tracks([(poses, pixels)]))
     assert f.shape == (1, 3) and not degenerate[0] and not diverged[0]
-    assert f[0].tobytes() == triangulate_track(MODEL, poses,
-                                               pixels).tobytes()
+    want = triangulate_track(MODEL, poses, pixels)
+    assert np.linalg.norm(f[0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_nullspace_projection_annihilates_feature_block(
