@@ -30,12 +30,12 @@ def left_error_rate(xi, vb, w, A):
             + np.asarray(A, dtype=float) @ xi)
 
 
-def group_error_rate(eta, vb=None, vg=None, w=None, f0=None, side="left",
+def group_error_rate(eta, vb=None, vg=None, w=None, side="left",
                      estimate=None):
     """Matrix-valued rate of the invariant error eta.
 
-    Left form:  eta_dot = -vb^ eta + eta vb^ + eta w^ + f0(eta)
-    Right form: eta_dot =  vg^ eta - eta vg^ + (Ad_est w)^ eta + f0(eta)
+    Left form:  eta_dot = -vb^ eta + eta vb^ + eta w^
+    Right form: eta_dot =  vg^ eta - eta vg^ + (Ad_est w)^ eta
 
     ``estimate`` is the group element whose adjoint transports the noise in
     the right form; identity when omitted.  Used only as an integration
@@ -45,15 +45,14 @@ def group_error_rate(eta, vb=None, vg=None, w=None, f0=None, side="left",
     dim = eta.shape[0] - 3
     zero = np.zeros(3 * (dim + 1))
     w_hat = lie.sen_hat(w if w is not None else zero)
-    drift = f0(eta) if f0 is not None else np.zeros_like(eta)
     if side == "left":
         vb_hat = lie.sen_hat(vb if vb is not None else zero)
-        return -vb_hat @ eta + eta @ vb_hat + eta @ w_hat + drift
+        return -vb_hat @ eta + eta @ vb_hat + eta @ w_hat
     if side == "right":
         vg_hat = lie.sen_hat(vg if vg is not None else zero)
         if estimate is not None:
             w_hat = estimate @ w_hat @ lie.sen_inverse(estimate)
-        return vg_hat @ eta - eta @ vg_hat + w_hat @ eta + drift
+        return vg_hat @ eta - eta @ vg_hat + w_hat @ eta
     raise ValueError(f"unknown side {side!r}")
 
 

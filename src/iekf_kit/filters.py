@@ -98,7 +98,7 @@ def _lever_products(levers, R):
     return hats.reshape(hats.shape[:-3] + (-1, 3)) @ R
 
 
-def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
+def error_jacobians(R, drift, levers, landmarks=None, xi_delta=None):
     """Error dynamics of every variant over one interval of n steps, in the
     row-factored form that ``imu.compose_error_dynamics`` takes: the stacks
     F ((n, 15 + r, 15)) and G ((n, 15 + r, 12)) hold each step's 15 IMU rows
@@ -113,18 +113,18 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
         F[:9, :9] = imu.imu_error_matrix_a(drift),  F[:, 9:15] = -B,
         G[:, :6] = B,  G[9:15, 6:] = I.
 
-    The drift is gravity (3,) for the right-invariant error, and the stack
-    -R_k (a_k - b_a) ((n, 3)) for the world-frame error of the EKF family,
-    whose velocity error the orientation error drives through -(R a)^.  B
-    is R_k on the orientation rows, u^ R_k on the three rows of each lever
+    B is R_k on the orientation rows, u^ R_k on the three rows of each lever
     arm u, and R_k on the velocity rows for the accelerometer noise.  The
-    invariant error has the lever arms p_k and v_k (``levers``, (n, 2, 3))
-    and the m ``landmarks`` f_j, which do not move over the interval, so
-    landmark j's rows are f_j^ R_k times the gyro-bias error and the gyro
-    noise: r = 3, U stacks the f_j^, and the basis rows are -R_k on the
-    gyro-bias columns of F and R_k on the gyro-noise columns of G.  The EKF
-    family has no lever arms; its landmark rows are zero, so they are
-    static rows, and r = 0 with U 0 x 0, as for no landmarks.
+    lever arms are p_k and v_k (``levers``, (n, 2, 3)) and the m
+    ``landmarks`` f_j, which do not move over the interval, so landmark j's
+    rows are f_j^ R_k times the gyro-bias error and the gyro noise: r = 3,
+    U stacks the f_j^, and the basis rows are -R_k on the gyro-bias columns
+    of F and R_k on the gyro-noise columns of G; without landmarks r = 0
+    and U is 0 x 0.  The right-invariant error takes the drift gravity (3,)
+    and its lever arms and landmarks.  The world-frame error of the EKF
+    family takes the drift -R_k (a_k - b_a) ((n, 3)), through which its
+    orientation error drives its velocity error, and zero lever arms and
+    landmarks: its landmark rows have U = 0 and stay static.
 
     ``xi_delta`` (n, 3) holds the imitation errors of ``ij_iekf``, one
     orientation error per step.  The inverse left Jacobian on the augmented
@@ -151,9 +151,8 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
     G = np.zeros(lead + (15 + r, 12))
     B = np.zeros(lead + (9, 6))
     B[..., :3, :3] = R
+    B[..., 3:9, :3] = _lever_products(levers, R)
     B[..., 6:9, 3:6] = R
-    if levers is not None:
-        B[..., 3:9, :3] = _lever_products(levers, R)
     if xi_delta is not None:
         Jinv = lie.so3_left_jacobian_inv(xi_delta)[..., None, :, :]
         B = (Jinv @ B.reshape(lead + (3, 3, 6))).reshape(lead + (9, 6))
@@ -180,18 +179,19 @@ def error_jacobians(R, drift, levers=None, landmarks=None, xi_delta=None):
 def predict_all(filts, omega, accel, dt):
     """Propagate the filters ``filts`` through one interval of IMU readings
     ``dt`` apart, the rows of ``omega`` and ``accel`` ((n, 3) each), in lock
-    step: every filter's mean in one ``imu.propagate_mean``, then the
-    covariances by bank.
+    step: one ``imu.propagate_mean``, one ``error_jacobians``, one
+    ``imu.compose_error_dynamics`` and one ``imu.propagate_covariance`` for
+    all of them, whatever their variants.
 
-    A bank is the filters that share one error model: the EKF family
-    (r = 0), and the invariant filters, whose r is the largest among them
-    over the interval (9 if any ``ij_iekf`` drew a nonzero imitation error,
-    else 3; see ``error_jacobians``).  Each bank takes one
-    ``error_jacobians``, one ``imu.compose_error_dynamics`` and one
-    ``imu.propagate_covariance``.  Every ``ij_iekf`` draws its imitation
-    errors from its own ``rng`` as it would alone, so each filter's
-    numbers equal those of its own ``predict`` bit for bit, except that
-    an r padded from 3 to 9 changes the rounding of the landmark rows.
+    The EKF family passes zero lever arms and zero landmarks (see
+    ``error_jacobians``), so its landmark rows stay static at any r.  The
+    filters share the largest r over the interval: 9 if any ``ij_iekf``
+    drew a nonzero imitation error, else 3 with landmarks and an invariant
+    filter, else 0.  Every ``ij_iekf`` draws its imitation errors from its
+    own ``rng`` as it would alone, and no other filter draws.  Each
+    filter's numbers equal those of its own ``predict`` bit for bit, except
+    that an invariant filter's r padded from 3 to 9 changes the rounding of
+    its landmark rows.
 
     Raises:
         ValueError: if the filters differ in state dimension or landmark
@@ -209,37 +209,26 @@ def predict_all(filts, omega, accel, dt):
                                                 noise.gravity)
     for f, *fields in zip(filts, *vars(end).values()):
         f.state = imu_model.ImuState(*fields)
-    kernel = filts[0]._noise_kernel(dt)
-    for invariant in (False, True):
-        bank = [i for i, f in enumerate(filts)
-                if f.variant.invariant == invariant]
-        if not bank:
-            continue
-        members = [filts[i] for i in bank]
-        # a bank of every filter takes views of the chain, not copies
-        if len(bank) == len(filts):
-            bank = slice(len(filts))
-        if invariant:
-            draws = [imu_model.sample_imitating_error(f.variant.r, f.rng,
-                                                      len(omega))
-                     if f.variant.tag == "ij_iekf" else None
-                     for f in members]
-            xi_delta = None
-            if any(x is not None for x in draws):
-                xi_delta = np.array([np.zeros((len(omega), 3)) if x is None
-                                     else x for x in draws])
-            landmarks = (None if members[0].landmarks is None else
-                         np.array([f.landmarks for f in members]))
-            levers = np.concatenate((p[bank, :-1, None], v[bank, :-1, None]),
-                                    axis=-2)
-            F, G, U = error_jacobians(R[bank, :-1], noise.gravity, levers,
-                                      landmarks, xi_delta)
-        else:
-            F, G, U = error_jacobians(R[bank, :-1], -Ra[bank])
-        V, Q = imu_model.compose_error_dynamics(F, G, kernel, dt)
-        for f, P in zip(members, imu_model.propagate_covariance(
-                [f.P for f in members], V, Q, U)):
-            f.P = P
+    invariant = np.array([f.variant.invariant for f in filts])
+    draws = [imu_model.sample_imitating_error(f.variant.r, f.rng, len(omega))
+             if f.variant.tag == "ij_iekf" else None for f in filts]
+    xi_delta = None
+    if any(x is not None for x in draws):
+        xi_delta = np.array([np.zeros((len(omega), 3)) if x is None else x
+                             for x in draws])
+    landmarks = None
+    if invariant.any() and filts[0].landmarks is not None:
+        landmarks = np.array([f.landmarks for f in filts])
+        landmarks[~invariant] = 0.0
+    levers = np.concatenate((p[:, :-1, None], v[:, :-1, None]), axis=-2)
+    levers[~invariant] = 0.0
+    drift = np.where(invariant[:, None, None], noise.gravity, -Ra)
+    F, G, U = error_jacobians(R[:, :-1], drift, levers, landmarks, xi_delta)
+    V, Q = imu_model.compose_error_dynamics(F, G,
+                                            filts[0]._noise_kernel(dt), dt)
+    for f, P in zip(filts, imu_model.propagate_covariance(
+            [f.P for f in filts], V, Q, U)):
+        f.P = P
 
 
 def errors(filts, truth):

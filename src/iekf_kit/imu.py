@@ -55,10 +55,13 @@ class ImuNoiseSpec:
     gravity: np.ndarray = field(default_factory=lambda: DEFAULT_GRAVITY.copy())
 
     def __post_init__(self):
-        self.gravity = np.asarray(self.gravity, dtype=float)
-        if self.gravity.shape != (3,) or not np.isfinite(self.gravity).all():
-            raise ValueError(f"gravity must be a finite 3-vector, got "
-                             f"{self.gravity.tolist()!r}")
+        g = self.gravity
+        # the raw elements are checked: np.asarray makes a bool a number
+        if (np.shape(g) != (3,) or not all(map(is_real, g))
+                or not np.isfinite(g).all()):
+            raise ValueError(f"gravity must be a finite 3-vector of "
+                             f"numbers, got {g!r}")
+        self.gravity = np.asarray(g, dtype=float)
         for name in ("sigma_gw", "sigma_aw", "sigma_gbw", "sigma_abw"):
             x = getattr(self, name)
             if not (is_real(x) and np.isfinite(x) and x >= 0):

@@ -317,10 +317,12 @@ def run_filter(scenario, truth, frames, filts):
     ``frames`` is the list of camera epochs (dicts of pixel observations),
     shared across variants for paired-noise comparisons.  The filters share
     the state dimension and the noise spec.  Each camera epoch runs one
-    ``filters.predict_all``, one ``vision.landmark_measurement``, one
-    ``FilterInstance.update_raw`` of the list and one ``filters.errors``
-    and ``filters.nees`` for all of them; only when the filters keep
-    different observations is each updated alone with its own rows.
+    ``filters.predict_all``, whose one error model and one covariance
+    propagation take every variant, one ``vision.landmark_measurement``,
+    one ``FilterInstance.update_raw`` of the list and one
+    ``filters.errors`` and ``filters.nees`` for all of them; only when the
+    filters keep different observations is each updated alone with its
+    own rows.
     Returns one float64 (epochs, 5) array per filter, of the rows
     (t, pos_nees, ang_nees, |pos_err|, |ang_err|).
     """

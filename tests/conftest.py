@@ -256,8 +256,8 @@ def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
     """(F, G, U) of ``filters.error_jacobians`` for one step from ``st``,
     from the inputs that ``FilterInstance.predict`` gives it for variant
     ``tag``: gravity, the lever arms (p, v) and the landmarks for the
-    invariant error, -R (a_m - b_a) for the EKF family; ``xi_delta`` is a
-    (1, 3) imitation draw."""
+    invariant error, -R (a_m - b_a) and zero lever arms for the EKF
+    family; ``xi_delta`` is a (1, 3) imitation draw."""
     lms = np.asarray(lms, dtype=float).reshape(-1, 3)
     if tag in filters.INVARIANT_TAGS:
         F, G, U = filters.error_jacobians(
@@ -265,8 +265,9 @@ def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
             xi_delta)
     else:
         drift = -(st.R @ (np.asarray(accel, dtype=float) - st.b_a))
-        F, G, U = filters.error_jacobians(st.R[None], drift[None], None,
-                                          None, xi_delta)
+        F, G, U = filters.error_jacobians(st.R[None], drift[None],
+                                          np.zeros((1, 2, 3)), None,
+                                          xi_delta)
     return F[0], G[0], U
 
 

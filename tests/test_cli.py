@@ -100,6 +100,8 @@ def smoke_with(**overrides):
                  id="noise-sigma_gw-nan"),
     pytest.param(dict(noise=dict(gravity=[0.0, 0.0])),
                  id="noise-gravity-shape"),
+    pytest.param(dict(noise=dict(gravity=[True, False, -9.81])),
+                 id="noise-gravity-bool"),
     pytest.param(dict(init=dict(sigma_p=float("nan"))), id="init-sigma_p-nan"),
     pytest.param(dict(init=dict(sigma_theta=-0.1)), id="init-sigma_theta-neg"),
     pytest.param(dict(trajectory=dict(ax=float("inf"))),

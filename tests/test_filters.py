@@ -707,7 +707,8 @@ def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
         F, G, U = filters.error_jacobians(
             R[:-1], g, np.stack((p[:-1], v[:-1]), axis=1), lms, xi)
     else:
-        F, G, U = filters.error_jacobians(R[:-1], -Ra, None, None, xi)
+        F, G, U = filters.error_jacobians(R[:-1], -Ra, np.zeros((n, 2, 3)),
+                                          None, xi)
     c = 15 + 3 * m
     rows = slice(0, 15 if with_delta and tag in filters.INVARIANT_TAGS
                  else c)
@@ -791,7 +792,8 @@ def test_batched_error_model_equals_one_call_per_filter():
     levers = rng.normal(0.0, 10.0, (b, n, 2, 3))
     lms = rng.normal(0.0, 10.0, (b, m, 3))
     xi = rng.uniform(-0.3, 0.3, (b, n, 3))
-    cases = [((R, drift), lambda i: (R[i], drift[i])),
+    zeros = np.zeros_like(levers)
+    cases = [((R, drift, zeros), lambda i: (R[i], drift[i], zeros[i])),
              ((R, imu.DEFAULT_GRAVITY, levers, lms),
               lambda i: (R[i], imu.DEFAULT_GRAVITY, levers[i], lms[i])),
              ((R, imu.DEFAULT_GRAVITY, levers, lms, xi),

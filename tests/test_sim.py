@@ -428,6 +428,45 @@ def test_run_filter_updates_the_filters_in_one_call(monkeypatch):
     assert len(calls) - len(each) == len(frames) - len(each) // len(filts)
 
 
+def test_run_filter_propagates_one_covariance_bank(monkeypatch):
+    # one error_jacobians, one compose_error_dynamics and one
+    # propagate_covariance per camera epoch for every filter of the list,
+    # whatever their variants; without an invariant filter r stays 0
+    sc = sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0)
+    rng = np.random.default_rng(21)
+    truth = sim.synthesize_truth(sc, rng)
+    every = sc.camera_every
+    frames = [sim.camera_frame(sc, st, truth.landmarks, rng)
+              for st in truth.states[every::every]]
+    calls = {}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            calls.setdefault(name, []).append(out)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(filters, "error_jacobians")
+    spy(imu, "compose_error_dynamics")
+    spy(imu, "propagate_covariance")
+    for variants in (STUDY_VARIANTS, STUDY_VARIANTS[:2]):
+        calls.clear()
+        filts = [sim.perturbed_filter(v, truth.states[0], truth.landmarks,
+                                      STUDY_INIT, sc,
+                                      np.random.default_rng(5))
+                 for v in variants]
+        sim.run_filter(sc, truth, frames, filts)
+        assert len(calls) == 3
+        assert all(len(c) == len(frames) for c in calls.values())
+        assert all(len(U) == len(filts)
+                   for _, _, U in calls["error_jacobians"])
+    assert [f.variant.tag for f in filts] == ["ekf", "fej"]
+    assert all(U.shape[-1] == 0 for _, _, U in calls["error_jacobians"])
+
+
 # every tag a config accepts, on one realization of criterion 7's scenario
 # cut to 60 s (seed 2024, run 0)
 GATE_VARIANTS = [filters.FilterVariant(t, 0.5 if t == "ij_iekf" else 0.0)
