@@ -16,20 +16,24 @@ world-frame rotation times additive vector parts for the EKF family.
 Measurement builders must therefore supply H with residual ~ H c + noise;
 the gain times residual is then applied directly as a correction.
 
-The filters of one paired run go through each camera epoch in lock step:
-``predict_all``, ``errors`` and ``nees`` take a list of filters, and
-``FilterInstance.update_raw`` and ``apply_correction`` take one when
-called on the class, and each runs its stages once for all of them.
+A ``FilterInstance`` is a bank: the filters of one paired run, of one state
+layout and one noise spec, as the rows of stacked arrays.  Every stage
+(``predict_all``, ``update_raw``, ``apply_correction``, ``errors``,
+``nees``, the clone augmentation and marginalization) runs once for all
+rows, whatever their variants, and writes them in place; one filter is a
+bank of one.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import imu as imu_model
 from . import lie
+from ._checks import is_real
 from .exceptions import SingularCovariance, SingularInnovation
 
 INVARIANT_TAGS = ("iekf", "ij_iekf")
@@ -61,6 +65,8 @@ class FilterVariant:
         if self.tag not in ALL_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}; choose from "
                              f"{', '.join(ALL_TAGS)}")
+        if not is_real(self.r):
+            raise ValueError(f"r must be a real number, got {self.r!r}")
         if self.tag != "ij_iekf" and self.r != 0.0:
             raise ValueError("r is only meaningful for ij_iekf")
         if self.tag == "ij_iekf" and not (np.isfinite(self.r)
@@ -77,18 +83,6 @@ class FilterVariant:
         if self.tag == "ij_iekf":
             return f"ij_iekf-{self.r:g}"
         return self.tag
-
-
-def _lever_arms(state, landmarks):
-    """The lever arms of the invariant error as rows: p, v, f_1, ..., f_m."""
-    if landmarks is None or len(landmarks) == 0:
-        return np.array((state.p, state.v))
-    return np.vstack((state.p, state.v, landmarks))
-
-
-def _stack(arrays):
-    """np.array(arrays); of one array, a view of it with a leading axis."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _lever_products(levers, R):
@@ -176,80 +170,64 @@ def error_jacobians(R, drift, levers, landmarks=None, xi_delta=None):
     return F, G, U
 
 
-def predict_all(filts, omega, accel, dt):
-    """Propagate the filters ``filts`` through one interval of IMU readings
-    ``dt`` apart, the rows of ``omega`` and ``accel`` ((n, 3) each), in lock
-    step: one ``imu.propagate_mean``, one ``error_jacobians``, one
-    ``imu.compose_error_dynamics`` and one ``imu.propagate_covariance`` for
-    all of them, whatever their variants.
+def predict_all(bank, omega, accel, dt):
+    """Propagate the filters of ``bank`` through one interval of IMU
+    readings ``dt`` apart, the rows of ``omega`` and ``accel`` ((n, 3)
+    each), in lock step: one ``imu.propagate_mean``, one
+    ``error_jacobians``, one ``imu.compose_error_dynamics`` and one
+    ``imu.propagate_covariance`` for all rows, whatever their variants.
 
     The EKF family passes zero lever arms and zero landmarks (see
     ``error_jacobians``), so its landmark rows stay static at any r.  The
-    filters share the largest r over the interval: 9 if any ``ij_iekf``
-    drew a nonzero imitation error, else 3 with landmarks and an invariant
-    filter, else 0.  Every ``ij_iekf`` draws its imitation errors from its
-    own ``rng`` as it would alone, and no other filter draws.  Each
-    filter's numbers equal those of its own ``predict`` bit for bit, except
-    that an invariant filter's r padded from 3 to 9 changes the rounding of
-    its landmark rows.
-
-    Raises:
-        ValueError: if the filters differ in state dimension or landmark
-            count, or do not share one noise spec.
+    rows share the largest r over the interval: 9 if any ``ij_iekf`` drew
+    a nonzero imitation error, else 3 with landmarks and an invariant row,
+    else 0.  Every ``ij_iekf`` row draws its imitation errors from its own
+    generator as it would alone, and no other row draws.  Each row's
+    numbers equal those of a bank of it alone bit for bit, except that an
+    invariant row's r padded from 3 to 9 changes the rounding of its
+    landmark rows.
     """
-    noise = filts[0].noise
-    if len(filts) > 1 and (len({(f.dim, f.n_landmarks) for f in filts}) > 1
-                           or any(f.noise is not noise for f in filts)):
-        raise ValueError("filters predicted together need one state layout "
-                         "and one noise spec")
-    # each field of the filters' states stacked, in ImuState's field order
-    stacked = imu_model.ImuState(*map(np.array, zip(
-        *(vars(f.state).values() for f in filts))))
-    end, R, p, v, Ra = imu_model.propagate_mean(stacked, omega, accel, dt,
-                                                noise.gravity)
-    for f, *fields in zip(filts, *vars(end).values()):
-        f.state = imu_model.ImuState(*fields)
-    invariant = np.array([f.variant.invariant for f in filts])
-    draws = [imu_model.sample_imitating_error(f.variant.r, f.rng, len(omega))
-             if f.variant.tag == "ij_iekf" else None for f in filts]
+    noise = bank.noise
+    bank.state, R, p, v, Ra = imu_model.propagate_mean(
+        bank.state, omega, accel, dt, noise.gravity)
+    invariant = bank.invariant
+    draws = [imu_model.sample_imitating_error(f.r, rng, len(omega))
+             if f.tag == "ij_iekf" else None
+             for f, rng in zip(bank.variants, bank.rngs)]
     xi_delta = None
     if any(x is not None for x in draws):
         xi_delta = np.array([np.zeros((len(omega), 3)) if x is None else x
                              for x in draws])
     landmarks = None
-    if invariant.any() and filts[0].landmarks is not None:
-        landmarks = np.array([f.landmarks for f in filts])
-        landmarks[~invariant] = 0.0
+    if invariant.any():
+        landmarks = np.where(invariant[:, None, None], bank.landmarks, 0.0)
     levers = np.concatenate((p[:, :-1, None], v[:, :-1, None]), axis=-2)
     levers[~invariant] = 0.0
     drift = np.where(invariant[:, None, None], noise.gravity, -Ra)
     F, G, U = error_jacobians(R[:, :-1], drift, levers, landmarks, xi_delta)
-    V, Q = imu_model.compose_error_dynamics(F, G,
-                                            filts[0]._noise_kernel(dt), dt)
-    for f, P in zip(filts, imu_model.propagate_covariance(
-            [f.P for f in filts], V, Q, U)):
-        f.P = P
+    V, Q = imu_model.compose_error_dynamics(F, G, bank._noise_kernel(dt), dt)
+    bank.P = imu_model.propagate_covariance(bank.P, V, Q, U)
 
 
-def errors(filts, truth):
-    """(pos_err, ang_err), (B, 3) each, of the B filters ``filts`` against
-    one truth state, each in its filter's error convention.
+def errors(bank, truth):
+    """(pos_err, ang_err), (B, 3) each, of the B filters of ``bank``
+    against one truth state, each in its filter's error convention.
 
     Orientation error is log(R_hat R^T) for every variant, one stacked
     ``lie.so3_log``; position error is p_hat - R_tilde p
     (R_tilde = R_hat R^T) for the invariant filters and p_hat - p for the
     EKF family.
     """
-    R_tilde = np.array([f.state.R for f in filts]) @ truth.R.T
-    p_hat = np.array([f.state.p for f in filts])
-    invariant = np.array([[f.variant.invariant] for f in filts])
-    pos_err = np.where(invariant, p_hat - R_tilde @ truth.p, p_hat - truth.p)
+    R_tilde = bank.state.R @ truth.R.T
+    p_hat = bank.state.p
+    pos_err = np.where(bank.invariant[:, None], p_hat - R_tilde @ truth.p,
+                       p_hat - truth.p)
     return pos_err, lie.so3_log(R_tilde)
 
 
-def nees(filts, errors):
+def nees(bank, errors):
     """DOF-normalized position and orientation NEES, (B,) each, of the B
-    filters ``filts`` with the error pair ``errors(filts, truth)``
+    filters of ``bank`` with the error pair ``errors(bank, truth)``
     returned, each against its filter's covariance.
 
     The 2B 3x3 blocks are factored as L L^T in one stacked Cholesky, and
@@ -263,7 +241,8 @@ def nees(filts, errors):
             whatever its units) exceeds 1e12.
     """
     # rows 2i and 2i + 1: filter i's position and orientation blocks
-    blocks = np.array([f.P[sl, sl] for f in filts for sl in _NEES_BLOCKS])
+    blocks = np.stack([bank.P[:, sl, sl] for sl in _NEES_BLOCKS],
+                      axis=1).reshape(-1, 3, 3)
     e = np.concatenate(errors, axis=1).reshape(-1, 3)
     try:
         L = np.linalg.cholesky(blocks)
@@ -283,38 +262,82 @@ def nees(filts, errors):
 
 
 class FilterInstance:
-    """Mutable filter state: mean, covariance, and bookkeeping.
+    """A bank of B filters of one state layout and one noise spec as rows:
+    ``state`` (R (B, 3, 3); p, v, b_omega, b_a (B, 3)), P (B, d, d), the
+    ``landmarks`` and the ``first_landmarks`` that ``fej`` rows linearize
+    at (B, m, 3), and the camera-pose clones ``clone_R`` (B, c, 3, 3) and
+    ``clone_p`` (B, c, 3).  Row i is the filter of ``variants[i]``, with
+    its entry of the ``invariant`` and ``fej`` masks and its generator
+    ``rngs[i]``.  The constructor builds a bank of one, ``stack`` joins
+    banks, and every method takes all rows at once, writing them in place.
 
     P is exactly symmetric after every method, given an exactly symmetric
     P at construction; ``update_raw`` relies on it, forming the gain
-    P H^T S^-1 as (H P)^T S^-1.
-
-    Single-writer: predict/update/clone mutate the instance and must be
-    serialized externally; distinct instances are independent.
+    P H^T S^-1 as (H P)^T S^-1.  Single-writer: methods mutate the bank and
+    must be serialized externally; distinct banks are independent.
     """
 
     def __init__(self, variant, state, P, noise, rng=None, landmarks=None):
-        self.variant = variant
-        self.state = state.copy()
-        self.P = np.array(P, dtype=float)
+        self.state = imu_model.ImuState(
+            *(np.array(x, dtype=float)[None] for x in vars(state).values()))
+        self.P = np.array(P, dtype=float)[None]
         self.noise = noise
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.landmarks = None if landmarks is None else np.array(landmarks, float)
-        self.clone_R = np.zeros((0, 3, 3))    # camera-pose clones
-        self.clone_p = np.zeros((0, 3))
-        # fej's linearization points of the landmark rows
-        self.first_landmarks = (self.landmarks.copy() if variant.tag == "fej"
-                                and self.landmarks is not None else None)
+        self._set_rows((variant,), (np.random.default_rng(0)
+                                    if rng is None else rng,))
+        self.landmarks = np.array(np.zeros((0, 3)) if landmarks is None
+                                  else landmarks, dtype=float)[None]
+        self.first_landmarks = self.landmarks.copy()
+        self.clone_R = np.zeros((1, 0, 3, 3))
+        self.clone_p = np.zeros((1, 0, 3))
         self._kernel = None    # (dt, imu.noise_kernel(Q, dt))
         expected = self.core_dim
-        if self.P.shape != (expected, expected):
+        if self.P.shape[1:] != (expected, expected):
             raise ValueError(f"P must be {expected}x{expected}")
+
+    def _set_rows(self, variants, rngs):
+        self.variants = variants
+        self.rngs = rngs
+        self.invariant = np.array([v.invariant for v in variants])
+        self.fej = np.array([v.tag == "fej" for v in variants])
+
+    @classmethod
+    def stack(cls, banks):
+        """One bank of the rows of ``banks``, in order, with the noise spec
+        and noise kernel of the first.
+
+        Raises:
+            ValueError: if the banks differ in landmark count or state
+                dimension, or do not share one noise spec.
+        """
+        first = banks[0]
+        if any((b.n_landmarks, b.dim) != (first.n_landmarks, first.dim)
+               or b.noise is not first.noise for b in banks):
+            raise ValueError("filters stacked in one bank need one state "
+                             "layout and one noise spec")
+        bank = copy.copy(first)
+        bank.state = imu_model.ImuState(*map(np.concatenate, zip(
+            *(vars(b.state).values() for b in banks))))
+        for name in ("P", "landmarks", "first_landmarks", "clone_R",
+                     "clone_p"):
+            setattr(bank, name,
+                    np.concatenate([getattr(b, name) for b in banks]))
+        bank._set_rows(sum((b.variants for b in banks), ()),
+                       sum((b.rngs for b in banks), ()))
+        return bank
 
     # -- dimensions ---------------------------------------------------------
 
     @property
+    def variant(self):
+        """The variant of a bank of one."""
+        # perfbench times FilterInstance.predict per variant, keyed by
+        # args[0].variant.tag: the sliding window predicts a bank of one
+        variant, = self.variants
+        return variant
+
+    @property
     def n_landmarks(self):
-        return 0 if self.landmarks is None else len(self.landmarks)
+        return self.landmarks.shape[1]
 
     @property
     def core_dim(self):
@@ -322,7 +345,7 @@ class FilterInstance:
 
     @property
     def dim(self):
-        return self.core_dim + 6 * len(self.clone_p)
+        return self.P.shape[-1]
 
     def clone_index(self, i):
         """First covariance row of clone i."""
@@ -331,13 +354,11 @@ class FilterInstance:
     # -- predict ------------------------------------------------------------
 
     def predict(self, omega, accel, dt):
-        """Propagate through one interval of IMU readings ``dt`` apart, the
-        rows of ``omega`` and ``accel`` ((n, 3) each): ``predict_all`` of
-        this filter alone."""
-        predict_all([self], omega, accel, dt)
+        """``predict_all`` of this bank, as the sliding window calls it."""
+        predict_all(self, omega, accel, dt)
 
     def _noise_kernel(self, dt):
-        """``imu.noise_kernel`` of this filter's noise at step ``dt``, kept
+        """``imu.noise_kernel`` of this bank's noise at step ``dt``, kept
         for the next interval with the same step."""
         if self._kernel is None or self._kernel[0] != dt:
             self._kernel = (dt, imu_model.noise_kernel(self.noise.q_imu(),
@@ -346,53 +367,43 @@ class FilterInstance:
 
     # -- update -------------------------------------------------------------
 
-    def update_raw(self, residual, H, N):
-        """Kalman update in square-root form; the gain-weighted residual is
-        applied directly as a correction in this filter's error convention.
+    def update_raw(self, residual, H, N, rows=None):
+        """Kalman update in square-root form of every filter, or of the
+        rows ``rows`` (an index array) only, with the stacks residual
+        (B, m), H (B, m, dim) and N (m, m) or (B, m, m); the gain-weighted
+        residual is applied directly as a correction.
 
         With HP = H P, S = HP H^T + N = L L^T and W = L^-1 HP, the
         correction is W^T L^-1 r and the covariance becomes P - W^T W.
         L^-1 [HP | r] is a blocked forward substitution, in row blocks of
         ``SOLVE_BLOCK``: each block's rows are reduced by the rows already
         solved in one product, then multiplied by the inverse of L's
-        diagonal block, so one block is inv(L) [HP | r].  P - W^T W is
-        formed in the buffer of W^T W, a new array; the array that was P
-        is never written, so callers may share it.  The Cholesky
-        factorization reads only the lower triangle of S, and W^T W is
-        exactly symmetric, so P stays exactly symmetric without a
-        symmetrization pass.
-
-        Called on the class with a list of B filters of one state layout,
-        ``FilterInstance.update_raw(filts, residual, H, N)``, it updates
-        them all with the stacks residual (B, m), H (B, m, dim) and N
-        (m, m) or (B, m, m): S, its factor and guard, the substitution
-        and W^T z run once on the stack, and the correction is one
-        ``apply_correction``; H P_i and P_i - W_i^T W_i stay one product
-        per filter, HP written into its slice of the stacked [HP | r].
-        Each filter's numbers equal those of its own call bit for bit.
+        diagonal block.  Each step runs once on the stack, and each
+        filter's numbers equal those of a bank of it alone bit for bit.
+        P - W^T W is formed in the buffer of W^T W: without ``rows`` it
+        becomes P and the array that was P is never written, so callers
+        may share it; with ``rows`` it is written into those rows.  The
+        Cholesky factorization reads only the lower triangle of S, and
+        W^T W is exactly symmetric, so P stays exactly symmetric.
 
         Raises:
             SingularInnovation: if the Cholesky factorization of the
                 innovation covariance S fails, or if the squared ratio of the
                 largest to the smallest diagonal entry of its factor (a
                 scale-free lower bound on the condition number of S) exceeds
-                1e12, for any filter of the list.  Every filter's state is
-                left unchanged.
+                1e12, for any filter updated.  Every filter's state is left
+                unchanged.
         """
-        filts = self if isinstance(self, list) else [self]
+        P = self.P if rows is None else self.P[rows]
         residual = np.asarray(residual, dtype=float)
         H = np.asarray(H, dtype=float)
-        if filts is not self:
-            residual, H = residual[None], H[None]
-        dim = filts[0].dim
-        if (H.shape[::2] != (len(filts), dim)
-                or residual.shape != H.shape[:2]):
+        dim = self.dim
+        if H.shape[::2] != (len(P), dim) or residual.shape != H.shape[:2]:
             raise ValueError(f"residual {residual.shape} and H {H.shape} for "
-                             f"{len(filts)} filter(s) of state dim {dim}")
+                             f"{len(P)} filter(s) of state dim {dim}")
         m = H.shape[1]
-        Wz = np.empty((len(filts), m, dim + 1))
-        for f, h, out in zip(filts, H, Wz):
-            np.matmul(h, f.P, out=out[:, :-1])
+        Wz = np.empty((len(P), m, dim + 1))
+        np.matmul(H, P, out=Wz[..., :-1])
         Wz[..., -1] = residual
         HP = Wz[..., :-1]
         try:
@@ -411,57 +422,51 @@ class FilterInstance:
             rhs = Wz[:, s:e] - L[:, s:e, :s] @ Wz[:, :s] if s else Wz[:, s:e]
             Wz[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ rhs
         W = Wz[..., :-1]
-        FilterInstance.apply_correction(
-            filts, (W.swapaxes(1, 2) @ Wz[..., -1:])[..., 0])
-        for f, w in zip(filts, W):
-            WtW = w.T @ w
-            f.P = np.subtract(f.P, WtW, out=WtW)
+        self.apply_correction((W.swapaxes(1, 2) @ Wz[..., -1:])[..., 0], rows)
+        WtW = W.swapaxes(1, 2) @ W
+        P = np.subtract(P, WtW, out=WtW)
+        if rows is None:
+            self.P = P
+        else:
+            self.P[rows] = P
 
-    def apply_correction(self, d):
-        """Apply a correction vector in this filter's error convention.
+    def apply_correction(self, d, rows=None):
+        """Apply the corrections d (B, dim), one row per filter, or one per
+        row of ``rows`` (an index array), each in its filter's error
+        convention.
 
         The rotation parts of the IMU pose and of each clone, the rows
-        [omega; omega_1; ...], go through one stacked exponential E: every
-        rotation becomes E R.  The invariant error left-multiplies each pose
-        by exp(c) on SE_n(3), so each translation column t with tangent part
-        u (p, v and the landmarks for the IMU pose, p for a clone) becomes
-        E t + J(omega) u; the EKF family adds u to t.
-
-        Called on the class with a list of B filters of one state layout and
-        corrections d (B, dim), it corrects them all: every filter's
-        rotation rows go through one exponential, and the invariant
-        filters' rows through one left Jacobian.
+        [omega; omega_1; ...], of every filter go through one stacked
+        exponential E: every rotation becomes E R.  The invariant error
+        left-multiplies each pose by exp(c) on SE_n(3), so each translation
+        column t with tangent part u (p, v and the landmarks for the IMU
+        pose, p for a clone) becomes E t + J(omega) u, with the left
+        Jacobians J of the invariant filters' rows from one stacked call;
+        the EKF family adds u to t.
         """
-        filts = self if isinstance(self, list) else [self]
-        b, first = len(filts), filts[0]
-        m, k = first.n_landmarks, len(first.clone_p)
-        if b > 1 and len({(f.n_landmarks, len(f.clone_p))
-                          for f in filts}) > 1:
-            raise ValueError("filters corrected together need one state "
-                             "layout")
+        sel = slice(None) if rows is None else rows
+        st = self.state
+        b = len(self.variants) if rows is None else len(rows)
+        m, k = self.n_landmarks, self.clone_p.shape[1]
         d = np.asarray(d, dtype=float)
-        if filts is not self:
-            d = d[None]
-        if d.shape != (b, first.dim):
+        if d.shape != (b, self.dim):
             raise ValueError(f"corrections of shape {d.shape} for {b} "
-                             f"filter(s) of state dim {first.dim}")
-        c = d[:, first.core_dim:].reshape(b, k, 6)
+                             f"filter(s) of state dim {self.dim}")
+        c = d[:, self.core_dim:].reshape(b, k, 6)
         omega = np.concatenate((d[:, None, :3], c[..., :3]), axis=1)
         E = lie.so3_exp_stack(omega.reshape(-1, 3)).reshape(b, k + 1, 3, 3)
         # the translation columns (p, v and the landmarks; the clones' p)
         # and their tangent parts
-        t = np.array([(f.state.p, f.state.v) for f in filts])
-        if m:
-            t = np.concatenate((t, _stack([f.landmarks for f in filts])),
-                               axis=1)
+        t = np.concatenate((st.p[sel, None], st.v[sel, None],
+                            self.landmarks[sel]), axis=1)
         u = np.concatenate((d[:, 3:9], d[:, 15:15 + 3 * m]),
                            axis=1).reshape(b, -1, 3)
-        tc, uc = _stack([f.clone_p for f in filts]), c[..., 3:]
+        tc, uc = self.clone_p[sel], c[..., 3:]
         # the EKF family's correction for every filter, then the invariant
         # filters' rows replaced by theirs
         t_new, tc_new = t + u, tc + uc
-        inv = [i for i, f in enumerate(filts) if f.variant.invariant]
-        if inv:
+        inv = np.flatnonzero(self.invariant[sel])
+        if len(inv):
             if len(inv) == b:
                 inv = slice(b)
             J = lie.so3_left_jacobian(omega[inv].reshape(-1, 3)).reshape(
@@ -472,56 +477,55 @@ class FilterInstance:
             if k:
                 tc_new[inv] = (Ei[:, 1:] @ tc[inv][..., None]
                                + J[:, 1:] @ uc[inv][..., None])[..., 0]
-        R = E[:, 0] @ _stack([f.state.R for f in filts])
-        b_omega = _stack([f.state.b_omega for f in filts]) + d[:, 9:12]
-        b_a = _stack([f.state.b_a for f in filts]) + d[:, 12:15]
+        st.R[sel] = E[:, 0] @ st.R[sel]
+        st.p[sel], st.v[sel] = t_new[:, 0], t_new[:, 1]
+        st.b_omega[sel] += d[:, 9:12]
+        st.b_a[sel] += d[:, 12:15]
+        self.landmarks[sel] = t_new[:, 2:]
         if k:
-            clone_R = E[:, 1:] @ _stack([f.clone_R for f in filts])
-        for i, f in enumerate(filts):
-            st = f.state
-            st.R, st.p, st.v = R[i], t_new[i, 0], t_new[i, 1]
-            st.b_omega, st.b_a = b_omega[i], b_a[i]
-            if m:
-                f.landmarks = t_new[i, 2:]
-            if k:
-                f.clone_R, f.clone_p = clone_R[i], tc_new[i]
+            self.clone_R[sel] = E[:, 1:] @ self.clone_R[sel]
+            self.clone_p[sel] = tc_new
 
     # -- clones -------------------------------------------------------------
 
     def clone_camera_pose(self, R_cam, p_cam):
-        """Append a camera-pose clone and augment the covariance."""
-        J = np.zeros((6, self.dim))
-        J[:3, :3] = np.eye(3)
-        J[3:6, 3:6] = np.eye(3)
+        """Append a camera-pose clone to every filter, R_cam (B, 3, 3) and
+        p_cam (B, 3), and augment the covariances."""
+        b, d = len(self.variants), self.dim
+        R_cam = np.reshape(R_cam, (b, 1, 3, 3))
+        p_cam = np.reshape(p_cam, (b, 1, 3))
+        J = np.zeros((b, 6, d))
+        J[:, :, :6] = _EYE6
         # the right-invariant camera-pose error equals the IMU pose error;
         # the world-frame position error picks up the lever arm p_cam - p
-        if not self.variant.invariant:
-            J[3:6, :3] = -lie.so3_hat(p_cam - self.state.p)
-        PJt = self.P @ J.T
+        ekf = ~self.invariant
+        if ekf.any():
+            J[ekf, 3:6, :3] = -lie.so3_hat(p_cam[ekf, 0] - self.state.p[ekf])
+        PJt = self.P @ J.swapaxes(1, 2)
         # P and the off-diagonal blocks are exactly symmetric already
         JPJt = J @ PJt
-        d = self.dim
-        P = np.empty((d + 6, d + 6))
-        P[:d, :d] = self.P
-        P[:d, d:] = PJt
-        P[d:, :d] = PJt.T
-        P[d:, d:] = 0.5 * (JPJt + JPJt.T)
+        P = np.empty((b, d + 6, d + 6))
+        P[:, :d, :d] = self.P
+        P[:, :d, d:] = PJt
+        P[:, d:, :d] = PJt.swapaxes(1, 2)
+        P[:, d:, d:] = 0.5 * (JPJt + JPJt.swapaxes(1, 2))
         self.P = P
-        self.clone_R = np.concatenate((self.clone_R, [R_cam]))
-        self.clone_p = np.concatenate((self.clone_p, [p_cam]))
+        self.clone_R = np.concatenate((self.clone_R, R_cam), axis=1)
+        self.clone_p = np.concatenate((self.clone_p, p_cam), axis=1)
 
     def marginalize_clone(self, i):
-        """Drop clone i and its covariance rows/columns."""
+        """Drop clone i and its covariance rows/columns from every
+        filter."""
         k = self.clone_index(i)
-        d = self.dim - 6
-        P = np.empty((d, d))
-        P[:k, :k] = self.P[:k, :k]
-        P[:k, k:] = self.P[:k, k + 6:]
-        P[k:, :k] = self.P[k + 6:, :k]
-        P[k:, k:] = self.P[k + 6:, k + 6:]
+        b, d = len(self.variants), self.dim - 6
+        P = np.empty((b, d, d))
+        P[:, :k, :k] = self.P[:, :k, :k]
+        P[:, :k, k:] = self.P[:, :k, k + 6:]
+        P[:, k:, :k] = self.P[:, k + 6:, :k]
+        P[:, k:, k:] = self.P[:, k + 6:, k + 6:]
         self.P = P
-        self.clone_R = np.delete(self.clone_R, i, axis=0)
-        self.clone_p = np.delete(self.clone_p, i, axis=0)
+        self.clone_R = np.delete(self.clone_R, i, axis=1)
+        self.clone_p = np.delete(self.clone_p, i, axis=1)
 
 
 def invariant_initial_covariance(state, sig, landmarks=None):
@@ -535,7 +539,9 @@ def invariant_initial_covariance(state, sig, landmarks=None):
     """
     sig = np.asarray(sig, dtype=float)
     var = sig ** 2
-    u = _lever_products(_lever_arms(state, landmarks), np.eye(3))
+    levers = np.vstack((state.p, state.v,
+                        np.zeros((0, 3)) if landmarks is None else landmarks))
+    u = _lever_products(levers, _EYE3)
     lever = np.zeros((len(sig) - 3, 3))    # rows 3: of T[:, :3]
     lever[:6] = u[:6]
     lever[12:] = u[6:]

@@ -8,9 +8,9 @@ difference.  Noise ordering: (n_omega, n_a, n_b_omega, n_b_a), 12-dimensional.
 IMU readings come as stacks: gyro rates and specific forces, (n, 3) each.
 ``propagate_mean`` is the one mean propagator; it chains any number of
 steps, one camera interval for a filter or a whole stream for the truth.
-The propagators take a leading batch axis for the filters of one paired
-run (the covariance step only that), each filter's numbers equal to those
-of a batch of it alone."""
+The propagators take a leading batch axis for the rows of a filter bank
+(the covariance step only that), each filter's numbers equal to those of
+a batch of it alone."""
 
 from __future__ import annotations
 
@@ -211,8 +211,8 @@ def compose_error_dynamics(F, G, kernel, dt):
 
 def propagate_covariance(P, V, Q, U):
     """One covariance step P <- Phi P Phi^T + T Q T^T of composed dynamics
-    for each of B filters: P is the list of their covariances (d x d each),
-    V, Q and U carry a leading batch axis, and the result is a list.
+    for each of B filters: P (B, d, d), V, Q and U carry the batch axis,
+    and the result is a new (B, d, d) array; P is never written.
 
     Of the d rows of P the first k are dense, the next n are driven
     through the n x r factor U, and the rest are static, so with
@@ -225,11 +225,7 @@ def propagate_covariance(P, V, Q, U):
 
     on the first k + n rows, zero below.  This costs O(k^2 d + r d^2) for a
     d x d P, and for an exactly symmetric P the result is exactly symmetric.
-
-    Each result equals that of a list of its P alone bit for bit.  Only the
-    k dense rows of the P are gathered (one P is read in place); P with
-    static rows are copied once, into one stacked result, and the list
-    holds views of it.  P is never written.
+    Each filter's result equals that of a batch of it alone bit for bit.
 
     Raises:
         ValueError: if U does not have V.shape[-2] - V.shape[-1] columns.
@@ -238,11 +234,8 @@ def propagate_covariance(P, V, Q, U):
     r = V.shape[-2] - k
     if U.shape[-1] != r:
         raise ValueError(f"U has {U.shape[-1]} columns for {r} basis rows")
-    d = len(P[0])
-    # the dense rows of one P are a view, of several a stacked copy
-    Pk = (P[0][None, :k] if len(P) == 1
-          else np.array([P_i[:k] for P_i in P]))
-    Zr = V @ Pk
+    d = P.shape[-1]
+    Zr = V @ P[:, :k]
     D = Zr[..., :k] @ V.swapaxes(-1, -2) + Q
     if r:
         n = U.shape[-2]
@@ -258,15 +251,14 @@ def propagate_covariance(P, V, Q, U):
     c = Z.shape[-2]
     if c == d:
         P_new = Z + Z.swapaxes(-1, -2)
-        for P_i, P_old in zip(P_new, P):
-            P_i += P_old
+        P_new += P
     else:
-        P_new = np.array(P)
+        P_new = P.copy()
         Zc = Z[..., :c]
         P_new[:, :c, :c] += Zc + Zc.swapaxes(-1, -2)
         P_new[:, :c, c:] += Z[..., c:]
         P_new[:, c:, :c] = P_new[:, :c, c:].swapaxes(-1, -2)
-    return list(P_new)
+    return P_new
 
 
 def sample_imitating_error(r, rng, n):

@@ -140,35 +140,35 @@ def _cross_rows(a, b):
 
 # --- landmark updates against the live state -------------------------------
 
-def landmark_measurement(filts, model, ext, pixels, sigma_px, landmark_index):
-    """Stacked residual, H and N of one camera epoch's observations ``pixels``
-    (n, 2) of the in-state landmarks ``landmark_index`` (n,) against the
-    current state of each of the B filters ``filts`` (one state dimension).
+def landmark_measurement(bank, model, ext, pixels, sigma_px, landmark_index):
+    """Stacked residuals, H and N of one camera epoch's observations
+    ``pixels`` (n, 2) of the in-state landmarks ``landmark_index`` (n,)
+    against the current state of each of the B filters of ``bank``.
 
     An observation whose predicted camera-frame point is outside the
     projection domain (``CameraModel.outside_domain``) is dropped.  Returns
-    B tuples (residual (2k,), H (2k, dim), N (2k, 2k), kept): the positions
-    ``kept`` (k,) in the input of the observations used, in input order,
-    own rows 2i and 2i + 1.  H follows the filter's error convention, so the
+    one tuple (rows, residual (g, 2k), H (g, 2k, dim), N (2k, 2k), kept)
+    per group of the g filters that keep the same observations: ``rows``
+    their bank rows, or None when it is every filter, and ``kept`` (k,) the
+    positions in the input of the observations used, in input order, own
+    rows 2i and 2i + 1.  H follows each filter's error convention, so the
     gain-weighted residual is a correction.  The EKF family's orientation
     block is J_pi S (f - p)^ at the predicted position p, with f the
-    landmark's estimate, or for ``fej`` its first estimate.
-
-    The rows of every filter and observation are built at once, those of
-    the dropped observations as NaN; when the filters keep the same
-    observations they share one slice of the rows, N and ``kept``, and
-    otherwise each takes its own, equal to that of its list alone.
+    landmark's estimate, or for ``fej`` its first estimate.  The rows of
+    every filter and observation are built at once, those of the dropped
+    observations as NaN; a group's rows equal those of a bank of any of
+    its filters alone.
     """
     landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    b, n, dim = len(filts), len(landmark_index), filts[0].dim
+    b, n, dim = len(bank.variants), len(landmark_index), bank.dim
     # camera_pose of every filter's state
-    R = np.array([f.state.R for f in filts])
+    R = bank.state.R
     R_c = R @ ext.R_ic
-    p = np.array([f.state.p for f in filts])
+    p = bank.state.p
     p_c = p + R @ ext.p_ic
-    f_world = np.array([f.landmarks[landmark_index] for f in filts])
-    x_cam = world_to_camera(R_c[:, None], p_c[:, None], f_world)
+    x_cam = world_to_camera(R_c[:, None], p_c[:, None],
+                            bank.landmarks[:, landmark_index])
     zero_range, behind = model.outside_domain(x_cam.reshape(-1, 3))
     keep = ~(zero_range | behind).reshape(b, n)
     if not keep.all():
@@ -180,11 +180,10 @@ def landmark_measurement(filts, model, ext, pixels, sigma_px, landmark_index):
     H = np.zeros((b, n, 2, dim))
     H[..., 3:6] = -JS
     # the invariant error's orientation part cancels for in-state landmarks
-    ekf = [i for i, f in enumerate(filts) if not f.variant.invariant]
-    if ekf:
-        f_lin = np.array([f.landmarks if f.first_landmarks is None
-                          else f.first_landmarks for f in
-                          (filts[i] for i in ekf)])[:, landmark_index]
+    ekf = np.flatnonzero(~bank.invariant)
+    if len(ekf):
+        f_lin = np.where(bank.fej[:, None, None], bank.first_landmarks,
+                         bank.landmarks)[ekf][:, landmark_index]
         H[ekf, ..., 0:3] = _cross_rows(
             JS[ekf], (f_lin - p[ekf, None])[:, :, None, :])
     cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
@@ -192,18 +191,18 @@ def landmark_measurement(filts, model, ext, pixels, sigma_px, landmark_index):
     residual = (pixels - pred.reshape(b, n, 2)).reshape(b, 2 * n)
     H = H.reshape(b, 2 * n, dim)
     if (keep == keep[0]).all():
-        kept = np.flatnonzero(keep[0])
-        if len(kept) < n:
-            rows = (2 * kept[:, None] + np.arange(2)).ravel()
-            residual, H = residual[:, rows], H[:, rows]
-        N = np.eye(2 * len(kept)) * sigma_px ** 2
-        return [(r, h, N, kept) for r, h in zip(residual, H)]
+        groups = [(None, keep[0])]
+    else:
+        groups = [(np.flatnonzero((keep == k).all(axis=1)), k)
+                  for k in np.unique(keep, axis=0)]
     out = []
-    for r, h, k in zip(residual, H, keep):
+    for rows, k in groups:
+        r, h = (residual, H) if rows is None else (residual[rows], H[rows])
         kept = np.flatnonzero(k)
-        rows = (2 * kept[:, None] + np.arange(2)).ravel()
-        out.append((r[rows], h[rows], np.eye(2 * len(kept)) * sigma_px ** 2,
-                    kept))
+        if len(kept) < n:
+            obs = (2 * kept[:, None] + np.arange(2)).ravel()
+            r, h = r[:, obs], h[:, obs]
+        out.append((rows, r, h, np.eye(2 * len(kept)) * sigma_px ** 2, kept))
     return out
 
 
@@ -388,7 +387,7 @@ def compress_measurement(residual, H):
 
 
 class SlidingWindowUpdater:
-    """Stochastic-cloning visual front end driving a FilterInstance.
+    """Stochastic-cloning visual front end driving a bank of one filter.
 
     Maintains a window of camera-pose clones and per-feature pixel tracks;
     when a track ends (feature lost or the window slides past its first
@@ -412,7 +411,7 @@ class SlidingWindowUpdater:
         self.tracks = {}          # feature id -> list of (clone seq, pixel)
         self.dropped = Counter(dict.fromkeys(DROP_REASONS, 0))
         self._seq = 0             # monotone id of the next clone
-        self._window = []         # clone seqs, one per row of filt.clone_R
+        self._window = []         # clone seqs, one per clone of the filter
 
     def ingest(self, filt, observations):
         """One camera epoch: clone, extend tracks, update on dead tracks,
@@ -470,7 +469,7 @@ class SlidingWindowUpdater:
             np.concatenate([rows[k][0] for k in order]),
             np.vstack([rows[k][1] for k in order]))
         N = np.eye(len(residual)) * self.sigma_px ** 2
-        filt.update_raw(residual, H, N)
+        filt.update_raw(residual[None], H[None], N)
         return len(order)
 
     def _project_tracks(self, filt, tracks, positions):
@@ -485,7 +484,7 @@ class SlidingWindowUpdater:
             idx = np.array([[i for i, _ in tracks[k]] for k in keys])
             uv = np.array([[z for _, z in tracks[k]] for k in keys],
                           dtype=float)
-            R, p = filt.clone_R[idx], filt.clone_p[idx]
+            R, p = filt.clone_R[0, idx], filt.clone_p[0, idx]
             f, degenerate, diverged = triangulate(self.model, R, p, uv)
             self.dropped["degenerate"] += int(degenerate.sum())
             self.dropped["diverged"] += int(diverged.sum())

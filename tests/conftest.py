@@ -11,8 +11,11 @@ its per-filter errors and NEES that the lock-step driver replaced, and the
 clone augmentation by ``np.block`` and marginalization by ``np.ix_`` that
 the block copies replaced, kept as their oracles; and the public functions
 that only the tests called (the SE_n(3) log, vee and adjoint, the right
-log-error rate and the identity IMU state), kept as oracles."""
+log-error rate and the identity IMU state), kept as oracles.  The
+one-filter oracles read and write ``OneFilter``, one row of a filter bank
+with the 2-D fields that a filter had before the filters became a bank."""
 
+import copy
 import types
 
 import numpy as np
@@ -89,6 +92,52 @@ def _so3_left_jacobian_vector(w):
     else:
         c = (theta - np.sin(theta)) / (theta ** 3)
     return np.eye(3) + b * W + c * (W @ W)
+
+
+class OneFilter:
+    """Row ``i`` of the filter bank ``bank``, copied, as one filter with
+    2-D fields: the variant, the state with (3, 3) and (3,) fields, P
+    (d, d), the landmarks (m, 3) or None, ``fej``'s first estimates (m, 3)
+    or None, the clones (c, 3, 3) and (c, 3), a copy of the row's
+    generator, and the noise spec."""
+
+    def __init__(self, bank, i=0):
+        self.variant = bank.variants[i]
+        self.state = imu.ImuState(*(x[i].copy()
+                                    for x in vars(bank.state).values()))
+        self.P = bank.P[i].copy()
+        self.noise = bank.noise
+        self.rng = copy.deepcopy(bank.rngs[i])
+        m = bank.n_landmarks
+        self.landmarks = bank.landmarks[i].copy() if m else None
+        self.first_landmarks = (bank.first_landmarks[i].copy()
+                                if m and self.variant.tag == "fej" else None)
+        self.clone_R = bank.clone_R[i].copy()
+        self.clone_p = bank.clone_p[i].copy()
+
+    @property
+    def n_landmarks(self):
+        return 0 if self.landmarks is None else len(self.landmarks)
+
+    @property
+    def core_dim(self):
+        return 15 + 3 * self.n_landmarks
+
+    @property
+    def dim(self):
+        return self.core_dim + 6 * len(self.clone_p)
+
+    def clone_index(self, i):
+        return self.core_dim + 6 * i
+
+    def store(self, bank, i=0):
+        """Write this filter back into row ``i`` of ``bank`` (one layout)."""
+        for name, x in vars(self.state).items():
+            getattr(bank.state, name)[i] = x
+        bank.P[i] = self.P
+        if self.landmarks is not None:
+            bank.landmarks[i] = self.landmarks
+        bank.clone_R[i], bank.clone_p[i] = self.clone_R, self.clone_p
 
 
 def _group_element(R, columns):
@@ -182,7 +231,7 @@ def _update_raw_lu(filt, residual, H, N):
     L = np.linalg.cholesky(HP @ H.T + N)
     Wz = np.linalg.solve(L, np.column_stack((HP, residual)))
     W, z = Wz[:, :-1], Wz[:, -1]
-    filt.apply_correction(W.T @ z)
+    _apply_correction_filter(filt, W.T @ z)
     filt.P = filt.P - W.T @ W
 
 
@@ -506,11 +555,12 @@ def _nullspace_project_track(residual, H_x, H_f):
 
 
 def _flush_per_track(upd, filt, feature_ids):
-    """``SlidingWindowUpdater._flush`` as it ran before the tracks were
-    batched: one track at a time, in order, until ``max_features`` are used,
-    each through ``vision.triangulate`` as a group of one,
-    ``_clone_feature_jacobians_track`` and ``_nullspace_project_track``;
-    the drops are counted in ``upd.dropped``."""
+    """``SlidingWindowUpdater._flush`` of the bank of one ``filt`` as it ran
+    before the tracks were batched: one track at a time, in order, until
+    ``max_features`` are used, each through ``vision.triangulate`` as a
+    group of one, ``_clone_feature_jacobians_track`` and
+    ``_nullspace_project_track``; the drops are counted in
+    ``upd.dropped``."""
     rows_r, rows_H = [], []
     used = 0
     for fid in feature_ids:
@@ -525,15 +575,15 @@ def _flush_per_track(upd, filt, feature_ids):
         idx = [upd._window.index(s) for s, _ in track]
         pixels = np.array([uv for _, uv in track])
         f, degenerate, diverged = vision.triangulate(
-            upd.model, filt.clone_R[idx][None], filt.clone_p[idx][None],
+            upd.model, filt.clone_R[:, idx], filt.clone_p[:, idx],
             pixels[None])
         if degenerate[0] or diverged[0]:
             upd.dropped["degenerate" if degenerate[0] else "diverged"] += 1
             continue
         f = f[0]
         try:
-            pred, H_x, H_f = _clone_feature_jacobians_track(filt, upd.model,
-                                                            idx, f)
+            pred, H_x, H_f = _clone_feature_jacobians_track(
+                OneFilter(filt), upd.model, idx, f)
         except (ZeroRange, BehindCamera):
             upd.dropped["outside_domain"] += 1
             continue
@@ -550,7 +600,8 @@ def _flush_per_track(upd, filt, feature_ids):
         return 0
     residual, H = vision.compress_measurement(np.concatenate(rows_r),
                                               np.vstack(rows_H))
-    filt.update_raw(residual, H, np.eye(len(residual)) * upd.sigma_px ** 2)
+    filt.update_raw(residual[None], H[None],
+                    np.eye(len(residual)) * upd.sigma_px ** 2)
     return used
 
 
@@ -657,25 +708,28 @@ def _nees_filter(filt, errors):
 
 
 def _run_filter_per_variant(scenario, truth, frames, filt):
-    """``sim.run_filter`` of one filter, as it ran before the variants were
-    driven in lock step: the filter's own ``predict``, its own
-    ``vision.landmark_measurement``, ``_update_raw_filter``, and
-    ``_errors_filter`` and ``_nees_filter`` at each camera epoch.  Returns its list of per-epoch
-    tuples (t, pos_nees, ang_nees, |pos_err|, |ang_err|)."""
+    """``sim.run_filter`` of the bank of one ``filt``, as it ran before the
+    variants were driven in lock step: the filter's own ``predict``, its
+    own ``vision.landmark_measurement``, ``_update_raw_filter``, and
+    ``_errors_filter`` and ``_nees_filter`` at each camera epoch.  Returns
+    its list of per-epoch tuples (t, pos_nees, ang_nees, |pos_err|,
+    |ang_err|)."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
     records = []
     for i, frame in enumerate(frames):
         k = (i + 1) * every
         filt.predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
-        (residual, H, N, _), = vision.landmark_measurement(
-            [filt], scenario.camera, scenario.extrinsics,
+        (_, residual, H, N, _), = vision.landmark_measurement(
+            filt, scenario.camera, scenario.extrinsics,
             list(frame.values()), scenario.pixel_sigma,
             landmark_index=list(frame))
-        if len(residual):
-            _update_raw_filter(filt, residual, H, N)
-        errors = _errors_filter(filt, truth.states[k])
-        pos_nees, ang_nees = _nees_filter(filt, errors)
+        one = OneFilter(filt)
+        if residual.size:
+            _update_raw_filter(one, residual[0], H[0], N)
+            one.store(filt)
+        errors = _errors_filter(one, truth.states[k])
+        pos_nees, ang_nees = _nees_filter(one, errors)
         records.append((truth.times[k], pos_nees, ang_nees,
                         float(np.linalg.norm(errors[0])),
                         float(np.linalg.norm(errors[1]))))
@@ -699,10 +753,15 @@ def _monte_carlo_single_run_per_variant(scenario, variants, init, seed,
     out = {}
     for v in variants:
         rng_init.bit_generator.state = init_state
-        filt = sim.perturbed_filter(v, truth.states[0], truth.landmarks,
+        filt = sim.perturbed_filter([v], truth.states[0], truth.landmarks,
                                     init, scenario, rng_init)
         out[v.label] = _run_filter_per_variant(scenario, truth, frames, filt)
     return out
+
+
+@pytest.fixture(scope="session")
+def one_filter():
+    return OneFilter
 
 
 @pytest.fixture(scope="session")

@@ -221,12 +221,12 @@ def test_criterion_09_sliding_window(verdict, identity_state):
         for k in range(6):
             filt.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.05, 3)),
                                    np.array([1.5 * k, 0.3 * k, 0.1 * k]))
+        clone_R, clone_p = filt.clone_R[0], filt.clone_p[0]
         uv = model.project(vision.world_to_camera(
-            filt.clone_R, filt.clone_p, f_true))[0].ravel()
+            clone_R, clone_p, f_true))[0].ravel()
         idx = np.arange(6)[None]
         pred, H_x, Hf, outside = vision.clone_feature_jacobians(
-            filt, model, idx, filt.clone_R[idx], filt.clone_p[idx],
-            f_true[None])
+            filt, model, idx, clone_R[idx], clone_p[idx], f_true[None])
         r0, _, degenerate = vision.nullspace_project(uv - pred, H_x, Hf)
         # a failed track has NaN rows, which max() would pass over
         failed += int(outside[0] or degenerate[0])

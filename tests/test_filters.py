@@ -1,6 +1,7 @@
 """Filter-bank tests: update algebra against the Joseph form, variant
-dispatch, clone bookkeeping, correction conventions, and the error-state
-Jacobians against finite differences of the actual nonlinear models."""
+dispatch, clone bookkeeping, correction conventions, the bank against one
+filter at a time, and the error-state Jacobians against finite differences
+of the actual nonlinear models."""
 
 import copy
 
@@ -21,14 +22,23 @@ def make_state(rng):
         np.zeros(3), np.zeros(3))
 
 
-def make_filter(tag, rng, r=0.0, landmarks=None, P_scale=0.01):
+# one noise spec, so that the banks of make_filter stack
+NOISE = imu.ImuNoiseSpec()
+
+
+def make_filter(tag, rng, r=0.0, landmarks=None, P_scale=0.01, noise=NOISE):
+    """A bank of one filter."""
     st = make_state(rng)
     m = 0 if landmarks is None else len(landmarks)
     P = np.eye(15 + 3 * m) * P_scale
     return filters.FilterInstance(filters.FilterVariant(tag, r), st, P,
-                                  imu.ImuNoiseSpec(),
-                                  rng=np.random.default_rng(42),
+                                  noise, rng=np.random.default_rng(42),
                                   landmarks=landmarks)
+
+
+def row_state(bank, i=0):
+    """The state of row ``i`` of ``bank``, copied, with 2-D fields."""
+    return imu.ImuState(*(x[i].copy() for x in vars(bank.state).values()))
 
 
 def group_element(R, columns):
@@ -52,6 +62,10 @@ def test_variant_validation():
         filters.FilterVariant("ekf", r=0.5)
     with pytest.raises(ValueError):
         filters.FilterVariant("ij_iekf", r=-0.1)
+    # a bool or a string is no range, though True == 1 and "0.5" parses
+    for r in (True, False, "0.5"):
+        with pytest.raises(ValueError, match="real number"):
+            filters.FilterVariant("ij_iekf", r)
     assert filters.FilterVariant("ij_iekf", 0.25).label == "ij_iekf-0.25"
     assert filters.FilterVariant("iekf").invariant
     assert not filters.FilterVariant("fej").invariant
@@ -76,14 +90,14 @@ def test_ij_zero_range_bit_identical_to_iekf():
         if k % 5 == 0:
             H = np.zeros((3, 15))
             H[:, 3:6] = np.eye(3)
-            z = rng.normal(0.0, 0.1, 3)
-            a.update_raw(z, H, np.eye(3) * 0.01)
-            b.update_raw(z, H, np.eye(3) * 0.01)
+            z = rng.normal(0.0, 0.1, (1, 3))
+            a.update_raw(z, H[None], np.eye(3) * 0.01)
+            b.update_raw(z, H[None], np.eye(3) * 0.01)
     assert np.array_equal(a.P, b.P)
     assert np.array_equal(a.state.p, b.state.p)
     assert np.array_equal(a.state.R, b.state.R)
     # predict and update keep P exactly symmetric
-    assert np.array_equal(a.P, a.P.T)
+    assert np.array_equal(a.P[0], a.P[0].T)
 
 
 def test_update_matches_joseph_form():
@@ -91,12 +105,12 @@ def test_update_matches_joseph_form():
     f = make_filter("ekf", rng, P_scale=0.5)
     H = rng.normal(0.0, 1.0, (4, 15))
     N = np.eye(4) * 0.5
-    P = f.P.copy()
+    P = f.P[0].copy()
     S = H @ P @ H.T + N
     K = P @ H.T @ np.linalg.inv(S)
     ref = (np.eye(15) - K @ H) @ P @ (np.eye(15) - K @ H).T + K @ N @ K.T
-    f.update_raw(np.zeros(4), H, N)
-    assert np.abs(f.P - ref).max() / np.abs(ref).max() < 1e-12
+    f.update_raw(np.zeros((1, 4)), H[None], N)
+    assert np.abs(f.P[0] - ref).max() / np.abs(ref).max() < 1e-12
 
 
 def test_update_rejects_singular_innovation():
@@ -107,11 +121,11 @@ def test_update_rejects_singular_innovation():
     H[0, 3] = 1.0
     H[1, 3] = 1.0  # duplicated row, zero noise: singular S
     with pytest.raises(SingularInnovation):
-        f.update_raw(np.ones(2), H, np.zeros((2, 2)))
+        f.update_raw(np.ones((1, 2)), H[None], np.zeros((2, 2)))
     # nearly duplicated row: S factors, but with condition number ~1e14
     H[1, 4] = 1e-7
     with pytest.raises(SingularInnovation):
-        f.update_raw(np.ones(2), H, np.zeros((2, 2)))
+        f.update_raw(np.ones((1, 2)), H[None], np.zeros((2, 2)))
     assert np.array_equal(f.P, P0)
     assert np.array_equal(f.state.p, p0)
 
@@ -127,26 +141,28 @@ def test_update_raw_keeps_covariance_symmetric_psd(tag, m, n_obs, log_scale,
     rng = np.random.default_rng(seed)
     f = make_filter(tag, rng, landmarks=np.zeros((m, 3)))
     ext = vision.Extrinsics()
-    R_c, p_c = vision.camera_pose(f.state, ext)
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
     x_cam = np.column_stack([rng.uniform(-3.0, 3.0, (m, 2)),
                              rng.uniform(2.0, 40.0, m)])
-    f.landmarks = p_c + x_cam @ R_c.T
+    f.landmarks[0] = p_c + x_cam @ R_c.T
     A = rng.normal(0.0, 1.0, (f.dim, f.dim)) * 10.0 ** rng.uniform(
         log_scale - 2.0, log_scale, f.dim)
-    f.P = A @ A.T
+    f.P = (A @ A.T)[None]
     idx = rng.choice(m, size=min(n_obs, m), replace=False)
     model = vision.CameraModel()
     pix = model.project(x_cam[idx])[0]
     pix += rng.normal(0.0, sigma_px, pix.shape)
-    (r, H, N, _), = vision.landmark_measurement([f], model, ext, pix,
-                                                sigma_px, landmark_index=idx)
+    (_, r, H, N, _), = vision.landmark_measurement(f, model, ext, pix,
+                                                   sigma_px,
+                                                   landmark_index=idx)
     try:
         f.update_raw(r, H, N)
     except SingularInnovation:
         assume(False)
-    assert np.array_equal(f.P, f.P.T)
-    norm = np.linalg.norm(f.P, 2)
-    assert np.linalg.eigvalsh(f.P).min() >= -1e-12 * norm
+    P = f.P[0]
+    assert np.array_equal(P, P.T)
+    norm = np.linalg.norm(P, 2)
+    assert np.linalg.eigvalsh(P).min() >= -1e-12 * norm
 
 
 B = filters.SOLVE_BLOCK
@@ -159,7 +175,7 @@ B = filters.SOLVE_BLOCK
                          [(1, 60, 0), (B - 1, 60, 0), (B, 60, 0),
                           (B + 1, 60, 0), (78, 60, 0), (840, 0, 12)])
 def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
-                                     mean_vector):
+                                     mean_vector, one_filter):
     rng = np.random.default_rng(rows)
     f = make_filter("iekf", rng,
                     landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
@@ -168,21 +184,21 @@ def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
                             rng.normal(0.0, 5.0, 3))
     d = f.dim
     A = rng.normal(0.0, 0.03, (d, d))
-    f.P = A @ A.T + 1e-4 * np.eye(d)
+    f.P = (A @ A.T + 1e-4 * np.eye(d))[None]
     H = rng.normal(0.0, 5.0, (rows, d))
     if n_clones:
         H[:, 6:15] = 0.0
     residual = rng.normal(0.0, 1.0, rows)
     N = np.eye(rows)
-    ref = copy.deepcopy(f)
+    ref = one_filter(f)
     P_before = f.P
     P_bytes = P_before.tobytes()
-    f.update_raw(residual, H, N)
+    f.update_raw(residual[None], H[None], N)
     update_raw_lu(ref, residual, H, N)
-    assert np.array_equal(f.P, f.P.T)
-    assert np.abs(f.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+    assert np.array_equal(f.P[0], f.P[0].T)
+    assert np.abs(f.P[0] - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
     mean = mean_vector(ref)
-    assert (np.abs(mean_vector(f) - mean).max()
+    assert (np.abs(mean_vector(one_filter(f)) - mean).max()
             <= 1e-12 * np.abs(mean).max())
     # the array that was P is never written: callers may share it
     assert f.P is not P_before and P_before.tobytes() == P_bytes
@@ -190,8 +206,8 @@ def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
 
 
 def make_batch(tags, rng, m=0, n_clones=0):
-    """Filters of one state layout, each with its own mean, clones and a
-    random positive definite P."""
+    """Banks of one filter of one state layout, each with its own mean,
+    clones and a random positive definite P."""
     filts = []
     for tag in tags:
         f = make_filter(tag, rng, r=0.3 if tag == "ij_iekf" else 0.0,
@@ -200,7 +216,7 @@ def make_batch(tags, rng, m=0, n_clones=0):
             f.clone_camera_pose(lie.so3_exp(rng.normal(0.0, 0.3, 3)),
                                 rng.normal(0.0, 5.0, 3))
         A = rng.normal(0.0, 0.03, (f.dim, f.dim))
-        f.P = A @ A.T + 1e-4 * np.eye(f.dim)
+        f.P = (A @ A.T + 1e-4 * np.eye(f.dim))[None]
         filts.append(f)
     return filts
 
@@ -216,41 +232,43 @@ STUDY_TAGS = ("ekf", "fej", "iekf", "ij_iekf", "ij_iekf")
     (("iekf", "ekf", "fej", "ij_iekf"), 2, 5, 20, False),
     (("iekf",), 0, 8, 30, False)])
 def test_update_of_a_list_equals_one_update_per_filter(
-        tags, m, n_clones, rows, stacked_N, update_raw_filter, mean_vector):
+        tags, m, n_clones, rows, stacked_N, update_raw_filter, mean_vector,
+        one_filter):
     rng = np.random.default_rng(rows + m)
-    filts = make_batch(tags, rng, m, n_clones)
-    d = filts[0].dim
-    H = rng.normal(0.0, 5.0, (len(filts), rows, d))
-    residual = rng.normal(0.0, 1.0, (len(filts), rows))
+    bank = filters.FilterInstance.stack(make_batch(tags, rng, m, n_clones))
+    b, d = len(tags), bank.dim
+    H = rng.normal(0.0, 5.0, (b, rows, d))
+    residual = rng.normal(0.0, 1.0, (b, rows))
     N = np.eye(rows) * 2.0
     if stacked_N:
-        N = N * rng.uniform(0.5, 2.0, (len(filts), 1, 1))
-    refs = copy.deepcopy(filts)
-    P_before = [(f.P, f.P.tobytes()) for f in filts]
-    filters.FilterInstance.update_raw(filts, residual, H, N)
+        N = N * rng.uniform(0.5, 2.0, (b, 1, 1))
+    refs = [one_filter(bank, i) for i in range(b)]
+    P, P_bytes = bank.P, bank.P.tobytes()
+    bank.update_raw(residual, H, N)
     for i, ref in enumerate(refs):
         update_raw_filter(ref, residual[i], H[i],
                           N[i] if stacked_N else N)
-    for f, ref, (P, P_bytes) in zip(filts, refs, P_before):
-        assert f.P.tobytes() == ref.P.tobytes(), f.variant.label
-        assert mean_vector(f).tobytes() == mean_vector(ref).tobytes()
-        assert f.landmarks is None or f.landmarks.shape == (m, 3)
-        assert f.clone_R.shape == (n_clones, 3, 3)
-        # the arrays that were P are never written
-        assert P.tobytes() == P_bytes and f.P.flags.c_contiguous
+        assert bank.P[i].tobytes() == ref.P.tobytes(), ref.variant.label
+        assert (mean_vector(one_filter(bank, i)).tobytes()
+                == mean_vector(ref).tobytes())
+    assert bank.landmarks.shape == (b, m, 3)
+    assert bank.clone_R.shape == (b, n_clones, 3, 3)
+    # the array that was P is never written
+    assert P.tobytes() == P_bytes and bank.P.flags.c_contiguous
 
 
 @pytest.mark.parametrize("m, n_clones", [(12, 0), (0, 6), (3, 4)])
 def test_correction_of_a_list_equals_one_correction_per_filter(
-        m, n_clones, monkeypatch, apply_correction_filter, mean_vector):
+        m, n_clones, monkeypatch, apply_correction_filter, mean_vector,
+        one_filter):
     # one stacked exponential on every filter's pose and clone rows, and
     # one stacked left Jacobian on the invariant filters' rows
     rng = np.random.default_rng(3 + m)
     tags = ("ij_iekf", "ekf", "iekf", "fej", "iekf")
-    filts = make_batch(tags, rng, m, n_clones)
-    D = rng.normal(0.0, 0.1, (len(filts), filts[0].dim))
+    bank = filters.FilterInstance.stack(make_batch(tags, rng, m, n_clones))
+    D = rng.normal(0.0, 0.1, (len(tags), bank.dim))
     D[2, :3] *= 1e-8    # a pose rotation row on the small-angle branch
-    refs = copy.deepcopy(filts)
+    refs = [one_filter(bank, i) for i in range(len(tags))]
     calls = []
 
     def counted(fn):
@@ -261,93 +279,97 @@ def test_correction_of_a_list_equals_one_correction_per_filter(
 
     for name in ("so3_exp_stack", "so3_left_jacobian"):
         monkeypatch.setattr(lie, name, counted(getattr(lie, name)))
-    filters.FilterInstance.apply_correction(filts, D)
+    bank.apply_correction(D)
     monkeypatch.undo()
     for ref, d in zip(refs, D):
         apply_correction_filter(ref, d)
     assert calls == [("so3_exp_stack", (5 * (1 + n_clones), 3)),
                      ("so3_left_jacobian", (3 * (1 + n_clones), 3))]
-    for f, ref in zip(filts, refs):
-        assert mean_vector(f).tobytes() == mean_vector(ref).tobytes()
+    for i, ref in enumerate(refs):
+        assert (mean_vector(one_filter(bank, i)).tobytes()
+                == mean_vector(ref).tobytes())
 
 
 def test_correction_of_a_list_rejects_mixed_layouts():
+    # banks of different clone or landmark counts do not stack into one
     rng = np.random.default_rng(8)
     a, b = make_batch(("iekf", "ekf"), rng)
     b.clone_camera_pose(np.eye(3), np.zeros(3))
     c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)))
     for other in (b, c):
         with pytest.raises(ValueError, match="one state layout"):
-            filters.FilterInstance.apply_correction(
-                [a, other], np.zeros((2, other.dim)))
+            filters.FilterInstance.stack([a, other])
 
 
 def test_update_of_a_list_rejects_unstacked_rows():
-    # the rows of a list's update carry the batch axis: an (m, dim) H or an
+    # the rows of a bank's update carry the batch axis: an (m, dim) H or an
     # (m,) residual is not split among the filters nor shared by them
     rng = np.random.default_rng(10)
-    filts = make_batch(("iekf", "ekf"), rng)
+    bank = filters.FilterInstance.stack(make_batch(("iekf", "ekf"), rng))
     H = rng.normal(0.0, 1.0, (2, 4, 15))
     for residual, rows in ((np.ones((2, 4)), H.reshape(8, 15)),
                            (np.ones(4), H), (np.ones((2, 4)), H[..., :14])):
         with pytest.raises(ValueError, match="filter"):
-            filters.FilterInstance.update_raw(filts, residual, rows,
-                                              np.eye(4))
+            bank.update_raw(residual, rows, np.eye(4))
     with pytest.raises(ValueError, match="filter"):
-        filters.FilterInstance.apply_correction(filts, np.zeros(15))
+        bank.apply_correction(np.zeros(15))
 
 
 @pytest.mark.parametrize("near", [False, True])
-def test_singular_member_leaves_every_filter_unchanged(near, mean_vector):
+def test_singular_member_leaves_every_filter_unchanged(near, mean_vector,
+                                                       one_filter):
     # one member's S is singular (a duplicated row, zero noise) or has a
     # condition number near 1e14 (a nearly duplicated row): the update of
-    # the list raises before any filter is corrected
+    # the bank raises before any filter is corrected
     rng = np.random.default_rng(9)
-    filts = make_batch(("ekf", "iekf", "ij_iekf"), rng, m=2)
-    H = rng.normal(0.0, 1.0, (3, 4, filts[0].dim))
+    bank = filters.FilterInstance.stack(
+        make_batch(("ekf", "iekf", "ij_iekf"), rng, m=2))
+    H = rng.normal(0.0, 1.0, (3, 4, bank.dim))
     H[1, 3] = H[1, 2]
     if near:
         H[1, 3, 4] += 1e-7 * np.abs(H[1, 2]).max()
-    before = [(f.P.tobytes(), mean_vector(f).tobytes()) for f in filts]
+
+    def snapshot():
+        return [mean_vector(one_filter(bank, i)).tobytes() for i in range(3)]
+    before = (bank.P.tobytes(), snapshot())
     with pytest.raises(SingularInnovation):
-        filters.FilterInstance.update_raw(filts, np.ones((3, 4)), H,
-                                          np.zeros((4, 4)))
-    assert [(f.P.tobytes(), mean_vector(f).tobytes())
-            for f in filts] == before
+        bank.update_raw(np.ones((3, 4)), H, np.zeros((4, 4)))
+    assert (bank.P.tobytes(), snapshot()) == before
 
 
 def test_invariant_correction_is_group_exact():
     rng = np.random.default_rng(4)
     lms = rng.normal(0.0, 10.0, (2, 3))
     f = make_filter("iekf", rng, landmarks=lms)
-    R0, p0, v0 = f.state.R.copy(), f.state.p.copy(), f.state.v.copy()
-    L0 = f.landmarks.copy()
+    st0, L0 = row_state(f), f.landmarks[0].copy()
     c = rng.normal(0.0, 0.05, 21)
-    f.apply_correction(c)
-    X0 = group_element(R0, [p0, v0] + list(L0))
-    X1 = group_element(f.state.R, [f.state.p, f.state.v] + list(f.landmarks))
+    f.apply_correction(c[None])
+    st = row_state(f)
+    X0 = group_element(st0.R, [st0.p, st0.v] + list(L0))
+    X1 = group_element(st.R, [st.p, st.v] + list(f.landmarks[0]))
     expected = lie.sen_exp(np.concatenate([c[:9], c[15:]])) @ X0
     assert np.abs(expected - X1).max() < 1e-12
-    assert np.allclose(f.state.b_omega, c[9:12])
+    assert np.allclose(st.b_omega, c[9:12])
 
 
 def test_ekf_correction_is_world_frame():
     rng = np.random.default_rng(5)
     f = make_filter("ekf", rng)
-    R0, p0 = f.state.R.copy(), f.state.p.copy()
+    st0 = row_state(f)
     c = np.zeros(15)
     c[:3] = np.array([0.02, -0.01, 0.03])
     c[3:6] = np.array([1.0, 2.0, 3.0])
-    f.apply_correction(c)
-    assert np.abs(f.state.R - lie.so3_exp(c[:3]) @ R0).max() < 1e-14
-    assert np.allclose(f.state.p, p0 + c[3:6])
+    f.apply_correction(c[None])
+    assert np.abs(f.state.R[0] - lie.so3_exp(c[:3]) @ st0.R).max() < 1e-14
+    assert np.allclose(f.state.p[0], st0.p + c[3:6])
 
 
 @pytest.mark.parametrize("m", [0, 12])
 @pytest.mark.parametrize("n_clones", [0, 11])
 @pytest.mark.parametrize("tag", filters.ALL_TAGS)
 def test_correction_matches_per_clone_group_product(
-        tag, n_clones, m, monkeypatch, apply_correction_per_clone):
+        tag, n_clones, m, monkeypatch, apply_correction_per_clone,
+        one_filter):
     # the stacked correction against the per-pose one, clone by clone (the
     # group product sen_exp(c_i) X_i for the invariant error): the EKF
     # family bit for bit, the invariant error within 1e-14 of each part's
@@ -363,7 +385,7 @@ def test_correction_matches_per_clone_group_product(
     if n_clones:
         # a clone rotation row on the small-angle branch
         d[f.clone_index(3):f.clone_index(3) + 3] *= 1e-8
-    ref = copy.deepcopy(f)
+    ref = one_filter(f)
     calls = []
 
     def counted(fn):
@@ -374,18 +396,18 @@ def test_correction_matches_per_clone_group_product(
 
     for name in ("so3_exp_stack", "so3_left_jacobian"):
         monkeypatch.setattr(lie, name, counted(getattr(lie, name)))
-    f.apply_correction(d)
+    f.apply_correction(d[None])
     monkeypatch.undo()
     apply_correction_per_clone(ref, d)
     rows = (1 + n_clones, 3)
     assert calls == [("so3_exp_stack", rows)] + (
         [("so3_left_jacobian", rows)] if f.variant.invariant else [])
-    parts = [(f.state.R, ref.state.R), (f.state.p, ref.state.p),
-             (f.state.v, ref.state.v), (f.state.b_omega, ref.state.b_omega),
-             (f.state.b_a, ref.state.b_a), (f.clone_R, ref.clone_R),
-             (f.clone_p, ref.clone_p)]
+    got = one_filter(f)
+    parts = [(getattr(got.state, name), getattr(ref.state, name))
+             for name in ("R", "p", "v", "b_omega", "b_a")]
+    parts += [(got.clone_R, ref.clone_R), (got.clone_p, ref.clone_p)]
     if m:
-        parts.append((f.landmarks, ref.landmarks))
+        parts.append((got.landmarks, ref.landmarks))
     for got, want in parts:
         assert got.shape == want.shape
         if f.variant.invariant and want.size:
@@ -398,15 +420,15 @@ def test_clone_augment_then_marginalize_is_identity():
     rng = np.random.default_rng(6)
     for tag in ("iekf", "ekf"):
         f = make_filter(tag, rng)
-        P0 = f.P.copy()
+        P0 = f.P[0].copy()
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(R_c, p_c)
         assert f.dim == 21
-        assert np.array_equal(f.P, f.P.T)
+        assert np.array_equal(f.P[0], f.P[0].T)
         f.marginalize_clone(0)
         assert f.dim == 15
-        assert np.array_equal(f.P, f.P.T)
-        assert np.abs(f.P - P0).max() < 1e-12
+        assert np.array_equal(f.P[0], f.P[0].T)
+        assert np.abs(f.P[0] - P0).max() < 1e-12
 
 
 def test_clone_block_symmetrization_matches_full_pass():
@@ -416,17 +438,18 @@ def test_clone_block_symmetrization_matches_full_pass():
     rng = np.random.default_rng(16)
     f = make_filter("ekf", rng)
     A = rng.normal(0.0, 0.1, (15, 15))
-    f.P = A @ A.T
-    assert np.array_equal(f.P, f.P.T)
+    P = A @ A.T
+    f.P = P[None]
+    assert np.array_equal(P, P.T)
     R_c, p_c = vision.camera_pose(
-        f.state, vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
+        row_state(f), vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
     J = np.zeros((6, 15))
     J[:6, :6] = np.eye(6)
-    J[3:6, :3] = -lie.so3_hat(p_c - f.state.p)
-    PJt = f.P @ J.T
-    full = np.block([[f.P, PJt], [PJt.T, J @ PJt]])
+    J[3:6, :3] = -lie.so3_hat(p_c - f.state.p[0])
+    PJt = P @ J.T
+    full = np.block([[P, PJt], [PJt.T, J @ PJt]])
     f.clone_camera_pose(R_c, p_c)
-    assert np.array_equal(f.P, 0.5 * (full + full.T))
+    assert np.array_equal(f.P[0], 0.5 * (full + full.T))
 
 
 def test_clone_covariance_blocks():
@@ -435,77 +458,79 @@ def test_clone_covariance_blocks():
     R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
     f.clone_camera_pose(R_c, p_c)
     # invariant clone error equals the IMU pose error: exact identity blocks
-    assert np.allclose(f.P[15:18, 15:18], f.P[:3, :3])
-    assert np.allclose(f.P[18:21, 18:21], f.P[3:6, 3:6])
-    assert np.allclose(f.P[15:21, :6], f.P[:6, :6])
+    P = f.P[0]
+    assert np.allclose(P[15:18, 15:18], P[:3, :3])
+    assert np.allclose(P[18:21, 18:21], P[3:6, 3:6])
+    assert np.allclose(P[15:21, :6], P[:6, :6])
     assert np.array_equal(f.clone_R, [R_c]) and np.array_equal(f.clone_p,
                                                                [p_c])
 
 
 @pytest.mark.parametrize("tag", ["ekf", "iekf"])
 def test_clone_blocks_match_block_and_ix_oracles(tag, clone_camera_pose_block,
-                                                 marginalize_clone_ix):
+                                                 marginalize_clone_ix,
+                                                 one_filter):
     # the augmented and the marginalized covariance written by block copies
     # equal the np.block and np.ix_ forms bit for bit, on a dense P, and
     # the old P is left as it was
     rng = np.random.default_rng(23)
     f = make_filter(tag, rng)
     A = rng.normal(0.0, 0.1, (15, 15))
-    f.P = A @ A.T
+    f.P = (A @ A.T)[None]
     ext = vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2]))
-    want = copy.deepcopy(f)
+    want = one_filter(f)
     for _ in range(5):
         f.state.R = lie.so3_exp(rng.normal(0.0, 0.3, 3)) @ f.state.R
         f.state.p = f.state.p + rng.normal(0.0, 1.0, 3)
-        want.state = f.state.copy()
-        R_c, p_c = vision.camera_pose(f.state, ext)
+        want.state = row_state(f)
+        R_c, p_c = vision.camera_pose(want.state, ext)
         P_old = f.P
         before = P_old.copy()
         f.clone_camera_pose(R_c, p_c)
         clone_camera_pose_block(want, R_c, p_c)
-        assert f.P.tobytes() == want.P.tobytes()
+        assert f.P[0].tobytes() == want.P.tobytes()
         assert P_old.tobytes() == before.tobytes()
     for i in (0, 2, 4):
-        got, old = copy.deepcopy(f), copy.deepcopy(f)
+        got, old = copy.deepcopy(f), one_filter(f)
         got.marginalize_clone(i)
         marginalize_clone_ix(old, i)
-        assert got.P.shape == (39, 39)
-        assert got.P.tobytes() == old.P.tobytes()
-        assert got.clone_R.tobytes() == old.clone_R.tobytes()
-        assert got.clone_p.tobytes() == old.clone_p.tobytes()
-    assert f.P.tobytes() == want.P.tobytes()
+        assert got.P.shape == (1, 39, 39)
+        assert got.P[0].tobytes() == old.P.tobytes()
+        assert got.clone_R[0].tobytes() == old.clone_R.tobytes()
+        assert got.clone_p[0].tobytes() == old.clone_p.tobytes()
+    assert f.P[0].tobytes() == want.P.tobytes()
 
 
 def nees_one(f, errors):
-    """``filters.nees`` of one filter with its error pair (3,) each."""
-    pos, ang = filters.nees([f], (errors[0][None], errors[1][None]))
+    """``filters.nees`` of a bank of one with its error pair (3,) each."""
+    pos, ang = filters.nees(f, (errors[0][None], errors[1][None]))
     return pos[0], ang[0]
 
 
 def test_nees_trivial_values():
     rng = np.random.default_rng(8)
     f = make_filter("iekf", rng, P_scale=0.04)
-    truth = f.state.copy()
-    pos, ang = filters.nees([f], filters.errors([f], truth))
+    truth = row_state(f)
+    pos, ang = filters.nees(f, filters.errors(f, truth))
     assert pos[0] < 1e-20 and ang[0] < 1e-20
     # error = sigma * unit vector with P = sigma^2 I gives NEES = 1/3
     f2 = make_filter("ekf", rng, P_scale=0.04)
-    truth2 = f2.state.copy()
+    truth2 = row_state(f2)
     truth2.p = truth2.p + np.array([0.2, 0.0, 0.0])
-    pos2, _ = filters.nees([f2], filters.errors([f2], truth2))
+    pos2, _ = filters.nees(f2, filters.errors(f2, truth2))
     assert abs(pos2[0] - 1.0 / 3.0) < 1e-12
 
 
 def test_nees_rejects_singular_covariance():
     rng = np.random.default_rng(9)
     f = make_filter("iekf", rng, P_scale=0.0)
-    truth = f.state.copy()
+    truth = row_state(f)
     with pytest.raises(SingularCovariance):
-        filters.nees([f], filters.errors([f], truth))
+        filters.nees(f, filters.errors(f, truth))
     # one singular filter among well-conditioned ones fails the stack
-    g = make_filter("ekf", rng)
+    bank = filters.FilterInstance.stack([make_filter("ekf", rng), f])
     with pytest.raises(SingularCovariance):
-        filters.nees([g, f], filters.errors([g, f], truth))
+        filters.nees(bank, filters.errors(bank, truth))
 
 
 def test_nees_guard_is_scale_free():
@@ -514,21 +539,22 @@ def test_nees_guard_is_scale_free():
     A = rng.normal(0.0, 1.0, (6, 6))
     C = A @ A.T + 6.0 * np.eye(6)     # well conditioned, unit scale
     err = (rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
-    f.P[:6, :6] = C
+    f.P[0, :6, :6] = C
     ref = nees_one(f, err)
     # the same covariance at 1e-11 m^2 (and rad^2), errors scaled alike
-    f.P[:6, :6] = 1e-11 * C
+    f.P[0, :6, :6] = 1e-11 * C
     scaled = nees_one(f, (err[0] * np.sqrt(1e-11), err[1] * np.sqrt(1e-11)))
     assert np.allclose(scaled, ref, rtol=1e-12, atol=0.0)
     # a large block with condition number 1e14 factors but is rejected
     U = np.linalg.qr(rng.normal(0.0, 1.0, (3, 3)))[0]
-    f.P[3:6, 3:6] = 1e6 * U @ np.diag([1.0, 1.0, 1e-14]) @ U.T
+    f.P[0, 3:6, 3:6] = 1e6 * U @ np.diag([1.0, 1.0, 1e-14]) @ U.T
     with pytest.raises(SingularCovariance):
         nees_one(f, err)
 
 
 def test_stacked_errors_and_nees_equal_per_filter_oracles(errors_filter,
-                                                         nees_filter):
+                                                         nees_filter,
+                                                         one_filter):
     # every variant, with landmarks, against one truth: the stacked
     # errors and NEES equal the per-filter ones bit for bit
     rng = np.random.default_rng(33)
@@ -537,12 +563,14 @@ def test_stacked_errors_and_nees_equal_per_filter_oracles(errors_filter,
              for tag in filters.ALL_TAGS + ("ekf", "iekf")]
     for f in filts:
         A = rng.normal(0.0, 0.1, (f.dim, f.dim))
-        f.P = A @ A.T + 1e-3 * np.eye(f.dim)
+        f.P = (A @ A.T + 1e-3 * np.eye(f.dim))[None]
+    bank = filters.FilterInstance.stack(filts)
     truth = make_state(rng)
-    pos_err, ang_err = filters.errors(filts, truth)
-    pos_nees, ang_nees = filters.nees(filts, (pos_err, ang_err))
+    pos_err, ang_err = filters.errors(bank, truth)
+    pos_nees, ang_nees = filters.nees(bank, (pos_err, ang_err))
     assert pos_err.shape == ang_err.shape == (len(filts), 3)
-    for i, f in enumerate(filts):
+    for i in range(len(filts)):
+        f = one_filter(bank, i)
         want = errors_filter(f, truth)
         assert pos_err[i].tobytes() == want[0].tobytes()
         assert ang_err[i].tobytes() == want[1].tobytes()
@@ -577,13 +605,13 @@ def finite_difference_F(filt_tag, st, lms, omega, accel, sen_log, dt=1e-5):
             truth = filters.FilterInstance(
                 filters.FilterVariant(filt_tag), st,
                 np.eye(d) * 0.01, imu.ImuNoiseSpec(), landmarks=lms)
-            truth.apply_correction(c)
+            truth.apply_correction(c[None])
             # both consume the same raw reading; each subtracts its own bias
-            tru_next = imu.propagate_mean(truth.state, omega, accel, dt,
-                                          g)[0]
+            tru_next = imu.propagate_mean(row_state(truth), omega, accel,
+                                          dt, g)[0]
             est_next = imu.propagate_mean(st, omega, accel, dt, g)[0]
             rows.append(correction_between(filt_tag, est_next, tru_next,
-                                           truth.landmarks, lms, sen_log))
+                                           truth.landmarks[0], lms, sen_log))
         # (c_next(+eps) - c_next(-eps)) / (2 eps) is a column of the one-step
         # map I + F dt
         F_fd[:, a] = (rows[0] - rows[1]) / 2e-6
@@ -733,26 +761,28 @@ def test_predict_propagates_clones_like_propagate_covariance(
         f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(R_c, p_c)
-        F, G, U = variant_jacobians(tag, f.state, f.landmarks, ACCEL[0])
+        F, G, U = variant_jacobians(tag, row_state(f), f.landmarks[0],
+                                    ACCEL[0])
         Q = f.noise.q_imu()
         V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
                                            imu.noise_kernel(Q, dt), dt)
-        expected, = imu.propagate_covariance([f.P], V, Qd, U[None])
+        expected, = imu.propagate_covariance(f.P, V, Qd, U[None])
         # the same step on the square 27 x 27 dynamics, clones static
         F_sq, G_sq = expand(F, G, U, 27)
-        dense = dense_closed_form(f.P, square(F_sq, 27), G_sq, Q, dt)
-        clone_block = f.P[21:, 21:].copy()
+        dense = dense_closed_form(f.P[0], square(F_sq, 27), G_sq, Q, dt)
+        clone_block = f.P[0, 21:, 21:].copy()
         f.predict(OMEGA, ACCEL, dt)
-        assert np.array_equal(f.P, expected)
-        assert np.abs(f.P - dense).max() <= 1e-12 * np.abs(dense).max()
-        assert np.array_equal(f.P[21:, 21:], clone_block)
+        assert np.array_equal(f.P[0], expected)
+        assert np.abs(f.P[0] - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.array_equal(f.P[0, 21:, 21:], clone_block)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
 @pytest.mark.parametrize("m", [0, 3])
 @pytest.mark.parametrize("tag", filters.ALL_TAGS)
 def test_interval_predict_matches_per_step_chain(tag, m, n,
-                                                 predict_per_step):
+                                                 predict_per_step,
+                                                 one_filter):
     # one predict over n readings against n per-step predicts (per-step
     # draws, full landmark rows, the d x d step each time), with landmarks
     # and two clones: the covariance within 1e-12 and exactly symmetric,
@@ -760,24 +790,25 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
     rng = np.random.default_rng(32)
     f = make_filter(tag, rng, r=0.3 if tag == "ij_iekf" else 0.0,
                     landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
-    f.state.b_omega = rng.normal(0.0, 0.01, 3)
-    f.state.b_a = rng.normal(0.0, 0.1, 3)
+    f.state.b_omega[0] = rng.normal(0.0, 0.01, 3)
+    f.state.b_a[0] = rng.normal(0.0, 0.1, 3)
     A = rng.normal(0.0, 0.1, (f.dim, f.dim))
-    f.P = A @ A.T + 1e-3 * np.eye(f.dim)
+    f.P = (A @ A.T + 1e-3 * np.eye(f.dim))[None]
     for _ in range(2):
         R_c, p_c = vision.camera_pose(
             f.state, vision.Extrinsics(p_ic=np.array([0.1, -0.05, 0.2])))
         f.clone_camera_pose(R_c, p_c)
     omega, accel = interval_readings(rng, n)
-    ref = copy.deepcopy(f)
+    ref = one_filter(f)
     f.predict(omega, accel, 0.01)
     predict_per_step(ref, omega, accel, 0.01)
-    assert np.abs(f.P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
-    assert np.array_equal(f.P, f.P.T)
+    P = f.P[0]
+    assert np.abs(P - ref.P).max() <= 1e-12 * np.abs(ref.P).max()
+    assert np.array_equal(P, P.T)
     for name in ("R", "p", "v", "b_omega", "b_a"):
-        assert np.array_equal(getattr(f.state, name),
+        assert np.array_equal(getattr(f.state, name)[0],
                               getattr(ref.state, name))
-    assert f.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert f.rngs[0].bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_batched_error_model_equals_one_call_per_filter():
@@ -826,38 +857,42 @@ def test_predict_all_equals_predict_per_filter():
                  ("iekf", "ij_iekf", "ekf")]:
         filts = []
         for i, tag in enumerate(tags):
-            f = make_filter(tag, rng, landmarks=lms.copy(),
+            f = make_filter(tag, rng, landmarks=lms.copy(), noise=noise,
                             r=0.3 * (i % 2) if tag == "ij_iekf" else 0.0)
-            f.noise = noise
             A = rng.normal(0.0, 0.1, (f.dim, f.dim))
-            f.P = A @ A.T + 1e-3 * np.eye(f.dim)
+            f.P = (A @ A.T + 1e-3 * np.eye(f.dim))[None]
             filts.append(f)
         padded = any(f.variant.r > 0 for f in filts)
         refs = copy.deepcopy(filts)
-        filters.predict_all(filts, omega, accel, 0.01)
-        for f, ref in zip(filts, refs):
+        bank = filters.FilterInstance.stack(filts)
+        filters.predict_all(bank, omega, accel, 0.01)
+        for i, ref in enumerate(refs):
             ref.predict(omega, accel, 0.01)
             for name in ("R", "p", "v", "b_omega", "b_a"):
-                assert np.array_equal(getattr(f.state, name),
-                                      getattr(ref.state, name))
-            assert f.rng.bit_generator.state == ref.rng.bit_generator.state
-            assert np.array_equal(f.P, f.P.T)
-            if f.variant.invariant and f.variant.r == 0 and padded:
-                assert (np.abs(f.P - ref.P).max()
+                assert np.array_equal(getattr(bank.state, name)[i],
+                                      getattr(ref.state, name)[0])
+            assert (bank.rngs[i].bit_generator.state
+                    == ref.rngs[0].bit_generator.state)
+            P = bank.P[i]
+            assert np.array_equal(P, P.T)
+            if ref.variant.invariant and ref.variant.r == 0 and padded:
+                assert (np.abs(P - ref.P[0]).max()
                         <= 1e-12 * np.abs(ref.P).max())
             else:
-                assert np.array_equal(f.P, ref.P), f.variant.label
+                assert np.array_equal(P, ref.P[0]), ref.variant.label
 
 
 def test_predict_all_rejects_mixed_layouts():
+    # a bank takes one state layout and one noise spec
     rng = np.random.default_rng(36)
     a = make_filter("iekf", rng, landmarks=np.zeros((2, 3)))
     b = make_filter("iekf", rng)
     with pytest.raises(ValueError):
-        filters.predict_all([a, b], OMEGA, ACCEL, 0.01)
-    c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)))
+        filters.FilterInstance.stack([a, b])
+    c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)),
+                    noise=imu.ImuNoiseSpec())
     with pytest.raises(ValueError):
-        filters.predict_all([a, c], OMEGA, ACCEL, 0.01)
+        filters.FilterInstance.stack([a, c])
 
 
 def test_fej_linearizes_at_first_landmark_estimates():
@@ -876,35 +911,39 @@ def test_fej_linearizes_at_first_landmark_estimates():
                                np.eye(24) * 0.01, imu.ImuNoiseSpec(),
                                landmarks=p_c + x_cam @ R_c.T)
     assert np.array_equal(f.first_landmarks, f.landmarks)
-    assert f.first_landmarks is not f.landmarks
-    first = f.first_landmarks.copy()
+    assert not np.shares_memory(f.first_landmarks, f.landmarks)
+    first = f.first_landmarks[0].copy()
     model = vision.CameraModel()
     f.predict(OMEGA, ACCEL, 0.01)
     idx = np.array([2, 0, 1])
-    (r, H, N, kept), = vision.landmark_measurement(
-        [f], model, ext, model.project(x_cam[idx])[0] + 3.0, 1.0,
+    (_, r, H, N, kept), = vision.landmark_measurement(
+        f, model, ext, model.project(x_cam[idx])[0] + 3.0, 1.0,
         landmark_index=idx)
     assert len(kept) == 3
     f.update_raw(r, H, N)
-    assert np.array_equal(f.first_landmarks, first)
-    assert not np.allclose(f.landmarks, first)
+    assert np.array_equal(f.first_landmarks[0], first)
+    assert not np.allclose(f.landmarks[0], first)
     f.predict(OMEGA, ACCEL, 0.01)
-    assert np.array_equal(f.first_landmarks, first)
-    ekf = copy.deepcopy(f)
-    ekf.variant, ekf.first_landmarks = filters.FilterVariant("ekf"), None
-    (r, H, _, _), (r_ekf, H_ekf, _, _) = vision.landmark_measurement(
-        [f, ekf], model, ext, model.project(x_cam[idx])[0], 1.0,
+    assert np.array_equal(f.first_landmarks[0], first)
+    # the ekf at fej's state, in one bank with it
+    st = row_state(f)
+    bank = filters.FilterInstance.stack([f, filters.FilterInstance(
+        filters.FilterVariant("ekf"), st, f.P[0], f.noise,
+        landmarks=f.landmarks[0])])
+    (_, r2, H2, _, _), = vision.landmark_measurement(
+        bank, model, ext, model.project(x_cam[idx])[0], 1.0,
         landmark_index=idx)
-    R_c, p_c = vision.camera_pose(f.state, ext)
-    _, J_pi = model.project(vision.world_to_camera(R_c, p_c,
-                                                   f.landmarks[idx]))
+    (r, r_ekf), (H, H_ekf) = r2, H2
+    R_c, p_c = vision.camera_pose(st, ext)
+    lms = f.landmarks[0]
+    _, J_pi = model.project(vision.world_to_camera(R_c, p_c, lms[idx]))
     for i, j in enumerate(idx):
         rows = slice(2 * i, 2 * i + 2)
         JS = J_pi[i] @ R_c.T
-        want = JS @ lie.so3_hat(first[j] - f.state.p)
+        want = JS @ lie.so3_hat(first[j] - st.p)
         assert np.abs(H[rows, :3] - want).max() <= 1e-12 * np.abs(want).max()
         assert np.allclose(H_ekf[rows, :3],
-                           JS @ lie.so3_hat(f.landmarks[j] - f.state.p))
+                           JS @ lie.so3_hat(lms[j] - st.p))
     assert not np.allclose(H[:, :3], H_ekf[:, :3])
     assert np.array_equal(H[:, 3:], H_ekf[:, 3:])
     assert np.array_equal(r, r_ekf)

@@ -32,7 +32,7 @@ def one_step(P, F, G, U, Q, dt):
     for a batch of one filter."""
     V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
                                        imu.noise_kernel(Q, dt), dt)
-    return imu.propagate_covariance([P], V, Qd, U[None])[0]
+    return imu.propagate_covariance(P[None], V, Qd, U[None])[0]
 
 
 def test_propagate_mean_free_fall(identity_state):
@@ -256,11 +256,11 @@ def test_leading_columns_match_square_f(expand, square, dense_closed_form,
 
 def test_propagate_covariance_rejects_wide_f():
     with pytest.raises(ValueError):
-        imu.propagate_covariance([np.eye(15)], np.zeros((1, 15, 16)),
+        imu.propagate_covariance(np.eye(15)[None], np.zeros((1, 15, 16)),
                                  np.zeros((1, 15, 15)), np.zeros((1, 0, 0)))
     # U must have one column per basis row of V
     with pytest.raises(ValueError):
-        imu.propagate_covariance([np.eye(21)], np.zeros((1, 18, 15)),
+        imu.propagate_covariance(np.eye(21)[None], np.zeros((1, 18, 15)),
                                  np.zeros((1, 18, 18)), np.zeros((1, 6, 2)))
 
 
@@ -363,15 +363,17 @@ def test_batched_covariance_step_equals_one_call_per_filter(n, r):
         for _ in range(b):
             A = rng.normal(0.0, 0.1, (d, d))
             Ps.append(A @ A.T + 1e-3 * np.eye(d))
-        before = [P.copy() for P in Ps]
+        Ps = np.array(Ps)
+        before = Ps.copy()
         got = imu.propagate_covariance(Ps, V, Q, U)
-        assert len(got) == b
+        assert got.shape == (b, d, d)
         for i in range(b):
             V_i, Q_i = imu.compose_error_dynamics(F[i:i + 1], G[i:i + 1],
                                                   kernel, 0.02)
             assert V[i].tobytes() == V_i[0].tobytes()
             assert Q[i].tobytes() == Q_i[0].tobytes()
-            want, = imu.propagate_covariance([Ps[i]], V_i, Q_i, U[i:i + 1])
+            want, = imu.propagate_covariance(Ps[i:i + 1], V_i, Q_i,
+                                             U[i:i + 1])
             assert got[i].tobytes() == want.tobytes()
             assert np.array_equal(got[i], got[i].T)
             assert np.array_equal(Ps[i], before[i])

@@ -67,6 +67,20 @@ def test_duration_must_be_whole_camera_intervals(tmp_path):
         config.load_config(str(path))
 
 
+def test_sliding_window_refuses_fej():
+    # the clone rows have no first estimates, so fej would run the ekf's
+    # numbers under its own label; the other variants run
+    sc = sim.Scenario(duration=1.0, imu_rate=100.0, cam_rate=5.0,
+                      n_landmarks=200, max_range=90.0)
+    truth = sim.synthesize_truth(sc, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="fej"):
+        sim.run_sliding_window(sc, truth, filters.FilterVariant("fej"))
+    for tag in ("ekf", "iekf"):
+        _, errs = sim.run_sliding_window(sc, truth,
+                                         filters.FilterVariant(tag))
+        assert len(errs) == 5 and np.isfinite(errs).all()
+
+
 def test_noise_free_stream_dead_reckons_trajectory():
     # 200 Hz, 100 s: integrating the noise-free stream through the exact
     # one-step propagator stays within 5 cm of the analytic trajectory
@@ -293,7 +307,8 @@ def test_noiseless_exact_init_gives_tiny_rmse():
         filts.append(filters.FilterInstance(v, st, P0, sc.noise,
                                             rng=np.random.default_rng(1),
                                             landmarks=truth.landmarks.copy()))
-    for v, records in zip(variants, sim.run_filter(sc, truth, frames, filts)):
+    bank = filters.FilterInstance.stack(filts)
+    for v, records in zip(variants, sim.run_filter(sc, truth, frames, bank)):
         pos_rmse = np.sqrt(np.mean([r[3] ** 2 for r in records]))
         assert pos_rmse < 1e-6, v.label
 
@@ -349,11 +364,12 @@ def test_iekf_beside_ij_iekf_zero_is_bit_identical(
     assert np.array_equal(got["iekf"], got["ij_iekf-0"])
 
 
-def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
-    # one filter's estimate of a landmark lies above the vehicle, behind
-    # its down-looking camera: its observations of that landmark are
-    # dropped while the other filters keep them, so each filter takes its
-    # own rows, and the records still equal the per-variant driver's
+def kept_observations_differ(moved):
+    """(scenario, truth, frames, build) of a 2 s realization of the study's
+    shape where the ekf, iekf and fej filters of ``moved`` estimate the
+    first landmark of the first frame 30 m above the vehicle, behind its
+    down-looking camera, so that they drop its observations;
+    ``build()`` returns fresh banks of one of the three filters."""
     sc = sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0)
     rng = np.random.default_rng(21)
     truth = sim.synthesize_truth(sc, rng)
@@ -361,37 +377,67 @@ def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
     frames = [sim.camera_frame(sc, st, truth.landmarks, rng)
               for st in truth.states[every::every]]
     j = next(iter(frames[0]))
-    variants = [filters.FilterVariant("ekf"), filters.FilterVariant("iekf"),
-                filters.FilterVariant("fej")]
 
     def build():
         filts = []
-        for v in variants:
-            f = sim.perturbed_filter(v, truth.states[0], truth.landmarks,
+        for tag in ("ekf", "iekf", "fej"):
+            f = sim.perturbed_filter([filters.FilterVariant(tag)],
+                                     truth.states[0], truth.landmarks,
                                      STUDY_INIT, sc,
                                      np.random.default_rng(5))
-            if v.tag == "iekf":
-                f.landmarks[j, 2] = f.state.p[2] + 30.0
+            if tag in moved:
+                f.landmarks[0, j, 2] = f.state.p[0, 2] + 30.0
             filts.append(f)
         return filts
 
+    return sc, truth, frames, build
+
+
+def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
+    # one filter's estimate of a landmark lies above the vehicle, behind
+    # its down-looking camera: its observations of that landmark are
+    # dropped while the other filters keep them, so it takes its own
+    # update, and the records still equal the per-variant driver's
+    sc, truth, frames, build = kept_observations_differ(("iekf",))
     filts = build()
     frame = frames[0]
-    rows = vision.landmark_measurement(
-        filts, sc.camera, sc.extrinsics, list(frame.values()),
-        sc.pixel_sigma, landmark_index=list(frame))
-    kept = [r[3] for r in rows]
-    assert len(kept[1]) == len(frame) - 1
-    assert np.array_equal(kept[0], kept[2]) and len(kept[0]) == len(frame)
-    got = sim.run_filter(sc, truth, frames, filts)
+    groups = vision.landmark_measurement(
+        filters.FilterInstance.stack(filts), sc.camera, sc.extrinsics,
+        list(frame.values()), sc.pixel_sigma, landmark_index=list(frame))
+    kept = {tuple(rows): k for rows, _, _, _, k in groups}
+    assert kept.keys() == {(0, 2), (1,)}
+    assert len(kept[1,]) == len(frame) - 1 and len(kept[0, 2]) == len(frame)
+    got = sim.run_filter(sc, truth, frames,
+                         filters.FilterInstance.stack(filts))
     want = [run_filter_per_variant(sc, truth, frames, f) for f in build()]
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_lock_step_when_two_filters_drop_one_observation(
+        run_filter_per_variant):
+    # the ekf and fej drop the same observation and the iekf keeps it: two
+    # groups of kept observations, one of two rows updated in one call,
+    # and every filter's records equal the per-variant driver's
+    sc, truth, frames, build = kept_observations_differ(("ekf", "fej"))
+    frame = frames[0]
+    groups = vision.landmark_measurement(
+        filters.FilterInstance.stack(build()), sc.camera, sc.extrinsics,
+        list(frame.values()), sc.pixel_sigma, landmark_index=list(frame))
+    kept = {tuple(rows): len(k) for rows, _, _, _, k in groups}
+    assert kept == {(0, 2): len(frame) - 1, (1,): len(frame)}
+    got = sim.run_filter(sc, truth, frames,
+                         filters.FilterInstance.stack(build()))
+    want = [run_filter_per_variant(sc, truth, frames, f) for f in build()]
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert g.tobytes() == np.array(w).tobytes()
+
+
 def test_run_filter_updates_the_filters_in_one_call(monkeypatch):
-    # one update_raw of the list per camera epoch when the filters keep the
-    # same observations; one per filter, with its own rows, when they differ
+    # one update_raw of the bank per camera epoch when the filters keep the
+    # same observations; one per group of rows that keeps the same ones,
+    # with the group's rows, when they differ
     sc = sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0)
     rng = np.random.default_rng(21)
     truth = sim.synthesize_truth(sc, rng)
@@ -401,31 +447,34 @@ def test_run_filter_updates_the_filters_in_one_call(monkeypatch):
     original = filters.FilterInstance.update_raw
     calls = []
 
-    def update_raw(self, residual, H, N):
-        calls.append((self, np.shape(residual), np.shape(H)))
-        return original(self, residual, H, N)
+    def update_raw(self, residual, H, N, rows=None):
+        calls.append((self, np.shape(residual), np.shape(H), rows))
+        return original(self, residual, H, N, rows)
 
     monkeypatch.setattr(filters.FilterInstance, "update_raw", update_raw)
-    filts = [sim.perturbed_filter(v, truth.states[0], truth.landmarks,
-                                  STUDY_INIT, sc, np.random.default_rng(5))
-             for v in STUDY_VARIANTS]
+
+    def bank():
+        return sim.perturbed_filter(STUDY_VARIANTS, truth.states[0],
+                                    truth.landmarks, STUDY_INIT, sc,
+                                    np.random.default_rng(5))
+    b = len(STUDY_VARIANTS)
+    filts = bank()
     sim.run_filter(sc, truth, frames, filts)
     assert len(calls) == len(frames)
-    for self, residual, H in calls:
-        assert self == filts
-        assert residual[0] == H[0] == len(filts) and H[2] == filts[0].dim
+    for self, residual, H, rows in calls:
+        assert self is filts and rows is None
+        assert residual[0] == H[0] == b and H[2] == filts.dim
     # the iekf estimate of a landmark behind the camera (as in
     # test_lock_step_when_kept_observations_differ)
     calls.clear()
-    filts = [sim.perturbed_filter(v, truth.states[0], truth.landmarks,
-                                  STUDY_INIT, sc, np.random.default_rng(5))
-             for v in STUDY_VARIANTS]
-    filts[2].landmarks[next(iter(frames[0])), 2] = filts[2].state.p[2] + 30.0
+    filts = bank()
+    filts.landmarks[2, next(iter(frames[0])), 2] = filts.state.p[2, 2] + 30.0
     sim.run_filter(sc, truth, frames, filts)
-    each = [c for c in calls if not isinstance(c[0], list)]
-    assert [c[0] for c in each[:len(filts)]] == filts
-    assert all(len(c[1]) == 1 and len(c[2]) == 2 for c in each)
-    assert len(calls) - len(each) == len(frames) - len(each) // len(filts)
+    grouped = [c for c in calls if c[3] is not None]
+    assert sorted(tuple(c[3]) for c in grouped[:2]) == [(0, 1, 3, 4), (2,)]
+    assert all(c[1][0] == c[2][0] == len(c[3]) for c in grouped)
+    # an epoch updates the bank in one call or its two groups in two
+    assert len(calls) - len(grouped) // 2 == len(frames)
 
 
 def test_run_filter_propagates_one_covariance_bank(monkeypatch):
@@ -454,16 +503,15 @@ def test_run_filter_propagates_one_covariance_bank(monkeypatch):
     spy(imu, "propagate_covariance")
     for variants in (STUDY_VARIANTS, STUDY_VARIANTS[:2]):
         calls.clear()
-        filts = [sim.perturbed_filter(v, truth.states[0], truth.landmarks,
-                                      STUDY_INIT, sc,
-                                      np.random.default_rng(5))
-                 for v in variants]
-        sim.run_filter(sc, truth, frames, filts)
+        bank = sim.perturbed_filter(variants, truth.states[0],
+                                    truth.landmarks, STUDY_INIT, sc,
+                                    np.random.default_rng(5))
+        sim.run_filter(sc, truth, frames, bank)
         assert len(calls) == 3
         assert all(len(c) == len(frames) for c in calls.values())
-        assert all(len(U) == len(filts)
+        assert all(len(U) == len(variants)
                    for _, _, U in calls["error_jacobians"])
-    assert [f.variant.tag for f in filts] == ["ekf", "fej"]
+    assert [v.tag for v in bank.variants] == ["ekf", "fej"]
     assert all(U.shape[-1] == 0 for _, _, U in calls["error_jacobians"])
 
 

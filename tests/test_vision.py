@@ -23,6 +23,7 @@ def pixel(model, x_cam):
 
 
 def make_filter(tag, rng, landmarks=None):
+    """A bank of one filter."""
     st = imu.ImuState(
         lie.so3_exp(rng.normal(0.0, 0.3, 3)),
         rng.normal(0.0, 5.0, 3),
@@ -32,6 +33,11 @@ def make_filter(tag, rng, landmarks=None):
     return filters.FilterInstance(
         filters.FilterVariant(tag), st, np.eye(15 + 3 * m) * 0.01,
         imu.ImuNoiseSpec(), landmarks=landmarks)
+
+
+def row_state(bank, i=0):
+    """The state of row ``i`` of ``bank``, copied, with 2-D fields."""
+    return imu.ImuState(*(x[i].copy() for x in vars(bank.state).values()))
 
 
 def test_pinhole_projection_values():
@@ -92,13 +98,13 @@ def fd_measurement_jacobian(filt, ext, landmark_index):
         for sgn in (1.0, -1.0):
             c = np.zeros(d)
             c[a] = sgn * eps
-            g = filters.FilterInstance(filt.variant, filt.state,
-                                       filt.P, imu.ImuNoiseSpec(),
-                                       landmarks=filt.landmarks)
-            g.apply_correction(c)
-            R_c, p_c = vision.camera_pose(g.state, ext)
+            g = filters.FilterInstance(filt.variant, row_state(filt),
+                                       filt.P[0], imu.ImuNoiseSpec(),
+                                       landmarks=filt.landmarks[0])
+            g.apply_correction(c[None])
+            R_c, p_c = vision.camera_pose(row_state(g), ext)
             cols.append(pixel(MODEL, vision.world_to_camera(
-                R_c, p_c, g.landmarks[landmark_index])))
+                R_c, p_c, g.landmarks[0, landmark_index])))
         H_fd[:, a] = (cols[0] - cols[1]) / (2 * eps)
     return H_fd
 
@@ -109,45 +115,45 @@ def test_landmark_jacobian_in_state(tag):
     ext = vision.Extrinsics()
     f = make_filter(tag, rng, landmarks=rng.normal(0.0, 3.0, (2, 3)))
     # place landmarks in front of the camera
-    R_c, p_c = vision.camera_pose(f.state, ext)
-    f.landmarks = np.array([p_c + R_c @ np.array([0.5, 0.2, 5.0]),
-                            p_c + R_c @ np.array([-1.0, 0.8, 7.0])])
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
+    f.landmarks[0] = np.array([p_c + R_c @ np.array([0.5, 0.2, 5.0]),
+                               p_c + R_c @ np.array([-1.0, 0.8, 7.0])])
     j = 1
-    pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[j]))
-    (_, H, _, _), = vision.landmark_measurement([f], MODEL, ext, [pix], 1.0,
-                                                landmark_index=[j])
+    pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[0, j]))
+    (_, _, H, _, _), = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
+                                                   landmark_index=[j])
     H_fd = fd_measurement_jacobian(f, ext, j)
-    assert np.abs(H - H_fd).max() < 1e-4
+    assert np.abs(H[0] - H_fd).max() < 1e-4
 
 
 def test_landmark_residual_at_truth_is_zero():
     rng = np.random.default_rng(4)
     ext = vision.Extrinsics()
     f = make_filter("iekf", rng, landmarks=np.zeros((1, 3)))
-    R_c, p_c = vision.camera_pose(f.state, ext)
-    f.landmarks = (p_c + R_c @ np.array([0.0, 0.0, 4.0]))[None, :]
-    pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[0]))
-    (r, _, N, _), = vision.landmark_measurement([f], MODEL, ext, [pix], 2.0,
-                                                landmark_index=[0])
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
+    f.landmarks[0, 0] = p_c + R_c @ np.array([0.0, 0.0, 4.0])
+    pix = pixel(MODEL, vision.world_to_camera(R_c, p_c, f.landmarks[0, 0]))
+    (_, r, _, N, _), = vision.landmark_measurement(f, MODEL, ext, [pix], 2.0,
+                                                   landmark_index=[0])
     assert np.abs(r).max() < 1e-12
     assert np.allclose(N, 4.0 * np.eye(2))
 
 
 def epoch_in_front(tag, rng, n=5):
-    """A filter with n in-state landmarks in front of its camera (fej's
-    first estimates moved off the estimate) and noisy pixels of all of
-    them."""
+    """A bank of one filter with n in-state landmarks in front of its
+    camera (fej's first estimates moved off the estimate) and noisy pixels
+    of all of them."""
     ext = vision.Extrinsics(R_ic=lie.so3_exp(rng.normal(0.0, 0.2, 3)),
                             p_ic=rng.normal(0.0, 0.1, 3))
     f = make_filter(tag, rng, landmarks=np.zeros((n, 3)))
-    R_c, p_c = vision.camera_pose(f.state, ext)
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
     x_cam = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
                              rng.uniform(3.0, 9.0, n)])
-    f.landmarks = p_c + x_cam @ R_c.T
+    f.landmarks[0] = p_c + x_cam @ R_c.T
     # drawn for every tag, so that each tag's pixel noise is the same
-    first = f.landmarks + rng.normal(0.0, 0.3, (n, 3))
+    first = f.landmarks[0] + rng.normal(0.0, 0.3, (n, 3))
     if tag == "fej":
-        f.first_landmarks = first
+        f.first_landmarks[0] = first
     pix, _ = MODEL.project(x_cam)
     return f, ext, pix + rng.normal(0.0, 1.0, (n, 2))
 
@@ -162,8 +168,9 @@ def test_epoch_rows_stack_single_observation_rows(tag, in_state):
     order = np.array([3, 0, 4, 1, 2])
 
     def rows(sel):
-        return vision.landmark_measurement([f], MODEL, ext, pix[sel], 1.5,
-                                           landmark_index=order[sel])[0]
+        (_, r, H, N, kept), = vision.landmark_measurement(
+            f, MODEL, ext, pix[sel], 1.5, landmark_index=order[sel])
+        return r[0], H[0], N, kept
 
     r, H, N, kept = rows(slice(None))
     singles = [rows(slice(k, k + 1)) for k in range(len(order))]
@@ -181,68 +188,74 @@ def test_epoch_drops_observations_outside_the_domain(mode):
     model = vision.CameraModel(mode=mode)
     rng = np.random.default_rng(10)
     f, ext, pix = epoch_in_front("iekf", rng, n=4)
-    R_c, p_c = vision.camera_pose(f.state, ext)
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
     if mode == "pinhole":
-        f.landmarks[2] = p_c + R_c @ np.array([0.5, -0.3, -4.0])
+        f.landmarks[0, 2] = p_c + R_c @ np.array([0.5, -0.3, -4.0])
     else:
-        f.landmarks[2] = p_c
+        f.landmarks[0, 2] = p_c
     zero_range, behind = model.outside_domain(
-        vision.world_to_camera(R_c, p_c, f.landmarks[2:3]))
+        vision.world_to_camera(R_c, p_c, f.landmarks[0, 2:3]))
     assert (zero_range if mode == "bearing" else behind)[0]
     idx = np.array([0, 1, 2, 3])
-    (r, H, N, kept), = vision.landmark_measurement([f], model, ext, pix, 1.0,
-                                                   landmark_index=idx)
-    assert np.array_equal(kept, [0, 1, 3])
-    assert r.shape == (6,) and H.shape == (6, f.dim) and N.shape == (6, 6)
-    (r3, H3, _, kept3), = vision.landmark_measurement(
-        [f], model, ext, pix[[0, 1, 3]], 1.0, landmark_index=idx[[0, 1, 3]])
+    (rows, r, H, N, kept), = vision.landmark_measurement(
+        f, model, ext, pix, 1.0, landmark_index=idx)
+    assert rows is None and np.array_equal(kept, [0, 1, 3])
+    assert (r.shape == (1, 6) and H.shape == (1, 6, f.dim)
+            and N.shape == (6, 6))
+    (_, r3, H3, _, kept3), = vision.landmark_measurement(
+        f, model, ext, pix[[0, 1, 3]], 1.0, landmark_index=idx[[0, 1, 3]])
     assert np.array_equal(kept3, [0, 1, 2])
     assert np.array_equal(r, r3) and np.array_equal(H, H3)
     # nothing is left when every observation is outside the domain
-    (r0, H0, N0, kept0), = vision.landmark_measurement(
-        [f], model, ext, pix[[2]], 1.0, landmark_index=[2])
+    (_, r0, H0, N0, kept0), = vision.landmark_measurement(
+        f, model, ext, pix[[2]], 1.0, landmark_index=[2])
     assert (r0.shape, H0.shape, N0.shape, len(kept0)) == (
-        (0,), (0, f.dim), (0, 0), 0)
+        (1, 0), (1, 0, f.dim), (0, 0), 0)
 
 
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
 def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
-    # the rows of filters of every variant built at once equal each
-    # filter's call alone bit for bit: with every observation kept, with one
-    # dropped by all of them (one shared slice), and with one dropped by a
-    # single filter (rows taken per filter)
+    # the rows of a bank of every variant built at once equal each
+    # filter's call as a bank of one bit for bit: with every observation
+    # kept, with one dropped by all of them (one group), and with one
+    # dropped by a single filter (two groups, one of it alone)
     model = vision.CameraModel(mode=mode)
     rng = np.random.default_rng(17)
     f, ext, pix = epoch_in_front("ekf", rng, n=4)
+    st = row_state(f)
     filts = []
     for tag in ("ekf", "fej", "iekf", "ij_iekf"):
-        g = copy.deepcopy(f)
-        g.variant = filters.FilterVariant(tag)
+        g = filters.FilterInstance(filters.FilterVariant(tag), st, f.P[0],
+                                   f.noise, landmarks=f.landmarks[0])
         if tag == "fej":
-            g.first_landmarks = g.landmarks + rng.normal(0.0, 0.3, (4, 3))
-        g.state.p = g.state.p + rng.normal(0.0, 0.05, 3)
+            g.first_landmarks[0] += rng.normal(0.0, 0.3, (4, 3))
+        g.state.p[0] += rng.normal(0.0, 0.05, 3)
         filts.append(g)
     idx = np.array([2, 0, 3, 1])
-    R_c, p_c = vision.camera_pose(f.state, ext)
+    R_c, p_c = vision.camera_pose(st, ext)
     behind = p_c + R_c @ np.array([0.5, -0.3, -4.0])
     cases = {"all kept": [], "one dropped by all": list(range(4)),
              "one dropped by one": [2]}
     for case, moved in cases.items():
-        for i in moved:
-            filts[i].landmarks[1] = behind
-        got = vision.landmark_measurement(filts, model, ext, pix, 1.5,
-                                          landmark_index=idx)
-        assert len(got) == len(filts)
-        for g, rows in zip(filts, got):
-            want, = vision.landmark_measurement([g], model, ext, pix, 1.5,
-                                                landmark_index=idx)
-            for a, b in zip(rows, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        kept = [len(rows[3]) for rows in got]
+        bank = filters.FilterInstance.stack(filts)
+        bank.landmarks[moved, 1] = behind
+        groups = vision.landmark_measurement(bank, model, ext, pix, 1.5,
+                                             landmark_index=idx)
+        kept = [None] * len(filts)
+        for rows, r, H, N, k in groups:
+            for j, i in enumerate(range(len(filts)) if rows is None
+                                  else rows):
+                g = filters.FilterInstance.stack([filts[i]])
+                g.landmarks[:, 1] = bank.landmarks[i, 1]
+                (_, *want), = vision.landmark_measurement(
+                    g, model, ext, pix, 1.5, landmark_index=idx)
+                for a, b in zip((r[j], H[j], N, k),
+                                (want[0][0], want[1][0], *want[2:])):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                kept[i] = len(k)
+        assert len(groups) == (2 if case == "one dropped by one" else 1)
         assert kept == {"all kept": [4] * 4, "one dropped by all": [3] * 4,
                         "one dropped by one": [4, 4, 3, 4]}[case], case
-        for g, fresh in zip(filts, [f] * 4):
-            g.landmarks[1] = fresh.landmarks[1]
 
 
 def test_cross_rows_equals_np_cross():
@@ -297,7 +310,7 @@ def test_clone_feature_jacobians_finite_difference(tag):
     rng = np.random.default_rng(5)
     f = make_filter(tag, rng)
     ext = vision.Extrinsics()
-    R_c, p_c = vision.camera_pose(f.state, ext)
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
     poses = [(R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
               p_c + rng.normal(0.0, 0.5, 3)) for _ in range(3)]
     for R_k, p_k in poses:
@@ -307,7 +320,7 @@ def test_clone_feature_jacobians_finite_difference(tag):
     track = [2, 0]
     idx = np.array([track])
     pred, H_x, H_f, outside = vision.clone_feature_jacobians(
-        f, MODEL, idx, f.clone_R[idx], f.clone_p[idx], f_world[None])
+        f, MODEL, idx, f.clone_R[0, idx], f.clone_p[0, idx], f_world[None])
     assert not outside[0]
     pred, H_x, H_f = pred[0], H_x[0], H_f[0]
 
@@ -324,13 +337,13 @@ def test_clone_feature_jacobians_finite_difference(tag):
         for sgn in (1.0, -1.0):
             c = np.zeros(d)
             c[a] = sgn * eps
-            g = filters.FilterInstance(f.variant, f.state, np.eye(15) * 0.01,
-                                       imu.ImuNoiseSpec())
+            g = filters.FilterInstance(f.variant, row_state(f),
+                                       np.eye(15) * 0.01, imu.ImuNoiseSpec())
             for R_k, p_k in poses:
                 g.clone_camera_pose(R_k, p_k)
-            g.apply_correction(c)
+            g.apply_correction(c[None])
             cols.append(np.concatenate(
-                [observe(g.clone_R[i], g.clone_p[i], f_world)
+                [observe(g.clone_R[0, i], g.clone_p[0, i], f_world)
                  for i in track]))
         H_fd[:, a] = (cols[0] - cols[1]) / (2 * eps)
     assert np.abs(H_x - H_fd).max() < 1e-4
@@ -347,7 +360,7 @@ def test_clone_feature_jacobians_finite_difference(tag):
 
 @pytest.mark.parametrize("tag", ["iekf", "ekf"])
 def test_clone_feature_jacobians_flag_features_outside_the_domain(
-        tag, clone_feature_jacobians_track, oracle_errors):
+        tag, clone_feature_jacobians_track, oracle_errors, one_filter):
     # a group of three tracks whose middle feature is behind one of its
     # clones: that track is flagged with NaN rows (the per-track oracle
     # raises), and the others equal their calls as groups of one and the
@@ -355,26 +368,29 @@ def test_clone_feature_jacobians_flag_features_outside_the_domain(
     rng = np.random.default_rng(14)
     f = make_filter(tag, rng)
     ext = vision.Extrinsics()
-    R_c, p_c = vision.camera_pose(f.state, ext)
+    R_c, p_c = vision.camera_pose(row_state(f), ext)
     for _ in range(4):
         f.clone_camera_pose(R_c @ lie.so3_exp(rng.normal(0.0, 0.05, 3)),
                             p_c + rng.normal(0.0, 0.5, 3))
+    clone_R, clone_p = f.clone_R[0], f.clone_p[0]
     idx = np.array([[0, 1, 2], [3, 1, 0], [2, 3, 1]])
     points = p_c + np.array([[0.4, -0.1, 5.0], [0.2, 0.3, 6.0],
                              [-0.5, 0.2, 8.0]]) @ R_c.T
-    points[1] = f.clone_p[1] - 2.0 * f.clone_R[1][:, 2]
+    points[1] = clone_p[1] - 2.0 * clone_R[1][:, 2]
     pred, H_x, H_f, outside = vision.clone_feature_jacobians(
-        f, MODEL, idx, f.clone_R[idx], f.clone_p[idx], points)
+        f, MODEL, idx, clone_R[idx], clone_p[idx], points)
     assert outside.tolist() == [False, True, False]
     assert np.isnan(pred[1]).all() and np.isnan(H_x[1]).all()
     assert np.isnan(H_f[1]).all()
     with pytest.raises(oracle_errors.BehindCamera):
-        clone_feature_jacobians_track(f, MODEL, idx[1], points[1])
+        clone_feature_jacobians_track(one_filter(f), MODEL, idx[1],
+                                      points[1])
     for k in (0, 2):
         one = vision.clone_feature_jacobians(
-            f, MODEL, idx[k:k + 1], f.clone_R[idx[k:k + 1]],
-            f.clone_p[idx[k:k + 1]], points[k:k + 1])
-        oracle = clone_feature_jacobians_track(f, MODEL, idx[k], points[k])
+            f, MODEL, idx[k:k + 1], clone_R[idx[k:k + 1]],
+            clone_p[idx[k:k + 1]], points[k:k + 1])
+        oracle = clone_feature_jacobians_track(one_filter(f), MODEL, idx[k],
+                                               points[k])
         for got, want, old in zip((pred, H_x, H_f), one, oracle):
             assert got[k].tobytes() == want[0].tobytes() == old.tobytes()
 
@@ -589,7 +605,7 @@ def test_triangulation_of_one_track(triangulate_track):
 
 
 def test_nullspace_projection_annihilates_feature_block(
-        clone_feature_jacobians_track, nullspace_project_track):
+        clone_feature_jacobians_track, nullspace_project_track, one_filter):
     # 100 synthetic tracks projected in one call: |Q2^T H_f| < 1e-10,
     # noise-free projected residuals < 1e-8, and each track equal to its
     # call as a group of one and to the per-track oracles bit for bit
@@ -602,11 +618,11 @@ def test_nullspace_projection_annihilates_feature_block(
             filt.clone_camera_pose(R_c, p_c)
         idx = np.arange(len(poses))[None]
         pred, H_x, Hf, outside = vision.clone_feature_jacobians(
-            filt, MODEL, idx, filt.clone_R[idx], filt.clone_p[idx],
+            filt, MODEL, idx, filt.clone_R[0, idx], filt.clone_p[0, idx],
             f_true[None])
         assert not outside[0]
         for got, old in zip((pred, H_x, Hf), clone_feature_jacobians_track(
-                filt, MODEL, idx[0], f_true)):
+                one_filter(filt), MODEL, idx[0], f_true)):
             assert got[0].tobytes() == old.tobytes()
         residuals.append(np.concatenate(pixels) - pred[0])
         H_xs.append(H_x[0])
@@ -646,7 +662,7 @@ def test_nullspace_projection_needs_enough_rows():
                                  np.ones((1, 2, 3)))
 
 
-def test_compressed_update_matches_tall_update(mean_vector):
+def test_compressed_update_matches_tall_update(mean_vector, one_filter):
     # the sliding window's shape: 12 clones (d = 87) and 840 stacked rows,
     # velocity and bias columns all zero
     rng = np.random.default_rng(12)
@@ -656,7 +672,7 @@ def test_compressed_update_matches_tall_update(mean_vector):
                                rng.normal(0.0, 5.0, 3))
     d = filt.dim
     A = rng.normal(0.0, 0.03, (d, d))
-    filt.P = A @ A.T + 1e-4 * np.eye(d)
+    filt.P = (A @ A.T + 1e-4 * np.eye(d))[None]
     H = rng.normal(0.0, 5.0, (840, d))
     H[:, 6:15] = 0.0
     residual = rng.normal(0.0, 1.0, 840)
@@ -669,12 +685,12 @@ def test_compressed_update_matches_tall_update(mean_vector):
     score = H.T @ residual
     assert np.abs(H_c.T @ r_c - score).max() <= 1e-12 * np.abs(score).max()
     tall, short = copy.deepcopy(filt), copy.deepcopy(filt)
-    tall.update_raw(residual, H, np.eye(840))
-    short.update_raw(r_c, H_c, np.eye(d))
+    tall.update_raw(residual[None], H[None], np.eye(840))
+    short.update_raw(r_c[None], H_c[None], np.eye(d))
     assert (np.abs(short.P - tall.P).max()
             <= 1e-12 * np.abs(tall.P).max())
-    mean = mean_vector(tall)
-    assert (np.abs(mean_vector(short) - mean).max()
+    mean = mean_vector(one_filter(tall))
+    assert (np.abs(mean_vector(one_filter(short)) - mean).max()
             <= 1e-12 * np.abs(mean).max())
     # a stack no taller than the state goes through as it is
     for rows in (d, 10):
@@ -782,15 +798,16 @@ def ended_tracks(rng, specs, n_epochs=6):
 
 
 def flush_ended_tracks(monkeypatch, flush, filt, poses, frames):
-    """Ingest ``frames`` at ``poses`` into a copy of ``filt``, then one
-    epoch with no observation, which ends every track, with ``flush`` as
-    the flush; returns the ``record_flushes`` recording and the filter."""
+    """Ingest ``frames`` at ``poses`` into a copy of the bank of one
+    ``filt``, then one epoch with no observation, which ends every track,
+    with ``flush`` as the flush; returns the ``record_flushes`` recording
+    and the filter."""
     filt = copy.deepcopy(filt)
     upd = vision.SlidingWindowUpdater(MODEL, vision.Extrinsics())
     with monkeypatch.context() as m:
         rec = record_flushes(m, flush)
         for (R_c, p_c), obs in zip(poses + [poses[-1]], frames + [{}]):
-            filt.state.R, filt.state.p = R_c, p_c
+            filt.state.R[0], filt.state.p[0] = R_c, p_c
             upd.ingest(filt, obs)
     return rec, filt
 
@@ -798,7 +815,7 @@ def flush_ended_tracks(monkeypatch, flush, filt, poses, frames):
 @pytest.mark.parametrize("case", ["refill", "single"])
 def test_ended_tracks_flush_like_per_track_flush(monkeypatch, case,
                                                  flush_per_track,
-                                                 mean_vector):
+                                                 mean_vector, one_filter):
     rng = np.random.default_rng(19)
     if case == "refill":
         # 60 tracks of 2 to 6 views ending together, at the default cap of
@@ -825,7 +842,8 @@ def test_ended_tracks_flush_like_per_track_flush(monkeypatch, case,
     assert batched[1][-1] == want_used
     assert +batched[0][0].dropped == want_drops
     assert filt_b.P.tobytes() == filt_o.P.tobytes()
-    assert mean_vector(filt_b).tobytes() == mean_vector(filt_o).tobytes()
+    assert (mean_vector(one_filter(filt_b)).tobytes()
+            == mean_vector(one_filter(filt_o)).tobytes())
 
 
 def test_sliding_window_updater_marginalizes():
@@ -835,8 +853,9 @@ def test_sliding_window_updater_marginalizes():
                                       max_clones=3)
     for _ in range(6):
         upd.ingest(filt, {})
-        assert len(filt.clone_p) <= 3
-    assert len(upd._window) == len(filt.clone_p) == len(filt.clone_R)
+        assert filt.clone_p.shape[1] <= 3
+    assert (len(upd._window) == filt.clone_p.shape[1]
+            == filt.clone_R.shape[1])
 
 
 def test_observability_nullspace_dimension_stable():
