@@ -206,7 +206,7 @@ def predict_all(bank, omega, accel, dt):
     drift = np.where(invariant[:, None, None], noise.gravity, -Ra)
     F, G, U = error_jacobians(R[:, :-1], drift, levers, landmarks, xi_delta)
     V, Q = imu_model.compose_error_dynamics(F, G, bank._noise_kernel(dt), dt)
-    bank.P = imu_model.propagate_covariance(bank.P, V, Q, U)
+    imu_model.propagate_covariance(bank.P, V, Q, U, bank._scratch)
 
 
 def errors(bank, truth):
@@ -271,10 +271,15 @@ class FilterInstance:
     ``rngs[i]``.  The constructor builds a bank of one, ``stack`` joins
     banks, and every method takes all rows at once, writing them in place.
 
-    P is exactly symmetric after every method, given an exactly symmetric
-    P at construction; ``update_raw`` relies on it, forming the gain
-    P H^T S^-1 as (H P)^T S^-1.  Single-writer: methods mutate the bank and
-    must be serialized externally; distinct banks are independent.
+    The bank owns P: ``predict_all`` and ``update_raw`` write it in place,
+    through the bank's own ``imu.Scratch`` (a bank from ``stack``,
+    ``copy.copy`` or ``copy.deepcopy`` gets its own), and only the clone
+    augmentation and marginalization, which change d, replace it; a caller
+    who keeps a P across a stage must copy it.  P is exactly symmetric
+    after every method, given an exactly symmetric P at construction;
+    ``update_raw`` relies on it, forming the gain P H^T S^-1 as
+    (H P)^T S^-1.  Single-writer: methods mutate the bank and must be
+    serialized externally; distinct banks are independent.
     """
 
     def __init__(self, variant, state, P, noise, rng=None, landmarks=None):
@@ -290,9 +295,17 @@ class FilterInstance:
         self.clone_R = np.zeros((1, 0, 3, 3))
         self.clone_p = np.zeros((1, 0, 3))
         self._kernel = None    # (dt, imu.noise_kernel(Q, dt))
+        self._scratch = imu_model.Scratch()
         expected = self.core_dim
         if self.P.shape[1:] != (expected, expected):
             raise ValueError(f"P must be {expected}x{expected}")
+
+    def __copy__(self):
+        """A shallow copy with a scratch of its own."""
+        bank = object.__new__(type(self))
+        bank.__dict__.update(vars(self))
+        bank._scratch = imu_model.Scratch()
+        return bank
 
     def _set_rows(self, variants, rngs):
         self.variants = variants
@@ -380,11 +393,11 @@ class FilterInstance:
         solved in one product, then multiplied by the inverse of L's
         diagonal block.  Each step runs once on the stack, and each
         filter's numbers equal those of a bank of it alone bit for bit.
-        P - W^T W is formed in the buffer of W^T W: without ``rows`` it
-        becomes P and the array that was P is never written, so callers
-        may share it; with ``rows`` it is written into those rows.  The
-        Cholesky factorization reads only the lower triangle of S, and
-        W^T W is exactly symmetric, so P stays exactly symmetric.
+        [HP | r] and W^T W are formed in the bank's scratch, and P - W^T W
+        is written into P's own array, or with ``rows`` into those rows:
+        a caller who keeps the P of before must copy it.  The Cholesky
+        factorization reads only the lower triangle of S, and W^T W is
+        exactly symmetric, so P stays exactly symmetric.
 
         Raises:
             SingularInnovation: if the Cholesky factorization of the
@@ -402,7 +415,7 @@ class FilterInstance:
             raise ValueError(f"residual {residual.shape} and H {H.shape} for "
                              f"{len(P)} filter(s) of state dim {dim}")
         m = H.shape[1]
-        Wz = np.empty((len(P), m, dim + 1))
+        Wz = self._scratch.take(1, (len(P), m, dim + 1))
         np.matmul(H, P, out=Wz[..., :-1])
         Wz[..., -1] = residual
         HP = Wz[..., :-1]
@@ -423,12 +436,12 @@ class FilterInstance:
             Wz[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ rhs
         W = Wz[..., :-1]
         self.apply_correction((W.swapaxes(1, 2) @ Wz[..., -1:])[..., 0], rows)
-        WtW = W.swapaxes(1, 2) @ W
-        P = np.subtract(P, WtW, out=WtW)
+        WtW = np.matmul(W.swapaxes(1, 2), W,
+                        out=self._scratch.take(0, (len(P), dim, dim)))
         if rows is None:
-            self.P = P
+            np.subtract(P, WtW, out=P)
         else:
-            self.P[rows] = P
+            self.P[rows] = np.subtract(P, WtW, out=WtW)
 
     def apply_correction(self, d, rows=None):
         """Apply the corrections d (B, dim), one row per filter, or one per

@@ -9,7 +9,8 @@ substitution replaced, the one-filter update and correction that the
 stacked update of a list of filters replaced, the per-variant driver with
 its per-filter errors and NEES that the lock-step driver replaced, and the
 clone augmentation by ``np.block`` and marginalization by ``np.ix_`` that
-the block copies replaced, kept as their oracles; and the public functions
+the block copies replaced, the allocating covariance step that the
+in-place one replaced, kept as their oracles; and the public functions
 that only the tests called (the SE_n(3) log, vee and adjoint, the right
 log-error rate and the identity IMU state), kept as oracles.  The
 one-filter oracles read and write ``OneFilter``, one row of a filter bank
@@ -388,6 +389,39 @@ def _step_covariance(P, F, G, U, Q, dt):
     P_new[:c, :c] += Zc + Zc.T
     P_new[:c, c:] += Z[:, c:]
     P_new[c:, :c] = P_new[:c, c:].T
+    return P_new
+
+
+def _propagate_covariance_copy(P, V, Q, U):
+    """``imu.propagate_covariance`` as it was before it wrote P in place:
+    Z and Z + Z^T as fresh arrays and the result, (Z + Z^T) + P, as a new
+    (B, d, d) array; P is never written."""
+    k = V.shape[-1]
+    r = V.shape[-2] - k
+    d = P.shape[-1]
+    Zr = V @ P[:, :k]
+    D = Zr[..., :k] @ V.swapaxes(-1, -2) + Q
+    if r:
+        n = U.shape[-2]
+        Zr[..., :k + n] += np.concatenate(
+            (0.5 * D[..., :k], (0.5 * D[..., k:]) @ U.swapaxes(-1, -2)),
+            axis=-1)
+        Z = np.empty((len(P), k + n, d))
+        Z[:, :k] = Zr[:, :k]
+        np.matmul(U, Zr[:, k:], out=Z[:, k:])
+    else:
+        Z = Zr
+        Z[..., :k] += 0.5 * D
+    c = Z.shape[-2]
+    if c == d:
+        P_new = Z + Z.swapaxes(-1, -2)
+        P_new += P
+    else:
+        P_new = P.copy()
+        Zc = Z[..., :c]
+        P_new[:, :c, :c] += Zc + Zc.swapaxes(-1, -2)
+        P_new[:, :c, c:] += Z[..., c:]
+        P_new[:, c:, :c] = P_new[:, :c, c:].swapaxes(-1, -2)
     return P_new
 
 
@@ -863,6 +897,11 @@ def dense_closed_form():
 @pytest.fixture(scope="session")
 def step_covariance():
     return _step_covariance
+
+
+@pytest.fixture(scope="session")
+def propagate_covariance_copy():
+    return _propagate_covariance_copy
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,14 @@ filter at a time, and the error-state Jacobians against finite differences
 of the actual nonlinear models."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 
-from iekf_kit import filters, imu, lie, vision
+from iekf_kit import filters, imu, lie, sim, vision
 from iekf_kit.exceptions import SingularCovariance, SingularInnovation
 
 
@@ -175,7 +176,8 @@ B = filters.SOLVE_BLOCK
                          [(1, 60, 0), (B - 1, 60, 0), (B, 60, 0),
                           (B + 1, 60, 0), (78, 60, 0), (840, 0, 12)])
 def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
-                                     mean_vector, one_filter):
+                                     update_raw_filter, mean_vector,
+                                     one_filter):
     rng = np.random.default_rng(rows)
     f = make_filter("iekf", rng,
                     landmarks=rng.normal(0.0, 10.0, (m, 3)) if m else None)
@@ -190,9 +192,8 @@ def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
         H[:, 6:15] = 0.0
     residual = rng.normal(0.0, 1.0, rows)
     N = np.eye(rows)
-    ref = one_filter(f)
+    ref, copy_ref = one_filter(f), one_filter(f)
     P_before = f.P
-    P_bytes = P_before.tobytes()
     f.update_raw(residual[None], H[None], N)
     update_raw_lu(ref, residual, H, N)
     assert np.array_equal(f.P[0], f.P[0].T)
@@ -200,9 +201,11 @@ def test_update_raw_matches_lu_solve(rows, m, n_clones, update_raw_lu,
     mean = mean_vector(ref)
     assert (np.abs(mean_vector(one_filter(f)) - mean).max()
             <= 1e-12 * np.abs(mean).max())
-    # the array that was P is never written: callers may share it
-    assert f.P is not P_before and P_before.tobytes() == P_bytes
-    assert f.P.flags.c_contiguous
+    # the bank writes its own P in place, bit for bit as the allocating
+    # update of a copy
+    update_raw_filter(copy_ref, residual, H, N)
+    assert f.P is P_before and f.P.flags.c_contiguous
+    assert f.P[0].tobytes() == copy_ref.P.tobytes()
 
 
 def make_batch(tags, rng, m=0, n_clones=0):
@@ -243,7 +246,7 @@ def test_update_of_a_list_equals_one_update_per_filter(
     if stacked_N:
         N = N * rng.uniform(0.5, 2.0, (b, 1, 1))
     refs = [one_filter(bank, i) for i in range(b)]
-    P, P_bytes = bank.P, bank.P.tobytes()
+    P = bank.P
     bank.update_raw(residual, H, N)
     for i, ref in enumerate(refs):
         update_raw_filter(ref, residual[i], H[i],
@@ -253,8 +256,9 @@ def test_update_of_a_list_equals_one_update_per_filter(
                 == mean_vector(ref).tobytes())
     assert bank.landmarks.shape == (b, m, 3)
     assert bank.clone_R.shape == (b, n_clones, 3, 3)
-    # the array that was P is never written
-    assert P.tobytes() == P_bytes and bank.P.flags.c_contiguous
+    # the bank's P is written in place, exactly symmetric
+    assert bank.P is P and bank.P.flags.c_contiguous
+    assert np.array_equal(bank.P, bank.P.swapaxes(1, 2))
 
 
 @pytest.mark.parametrize("m, n_clones", [(12, 0), (0, 6), (3, 4)])
@@ -335,6 +339,97 @@ def test_singular_member_leaves_every_filter_unchanged(near, mean_vector,
     with pytest.raises(SingularInnovation):
         bank.update_raw(np.ones((3, 4)), H, np.zeros((4, 4)))
     assert (bank.P.tobytes(), snapshot()) == before
+
+
+# the ``dense`` benchmark's shape: 60 in-state landmarks (d = 195), a 5 Hz
+# camera on a 50 Hz IMU, ekf beside iekf
+DENSE = dict(duration=1.2, imu_rate=50.0, cam_rate=5.0, n_landmarks=60)
+DENSE_INIT = sim.InitSpec(sigma_bw=0.002, sigma_ba=0.02, sigma_f=2.0)
+DENSE_VARIANTS = [filters.FilterVariant("ekf"),
+                  filters.FilterVariant("iekf")]
+
+
+def dense_run(seed):
+    """A truth realization of the dense shape, its camera frames and a
+    function that builds the perturbed bank of its paired run afresh."""
+    sc = sim.Scenario(**DENSE)
+    rng = np.random.default_rng(seed)
+    truth = sim.synthesize_truth(sc, rng)
+    every = sc.camera_every
+    frames = [sim.camera_frame(sc, st, truth.landmarks, rng)
+              for st in truth.states[every::every]]
+
+    def bank(variants=DENSE_VARIANTS):
+        return sim.perturbed_filter(variants, truth.states[0],
+                                    truth.landmarks, DENSE_INIT, sc,
+                                    np.random.default_rng(seed + 1))
+    return sc, truth, frames, bank
+
+
+def camera_epoch(sc, truth, frames, bank, i):
+    """Camera epoch i of the paired run's driver on ``bank``: the predict
+    to it, the landmark update(s), and the position and orientation NEES
+    of every row."""
+    every = sc.camera_every
+    k = (i + 1) * every
+    filters.predict_all(bank, truth.omega[k - every:k],
+                        truth.accel[k - every:k], 1.0 / sc.imu_rate)
+    frame = frames[i]
+    for rows, residual, H, N, kept in vision.landmark_measurement(
+            bank, sc.camera, sc.extrinsics, list(frame.values()),
+            sc.pixel_sigma, landmark_index=list(frame)):
+        bank.update_raw(residual, H, N, rows)
+    return np.concatenate(filters.nees(bank, filters.errors(
+        bank, truth.states[k])))
+
+
+def test_camera_epoch_allocates_less_than_two_covariances():
+    # the bank propagates and updates its P in place through its own
+    # scratch: once warmed up, a camera epoch of the dense shape holds less
+    # than two covariances' worth of memory beyond what it started with
+    sc, truth, frames, make_bank = dense_run(3)
+    bank = make_bank()
+    assert bank.dim == 195
+    camera_epoch(sc, truth, frames, bank, 0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        camera_epoch(sc, truth, frames, bank, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * bank.P.nbytes
+
+
+def test_banks_share_no_scratch():
+    # a bank of one, a bank stacked from it and a deep copy, driven through
+    # the same epochs in turn, each give the records of a freshly built bank
+    # bit for bit, and none of their arrays, scratch included, share
+    # memory; a shallow copy shares the arrays but not the scratch
+    sc, truth, frames, make_bank = dense_run(4)
+    variants = DENSE_VARIANTS[1:]
+    one = make_bank(variants)
+    stacked = filters.FilterInstance.stack([one])
+    deep = copy.deepcopy(one)
+    assert copy.copy(one)._scratch is not one._scratch
+
+    def arrays(bank):
+        return ([bank.P, bank.landmarks, bank.first_landmarks, bank.clone_R,
+                 bank.clone_p] + list(vars(bank.state).values())
+                + bank._scratch._buffers)
+
+    records = {id(b): [] for b in (one, stacked, deep)}
+    for i in range(len(frames)):
+        for b in (one, stacked, deep):
+            records[id(b)].append(camera_epoch(sc, truth, frames, b, i))
+        for a, b in ((one, stacked), (one, deep), (stacked, deep)):
+            assert not any(np.shares_memory(x, y) for x in arrays(a)
+                           for y in arrays(b) if x.size and y.size)
+    fresh = make_bank(variants)
+    want = np.array([camera_epoch(sc, truth, frames, fresh, i)
+                     for i in range(len(frames))])
+    for got in records.values():
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_invariant_correction_is_group_exact():
@@ -754,7 +849,8 @@ def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
 
 
 def test_predict_propagates_clones_like_propagate_covariance(
-        variant_jacobians, expand, square, dense_closed_form):
+        variant_jacobians, expand, square, dense_closed_form,
+        propagate_covariance_copy):
     rng = np.random.default_rng(15)
     dt = 0.02
     for tag in ("iekf", "ekf"):
@@ -766,13 +862,14 @@ def test_predict_propagates_clones_like_propagate_covariance(
         Q = f.noise.q_imu()
         V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
                                            imu.noise_kernel(Q, dt), dt)
-        expected, = imu.propagate_covariance(f.P, V, Qd, U[None])
+        expected, = propagate_covariance_copy(f.P, V, Qd, U[None])
         # the same step on the square 27 x 27 dynamics, clones static
         F_sq, G_sq = expand(F, G, U, 27)
         dense = dense_closed_form(f.P[0], square(F_sq, 27), G_sq, Q, dt)
         clone_block = f.P[0, 21:, 21:].copy()
+        P = f.P
         f.predict(OMEGA, ACCEL, dt)
-        assert np.array_equal(f.P[0], expected)
+        assert f.P is P and np.array_equal(f.P[0], expected)
         assert np.abs(f.P[0] - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(f.P[0, 21:, 21:], clone_block)
 

@@ -29,10 +29,12 @@ def random_state(rng):
 
 def one_step(P, F, G, U, Q, dt):
     """The covariance step of a one-step interval with dynamics (F, G, U),
-    for a batch of one filter."""
+    for a batch of one filter, on a copy of P."""
     V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
                                        imu.noise_kernel(Q, dt), dt)
-    return imu.propagate_covariance(P[None], V, Qd, U[None])[0]
+    P = P[None].copy()
+    imu.propagate_covariance(P, V, Qd, U[None])
+    return P[0]
 
 
 def test_propagate_mean_free_fall(identity_state):
@@ -346,10 +348,13 @@ def test_batched_chain_equals_one_call_per_state():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
 @pytest.mark.parametrize("r", [0, 3, 9])
-def test_batched_covariance_step_equals_one_call_per_filter(n, r):
+def test_batched_covariance_step_equals_one_call_per_filter(
+        n, r, propagate_covariance_copy):
     # B filters' interval dynamics composed and applied in one call each:
     # every V, Q and P equals its batch of one bit for bit, with static rows
-    # (a copy of P) and without (P + Z + Z^T), and P is not written
+    # and without, and the step writes P in place, C-contiguous and exactly
+    # symmetric, bit for bit as the allocating step on a copy; one scratch
+    # serves both state dimensions
     rng = np.random.default_rng(41 + n + r)
     b, k, m = 3, 15, 4
     kernel = imu.noise_kernel(imu.ImuNoiseSpec().q_imu(), 0.02)
@@ -357,6 +362,7 @@ def test_batched_covariance_step_equals_one_call_per_filter(n, r):
     G = rng.normal(0.0, 0.3, (b, n, k + r, 12))
     U = rng.normal(0.0, 1.0, (b, 3 * m if r else 0, r))
     V, Q = imu.compose_error_dynamics(F, G, kernel, 0.02)
+    scratch = imu.Scratch()
     for static in (0, 6):
         d = k + len(U[0]) + static
         Ps = []
@@ -364,19 +370,48 @@ def test_batched_covariance_step_equals_one_call_per_filter(n, r):
             A = rng.normal(0.0, 0.1, (d, d))
             Ps.append(A @ A.T + 1e-3 * np.eye(d))
         Ps = np.array(Ps)
-        before = Ps.copy()
-        got = imu.propagate_covariance(Ps, V, Q, U)
-        assert got.shape == (b, d, d)
+        got = Ps.copy()
+        assert imu.propagate_covariance(got, V, Q, U, scratch) is None
+        assert got.flags.c_contiguous
+        assert (got.tobytes()
+                == propagate_covariance_copy(Ps, V, Q, U).tobytes())
         for i in range(b):
             V_i, Q_i = imu.compose_error_dynamics(F[i:i + 1], G[i:i + 1],
                                                   kernel, 0.02)
             assert V[i].tobytes() == V_i[0].tobytes()
             assert Q[i].tobytes() == Q_i[0].tobytes()
-            want, = imu.propagate_covariance(Ps[i:i + 1], V_i, Q_i,
-                                             U[i:i + 1])
+            want = Ps[i:i + 1].copy()
+            imu.propagate_covariance(want, V_i, Q_i, U[i:i + 1])
             assert got[i].tobytes() == want.tobytes()
             assert np.array_equal(got[i], got[i].T)
-            assert np.array_equal(Ps[i], before[i])
+
+
+@pytest.mark.parametrize("split_dim", [0, 10 ** 6])
+@pytest.mark.parametrize("driven", [(0, 1, 1), (1, 0, 1), (0, 0, 1),
+                                    (0, 0, 0), (1, 1, 1)])
+def test_covariance_step_of_filters_without_driven_rows(
+        driven, split_dim, monkeypatch, propagate_covariance_copy):
+    # filters whose U is all zeros (the EKF family's) beside driven ones:
+    # stepped apart with c = k from STATIC_SPLIT_DIM on, in one batch
+    # below it, the step equals the allocating one either way, and their
+    # landmark block is not touched
+    monkeypatch.setattr(imu, "STATIC_SPLIT_DIM", split_dim)
+    rng = np.random.default_rng(sum(driven))
+    b, k, r, m, static = len(driven), 15, 3, 4, 6
+    kernel = imu.noise_kernel(imu.ImuNoiseSpec().q_imu(), 0.02)
+    F = rng.normal(0.0, 0.3, (b, 2, k + r, k))
+    G = rng.normal(0.0, 0.3, (b, 2, k + r, 12))
+    U = rng.normal(0.0, 1.0, (b, 3 * m, r)) * np.array(driven)[:, None, None]
+    V, Q = imu.compose_error_dynamics(F, G, kernel, 0.02)
+    d = k + 3 * m + static
+    A = rng.normal(0.0, 0.1, (b, d, d))
+    Ps = A @ A.swapaxes(1, 2) + 1e-3 * np.eye(d)
+    got = Ps.copy()
+    imu.propagate_covariance(got, V, Q, U)
+    assert np.array_equal(got, propagate_covariance_copy(Ps, V, Q, U))
+    assert np.array_equal(got, got.swapaxes(1, 2))
+    for i in np.flatnonzero(np.array(driven) == 0):
+        assert got[i, k:, k:].tobytes() == Ps[i, k:, k:].tobytes()
 
 
 def test_noise_spec_q_matrix():
