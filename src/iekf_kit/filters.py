@@ -35,6 +35,7 @@ from . import imu as imu_model
 from . import lie
 from ._checks import is_real
 from .exceptions import SingularCovariance, SingularInnovation
+from .vision import LandmarkRows
 
 INVARIANT_TAGS = ("iekf", "ij_iekf")
 EKF_FAMILY_TAGS = ("ekf", "fej")
@@ -261,6 +262,30 @@ def nees(bank, errors):
     return out[0::2], out[1::2]
 
 
+def _block_products(H, P, Wz, scratch):
+    """H P of the ``vision.LandmarkRows`` H (g, m, d), written into
+    Wz[..., :-1], and H P H^T, from P's 6 pose rows and the rows of the
+    observed landmarks.  The rows of each observation are its pose columns
+    times P's pose rows plus its block times its landmark's rows of P, and
+    with P symmetric H P H^T = H (H P)^T takes the same two terms from the
+    columns of H P.  Both gathers and the pose product go into buffer 0 of
+    ``scratch``."""
+    g, m, d = H.shape
+    k = len(H.index)
+    HP = Wz[..., :-1]
+    # P's rows and H P's columns from 15 on in blocks of three, landmark
+    # j's block j, taken at the observed landmarks; mode "clip" takes into
+    # ``out`` directly ("raise" would buffer it), and the index is in range
+    P_lm = np.take(P[:, 15:].reshape(g, -1, 3, d), H.index, axis=1,
+                   out=scratch.take(0, (g, k, 3, d)), mode="clip")
+    np.matmul(H.blocks, P_lm, out=Wz.reshape(g, k, 2, d + 1)[..., :-1])
+    HP += np.matmul(H.pose, P[:, :6], out=scratch.take(0, (g, m, d)))
+    HP_lm = np.take(Wz.swapaxes(1, 2)[:, 15:d].reshape(g, -1, 3, m), H.index,
+                    axis=1, out=scratch.take(0, (g, k, 3, m)), mode="clip")
+    return (H.pose @ HP[..., :6].swapaxes(1, 2)
+            + (H.blocks @ HP_lm).reshape(g, m, m))
+
+
 class FilterInstance:
     """A bank of B filters of one state layout and one noise spec as rows:
     ``state`` (R (B, 3, 3); p, v, b_omega, b_a (B, 3)), P (B, d, d), the
@@ -268,8 +293,10 @@ class FilterInstance:
     at (B, m, 3), and the camera-pose clones ``clone_R`` (B, c, 3, 3) and
     ``clone_p`` (B, c, 3).  Row i is the filter of ``variants[i]``, with
     its entry of the ``invariant`` and ``fej`` masks and its generator
-    ``rngs[i]``.  The constructor builds a bank of one, ``stack`` joins
-    banks, and every method takes all rows at once, writing them in place.
+    ``rngs[i]``.  The constructor builds a bank of one, ``adopt`` a bank of
+    filters at one state around a stacked P it takes without a copy,
+    ``stack`` joins banks, and every method takes all rows at once,
+    writing them in place.
 
     The bank owns P: ``predict_all`` and ``update_raw`` write it in place,
     through the bank's own ``imu.Scratch`` (a bank from ``stack``,
@@ -283,21 +310,40 @@ class FilterInstance:
     """
 
     def __init__(self, variant, state, P, noise, rng=None, landmarks=None):
-        self.state = imu_model.ImuState(
-            *(np.array(x, dtype=float)[None] for x in vars(state).values()))
-        self.P = np.array(P, dtype=float)[None]
+        self._build((variant,), state, np.array(P, dtype=float)[None], noise,
+                    (np.random.default_rng(0) if rng is None else rng,),
+                    landmarks)
+
+    @classmethod
+    def adopt(cls, variants, state, P, noise, rngs, landmarks=None):
+        """A bank of the filters of ``variants``, with the generators
+        ``rngs``, at one ``state`` and one set of ``landmarks``, that takes
+        P, a C-contiguous float64 (B, d, d) array of their covariances, as
+        its own without a copy."""
+        bank = object.__new__(cls)
+        bank._build(tuple(variants), state, P, noise, tuple(rngs), landmarks)
+        return bank
+
+    def _build(self, variants, state, P, noise, rngs, landmarks):
+        b = len(variants)
+
+        def per_filter(x):
+            x = np.asarray(x, dtype=float)
+            return np.array(np.broadcast_to(x, (b,) + x.shape))
+        self.state = imu_model.ImuState(*map(per_filter,
+                                             vars(state).values()))
+        self.P = P
         self.noise = noise
-        self._set_rows((variant,), (np.random.default_rng(0)
-                                    if rng is None else rng,))
-        self.landmarks = np.array(np.zeros((0, 3)) if landmarks is None
-                                  else landmarks, dtype=float)[None]
+        self._set_rows(variants, rngs)
+        self.landmarks = per_filter(np.zeros((0, 3)) if landmarks is None
+                                    else landmarks)
         self.first_landmarks = self.landmarks.copy()
-        self.clone_R = np.zeros((1, 0, 3, 3))
-        self.clone_p = np.zeros((1, 0, 3))
+        self.clone_R = np.zeros((b, 0, 3, 3))
+        self.clone_p = np.zeros((b, 0, 3))
         self._kernel = None    # (dt, imu.noise_kernel(Q, dt))
         self._scratch = imu_model.Scratch()
         expected = self.core_dim
-        if self.P.shape[1:] != (expected, expected):
+        if P.shape != (b, expected, expected):
             raise ValueError(f"P must be {expected}x{expected}")
 
     def __copy__(self):
@@ -384,10 +430,18 @@ class FilterInstance:
         """Kalman update in square-root form of every filter, or of the
         rows ``rows`` (an index array) only, with the stacks residual
         (B, m), H (B, m, dim) and N (m, m) or (B, m, m); the gain-weighted
-        residual is applied directly as a correction.
+        residual is applied directly as a correction.  H is an array or
+        the landmark rows of ``vision.landmark_measurement`` in block form
+        (``vision.LandmarkRows``).
 
         With HP = H P, S = HP H^T + N = L L^T and W = L^-1 HP, the
         correction is W^T L^-1 r and the covariance becomes P - W^T W.
+        From dim = ``imu.STATIC_SPLIT_DIM`` on, HP and HP H^T of rows in
+        block form are formed from P's pose rows and the rows of the
+        observed landmarks (their gathers in the bank's scratch), which
+        changes their rounding only; below it, the dense H of the rows is
+        expanded and multiplied, and an array H is multiplied at any dim.
+        Everything after the two products is shared.
         L^-1 [HP | r] is a blocked forward substitution, in row blocks of
         ``SOLVE_BLOCK``: each block's rows are reduced by the rows already
         solved in one product, then multiplied by the inverse of L's
@@ -409,18 +463,25 @@ class FilterInstance:
         """
         P = self.P if rows is None else self.P[rows]
         residual = np.asarray(residual, dtype=float)
-        H = np.asarray(H, dtype=float)
+        blocks = isinstance(H, LandmarkRows)
+        if not blocks:
+            H = np.asarray(H, dtype=float)
         dim = self.dim
         if H.shape[::2] != (len(P), dim) or residual.shape != H.shape[:2]:
             raise ValueError(f"residual {residual.shape} and H {H.shape} for "
                              f"{len(P)} filter(s) of state dim {dim}")
         m = H.shape[1]
         Wz = self._scratch.take(1, (len(P), m, dim + 1))
-        np.matmul(H, P, out=Wz[..., :-1])
         Wz[..., -1] = residual
-        HP = Wz[..., :-1]
+        if blocks and dim >= imu_model.STATIC_SPLIT_DIM:
+            S = _block_products(H, P, Wz, self._scratch) + N
+        else:
+            if blocks:
+                H = H.dense()
+            np.matmul(H, P, out=Wz[..., :-1])
+            S = Wz[..., :-1] @ H.swapaxes(1, 2) + N
         try:
-            L = np.linalg.cholesky(HP @ H.swapaxes(1, 2) + N)
+            L = np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             raise SingularInnovation(
                 "innovation covariance is not positive definite") from None
@@ -541,14 +602,15 @@ class FilterInstance:
         self.clone_p = np.delete(self.clone_p, i, axis=1)
 
 
-def invariant_initial_covariance(state, sig, landmarks=None):
+def invariant_initial_covariance(state, sig, landmarks=None, out=None):
     """Transport a diagonal world-frame prior (sig: 15-vector of std devs,
     plus 3 per landmark) into right-invariant coordinates.
 
     The invariant position/velocity/landmark errors pick up the orientation
     error through the lever arms p^, v^, f^: with T the identity plus the
     blocks u^ in the orientation columns of the lever rows, the prior is
-    T diag(sig^2) T^T, built here by blocks and exactly symmetric.
+    T diag(sig^2) T^T, built here by blocks and exactly symmetric.  It is
+    written into ``out``, a (d, d) array of zeros, if given.
     """
     sig = np.asarray(sig, dtype=float)
     var = sig ** 2
@@ -558,7 +620,8 @@ def invariant_initial_covariance(state, sig, landmarks=None):
     lever = np.zeros((len(sig) - 3, 3))    # rows 3: of T[:, :3]
     lever[:6] = u[:6]
     lever[12:] = u[6:]
-    P = np.diag(var)
+    P = np.zeros((len(sig), len(sig))) if out is None else out
+    np.fill_diagonal(P, var)
     P[3:, :3] = lever * var[:3]
     P[:3, 3:] = P[3:, :3].T
     scaled = lever * sig[:3]

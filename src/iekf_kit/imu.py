@@ -26,12 +26,16 @@ from ._checks import is_real
 from .exceptions import NegativeRange, NonPositiveDt
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.81])
-# the state dimension from which ``propagate_covariance`` steps a filter
-# whose U is all zeros apart from the driven ones, skipping its O(d^2)
-# driven-row work; below it the extra batched calls cost more than they
-# skip (about 15 against 7 us per call at d = 51 with four filters, against
-# a saving of about 70 us at d = 195 with two, one BLAS thread on a 2-core
-# x86-64 machine)
+# the state dimension from which two stages use the sparsity of a large
+# state: ``propagate_covariance`` steps a filter whose U is all zeros apart
+# from the driven ones, skipping its O(d^2) driven-row work, and
+# ``filters.FilterInstance.update_raw`` forms H P and H P H^T of landmark
+# rows in block form (``vision.LandmarkRows``) from their blocks instead
+# of the dense H.  Below it the extra calls cost more than they skip: the
+# split covariance step about 15 against 7 us per call at d = 51 with four
+# filters, against a saving of about 70 us at d = 195 with two; the block
+# update of two filters 199 against 194 us at d = 75 and 255 against
+# 274 us at d = 102 (one BLAS thread on a 2-core x86-64 machine)
 STATIC_SPLIT_DIM = 100
 
 
@@ -222,7 +226,7 @@ def compose_error_dynamics(F, G, kernel, dt):
 class Scratch:
     """Two grow-only float64 buffers for a filter bank's covariance
     products, the d x d intermediates of ``propagate_covariance`` and
-    ``filters.FilterInstance.update_raw``.  They are not keyed by shape:
+    ``filters.FilterInstance.update_raw`` (and the latter's gathers).  They are not keyed by shape:
     ``take`` views the first elements of a buffer, which grows only when a
     larger shape is asked for, so a state dimension that changes with every
     clone reuses them.  What a view holds is undefined until it is written,
@@ -290,7 +294,10 @@ def propagate_covariance(P, V, Q, U, scratch=None):
             Zr[run, :, :k + n] += np.concatenate(
                 (0.5 * D[run, :, :k],
                  (0.5 * D[run, :, k:]) @ U[run].swapaxes(-1, -2)), axis=-1)
-            Z = scratch.take(0, (b, k + n, d))
+            # a view on a buffer sized for every filter, as update_raw's
+            # W^T W will take it, so that the first update does not regrow
+            # what the first predict sized for a run of fewer filters
+            Z = scratch.take(0, (len(P), k + n, d))[:b]
             Z[:, :k] = Zr[run, :k]
             np.matmul(U[run], Zr[run, k:], out=Z[:, k:])
         else:

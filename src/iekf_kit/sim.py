@@ -279,7 +279,8 @@ def perturbed_filter(variants, truth0, landmarks, init, scenario, rng):
 
     The perturbation is applied in world-frame coordinates so the EKF-family
     prior is exactly diagonal; the invariant prior is the same uncertainty
-    transported into right-invariant coordinates.
+    transported into right-invariant coordinates.  Each prior is written
+    into its row of one (B, d, d) array, which the bank adopts.
     """
     m = len(landmarks)
     sig = init.sigmas(m)
@@ -292,10 +293,15 @@ def perturbed_filter(variants, truth0, landmarks, init, scenario, rng):
         truth0.b_a + e[12:15])
     lm_est = landmarks + e[15:].reshape(m, 3)
     seed = rng.integers(2 ** 63)
-    return FilterInstance.stack([FilterInstance(
-        v, st, invariant_initial_covariance(st, sig, lm_est) if v.invariant
-        else np.diag(sig ** 2), scenario.noise,
-        rng=np.random.default_rng(seed), landmarks=lm_est) for v in variants])
+    P = np.zeros((len(variants), len(sig), len(sig)))
+    for P_i, v in zip(P, variants):
+        if v.invariant:
+            invariant_initial_covariance(st, sig, lm_est, out=P_i)
+        else:
+            np.fill_diagonal(P_i, sig ** 2)
+    return FilterInstance.adopt(
+        variants, st, P, scenario.noise,
+        [np.random.default_rng(seed) for _ in variants], landmarks=lm_est)
 
 
 def _camera_epochs(scenario, truth, predict):

@@ -140,24 +140,57 @@ def _cross_rows(a, b):
 
 # --- landmark updates against the live state -------------------------------
 
+@dataclass(eq=False)
+class LandmarkRows:
+    """The measurement rows of k in-state landmark observations for g
+    filters in block form: each observation's two rows are zero outside the
+    6 pose columns (orientation, position) and the 3 columns of its
+    landmark.  ``pose`` (g, 2k, 6) holds the pose columns, ``blocks``
+    (g, k, 2, 3) the landmark block J_pi S of each observation, ``index``
+    (k,) the landmarks observed and ``dim`` the state dimension, so that
+    ``shape`` is that of the dense H, (g, 2k, dim)."""
+
+    pose: np.ndarray
+    blocks: np.ndarray
+    index: np.ndarray
+    dim: int
+
+    @property
+    def shape(self):
+        return self.pose.shape[:2] + (self.dim,)
+
+    def dense(self):
+        """The dense H (g, 2k, dim)."""
+        g, k = self.blocks.shape[:2]
+        H = np.zeros((g, k, 2, self.dim))
+        H[..., :6] = self.pose.reshape(g, k, 2, 6)
+        # the columns from 15 on in blocks of three, landmark j's block j
+        # (the clones' columns, six each, follow as pairs of blocks)
+        lm = H[..., 15:].reshape(g, k, 2, -1, 3)
+        lm[:, np.arange(k), :, self.index] = self.blocks.swapaxes(0, 1)
+        return H.reshape(g, 2 * k, self.dim)
+
+
 def landmark_measurement(bank, model, ext, pixels, sigma_px, landmark_index):
-    """Stacked residuals, H and N of one camera epoch's observations
+    """Stacked residuals, rows and N of one camera epoch's observations
     ``pixels`` (n, 2) of the in-state landmarks ``landmark_index`` (n,)
     against the current state of each of the B filters of ``bank``.
 
     An observation whose predicted camera-frame point is outside the
     projection domain (``CameraModel.outside_domain``) is dropped.  Returns
-    one tuple (rows, residual (g, 2k), H (g, 2k, dim), N (2k, 2k), kept)
-    per group of the g filters that keep the same observations: ``rows``
-    their bank rows, or None when it is every filter, and ``kept`` (k,) the
-    positions in the input of the observations used, in input order, own
-    rows 2i and 2i + 1.  H follows each filter's error convention, so the
-    gain-weighted residual is a correction.  The EKF family's orientation
-    block is J_pi S (f - p)^ at the predicted position p, with f the
-    landmark's estimate, or for ``fej`` its first estimate.  The rows of
-    every filter and observation are built at once, those of the dropped
-    observations as NaN; a group's rows equal those of a bank of any of
-    its filters alone.
+    one tuple (rows, residual (g, 2k), H, N (2k, 2k), kept) per group of
+    the g filters that keep the same observations: ``rows`` their bank
+    rows, or None when it is every filter, H their ``LandmarkRows``
+    (g, 2k, dim), and ``kept`` (k,) the positions in the input of the
+    observations used, in input order, own rows 2i and 2i + 1.  H follows
+    each filter's error convention, so the gain-weighted residual is a
+    correction: its pose columns are the orientation block and -J_pi S,
+    and its landmark blocks J_pi S.  The EKF family's orientation block is
+    J_pi S (f - p)^ at the predicted position p, with f the landmark's
+    estimate, or for ``fej`` its first estimate; the invariant error's is
+    zero.  The rows of every filter and observation are built at once,
+    those of the dropped observations as NaN; a group's rows equal those
+    of a bank of any of its filters alone.
     """
     landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -177,19 +210,17 @@ def landmark_measurement(bank, model, ext, pixels, sigma_px, landmark_index):
     pred, J_pi = model.project(x_cam.reshape(-1, 3))
     # J_pi S with S = R_c^T; J_pi S u^ is the row-wise cross product with u
     JS = J_pi.reshape(b, n, 2, 3) @ R_c.swapaxes(1, 2)[:, None]
-    H = np.zeros((b, n, 2, dim))
-    H[..., 3:6] = -JS
+    pose = np.zeros((b, n, 2, 6))
+    pose[..., 3:6] = -JS
     # the invariant error's orientation part cancels for in-state landmarks
     ekf = np.flatnonzero(~bank.invariant)
     if len(ekf):
         f_lin = np.where(bank.fej[:, None, None], bank.first_landmarks,
                          bank.landmarks)[ekf][:, landmark_index]
-        H[ekf, ..., 0:3] = _cross_rows(
+        pose[ekf, ..., 0:3] = _cross_rows(
             JS[ekf], (f_lin - p[ekf, None])[:, :, None, :])
-    cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
-    H[:, np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
     residual = (pixels - pred.reshape(b, n, 2)).reshape(b, 2 * n)
-    H = H.reshape(b, 2 * n, dim)
+    pose = pose.reshape(b, 2 * n, 6)
     if (keep == keep[0]).all():
         groups = [(None, keep[0])]
     else:
@@ -197,12 +228,15 @@ def landmark_measurement(bank, model, ext, pixels, sigma_px, landmark_index):
                   for k in np.unique(keep, axis=0)]
     out = []
     for rows, k in groups:
-        r, h = (residual, H) if rows is None else (residual[rows], H[rows])
-        kept = np.flatnonzero(k)
+        r, h, blocks = ((residual, pose, JS) if rows is None
+                        else (residual[rows], pose[rows], JS[rows]))
+        kept, index = np.flatnonzero(k), landmark_index
         if len(kept) < n:
             obs = (2 * kept[:, None] + np.arange(2)).ravel()
-            r, h = r[:, obs], h[:, obs]
-        out.append((rows, r, h, np.eye(2 * len(kept)) * sigma_px ** 2, kept))
+            r, h, blocks = r[:, obs], h[:, obs], blocks[:, kept]
+            index = index[kept]
+        out.append((rows, r, LandmarkRows(h, blocks, index, dim),
+                    np.eye(2 * len(kept)) * sigma_px ** 2, kept))
     return out
 
 
@@ -480,10 +514,13 @@ class SlidingWindowUpdater:
             groups.setdefault(len(tracks[k]), []).append(k)
         out = {}
         for keys in groups.values():
+            obs = [o for k in keys for o in tracks[k]]
             keys = np.array(keys)
-            idx = np.array([[i for i, _ in tracks[k]] for k in keys])
-            uv = np.array([[z for _, z in tracks[k]] for k in keys],
-                          dtype=float)
+            # one flat array of the clone indices and one of the pixels,
+            # shaped (g, L) and (g, L, 2)
+            idx = np.array([i for i, _ in obs]).reshape(len(keys), -1)
+            uv = np.concatenate([z for _, z in obs], dtype=float).reshape(
+                len(keys), -1, 2)
             R, p = filt.clone_R[0, idx], filt.clone_p[0, idx]
             f, degenerate, diverged = triangulate(self.model, R, p, uv)
             self.dropped["degenerate"] += int(degenerate.sum())

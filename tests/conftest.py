@@ -10,7 +10,9 @@ stacked update of a list of filters replaced, the per-variant driver with
 its per-filter errors and NEES that the lock-step driver replaced, and the
 clone augmentation by ``np.block`` and marginalization by ``np.ix_`` that
 the block copies replaced, the allocating covariance step that the
-in-place one replaced, kept as their oracles; and the public functions
+in-place one replaced, the landmark rows built as a dense H that the block
+form replaced, and the bank stacked from one bank per variant that the
+in-place build replaced, kept as their oracles; and the public functions
 that only the tests called (the SE_n(3) log, vee and adjoint, the right
 log-error rate and the identity IMU state), kept as oracles.  The
 one-filter oracles read and write ``OneFilter``, one row of a filter bank
@@ -744,7 +746,8 @@ def _nees_filter(filt, errors):
 def _run_filter_per_variant(scenario, truth, frames, filt):
     """``sim.run_filter`` of the bank of one ``filt``, as it ran before the
     variants were driven in lock step: the filter's own ``predict``, its
-    own ``vision.landmark_measurement``, ``_update_raw_filter``, and
+    own ``vision.landmark_measurement`` with the rows expanded to the
+    dense H, ``_update_raw_filter``, and
     ``_errors_filter`` and ``_nees_filter`` at each camera epoch.  Returns
     its list of per-epoch tuples (t, pos_nees, ang_nees, |pos_err|,
     |ang_err|)."""
@@ -760,7 +763,7 @@ def _run_filter_per_variant(scenario, truth, frames, filt):
             landmark_index=list(frame))
         one = OneFilter(filt)
         if residual.size:
-            _update_raw_filter(one, residual[0], H[0], N)
+            _update_raw_filter(one, residual[0], H.dense()[0], N)
             one.store(filt)
         errors = _errors_filter(one, truth.states[k])
         pos_nees, ang_nees = _nees_filter(one, errors)
@@ -768,6 +771,78 @@ def _run_filter_per_variant(scenario, truth, frames, filt):
                         float(np.linalg.norm(errors[0])),
                         float(np.linalg.norm(errors[1]))))
     return records
+
+
+def _landmark_measurement_dense(bank, model, ext, pixels, sigma_px,
+                                landmark_index):
+    """``vision.landmark_measurement`` as it was before it returned the
+    rows in block form: one tuple (rows, residual (g, 2k), H (g, 2k, dim),
+    N (2k, 2k), kept) per group of filters that keep the same
+    observations, H built dense for every filter and observation at once
+    and then selected."""
+    landmark_index = np.asarray(landmark_index, dtype=int).reshape(-1)
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    b, n, dim = len(bank.variants), len(landmark_index), bank.dim
+    R = bank.state.R
+    R_c = R @ ext.R_ic
+    p = bank.state.p
+    p_c = p + R @ ext.p_ic
+    x_cam = vision.world_to_camera(R_c[:, None], p_c[:, None],
+                                   bank.landmarks[:, landmark_index])
+    zero_range, behind = model.outside_domain(x_cam.reshape(-1, 3))
+    keep = ~(zero_range | behind).reshape(b, n)
+    if not keep.all():
+        x_cam[~keep] = np.nan
+    pred, J_pi = model.project(x_cam.reshape(-1, 3))
+    JS = J_pi.reshape(b, n, 2, 3) @ R_c.swapaxes(1, 2)[:, None]
+    H = np.zeros((b, n, 2, dim))
+    H[..., 3:6] = -JS
+    ekf = np.flatnonzero(~bank.invariant)
+    if len(ekf):
+        f_lin = np.where(bank.fej[:, None, None], bank.first_landmarks,
+                         bank.landmarks)[ekf][:, landmark_index]
+        H[ekf, ..., 0:3] = vision._cross_rows(
+            JS[ekf], (f_lin - p[ekf, None])[:, :, None, :])
+    cols = 15 + 3 * landmark_index[:, None, None] + np.arange(3)
+    H[:, np.arange(n)[:, None, None], np.arange(2)[:, None], cols] = JS
+    residual = (pixels - pred.reshape(b, n, 2)).reshape(b, 2 * n)
+    H = H.reshape(b, 2 * n, dim)
+    if (keep == keep[0]).all():
+        groups = [(None, keep[0])]
+    else:
+        groups = [(np.flatnonzero((keep == k).all(axis=1)), k)
+                  for k in np.unique(keep, axis=0)]
+    out = []
+    for rows, k in groups:
+        r, h = (residual, H) if rows is None else (residual[rows], H[rows])
+        kept = np.flatnonzero(k)
+        if len(kept) < n:
+            obs = (2 * kept[:, None] + np.arange(2)).ravel()
+            r, h = r[:, obs], h[:, obs]
+        out.append((rows, r, h, np.eye(2 * len(kept)) * sigma_px ** 2, kept))
+    return out
+
+
+def _perturbed_filter_stack(variants, truth0, landmarks, init, scenario,
+                            rng):
+    """``sim.perturbed_filter`` as it was before the bank was built in
+    place: one bank of one per variant, each copying its own prior, joined
+    by ``FilterInstance.stack``."""
+    m = len(landmarks)
+    sig = init.sigmas(m)
+    e = sig * rng.standard_normal(len(sig))
+    st = imu.ImuState(
+        lie.so3_exp(e[0:3]) @ truth0.R,
+        truth0.p + e[3:6],
+        truth0.v + e[6:9],
+        truth0.b_omega + e[9:12],
+        truth0.b_a + e[12:15])
+    lm_est = landmarks + e[15:].reshape(m, 3)
+    seed = rng.integers(2 ** 63)
+    return filters.FilterInstance.stack([filters.FilterInstance(
+        v, st, filters.invariant_initial_covariance(st, sig, lm_est)
+        if v.invariant else np.diag(sig ** 2), scenario.noise,
+        rng=np.random.default_rng(seed), landmarks=lm_est) for v in variants])
 
 
 def _monte_carlo_single_run_per_variant(scenario, variants, init, seed,
@@ -787,8 +862,9 @@ def _monte_carlo_single_run_per_variant(scenario, variants, init, seed,
     out = {}
     for v in variants:
         rng_init.bit_generator.state = init_state
-        filt = sim.perturbed_filter([v], truth.states[0], truth.landmarks,
-                                    init, scenario, rng_init)
+        filt = _perturbed_filter_stack([v], truth.states[0],
+                                       truth.landmarks, init, scenario,
+                                       rng_init)
         out[v.label] = _run_filter_per_variant(scenario, truth, frames, filt)
     return out
 
@@ -962,3 +1038,13 @@ def run_filter_per_variant():
 @pytest.fixture(scope="session")
 def monte_carlo_single_run_per_variant():
     return _monte_carlo_single_run_per_variant
+
+
+@pytest.fixture(scope="session")
+def landmark_measurement_dense():
+    return _landmark_measurement_dense
+
+
+@pytest.fixture(scope="session")
+def perturbed_filter_stack():
+    return _perturbed_filter_stack

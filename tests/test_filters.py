@@ -261,6 +261,56 @@ def test_update_of_a_list_equals_one_update_per_filter(
     assert np.array_equal(bank.P, bank.P.swapaxes(1, 2))
 
 
+# the study's d = 51 and d = 99 update from the expanded dense H, and the
+# block products take over from d = imu.STATIC_SPLIT_DIM on: d = 102 and the
+# dense workload's d = 195
+@pytest.mark.parametrize("m", [12, 28, 29, 60])
+def test_update_from_block_rows_equals_the_dense_update(m, mean_vector,
+                                                        one_filter):
+    # the bank's update from the landmark rows in block form equals the
+    # update from their dense H bit for bit below the threshold, and within
+    # 1e-12 of the largest entry from it on, for the group of every filter
+    # but one and for that one's own group (a row index)
+    rng = np.random.default_rng(m)
+    ext = vision.Extrinsics()
+    model = vision.CameraModel()
+    st = make_state(rng)
+    R_c, p_c = vision.camera_pose(st, ext)
+    x_cam = np.column_stack([rng.uniform(-2.0, 2.0, (m, 2)),
+                             rng.uniform(3.0, 9.0, m)])
+    filts = []
+    for tag in ("ekf", "fej", "iekf", "ij_iekf"):
+        f = filters.FilterInstance(
+            filters.FilterVariant(tag, 0.3 if tag == "ij_iekf" else 0.0), st,
+            np.eye(15 + 3 * m), NOISE, landmarks=p_c + x_cam @ R_c.T)
+        A = rng.normal(0.0, 0.03, (f.dim, f.dim))
+        f.P = (A @ A.T + 1e-4 * np.eye(f.dim))[None]
+        f.first_landmarks[0] += rng.normal(0.0, 0.3, (m, 3))
+        f.state.p[0] += rng.normal(0.0, 0.05, 3)
+        filts.append(f)
+    bank = filters.FilterInstance.stack(filts)
+    # the ekf estimates landmark 1 behind its camera and drops it
+    bank.landmarks[0, 1] = p_c + R_c @ np.array([0.5, -0.3, -4.0])
+    idx = rng.permutation(m)
+    pix = model.project(x_cam[idx])[0] + rng.normal(0.0, 1.0, (m, 2))
+    groups = vision.landmark_measurement(bank, model, ext, pix, 1.0,
+                                         landmark_index=idx)
+    assert sorted(list(rows) for rows, *_ in groups) == [[0], [1, 2, 3]]
+    blocks, dense = copy.deepcopy(bank), copy.deepcopy(bank)
+    for rows, r, H, N, _ in groups:
+        blocks.update_raw(r, H, N, rows)
+        dense.update_raw(r, H.dense(), N, rows)
+    for i in range(len(filts)):
+        got, want = one_filter(blocks, i), one_filter(dense, i)
+        pairs = ((got.P, want.P), (mean_vector(got), mean_vector(want)))
+        if bank.dim < imu.STATIC_SPLIT_DIM:
+            assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+        else:
+            assert all(np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+                       for a, b in pairs)
+        assert np.array_equal(got.P, got.P.T)
+
+
 @pytest.mark.parametrize("m, n_clones", [(12, 0), (0, 6), (3, 4)])
 def test_correction_of_a_list_equals_one_correction_per_filter(
         m, n_clones, monkeypatch, apply_correction_filter, mean_vector,
@@ -1030,7 +1080,7 @@ def test_fej_linearizes_at_first_landmark_estimates():
     (_, r2, H2, _, _), = vision.landmark_measurement(
         bank, model, ext, model.project(x_cam[idx])[0], 1.0,
         landmark_index=idx)
-    (r, r_ekf), (H, H_ekf) = r2, H2
+    (r, r_ekf), (H, H_ekf) = r2, H2.dense()
     R_c, p_c = vision.camera_pose(st, ext)
     lms = f.landmarks[0]
     _, J_pi = model.project(vision.world_to_camera(R_c, p_c, lms[idx]))

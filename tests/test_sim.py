@@ -364,6 +364,58 @@ def test_iekf_beside_ij_iekf_zero_is_bit_identical(
     assert np.array_equal(got["iekf"], got["ij_iekf-0"])
 
 
+# the perfbench dense workload's shape: 60 landmarks (d = 195), a 5 Hz
+# camera on a 50 Hz IMU, ekf beside iekf
+DENSE = sim.Scenario(duration=1.2, imu_rate=50.0, cam_rate=5.0,
+                     n_landmarks=60)
+
+
+def test_lock_step_at_the_dense_shape_is_within_tolerance(
+        monte_carlo_single_run_per_variant):
+    # from d = imu.STATIC_SPLIT_DIM on the bank updates from the blocks of
+    # the landmark rows, and the per-variant driver from their dense H:
+    # the records agree to rounding (within 1e-9 relative)
+    variants = [filters.FilterVariant("ekf"), filters.FilterVariant("iekf")]
+    assert 15 + 3 * DENSE.n_landmarks >= imu.STATIC_SPLIT_DIM
+    for run_index in range(2):
+        got = sim.monte_carlo_single_run(DENSE, variants, STUDY_INIT, 0,
+                                         run_index)
+        want = monte_carlo_single_run_per_variant(DENSE, variants,
+                                                  STUDY_INIT, 0, run_index)
+        assert list(got) == list(want)
+        for label in got:
+            assert len(got[label]) == len(want[label]) == 6
+            assert max_relative_difference(got[label], want[label]) <= 1e-9
+
+
+def test_bank_is_built_in_place(perturbed_filter_stack):
+    # the paired run's bank takes one C-contiguous (B, d, d) P, into which
+    # every variant's prior was written, and equals the bank stacked from
+    # one bank per variant bit for bit
+    sc = sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0)
+    truth = sim.synthesize_truth(sc, np.random.default_rng(31))
+    variants = [filters.FilterVariant(tag) for tag in ("ekf", "fej", "iekf")]
+    variants.append(filters.FilterVariant("ij_iekf", 0.5))
+    got, want = (build(variants, truth.states[0], truth.landmarks,
+                       STUDY_INIT, sc, np.random.default_rng(6))
+                 for build in (sim.perturbed_filter, perturbed_filter_stack))
+    d = 15 + 3 * len(truth.landmarks)
+    assert got.P.shape == (len(variants), d, d)
+    assert got.P.flags.c_contiguous and got.P.flags.owndata
+    assert np.array_equal(got.P, got.P.swapaxes(1, 2))
+    assert got.variants == want.variants and got.noise is want.noise
+    for name in ("P", "landmarks", "first_landmarks", "clone_R", "clone_p",
+                 "invariant", "fej"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for a, b in zip(vars(got.state).values(), vars(want.state).values()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert not np.shares_memory(got.landmarks, got.first_landmarks)
+    assert len({id(r) for r in got.rngs}) == len(variants)
+    assert ([r.bit_generator.state for r in got.rngs]
+            == [r.bit_generator.state for r in want.rngs])
+
+
 def kept_observations_differ(moved):
     """(scenario, truth, frames, build) of a 2 s realization of the study's
     shape where the ekf, iekf and fej filters of ``moved`` estimate the

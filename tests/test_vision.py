@@ -123,7 +123,7 @@ def test_landmark_jacobian_in_state(tag):
     (_, _, H, _, _), = vision.landmark_measurement(f, MODEL, ext, [pix], 1.0,
                                                    landmark_index=[j])
     H_fd = fd_measurement_jacobian(f, ext, j)
-    assert np.abs(H[0] - H_fd).max() < 1e-4
+    assert np.abs(H.dense()[0] - H_fd).max() < 1e-4
 
 
 def test_landmark_residual_at_truth_is_zero():
@@ -170,7 +170,7 @@ def test_epoch_rows_stack_single_observation_rows(tag, in_state):
     def rows(sel):
         (_, r, H, N, kept), = vision.landmark_measurement(
             f, MODEL, ext, pix[sel], 1.5, landmark_index=order[sel])
-        return r[0], H[0], N, kept
+        return r[0], H.dense()[0], N, kept
 
     r, H, N, kept = rows(slice(None))
     singles = [rows(slice(k, k + 1)) for k in range(len(order))]
@@ -205,7 +205,7 @@ def test_epoch_drops_observations_outside_the_domain(mode):
     (_, r3, H3, _, kept3), = vision.landmark_measurement(
         f, model, ext, pix[[0, 1, 3]], 1.0, landmark_index=idx[[0, 1, 3]])
     assert np.array_equal(kept3, [0, 1, 2])
-    assert np.array_equal(r, r3) and np.array_equal(H, H3)
+    assert np.array_equal(r, r3) and np.array_equal(H.dense(), H3.dense())
     # nothing is left when every observation is outside the domain
     (_, r0, H0, N0, kept0), = vision.landmark_measurement(
         f, model, ext, pix[[2]], 1.0, landmark_index=[2])
@@ -249,13 +249,59 @@ def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
                 g.landmarks[:, 1] = bank.landmarks[i, 1]
                 (_, *want), = vision.landmark_measurement(
                     g, model, ext, pix, 1.5, landmark_index=idx)
-                for a, b in zip((r[j], H[j], N, k),
-                                (want[0][0], want[1][0], *want[2:])):
+                for a, b in zip((r[j], H.dense()[j], N, k),
+                                (want[0][0], want[1].dense()[0], *want[2:])):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
                 kept[i] = len(k)
         assert len(groups) == (2 if case == "one dropped by one" else 1)
         assert kept == {"all kept": [4] * 4, "one dropped by all": [3] * 4,
                         "one dropped by one": [4, 4, 3, 4]}[case], case
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+@pytest.mark.parametrize("tags", [("iekf",), ("ekf",), ("fej",),
+                                  ("ekf", "fej", "iekf", "ij_iekf")])
+def test_block_rows_expand_to_the_dense_rows(tags, mode,
+                                             landmark_measurement_dense):
+    # the rows in block form expand to the dense H of the former builder
+    # bit for bit, with the same groups, residuals, N and kept
+    # observations: with every observation kept, with one dropped by every
+    # filter, and with one dropped by the first filter only (split groups)
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(23)
+    f, ext, pix = epoch_in_front("ekf", rng, n=5)
+    st = row_state(f)
+    filts = []
+    for tag in tags:
+        g = filters.FilterInstance(filters.FilterVariant(tag), st, f.P[0],
+                                   f.noise, landmarks=f.landmarks[0])
+        g.first_landmarks[0] += rng.normal(0.0, 0.3, (5, 3))
+        g.state.p[0] += rng.normal(0.0, 0.05, 3)
+        filts.append(g)
+    idx = np.array([4, 2, 0, 3])
+    R_c, p_c = vision.camera_pose(st, ext)
+    behind = p_c + R_c @ np.array([0.5, -0.3, -4.0])
+    for moved in ([], list(range(len(tags))), [0]):
+        bank = filters.FilterInstance.stack(filts)
+        bank.landmarks[moved, 2] = behind
+        groups = vision.landmark_measurement(bank, model, ext, pix[:4], 1.5,
+                                             landmark_index=idx)
+        want = landmark_measurement_dense(bank, model, ext, pix[:4], 1.5,
+                                          landmark_index=idx)
+        split = 0 < len(moved) < len(tags)
+        assert len(groups) == len(want) == 1 + split
+        for (rows, r, H, N, kept), (rows_w, r_w, H_w, N_w, kept_w) in zip(
+                groups, want):
+            assert (rows is None) == (rows_w is None)
+            if rows is not None:
+                assert np.array_equal(rows, rows_w)
+            assert isinstance(H, vision.LandmarkRows)
+            assert H.shape == H_w.shape
+            assert np.array_equal(H.index, idx[kept])
+            for a, b in zip((r, H.dense(), N, kept), (r_w, H_w, N_w, kept_w)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert len(kept) == (3 if len(moved) and (
+                rows is None or 0 in rows) else 4)
 
 
 def test_cross_rows_equals_np_cross():
