@@ -497,6 +497,8 @@ class FilterInstance:
             Wz[:, s:e] = np.linalg.inv(L[:, s:e, s:e]) @ rhs
         W = Wz[..., :-1]
         self.apply_correction((W.swapaxes(1, 2) @ Wz[..., -1:])[..., 0], rows)
+        # numpy runs W^T W of one buffer as a BLAS syrk; a W^T copied to
+        # its own buffer would take the slower general product
         WtW = np.matmul(W.swapaxes(1, 2), W,
                         out=self._scratch.take(0, (len(P), dim, dim)))
         if rows is None:

@@ -53,6 +53,13 @@ class ImuState:
         return ImuState(self.R.copy(), self.p.copy(), self.v.copy(),
                         self.b_omega.copy(), self.b_a.copy())
 
+    def __getitem__(self, index):
+        """The state or states at ``index`` of a stack of states, whose
+        fields carry a leading axis (the filters of a bank, the epochs of
+        a truth stream); an integer or a slice gives views of its fields."""
+        return ImuState(self.R[index], self.p[index], self.v[index],
+                        self.b_omega[index], self.b_a[index])
+
 
 @dataclass
 class ImuNoiseSpec:
@@ -97,8 +104,13 @@ def propagate_mean(state, omega, accel, dt, gravity):
     Step k is R <- R Exp((w_k - b_w) dt), and v and p follow the
     constant-acceleration rule with the world-frame acceleration
     R (a_k - b_a) + g evaluated at the step start; the biases do not change.
-    The increments come from one ``lie.so3_exp_stack`` and the orientations
-    from a loop of 3 x 3 products; the velocities and positions are
+    The increments come from one ``lie.so3_exp_stack``.  Their running
+    products are a prefix scan: ceil(log2 n) rounds of one batched product
+    each, round s multiplying every partial product on the left by the one
+    s places before it, and a last batched product with the start
+    orientation.  This reassociates R_k = R_0 dR_0 ... dR_k-1, so the chain
+    equals the step-by-step one to rounding, not bit for bit (the test
+    suite keeps that loop as the oracle).  The velocities and positions are
     cumulative sums that add in the order of the steps.
 
     Returns (end state, R, p, v, Ra): R (n + 1, 3, 3), p and v (n + 1, 3)
@@ -118,12 +130,15 @@ def propagate_mean(state, omega, accel, dt, gravity):
     lead = np.shape(state.b_omega)[:-1]    # () or (B,)
     w = (omega - state.b_omega[..., None, :]) * dt
     dR = lie.so3_exp_stack(w.reshape(-1, 3)).reshape(lead + (n, 3, 3))
+    # prefix products by doubling: after the round of shift s, dR[k] is the
+    # product of increments k - 2s + 1 .. k (from 0 where that is negative)
+    s = 1
+    while s < n:
+        dR[..., s:, :, :] = dR[..., :-s, :, :] @ dR[..., s:, :, :]
+        s *= 2
     R = np.empty(lead + (n + 1, 3, 3))
-    # the loop runs on step-major views: integer indexing is the cheapest
-    R_k, dR_k = (R.swapaxes(0, 1), dR.swapaxes(0, 1)) if lead else (R, dR)
-    R_k[0] = state.R
-    for k in range(n):
-        np.matmul(R_k[k], dR_k[k], out=R_k[k + 1])
+    R[..., 0, :, :] = state.R
+    np.matmul(state.R[..., None, :, :], dR, out=R[..., 1:, :, :])
     Ra = (R[..., :n, :, :]
           @ (accel - state.b_a[..., None, :])[..., None])[..., 0]
     a_world = Ra + gravity

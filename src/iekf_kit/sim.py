@@ -168,12 +168,13 @@ class Scenario:
 @dataclass
 class TruthData:
     """One realization of the true world: the n + 1 IMU epochs ``times``,
-    the true states at them, the IMU stream as (n, 3) gyro and
-    accelerometer readings (reading k is taken over the step from epoch k),
-    and the landmark field."""
+    the true states at them as one stacked ``ImuState`` (fields (n + 1, ...);
+    ``states[k]`` is the state at epoch k), the IMU stream as (n, 3) gyro
+    and accelerometer readings (reading k is taken over the step from
+    epoch k), and the landmark field."""
 
     times: np.ndarray
-    states: list
+    states: ImuState
     omega: np.ndarray
     accel: np.ndarray
     landmarks: np.ndarray
@@ -198,9 +199,11 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     cumulative sums.  The rotation logs are one stacked ``lie.so3_log``
     call.  The true states are one ``imu.propagate_mean`` call over the
     clean stream from the initial state with zero biases, and carry the bias
-    walks.  Times, states, readings, landmarks and the rng state afterwards
-    equal those of a per-step loop bit for bit (the test suite keeps that
-    loop as the oracle).
+    walks.  Times, readings, bias walks, landmarks and the rng state
+    afterwards equal those of a per-step loop bit for bit (the test suite
+    keeps that loop as the oracle); the orientations, positions and
+    velocities equal them to rounding, since ``propagate_mean`` multiplies
+    the orientation increments in another order.
     """
     sc = scenario
     dt = 1.0 / sc.imu_rate
@@ -226,7 +229,7 @@ def synthesize_truth(scenario, rng, with_noise=True, landmarks=None):
     meas_accel = accel + b_a[:-1] + sa * noise[:, 3:6]
     chain = imu_model.propagate_mean(sc.trajectory.state(0.0), omega, accel,
                                      dt, g)
-    states = [ImuState(*row) for row in zip(*chain[1:4], b_w, b_a)]
+    states = ImuState(*chain[1:4], b_w, b_a)
     if landmarks is None:
         landmarks = sc.make_landmarks(rng)
     return TruthData(times, states, meas_omega, meas_accel, landmarks)
@@ -241,7 +244,7 @@ def camera_frame(scenario, state, landmarks, rng):
     x = vision.world_to_camera(R_c, p_c, landmarks)
     near = np.flatnonzero((x[:, 2] >= 1.0) & (np.linalg.norm(x, axis=1)
                                               <= scenario.max_range))
-    uv, _ = cam.project(x[near])
+    uv = cam.pixels(x[near])
     inside = ((0.0 <= uv[:, 0]) & (uv[:, 0] <= cam.width)
               & (0.0 <= uv[:, 1]) & (uv[:, 1] <= cam.height))
     pixels = uv[inside] + scenario.pixel_sigma * rng.standard_normal(
@@ -427,8 +430,9 @@ def monte_carlo_single_run(scenario, variants, init, seed, run_index):
     rng_init = np.random.default_rng(children[2])
     truth = synthesize_truth(scenario, rng_truth)
     every = scenario.camera_every
-    frames = [camera_frame(scenario, st, truth.landmarks, rng_cam)
-              for st in truth.states[every::every]]
+    frames = [camera_frame(scenario, truth.states[k], truth.landmarks,
+                           rng_cam)
+              for k in range(every, len(truth.times), every)]
     bank = perturbed_filter(variants, truth.states[0], truth.landmarks, init,
                             scenario, rng_init)
     records = run_filter(scenario, truth, frames, bank)

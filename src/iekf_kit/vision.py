@@ -83,6 +83,19 @@ class CameraModel:
             return np.linalg.norm(x_cam, axis=1) < RANGE_EPS, behind
         return False, behind
 
+    def pixels(self, x_cam):
+        """Pixels (n, 2) of camera-frame points (n, 3) inside the domain
+        (see outside_domain)."""
+        if self.mode == "bearing":
+            # the stacked row-times-column product sums as x.dot(x) does, so
+            # the ranges equal np.linalg.norm of each row bit for bit
+            dist = np.sqrt(x_cam[:, None, :] @ x_cam[:, :, None])[:, 0]
+            h = (x_cam / dist) @ self.K.T
+            return h[:, :2] / h[:, 2:]
+        x, y, z = x_cam.T
+        return np.column_stack([self.fx * x / z + self.cx,
+                                self.fy * y / z + self.cy])
+
     def project(self, x_cam):
         """Pixels (n, 2) and projection Jacobians (n, 2, 3) of camera-frame
         points (n, 3) inside the domain (see outside_domain).
@@ -90,16 +103,8 @@ class CameraModel:
         The bearing map equals the pinhole map wherever both are defined,
         so the Jacobian is shared; only the domains differ.
         """
+        uv = self.pixels(x_cam)
         x, y, z = x_cam.T
-        if self.mode == "bearing":
-            # the stacked row-times-column product sums as x.dot(x) does, so
-            # the ranges equal np.linalg.norm of each row bit for bit
-            dist = np.sqrt(x_cam[:, None, :] @ x_cam[:, :, None])[:, 0]
-            h = (x_cam / dist) @ self.K.T
-            uv = h[:, :2] / h[:, 2:]
-        else:
-            uv = np.column_stack([self.fx * x / z + self.cx,
-                                  self.fy * y / z + self.cy])
         J = np.zeros((len(x_cam), 2, 3))
         J[:, 0, 0] = self.fx / z
         J[:, 0, 2] = -self.fx * x / z ** 2

@@ -106,8 +106,7 @@ class OneFilter:
 
     def __init__(self, bank, i=0):
         self.variant = bank.variants[i]
-        self.state = imu.ImuState(*(x[i].copy()
-                                    for x in vars(bank.state).values()))
+        self.state = bank.state[i].copy()
         self.P = bank.P[i].copy()
         self.noise = bank.noise
         self.rng = copy.deepcopy(bank.rngs[i])
@@ -856,8 +855,9 @@ def _monte_carlo_single_run_per_variant(scenario, variants, init, seed,
     rng_init = np.random.default_rng(children[2])
     truth = sim.synthesize_truth(scenario, rng_truth)
     every = scenario.camera_every
-    frames = [sim.camera_frame(scenario, st, truth.landmarks, rng_cam)
-              for st in truth.states[every::every]]
+    frames = [sim.camera_frame(scenario, truth.states[k], truth.landmarks,
+                               rng_cam)
+              for k in range(every, len(truth.times), every)]
     init_state = rng_init.bit_generator.state
     out = {}
     for v in variants:

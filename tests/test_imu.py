@@ -301,10 +301,30 @@ def test_interval_draw_equals_per_step_draws(n):
     assert one.bit_generator.state == steps.bit_generator.state
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 20])
+# the relative tolerance of the chain by doubling against the per-step
+# loop, on the largest entry of each field: the scan multiplies the
+# rotation increments in another order
+CHAIN_RTOL = 1e-9
+
+
+def assert_chain_close(got, want, what):
+    assert got.shape == want.shape, what
+    assert np.abs(got - want).max() <= CHAIN_RTOL * np.abs(want).max(), what
+
+
+def per_step_chain(propagate_step, st, omega, accel, dt, g):
+    chain = [st]
+    for w, a in zip(omega, accel):
+        chain.append(propagate_step(chain[-1], w, a, dt, g))
+    return chain
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 17, 20, 440])
 def test_interval_chain_matches_per_step_chain(n, propagate_step):
-    # the stacked chain equals a loop of the per-step oracle bit for bit:
-    # the states along the way, the end state and the rotated specific force
+    # the chain against a loop of the per-step oracle: the states along the
+    # way, the end state and the rotated specific force within CHAIN_RTOL,
+    # the start state, the biases and the end state's place in the chain
+    # bit for bit
     rng = np.random.default_rng(22 + n)
     st = random_state(rng)
     omega = rng.normal(0.0, 0.5, (n, 3))
@@ -312,38 +332,57 @@ def test_interval_chain_matches_per_step_chain(n, propagate_step):
     dt = 0.01
     g = imu.DEFAULT_GRAVITY
     end, R, p, v, Ra = imu.propagate_mean(st, omega, accel, dt, g)
-    chain = [st]
-    for w, a in zip(omega, accel):
-        chain.append(propagate_step(chain[-1], w, a, dt, g))
+    chain = per_step_chain(propagate_step, st, omega, accel, dt, g)
     for f, got in (("R", R), ("p", p), ("v", v)):
         want = np.array([getattr(s_, f) for s_ in chain])
-        assert got.tobytes() == want.tobytes(), f
-    for f in ("R", "p", "v", "b_omega", "b_a"):
+        assert_chain_close(got, want, f)
+        assert got[0].tobytes() == getattr(st, f).tobytes(), f
+        assert getattr(end, f).tobytes() == got[-1].tobytes(), f
+        assert_chain_close(getattr(end, f), getattr(chain[-1], f), f)
+    for f in ("b_omega", "b_a"):
         assert np.array_equal(getattr(end, f), getattr(chain[-1], f)), f
     want_Ra = np.array([s_.R @ (a - s_.b_a) for s_, a in zip(chain, accel)])
-    assert Ra.tobytes() == want_Ra.tobytes()
+    assert_chain_close(Ra, want_Ra, "Ra")
+
+
+def test_stream_chain_stays_a_rotation(propagate_step):
+    # criterion 7's stream (120 s at 50 Hz, 6000 steps): the chain stays
+    # within CHAIN_RTOL of the per-step loop, and every R_k orthonormal to
+    # 1e-13
+    rng = np.random.default_rng(41)
+    st = random_state(rng)
+    n, dt, g = 6000, 0.02, imu.DEFAULT_GRAVITY
+    omega = rng.normal(0.0, 0.5, (n, 3))
+    accel = rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.8]
+    _, R, p, v, _ = imu.propagate_mean(st, omega, accel, dt, g)
+    chain = per_step_chain(propagate_step, st, omega, accel, dt, g)
+    for f, got in (("R", R), ("p", p), ("v", v)):
+        assert_chain_close(got, np.array([getattr(s_, f) for s_ in chain]), f)
+    assert np.abs(R.swapaxes(1, 2) @ R - np.eye(3)).max() < 1e-13
 
 
 def test_batched_chain_equals_one_call_per_state():
-    # B states through the same readings in one call: each state's chain,
-    # end state and rotated specific force equal its own call bit for bit
+    # B states through the same readings in one call, at lengths that are
+    # and are not powers of two: each state's chain, end state and rotated
+    # specific force equal its own call bit for bit
     rng = np.random.default_rng(40)
     states = [random_state(rng) for _ in range(4)]
-    omega = rng.normal(0.0, 0.5, (3, 3))
-    accel = rng.normal(0.0, 3.0, (3, 3)) + [0.0, 0.0, 9.8]
     fields = ("R", "p", "v", "b_omega", "b_a")
     stacked = imu.ImuState(*(np.stack([getattr(s_, f) for s_ in states])
                              for f in fields))
     g = imu.DEFAULT_GRAVITY
-    end, R, p, v, Ra = imu.propagate_mean(stacked, omega, accel, 0.02, g)
-    assert R.shape == (4, 4, 3, 3) and Ra.shape == (4, 3, 3)
-    for i, s_ in enumerate(states):
-        want = imu.propagate_mean(s_, omega, accel, 0.02, g)
-        for got, ref in zip((R[i], p[i], v[i], Ra[i]), want[1:]):
-            assert got.tobytes() == ref.tobytes()
-        for f in fields:
-            assert (getattr(end, f)[i].tobytes()
-                    == getattr(want[0], f).tobytes())
+    for n in (1, 3, 5, 8, 17):
+        omega = rng.normal(0.0, 0.5, (n, 3))
+        accel = rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.8]
+        end, R, p, v, Ra = imu.propagate_mean(stacked, omega, accel, 0.02, g)
+        assert R.shape == (4, n + 1, 3, 3) and Ra.shape == (4, n, 3)
+        for i, s_ in enumerate(states):
+            want = imu.propagate_mean(s_, omega, accel, 0.02, g)
+            for got, ref in zip((R[i], p[i], v[i], Ra[i]), want[1:]):
+                assert got.tobytes() == ref.tobytes()
+            for f in fields:
+                assert (getattr(end, f)[i].tobytes()
+                        == getattr(want[0], f).tobytes())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10])

@@ -2,6 +2,7 @@
 finite roundtrips; closed forms are never trusted against themselves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,36 @@ def test_so3_exp_log_equal_their_numpy_forms(angle, seed):
                 lie.so3_log(M)
             continue
         assert np.array_equal(lie.so3_log(M), want)
+
+
+def test_so3_exp_stack_equals_so3_exp_on_every_branch():
+    # one stack of zero rows, rows just below, at and just above
+    # SMALL_ANGLE, rows near pi and generic rows, and each row as a
+    # one-row stack: every row equals so3_exp bit for bit, and the array
+    # coefficients raise no RuntimeWarning (no 0/0 on the series rows)
+    small = lie.SMALL_ANGLE
+    angles = [0.0, np.nextafter(small, 0.0), 0.5 * small, small,
+              np.nextafter(small, 1.0), 2.0 * small,
+              np.pi - 1e-6, np.nextafter(np.pi, 0.0), np.pi, 1e-3, 2.5]
+    # an angle on one axis is its row's norm exactly: sqrt(x * x) = |x|
+    rows = [np.roll([a, 0.0, 0.0], k % 3) for k, a in enumerate(angles)]
+    rng = np.random.default_rng(29)
+    axes = rng.normal(0.0, 1.0, (len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    w = np.vstack([rows, np.array(angles)[:, None] * axes, np.zeros((2, 3))])
+    theta = np.linalg.norm(w, axis=1)
+    assert (theta < small).sum() >= 4 and (theta == small).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        E = lie.so3_exp_stack(w)
+        one_row = [lie.so3_exp_stack(w[k:k + 1]) for k in range(len(w))]
+        assert lie.so3_exp_stack(w[:0]).shape == (0, 3, 3)
+    assert E.shape == (len(w), 3, 3)
+    for k in range(len(w)):
+        want = lie.so3_exp(w[k])
+        assert E[k].tobytes() == want.tobytes(), k
+        assert one_row[k].shape == (1, 3, 3)
+        assert one_row[k][0].tobytes() == want.tobytes(), k
 
 
 def test_so3_stacks_match_per_row():

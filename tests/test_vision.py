@@ -37,7 +37,7 @@ def make_filter(tag, rng, landmarks=None):
 
 def row_state(bank, i=0):
     """The state of row ``i`` of ``bank``, copied, with 2-D fields."""
-    return imu.ImuState(*(x[i].copy() for x in vars(bank.state).values()))
+    return bank.state[i].copy()
 
 
 def test_pinhole_projection_values():
@@ -54,6 +54,28 @@ def test_bearing_equals_pinhole_on_front_domain():
     (uv_b, J_b), (uv_p, J_p) = bearing.project(x), MODEL.project(x)
     assert np.abs(uv_b - uv_p).max() < 1e-9
     assert np.array_equal(J_b, J_p)
+
+
+@pytest.mark.parametrize("mode", ["pinhole", "bearing"])
+def test_pixel_map_is_the_pixels_of_project(mode):
+    # pixels() is project()'s pixel map without the Jacobians, bit for bit,
+    # and both equal the closed forms of the mode
+    model = vision.CameraModel(mode=mode)
+    rng = np.random.default_rng(16)
+    for n in (1, 12, 100):
+        x = rng.normal(0.0, 3.0, (n, 3))
+        x[:, 2] = np.abs(x[:, 2]) + 0.5
+        uv = model.pixels(x)
+        assert uv.shape == (n, 2)
+        assert uv.tobytes() == model.project(x)[0].tobytes()
+        if mode == "bearing":
+            dist = np.array([[np.linalg.norm(row)] for row in x])
+            h = (x / dist) @ model.K.T
+            want = h[:, :2] / h[:, 2:]
+        else:
+            want = np.column_stack([model.fx * x[:, 0] / x[:, 2] + model.cx,
+                                    model.fy * x[:, 1] / x[:, 2] + model.cy])
+        assert uv.tobytes() == want.tobytes()
 
 
 def test_projection_domain_errors():
