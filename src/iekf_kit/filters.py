@@ -18,15 +18,15 @@ the gain times residual is then applied directly as a correction.
 
 A ``FilterInstance`` is a bank: the filters of one paired run, of one state
 layout and one noise spec, as the rows of stacked arrays.  Every stage
-(``predict_all``, ``update_raw``, ``apply_correction``, ``errors``,
-``nees``, the clone augmentation and marginalization) runs once for all
-rows, whatever their variants, and writes them in place; one filter is a
-bank of one.
+(``predict_all``, ``update_raw``, ``apply_correction``, the clone
+augmentation and marginalization) runs once for all rows, whatever their
+variants, and writes them in place; one filter is a bank of one.
+``errors`` and ``nees`` take the estimates of any number of filters and
+epochs at once.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,28 +210,31 @@ def predict_all(bank, omega, accel, dt):
     imu_model.propagate_covariance(bank.P, V, Q, U, bank._scratch)
 
 
-def errors(bank, truth):
-    """(pos_err, ang_err), (B, 3) each, of the B filters of ``bank``
-    against one truth state, each in its filter's error convention.
+def errors(R_hat, p_hat, invariant, R, p):
+    """(pos_err, ang_err), (..., 3) each, of the estimates R_hat
+    (..., 3, 3) and p_hat (..., 3) against the true R and p, which
+    broadcast against them, each in the error convention of its entry of
+    the mask ``invariant`` (broadcast against the leading axes).
 
     Orientation error is log(R_hat R^T) for every variant, one stacked
     ``lie.so3_log``; position error is p_hat - R_tilde p
     (R_tilde = R_hat R^T) for the invariant filters and p_hat - p for the
     EKF family.
     """
-    R_tilde = bank.state.R @ truth.R.T
-    p_hat = bank.state.p
-    pos_err = np.where(bank.invariant[:, None], p_hat - R_tilde @ truth.p,
-                       p_hat - truth.p)
-    return pos_err, lie.so3_log(R_tilde)
+    R_tilde = R_hat @ R.swapaxes(-1, -2)
+    pos_err = np.where(invariant[..., None],
+                       p_hat - (R_tilde @ p[..., None])[..., 0], p_hat - p)
+    return pos_err, lie.so3_log(R_tilde.reshape(-1, 3, 3)).reshape(
+        pos_err.shape)
 
 
-def nees(bank, errors):
-    """DOF-normalized position and orientation NEES, (B,) each, of the B
-    filters of ``bank`` with the error pair ``errors(bank, truth)``
-    returned, each against its filter's covariance.
+def nees(P, errors):
+    """DOF-normalized position and orientation NEES, (...) each, of the
+    error pairs ``errors`` ((..., 3) each, as ``errors`` returns them)
+    against the covariances P (..., d, d), of which only the 6 x 6 pose
+    block is read.
 
-    The 2B 3x3 blocks are factored as L L^T in one stacked Cholesky, and
+    The 3x3 blocks are factored as L L^T in one stacked Cholesky, and
     the NEES is |L^-1 e|^2 / 3 by forward substitution on all blocks at
     once.
 
@@ -241,10 +244,11 @@ def nees(bank, errors):
             entry of L (a lower bound on the block's condition number,
             whatever its units) exceeds 1e12.
     """
-    # rows 2i and 2i + 1: filter i's position and orientation blocks
-    blocks = np.stack([bank.P[:, sl, sl] for sl in _NEES_BLOCKS],
-                      axis=1).reshape(-1, 3, 3)
-    e = np.concatenate(errors, axis=1).reshape(-1, 3)
+    lead = errors[0].shape[:-1]
+    # rows 2i and 2i + 1: estimate i's position and orientation blocks
+    blocks = np.stack([P[..., sl, sl] for sl in _NEES_BLOCKS],
+                      axis=-3).reshape(-1, 3, 3)
+    e = np.stack(errors, axis=-2).reshape(-1, 3)
     try:
         L = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
@@ -259,7 +263,7 @@ def nees(bank, errors):
     y1 = (e[:, 1] - L[:, 1, 0] * y0) / L[:, 1, 1]
     y2 = (e[:, 2] - L[:, 2, 0] * y0 - L[:, 2, 1] * y1) / L[:, 2, 2]
     out = (y0 * y0 + y1 * y1 + y2 * y2) / 3.0
-    return out[0::2], out[1::2]
+    return out[0::2].reshape(lead), out[1::2].reshape(lead)
 
 
 def _block_products(H, P, Wz, scratch):
@@ -294,13 +298,12 @@ class FilterInstance:
     ``clone_p`` (B, c, 3).  Row i is the filter of ``variants[i]``, with
     its entry of the ``invariant`` and ``fej`` masks and its generator
     ``rngs[i]``.  The constructor builds a bank of one, ``adopt`` a bank of
-    filters at one state around a stacked P it takes without a copy,
-    ``stack`` joins banks, and every method takes all rows at once,
-    writing them in place.
+    filters at one state around a stacked P it takes without a copy, and
+    every method takes all rows at once, writing them in place.
 
     The bank owns P: ``predict_all`` and ``update_raw`` write it in place,
-    through the bank's own ``imu.Scratch`` (a bank from ``stack``,
-    ``copy.copy`` or ``copy.deepcopy`` gets its own), and only the clone
+    through the bank's own ``imu.Scratch`` (a bank from ``copy.copy`` or
+    ``copy.deepcopy`` gets its own), and only the clone
     augmentation and marginalization, which change d, replace it; a caller
     who keeps a P across a stage must copy it.  P is exactly symmetric
     after every method, given an exactly symmetric P at construction;
@@ -334,7 +337,10 @@ class FilterInstance:
                                              vars(state).values()))
         self.P = P
         self.noise = noise
-        self._set_rows(variants, rngs)
+        self.variants = variants
+        self.rngs = rngs
+        self.invariant = np.array([v.invariant for v in variants])
+        self.fej = np.array([v.tag == "fej" for v in variants])
         self.landmarks = per_filter(np.zeros((0, 3)) if landmarks is None
                                     else landmarks)
         self.first_landmarks = self.landmarks.copy()
@@ -353,44 +359,14 @@ class FilterInstance:
         bank._scratch = imu_model.Scratch()
         return bank
 
-    def _set_rows(self, variants, rngs):
-        self.variants = variants
-        self.rngs = rngs
-        self.invariant = np.array([v.invariant for v in variants])
-        self.fej = np.array([v.tag == "fej" for v in variants])
-
-    @classmethod
-    def stack(cls, banks):
-        """One bank of the rows of ``banks``, in order, with the noise spec
-        and noise kernel of the first.
-
-        Raises:
-            ValueError: if the banks differ in landmark count or state
-                dimension, or do not share one noise spec.
-        """
-        first = banks[0]
-        if any((b.n_landmarks, b.dim) != (first.n_landmarks, first.dim)
-               or b.noise is not first.noise for b in banks):
-            raise ValueError("filters stacked in one bank need one state "
-                             "layout and one noise spec")
-        bank = copy.copy(first)
-        bank.state = imu_model.ImuState(*map(np.concatenate, zip(
-            *(vars(b.state).values() for b in banks))))
-        for name in ("P", "landmarks", "first_landmarks", "clone_R",
-                     "clone_p"):
-            setattr(bank, name,
-                    np.concatenate([getattr(b, name) for b in banks]))
-        bank._set_rows(sum((b.variants for b in banks), ()),
-                       sum((b.rngs for b in banks), ()))
-        return bank
-
     # -- dimensions ---------------------------------------------------------
 
     @property
     def variant(self):
         """The variant of a bank of one."""
-        # perfbench times FilterInstance.predict per variant, keyed by
-        # args[0].variant.tag: the sliding window predicts a bank of one
+        # perfbench keys its spans of FilterInstance.predict by
+        # args[0].variant.tag, so the drivers call predict_all, which takes
+        # a bank of any size
         variant, = self.variants
         return variant
 
@@ -413,7 +389,7 @@ class FilterInstance:
     # -- predict ------------------------------------------------------------
 
     def predict(self, omega, accel, dt):
-        """``predict_all`` of this bank, as the sliding window calls it."""
+        """``predict_all`` of this bank."""
         predict_all(self, omega, accel, dt)
 
     def _noise_kernel(self, dt):

@@ -49,10 +49,6 @@ class ImuState:
     b_omega: np.ndarray
     b_a: np.ndarray
 
-    def copy(self):
-        return ImuState(self.R.copy(), self.p.copy(), self.v.copy(),
-                        self.b_omega.copy(), self.b_a.copy())
-
     def __getitem__(self, index):
         """The state or states at ``index`` of a stack of states, whose
         fields carry a leading axis (the filters of a bank, the epochs of

@@ -12,7 +12,9 @@ trajectory over its step, so that exact dead reckoning of the noise-free
 stream stays within centimeters of the analytic trajectory over a hundred
 seconds.  The stream is two (n, 3) arrays, gyro rates and specific forces,
 from synthesis through the truth chain to ``filters.predict_all``, which
-predicts the filter bank of a paired run in lock step.
+predicts a filter bank in lock step in the one driver loop of both
+measurement models, the in-state landmarks of ``run_filter`` and the
+sliding window of ``run_sliding_window``.
 """
 
 from __future__ import annotations
@@ -307,16 +309,50 @@ def perturbed_filter(variants, truth0, landmarks, init, scenario, rng):
         [np.random.default_rng(seed) for _ in variants], landmarks=lm_est)
 
 
-def _camera_epochs(scenario, truth, predict):
-    """Call ``predict(omega, accel, dt)`` on the IMU stream one camera
-    interval at a time, yielding (i, t, true state) at camera epoch i,
-    after the prediction to it; t is a Python float."""
+def _frames(scenario, truth, rng):
+    """One ``camera_frame`` per camera epoch of ``truth``."""
+    every = scenario.camera_every
+    return [camera_frame(scenario, truth.states[k], truth.landmarks, rng)
+            for k in range(every, len(truth.times), every)]
+
+
+def _drive(scenario, truth, frames, bank, update):
+    """The filter driver loop: at camera epoch i, one ``filters.predict_all``
+    of ``bank`` over the interval's IMU readings, then
+    ``update(bank, frames[i])``.  Returns the bank's R (B, E, 3, 3),
+    p (B, E, 3) and the pose block of P (B, E, 6, 6) after each epoch."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
-    for i in range(len(truth.omega) // every):
+    b, e = len(bank.variants), len(frames)
+    if e != len(truth.omega) // every:
+        raise ValueError(f"{e} frames for {len(truth.omega) // every} "
+                         f"camera epochs")
+    R, p, P = (np.empty((b, e) + shape) for shape in ((3, 3), (3,), (6, 6)))
+    for i, frame in enumerate(frames):
         k = (i + 1) * every
-        predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
-        yield i, float(truth.times[k]), truth.states[k]
+        filters.predict_all(bank, truth.omega[k - every:k],
+                            truth.accel[k - every:k], dt)
+        update(bank, frame)
+        R[:, i], p[:, i] = bank.state.R, bank.state.p
+        P[:, i] = bank.P[:, :6, :6]
+    return R, p, P
+
+
+def _update_landmarks(scenario, bank, frame):
+    """The in-state landmark update of ``bank`` on one frame (see
+    ``run_filter``)."""
+    # observations predicted outside the projection domain are dropped
+    for rows, residual, H, N, kept in vision.landmark_measurement(
+            bank, scenario.camera, scenario.extrinsics, list(frame.values()),
+            scenario.pixel_sigma, landmark_index=list(frame)):
+        if not len(kept):
+            continue
+        # no row index when one group is the bank: perfbench replaces
+        # update_raw by a (self, residual, H, N) function
+        if rows is None:
+            bank.update_raw(residual, H, N)
+        else:
+            bank.update_raw(residual, H, N, rows)
 
 
 def run_filter(scenario, truth, frames, bank):
@@ -327,39 +363,30 @@ def run_filter(scenario, truth, frames, bank):
     shared across variants for paired-noise comparisons.  Each camera epoch
     runs one ``filters.predict_all``, whose one error model and one
     covariance propagation take every variant, one
-    ``vision.landmark_measurement``, one ``FilterInstance.update_raw`` of
-    the bank and one ``filters.errors`` and ``filters.nees`` for all
-    filters; only when the filters keep different observations does each
-    group of rows that keeps the same ones take its own update.
+    ``vision.landmark_measurement`` and one ``FilterInstance.update_raw`` of
+    the bank; only when the filters keep different observations does each
+    group of rows that keeps the same ones take its own update.  The
+    estimates of every epoch are evaluated after the last one, in one
+    ``filters.errors`` and one ``filters.nees`` over all epochs and filters.
     Returns one float64 (epochs, 5) array per filter, of the rows
     (t, pos_nees, ang_nees, |pos_err|, |ang_err|).
+
+    Raises:
+        ValueError: unless there is one frame per camera epoch.
+        SingularCovariance: after the last epoch, if the NEES block of any
+            epoch is singular (see ``filters.nees``).
     """
+    R, p, P = _drive(scenario, truth, frames, bank,
+                     functools.partial(_update_landmarks, scenario))
     every = scenario.camera_every
-    b = len(bank.variants)
-    records = np.empty((b, len(truth.omega) // every, 5))
-    predict = functools.partial(filters.predict_all, bank)
-    for i, t, st_true in _camera_epochs(scenario, truth, predict):
-        frame = frames[i]
-        # observations predicted outside the projection domain are dropped
-        for rows, residual, H, N, kept in vision.landmark_measurement(
-                bank, scenario.camera, scenario.extrinsics,
-                list(frame.values()), scenario.pixel_sigma,
-                landmark_index=list(frame)):
-            if not len(kept):
-                continue
-            # no row index when one group is the bank: perfbench replaces
-            # update_raw by a (self, residual, H, N) function
-            if rows is None:
-                bank.update_raw(residual, H, N)
-            else:
-                bank.update_raw(residual, H, N, rows)
-        errors = filters.errors(bank, st_true)
-        pos_nees, ang_nees = filters.nees(bank, errors)
-        # one 1 x 3 by 3 x 1 product per row sums as np.linalg.norm does
-        norms = lie._row_norms(np.concatenate(errors))
-        records[:, i] = np.column_stack((np.full(b, t), pos_nees, ang_nees,
-                                         norms[:b], norms[b:]))
-    return list(records)
+    true = truth.states[every::every]
+    errors = filters.errors(R, p, bank.invariant[:, None], true.R, true.p)
+    pos_nees, ang_nees = filters.nees(P, errors)
+    # one 1 x 3 by 3 x 1 product per row sums as np.linalg.norm does
+    norms = lie._row_norms(np.concatenate(errors).reshape(-1, 3)).reshape(
+        (2,) + pos_nees.shape)
+    t = np.broadcast_to(truth.times[every::every], pos_nees.shape)
+    return list(np.stack((t, pos_nees, ang_nees, *norms), axis=-1))
 
 
 class PairedRecords(dict):
@@ -429,10 +456,7 @@ def monte_carlo_single_run(scenario, variants, init, seed, run_index):
     rng_cam = np.random.default_rng(children[1])
     rng_init = np.random.default_rng(children[2])
     truth = synthesize_truth(scenario, rng_truth)
-    every = scenario.camera_every
-    frames = [camera_frame(scenario, truth.states[k], truth.landmarks,
-                           rng_cam)
-              for k in range(every, len(truth.times), every)]
+    frames = _frames(scenario, truth, rng_cam)
     bank = perturbed_filter(variants, truth.states[0], truth.landmarks, init,
                             scenario, rng_init)
     records = run_filter(scenario, truth, frames, bank)
@@ -472,7 +496,8 @@ def run_monte_carlo(scenario, variants, n_runs=50, seed=0, init=None,
 def run_sliding_window(scenario, truth, variant=None, seed=0,
                        max_clones=11, max_features=40, updates=True):
     """One run of the clone-based visual-inertial pipeline starting from the
-    true initial state; with ``updates=False`` the same filter dead-reckons.
+    true initial state, on frames drawn up front; with ``updates=False``
+    the same filter dead-reckons.
 
     Returns (times, position error norms) sampled at the camera rate.
     Raises ValueError for ``fej``: without first estimates of the clone
@@ -488,14 +513,13 @@ def run_sliding_window(scenario, truth, variant=None, seed=0,
     upd = vision.SlidingWindowUpdater(
         scenario.camera, scenario.extrinsics, max_clones=max_clones,
         max_features=max_features, sigma_px=scenario.pixel_sigma)
-    times, errs = [], []
-    for _, t, st_true in _camera_epochs(scenario, truth, filt.predict):
-        if updates:
-            obs = camera_frame(scenario, st_true, truth.landmarks, rng_cam)
-            upd.ingest(filt, obs)
-        times.append(t)
-        errs.append(float(np.linalg.norm(filt.state.p[0] - st_true.p)))
-    return np.array(times), np.array(errs)
+    every = scenario.camera_every
+    frames = (_frames(scenario, truth, rng_cam) if updates
+              else [{}] * (len(truth.omega) // every))
+    _, p, _ = _drive(scenario, truth, frames, filt,
+                     upd.ingest if updates else lambda bank, frame: None)
+    return (truth.times[every::every],
+            lie._row_norms(p[0] - truth.states.p[every::every]))
 
 
 # --- artifact writers -------------------------------------------------------

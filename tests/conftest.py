@@ -11,10 +11,12 @@ its per-filter errors and NEES that the lock-step driver replaced, and the
 clone augmentation by ``np.block`` and marginalization by ``np.ix_`` that
 the block copies replaced, the allocating covariance step that the
 in-place one replaced, the landmark rows built as a dense H that the block
-form replaced, and the bank stacked from one bank per variant that the
-in-place build replaced, kept as their oracles; and the public functions
-that only the tests called (the SE_n(3) log, vee and adjoint, the right
-log-error rate and the identity IMU state), kept as oracles.  The
+form replaced, the bank stacked from one bank per variant that the
+in-place build replaced, and the sliding window's own driver loop that the
+shared one replaced, kept as their oracles; and the public functions that
+only the tests called (the SE_n(3) log, vee and adjoint, the right
+log-error rate, the identity IMU state and the join of banks), kept as
+oracles.  The
 one-filter oracles read and write ``OneFilter``, one row of a filter bank
 with the 2-D fields that a filter had before the filters became a bank."""
 
@@ -106,7 +108,7 @@ class OneFilter:
 
     def __init__(self, bank, i=0):
         self.variant = bank.variants[i]
-        self.state = bank.state[i].copy()
+        self.state = copy.deepcopy(bank.state[i])
         self.P = bank.P[i].copy()
         self.noise = bank.noise
         self.rng = copy.deepcopy(bank.rngs[i])
@@ -772,6 +774,49 @@ def _run_filter_per_variant(scenario, truth, frames, filt):
     return records
 
 
+def _run_sliding_window_loop(scenario, truth, variant, seed, max_clones=11,
+                             max_features=40, updates=True):
+    """``sim.run_sliding_window`` as it ran before it shared the driver loop
+    of ``sim.run_filter``: its own loop over the camera epochs, with the
+    filter's own ``predict``, each frame drawn at its epoch and the
+    position error taken per epoch."""
+    rng_cam = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    prior = np.repeat([1e-3, 1e-3, 1e-3, 2e-3, 2e-2], 3)
+    filt = filters.FilterInstance(variant, truth.states[0],
+                                  np.diag(prior ** 2), scenario.noise)
+    upd = vision.SlidingWindowUpdater(
+        scenario.camera, scenario.extrinsics, max_clones=max_clones,
+        max_features=max_features, sigma_px=scenario.pixel_sigma)
+    dt = 1.0 / scenario.imu_rate
+    every = scenario.camera_every
+    times, errs = [], []
+    for i in range(len(truth.omega) // every):
+        k = (i + 1) * every
+        filt.predict(truth.omega[k - every:k], truth.accel[k - every:k], dt)
+        st_true = truth.states[k]
+        if updates:
+            upd.ingest(filt, sim.camera_frame(scenario, st_true,
+                                              truth.landmarks, rng_cam))
+        times.append(float(truth.times[k]))
+        errs.append(float(np.linalg.norm(filt.state.p[0] - st_true.p)))
+    return np.array(times), np.array(errs)
+
+
+def _stack_banks(banks):
+    """One bank of the rows of ``banks``, in order, with the noise spec and
+    noise kernel of the first; the banks share one state layout."""
+    bank = copy.copy(banks[0])
+    bank.state = imu.ImuState(*map(np.concatenate, zip(
+        *(vars(b.state).values() for b in banks))))
+    for name in ("P", "landmarks", "first_landmarks", "clone_R", "clone_p",
+                 "invariant", "fej"):
+        setattr(bank, name,
+                np.concatenate([getattr(b, name) for b in banks]))
+    bank.variants = sum((b.variants for b in banks), ())
+    bank.rngs = sum((b.rngs for b in banks), ())
+    return bank
+
+
 def _landmark_measurement_dense(bank, model, ext, pixels, sigma_px,
                                 landmark_index):
     """``vision.landmark_measurement`` as it was before it returned the
@@ -826,7 +871,7 @@ def _perturbed_filter_stack(variants, truth0, landmarks, init, scenario,
                             rng):
     """``sim.perturbed_filter`` as it was before the bank was built in
     place: one bank of one per variant, each copying its own prior, joined
-    by ``FilterInstance.stack``."""
+    by ``_stack_banks``."""
     m = len(landmarks)
     sig = init.sigmas(m)
     e = sig * rng.standard_normal(len(sig))
@@ -838,7 +883,7 @@ def _perturbed_filter_stack(variants, truth0, landmarks, init, scenario,
         truth0.b_a + e[12:15])
     lm_est = landmarks + e[15:].reshape(m, 3)
     seed = rng.integers(2 ** 63)
-    return filters.FilterInstance.stack([filters.FilterInstance(
+    return _stack_banks([filters.FilterInstance(
         v, st, filters.invariant_initial_covariance(st, sig, lm_est)
         if v.invariant else np.diag(sig ** 2), scenario.noise,
         rng=np.random.default_rng(seed), landmarks=lm_est) for v in variants])
@@ -1038,6 +1083,16 @@ def run_filter_per_variant():
 @pytest.fixture(scope="session")
 def monte_carlo_single_run_per_variant():
     return _monte_carlo_single_run_per_variant
+
+
+@pytest.fixture(scope="session")
+def run_sliding_window_loop():
+    return _run_sliding_window_loop
+
+
+@pytest.fixture(scope="session")
+def stack_banks():
+    return _stack_banks
 
 
 @pytest.fixture(scope="session")

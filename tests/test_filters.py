@@ -39,7 +39,13 @@ def make_filter(tag, rng, r=0.0, landmarks=None, P_scale=0.01, noise=NOISE):
 
 def row_state(bank, i=0):
     """The state of row ``i`` of ``bank``, copied, with 2-D fields."""
-    return bank.state[i].copy()
+    return copy.deepcopy(bank.state[i])
+
+
+def bank_errors(bank, truth):
+    """``filters.errors`` of every row of ``bank`` against one state."""
+    return filters.errors(bank.state.R, bank.state.p, bank.invariant,
+                          truth.R, truth.p)
 
 
 def group_element(R, columns):
@@ -236,9 +242,9 @@ STUDY_TAGS = ("ekf", "fej", "iekf", "ij_iekf", "ij_iekf")
     (("iekf",), 0, 8, 30, False)])
 def test_update_of_a_list_equals_one_update_per_filter(
         tags, m, n_clones, rows, stacked_N, update_raw_filter, mean_vector,
-        one_filter):
+        one_filter, stack_banks):
     rng = np.random.default_rng(rows + m)
-    bank = filters.FilterInstance.stack(make_batch(tags, rng, m, n_clones))
+    bank = stack_banks(make_batch(tags, rng, m, n_clones))
     b, d = len(tags), bank.dim
     H = rng.normal(0.0, 5.0, (b, rows, d))
     residual = rng.normal(0.0, 1.0, (b, rows))
@@ -266,7 +272,8 @@ def test_update_of_a_list_equals_one_update_per_filter(
 # dense workload's d = 195
 @pytest.mark.parametrize("m", [12, 28, 29, 60])
 def test_update_from_block_rows_equals_the_dense_update(m, mean_vector,
-                                                        one_filter):
+                                                        one_filter,
+                                                        stack_banks):
     # the bank's update from the landmark rows in block form equals the
     # update from their dense H bit for bit below the threshold, and within
     # 1e-12 of the largest entry from it on, for the group of every filter
@@ -288,7 +295,7 @@ def test_update_from_block_rows_equals_the_dense_update(m, mean_vector,
         f.first_landmarks[0] += rng.normal(0.0, 0.3, (m, 3))
         f.state.p[0] += rng.normal(0.0, 0.05, 3)
         filts.append(f)
-    bank = filters.FilterInstance.stack(filts)
+    bank = stack_banks(filts)
     # the ekf estimates landmark 1 behind its camera and drops it
     bank.landmarks[0, 1] = p_c + R_c @ np.array([0.5, -0.3, -4.0])
     idx = rng.permutation(m)
@@ -314,12 +321,12 @@ def test_update_from_block_rows_equals_the_dense_update(m, mean_vector,
 @pytest.mark.parametrize("m, n_clones", [(12, 0), (0, 6), (3, 4)])
 def test_correction_of_a_list_equals_one_correction_per_filter(
         m, n_clones, monkeypatch, apply_correction_filter, mean_vector,
-        one_filter):
+        one_filter, stack_banks):
     # one stacked exponential on every filter's pose and clone rows, and
     # one stacked left Jacobian on the invariant filters' rows
     rng = np.random.default_rng(3 + m)
     tags = ("ij_iekf", "ekf", "iekf", "fej", "iekf")
-    bank = filters.FilterInstance.stack(make_batch(tags, rng, m, n_clones))
+    bank = stack_banks(make_batch(tags, rng, m, n_clones))
     D = rng.normal(0.0, 0.1, (len(tags), bank.dim))
     D[2, :3] *= 1e-8    # a pose rotation row on the small-angle branch
     refs = [one_filter(bank, i) for i in range(len(tags))]
@@ -344,22 +351,11 @@ def test_correction_of_a_list_equals_one_correction_per_filter(
                 == mean_vector(ref).tobytes())
 
 
-def test_correction_of_a_list_rejects_mixed_layouts():
-    # banks of different clone or landmark counts do not stack into one
-    rng = np.random.default_rng(8)
-    a, b = make_batch(("iekf", "ekf"), rng)
-    b.clone_camera_pose(np.eye(3), np.zeros(3))
-    c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)))
-    for other in (b, c):
-        with pytest.raises(ValueError, match="one state layout"):
-            filters.FilterInstance.stack([a, other])
-
-
-def test_update_of_a_list_rejects_unstacked_rows():
+def test_update_of_a_list_rejects_unstacked_rows(stack_banks):
     # the rows of a bank's update carry the batch axis: an (m, dim) H or an
     # (m,) residual is not split among the filters nor shared by them
     rng = np.random.default_rng(10)
-    bank = filters.FilterInstance.stack(make_batch(("iekf", "ekf"), rng))
+    bank = stack_banks(make_batch(("iekf", "ekf"), rng))
     H = rng.normal(0.0, 1.0, (2, 4, 15))
     for residual, rows in ((np.ones((2, 4)), H.reshape(8, 15)),
                            (np.ones(4), H), (np.ones((2, 4)), H[..., :14])):
@@ -371,12 +367,13 @@ def test_update_of_a_list_rejects_unstacked_rows():
 
 @pytest.mark.parametrize("near", [False, True])
 def test_singular_member_leaves_every_filter_unchanged(near, mean_vector,
-                                                       one_filter):
+                                                       one_filter,
+                                                       stack_banks):
     # one member's S is singular (a duplicated row, zero noise) or has a
     # condition number near 1e14 (a nearly duplicated row): the update of
     # the bank raises before any filter is corrected
     rng = np.random.default_rng(9)
-    bank = filters.FilterInstance.stack(
+    bank = stack_banks(
         make_batch(("ekf", "iekf", "ij_iekf"), rng, m=2))
     H = rng.normal(0.0, 1.0, (3, 4, bank.dim))
     H[1, 3] = H[1, 2]
@@ -429,8 +426,8 @@ def camera_epoch(sc, truth, frames, bank, i):
             bank, sc.camera, sc.extrinsics, list(frame.values()),
             sc.pixel_sigma, landmark_index=list(frame)):
         bank.update_raw(residual, H, N, rows)
-    return np.concatenate(filters.nees(bank, filters.errors(
-        bank, truth.states[k])))
+    return np.concatenate(filters.nees(bank.P,
+                                       bank_errors(bank, truth.states[k])))
 
 
 def test_camera_epoch_allocates_less_than_two_covariances():
@@ -451,7 +448,7 @@ def test_camera_epoch_allocates_less_than_two_covariances():
     assert peak - start < 2 * bank.P.nbytes
 
 
-def test_banks_share_no_scratch():
+def test_banks_share_no_scratch(stack_banks):
     # a bank of one, a bank stacked from it and a deep copy, driven through
     # the same epochs in turn, each give the records of a freshly built bank
     # bit for bit, and none of their arrays, scratch included, share
@@ -459,7 +456,7 @@ def test_banks_share_no_scratch():
     sc, truth, frames, make_bank = dense_run(4)
     variants = DENSE_VARIANTS[1:]
     one = make_bank(variants)
-    stacked = filters.FilterInstance.stack([one])
+    stacked = stack_banks([one])
     deep = copy.deepcopy(one)
     assert copy.copy(one)._scratch is not one._scratch
 
@@ -648,7 +645,7 @@ def test_clone_blocks_match_block_and_ix_oracles(tag, clone_camera_pose_block,
 
 def nees_one(f, errors):
     """``filters.nees`` of a bank of one with its error pair (3,) each."""
-    pos, ang = filters.nees(f, (errors[0][None], errors[1][None]))
+    pos, ang = filters.nees(f.P, (errors[0][None], errors[1][None]))
     return pos[0], ang[0]
 
 
@@ -656,26 +653,26 @@ def test_nees_trivial_values():
     rng = np.random.default_rng(8)
     f = make_filter("iekf", rng, P_scale=0.04)
     truth = row_state(f)
-    pos, ang = filters.nees(f, filters.errors(f, truth))
+    pos, ang = filters.nees(f.P, bank_errors(f, truth))
     assert pos[0] < 1e-20 and ang[0] < 1e-20
     # error = sigma * unit vector with P = sigma^2 I gives NEES = 1/3
     f2 = make_filter("ekf", rng, P_scale=0.04)
     truth2 = row_state(f2)
     truth2.p = truth2.p + np.array([0.2, 0.0, 0.0])
-    pos2, _ = filters.nees(f2, filters.errors(f2, truth2))
+    pos2, _ = filters.nees(f2.P, bank_errors(f2, truth2))
     assert abs(pos2[0] - 1.0 / 3.0) < 1e-12
 
 
-def test_nees_rejects_singular_covariance():
+def test_nees_rejects_singular_covariance(stack_banks):
     rng = np.random.default_rng(9)
     f = make_filter("iekf", rng, P_scale=0.0)
     truth = row_state(f)
     with pytest.raises(SingularCovariance):
-        filters.nees(f, filters.errors(f, truth))
+        filters.nees(f.P, bank_errors(f, truth))
     # one singular filter among well-conditioned ones fails the stack
-    bank = filters.FilterInstance.stack([make_filter("ekf", rng), f])
+    bank = stack_banks([make_filter("ekf", rng), f])
     with pytest.raises(SingularCovariance):
-        filters.nees(bank, filters.errors(bank, truth))
+        filters.nees(bank.P, bank_errors(bank, truth))
 
 
 def test_nees_guard_is_scale_free():
@@ -699,7 +696,8 @@ def test_nees_guard_is_scale_free():
 
 def test_stacked_errors_and_nees_equal_per_filter_oracles(errors_filter,
                                                          nees_filter,
-                                                         one_filter):
+                                                         one_filter,
+                                                         stack_banks):
     # every variant, with landmarks, against one truth: the stacked
     # errors and NEES equal the per-filter ones bit for bit
     rng = np.random.default_rng(33)
@@ -709,10 +707,10 @@ def test_stacked_errors_and_nees_equal_per_filter_oracles(errors_filter,
     for f in filts:
         A = rng.normal(0.0, 0.1, (f.dim, f.dim))
         f.P = (A @ A.T + 1e-3 * np.eye(f.dim))[None]
-    bank = filters.FilterInstance.stack(filts)
+    bank = stack_banks(filts)
     truth = make_state(rng)
-    pos_err, ang_err = filters.errors(bank, truth)
-    pos_nees, ang_nees = filters.nees(bank, (pos_err, ang_err))
+    pos_err, ang_err = bank_errors(bank, truth)
+    pos_nees, ang_nees = filters.nees(bank.P, (pos_err, ang_err))
     assert pos_err.shape == ang_err.shape == (len(filts), 3)
     for i in range(len(filts)):
         f = one_filter(bank, i)
@@ -994,7 +992,7 @@ def test_batched_error_model_equals_one_call_per_filter():
     assert F.shape == (b, n, 24, 15) and U.shape == (b, 3 * m, 9)
 
 
-def test_predict_all_equals_predict_per_filter():
+def test_predict_all_equals_predict_per_filter(stack_banks):
     # every variant with landmarks and the same readings: predict_all
     # equals each filter's own predict bit for bit on the mean and the
     # generator; P too where the filter's r is that of its
@@ -1016,7 +1014,7 @@ def test_predict_all_equals_predict_per_filter():
             filts.append(f)
         padded = any(f.variant.r > 0 for f in filts)
         refs = copy.deepcopy(filts)
-        bank = filters.FilterInstance.stack(filts)
+        bank = stack_banks(filts)
         filters.predict_all(bank, omega, accel, 0.01)
         for i, ref in enumerate(refs):
             ref.predict(omega, accel, 0.01)
@@ -1034,20 +1032,7 @@ def test_predict_all_equals_predict_per_filter():
                 assert np.array_equal(P, ref.P[0]), ref.variant.label
 
 
-def test_predict_all_rejects_mixed_layouts():
-    # a bank takes one state layout and one noise spec
-    rng = np.random.default_rng(36)
-    a = make_filter("iekf", rng, landmarks=np.zeros((2, 3)))
-    b = make_filter("iekf", rng)
-    with pytest.raises(ValueError):
-        filters.FilterInstance.stack([a, b])
-    c = make_filter("ekf", rng, landmarks=np.zeros((2, 3)),
-                    noise=imu.ImuNoiseSpec())
-    with pytest.raises(ValueError):
-        filters.FilterInstance.stack([a, c])
-
-
-def test_fej_linearizes_at_first_landmark_estimates():
+def test_fej_linearizes_at_first_landmark_estimates(stack_banks):
     # fej keeps each landmark's first estimate through predict and update
     # while the estimate moves, and builds the orientation block of its
     # landmark rows as J_pi S (f_first - p_hat)^ at the predicted position;
@@ -1079,7 +1064,7 @@ def test_fej_linearizes_at_first_landmark_estimates():
     assert np.array_equal(f.first_landmarks[0], first)
     # the ekf at fej's state, in one bank with it
     st = row_state(f)
-    bank = filters.FilterInstance.stack([f, filters.FilterInstance(
+    bank = stack_banks([f, filters.FilterInstance(
         filters.FilterVariant("ekf"), st, f.P[0], f.noise,
         landmarks=f.landmarks[0])])
     (_, r2, H2, _, _), = vision.landmark_measurement(

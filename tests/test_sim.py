@@ -2,6 +2,7 @@
 differences, sensor-stream self-consistency, paired seeding, NEES
 calibration, and the report writers."""
 
+import copy
 import csv
 import json
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from iekf_kit import config, filters, imu, lie, sim, vision
-from iekf_kit.exceptions import ConfigError, EmptyReport
+from iekf_kit.exceptions import (ConfigError, EmptyReport,
+                                 SingularCovariance)
 
 
 def test_trajectory_derivatives_consistent():
@@ -302,7 +304,7 @@ def test_camera_frame_matches_per_landmark_loop(mode):
     assert seen > 100
 
 
-def test_noiseless_exact_init_gives_tiny_rmse():
+def test_noiseless_exact_init_gives_tiny_rmse(stack_banks):
     sc = sim.Scenario(duration=5.0)
     sc.noise = imu.ImuNoiseSpec(sigma_gw=0.0, sigma_aw=0.0,
                                 sigma_gbw=0.0, sigma_abw=0.0)
@@ -320,7 +322,7 @@ def test_noiseless_exact_init_gives_tiny_rmse():
                        sigma_f=1e-4).sigmas(len(truth.landmarks))
     filts = []
     for v in variants:
-        st = truth.states[0].copy()
+        st = copy.deepcopy(truth.states[0])
         if v.invariant:
             P0 = filters.invariant_initial_covariance(st, sig,
                                                       truth.landmarks)
@@ -329,7 +331,7 @@ def test_noiseless_exact_init_gives_tiny_rmse():
         filts.append(filters.FilterInstance(v, st, P0, sc.noise,
                                             rng=np.random.default_rng(1),
                                             landmarks=truth.landmarks.copy()))
-    bank = filters.FilterInstance.stack(filts)
+    bank = stack_banks(filts)
     for v, records in zip(variants, sim.run_filter(sc, truth, frames, bank)):
         pos_rmse = np.sqrt(np.mean([r[3] ** 2 for r in records]))
         assert pos_rmse < 1e-6, v.label
@@ -467,7 +469,8 @@ def kept_observations_differ(moved):
     return sc, truth, frames, build
 
 
-def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
+def test_lock_step_when_kept_observations_differ(run_filter_per_variant,
+                                                 stack_banks):
     # one filter's estimate of a landmark lies above the vehicle, behind
     # its down-looking camera: its observations of that landmark are
     # dropped while the other filters keep them, so it takes its own
@@ -476,32 +479,32 @@ def test_lock_step_when_kept_observations_differ(run_filter_per_variant):
     filts = build()
     frame = frames[0]
     groups = vision.landmark_measurement(
-        filters.FilterInstance.stack(filts), sc.camera, sc.extrinsics,
+        stack_banks(filts), sc.camera, sc.extrinsics,
         list(frame.values()), sc.pixel_sigma, landmark_index=list(frame))
     kept = {tuple(rows): k for rows, _, _, _, k in groups}
     assert kept.keys() == {(0, 2), (1,)}
     assert len(kept[1,]) == len(frame) - 1 and len(kept[0, 2]) == len(frame)
     got = sim.run_filter(sc, truth, frames,
-                         filters.FilterInstance.stack(filts))
+                         stack_banks(filts))
     want = [run_filter_per_variant(sc, truth, frames, f) for f in build()]
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_lock_step_when_two_filters_drop_one_observation(
-        run_filter_per_variant):
+        run_filter_per_variant, stack_banks):
     # the ekf and fej drop the same observation and the iekf keeps it: two
     # groups of kept observations, one of two rows updated in one call,
     # and every filter's records equal the per-variant driver's
     sc, truth, frames, build = kept_observations_differ(("ekf", "fej"))
     frame = frames[0]
     groups = vision.landmark_measurement(
-        filters.FilterInstance.stack(build()), sc.camera, sc.extrinsics,
+        stack_banks(build()), sc.camera, sc.extrinsics,
         list(frame.values()), sc.pixel_sigma, landmark_index=list(frame))
     kept = {tuple(rows): len(k) for rows, _, _, _, k in groups}
     assert kept == {(0, 2): len(frame) - 1, (1,): len(frame)}
     got = sim.run_filter(sc, truth, frames,
-                         filters.FilterInstance.stack(build()))
+                         stack_banks(build()))
     want = [run_filter_per_variant(sc, truth, frames, f) for f in build()]
     assert len(got) == len(want) == 3
     for g, w in zip(got, want):
@@ -587,6 +590,74 @@ def test_run_filter_propagates_one_covariance_bank(monkeypatch):
                    for _, _, U in calls["error_jacobians"])
     assert [v.tag for v in bank.variants] == ["ekf", "fej"]
     assert all(U.shape[-1] == 0 for _, _, U in calls["error_jacobians"])
+
+
+def study_run(seed=21):
+    """(scenario, truth, frames, bank) of a 2 s realization of the study's
+    shape, with a fresh bank of its variants."""
+    sc = sim.Scenario(duration=2.0, imu_rate=50.0, cam_rate=25.0)
+    rng = np.random.default_rng(seed)
+    truth = sim.synthesize_truth(sc, rng)
+    every = sc.camera_every
+    frames = [sim.camera_frame(sc, truth.states[k], truth.landmarks, rng)
+              for k in range(every, len(truth.times), every)]
+    bank = sim.perturbed_filter(STUDY_VARIANTS, truth.states[0],
+                                truth.landmarks, STUDY_INIT, sc,
+                                np.random.default_rng(5))
+    return sc, truth, frames, bank
+
+
+def test_run_filter_takes_one_frame_per_camera_epoch():
+    # a short list would run out of frames and a long one past the IMU
+    # stream: both are refused before the first epoch
+    sc, truth, frames, bank = study_run()
+    P0 = bank.P.copy()
+    for wrong in (frames[:-1], frames + frames[-1:]):
+        with pytest.raises(ValueError, match="frames for 50 camera epochs"):
+            sim.run_filter(sc, truth, wrong, bank)
+    assert bank.P.tobytes() == P0.tobytes()
+    assert len(sim.run_filter(sc, truth, frames, bank)[0]) == len(frames)
+
+
+def test_singular_nees_block_mid_run_raises_after_the_last_epoch(
+        monkeypatch):
+    # an update that zeroes the pose rows and columns of P at epoch 20
+    # leaves a singular NEES block in that epoch's records: the run goes on
+    # to the last epoch, then the one evaluation of every epoch raises
+    sc, truth, frames, bank = study_run()
+    original = filters.FilterInstance.update_raw
+    calls = []
+
+    def update_raw(self, residual, H, N, rows=None):
+        original(self, residual, H, N, rows)
+        calls.append(rows)
+        if len(calls) == 20:
+            self.P[:, :6] = 0.0
+            self.P[:, :, :6] = 0.0
+
+    monkeypatch.setattr(filters.FilterInstance, "update_raw", update_raw)
+    with pytest.raises(SingularCovariance):
+        sim.run_filter(sc, truth, frames, bank)
+    assert len(calls) == len(frames)
+
+
+@pytest.mark.parametrize("tag", ["iekf", "ekf"])
+@pytest.mark.parametrize("updates", [True, False])
+def test_sliding_window_equals_its_own_loop(tag, updates,
+                                            run_sliding_window_loop):
+    # the window driven through the loop it shares with run_filter, frames
+    # drawn up front and errors taken after the last epoch, gives the times
+    # and position errors of its former loop bit for bit
+    sc = sim.Scenario(duration=4.4, imu_rate=100.0, cam_rate=5.0,
+                      n_landmarks=200, max_range=90.0,
+                      landmark_box=((-60.0, 60.0), (-50.0, 50.0),
+                                    (-60.0, -30.0)))
+    truth = sim.synthesize_truth(sc, np.random.default_rng(42))
+    v = filters.FilterVariant(tag)
+    got = sim.run_sliding_window(sc, truth, v, seed=1, updates=updates)
+    want = run_sliding_window_loop(sc, truth, v, seed=1, updates=updates)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 # every tag a config accepts, on one realization of criterion 7's scenario

@@ -37,7 +37,7 @@ def make_filter(tag, rng, landmarks=None):
 
 def row_state(bank, i=0):
     """The state of row ``i`` of ``bank``, copied, with 2-D fields."""
-    return bank.state[i].copy()
+    return copy.deepcopy(bank.state[i])
 
 
 def test_pinhole_projection_values():
@@ -236,7 +236,7 @@ def test_epoch_drops_observations_outside_the_domain(mode):
 
 
 @pytest.mark.parametrize("mode", ["pinhole", "bearing"])
-def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
+def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode, stack_banks):
     # the rows of a bank of every variant built at once equal each
     # filter's call as a bank of one bit for bit: with every observation
     # kept, with one dropped by all of them (one group), and with one
@@ -259,7 +259,7 @@ def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
     cases = {"all kept": [], "one dropped by all": list(range(4)),
              "one dropped by one": [2]}
     for case, moved in cases.items():
-        bank = filters.FilterInstance.stack(filts)
+        bank = stack_banks(filts)
         bank.landmarks[moved, 1] = behind
         groups = vision.landmark_measurement(bank, model, ext, pix, 1.5,
                                              landmark_index=idx)
@@ -267,7 +267,7 @@ def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
         for rows, r, H, N, k in groups:
             for j, i in enumerate(range(len(filts)) if rows is None
                                   else rows):
-                g = filters.FilterInstance.stack([filts[i]])
+                g = stack_banks([filts[i]])
                 g.landmarks[:, 1] = bank.landmarks[i, 1]
                 (_, *want), = vision.landmark_measurement(
                     g, model, ext, pix, 1.5, landmark_index=idx)
@@ -284,7 +284,8 @@ def test_epoch_rows_of_a_list_equal_one_call_per_filter(mode):
 @pytest.mark.parametrize("tags", [("iekf",), ("ekf",), ("fej",),
                                   ("ekf", "fej", "iekf", "ij_iekf")])
 def test_block_rows_expand_to_the_dense_rows(tags, mode,
-                                             landmark_measurement_dense):
+                                             landmark_measurement_dense,
+                                             stack_banks):
     # the rows in block form expand to the dense H of the former builder
     # bit for bit, with the same groups, residuals, N and kept
     # observations: with every observation kept, with one dropped by every
@@ -304,7 +305,7 @@ def test_block_rows_expand_to_the_dense_rows(tags, mode,
     R_c, p_c = vision.camera_pose(st, ext)
     behind = p_c + R_c @ np.array([0.5, -0.3, -4.0])
     for moved in ([], list(range(len(tags))), [0]):
-        bank = filters.FilterInstance.stack(filts)
+        bank = stack_banks(filts)
         bank.landmarks[moved, 2] = behind
         groups = vision.landmark_measurement(bank, model, ext, pix[:4], 1.5,
                                              landmark_index=idx)
