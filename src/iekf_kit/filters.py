@@ -20,7 +20,9 @@ A ``FilterInstance`` is a bank: the filters of one paired run, of one state
 layout and one noise spec, as the rows of stacked arrays.  Every stage
 (``predict_all``, ``update_raw``, ``apply_correction``, the clone
 augmentation and marginalization) runs once for all rows, whatever their
-variants, and writes them in place; one filter is a bank of one.
+variants, and writes them in place; one filter is a bank of one.  The
+error model of every variant is one set of blocks (``error_jacobians``),
+and the correction retracts all rows with one stacked SO(3) pass.
 ``errors`` and ``nees`` take the estimates of any number of filters and
 epochs at once.
 """
@@ -94,56 +96,43 @@ def _lever_products(levers, R):
 
 
 def error_jacobians(R, drift, levers, landmarks=None, xi_delta=None):
-    """Error dynamics of every variant over one interval of n steps, in the
-    row-factored form that ``imu.compose_error_dynamics`` takes: the stacks
-    F ((n, 15 + r, 15)) and G ((n, 15 + r, 12)) hold each step's 15 IMU rows
-    and r basis rows, and the factor U (3 m x r), constant over the
-    interval, maps the basis rows to the 3 m landmark rows (they are
-    U @ F[k, 15:] and U @ G[k, 15:]).  R (n, 3, 3) is the orientation at the
-    start of each step.
+    """The error model of every variant over one interval of n steps, as
+    the blocks (B, D, basis, U) that ``imu.compose_error_dynamics`` takes;
+    R (n, 3, 3) is the orientation at the start of each step.
 
-    Every error model here has one layout.  With B the map of the gyro and
-    accelerometer noise, the expanded rows of step k are
-
-        F[:9, :9] = imu.imu_error_matrix_a(drift),  F[:, 9:15] = -B,
-        G[:, :6] = B,  G[9:15, 6:] = I.
-
-    B is R_k on the orientation rows, u^ R_k on the three rows of each lever
-    arm u, and R_k on the velocity rows for the accelerometer noise.  The
-    lever arms are p_k and v_k (``levers``, (n, 2, 3)) and the m
-    ``landmarks`` f_j, which do not move over the interval, so landmark j's
-    rows are f_j^ R_k times the gyro-bias error and the gyro noise: r = 3,
-    U stacks the f_j^, and the basis rows are -R_k on the gyro-bias columns
-    of F and R_k on the gyro-noise columns of G; without landmarks r = 0
-    and U is 0 x 0.  The right-invariant error takes the drift gravity (3,)
-    and its lever arms and landmarks.  The world-frame error of the EKF
-    family takes the drift -R_k (a_k - b_a) ((n, 3)), through which its
-    orientation error drives its velocity error, and zero lever arms and
-    landmarks: its landmark rows have U = 0 and stay static.
+    D = drift^ drives the velocity error by the orientation error.  B
+    (n, 9, 6) maps the gyro and accelerometer noise: R_k on the orientation
+    rows, u^ R_k on the three rows of each lever arm u, and R_k on the
+    velocity rows for the accelerometer noise.  The lever arms are p_k and
+    v_k (``levers``, (n, 2, 3)) and the m ``landmarks`` f_j, which do not
+    move over the interval, so landmark j's rows are f_j^ R_k times the
+    gyro-bias error and the gyro noise: U (3 m x r), constant over the
+    interval, maps r = 3 basis rows R_k to them as the stacked f_j^
+    (without landmarks r = 0 and U is 0 x 0).  The right-invariant error
+    takes the drift gravity (3,), whose D is one (3, 3), and its lever arms
+    and landmarks; the EKF family's world-frame error takes the drift
+    -R_k (a_k - b_a) ((n, 3)) and zero lever arms and landmarks, so its
+    landmark rows have U = 0 and stay static.
 
     ``xi_delta`` (n, 3) holds the imitation errors of ``ij_iekf``, one
-    orientation error per step.  The inverse left Jacobian on the augmented
-    group is then J_k^-1 = J_SO3^-1(xi_delta[k]) on the block diagonal: it
+    orientation error per step, and J_k^-1 = J_SO3^-1(xi_delta[k])
     premultiplies each 3-row block of B.  It does not commute with f_j^, so
     the landmark rows J_k^-1 f_j^ R_k = sum_a f_ja J_k^-1 e_a^ R_k take
     r = 9: landmark j's block of U is [f_j1 I | f_j2 I | f_j3 I], and basis
     block a is J_k^-1 e_a^ R_k.  Draws that are all zero are no imitation.
 
-    Every input but a gravity drift may carry a leading batch axis of B
-    filters: R (B, n, 3, 3), a drift (B, n, 3), ``levers`` (B, n, 2, 3),
-    ``landmarks`` (B, m, 3) and ``xi_delta`` (B, n, 3); F, G and U then
-    carry it too.  The filters share one r: 9 if any of them drew a nonzero
-    imitation error, and a filter without draws takes zeros, whose inverse
-    left Jacobian is exactly I.  Each filter's F, G and U equal those of its
-    own call bit for bit where its r is that of its own call.
+    Every input but a gravity drift may carry a batch axis of B filters
+    after the step axis, ``landmarks`` one in front ((B, m, 3)); the blocks
+    then carry it too, step-major, and U as (B, 3 m, r).  The filters share
+    one r: 9 if any drew a nonzero imitation error, and a filter without
+    draws takes zeros, whose J^-1 is exactly I.  Each filter's blocks equal
+    those of its own call bit for bit where its r is that of its own call.
     """
-    lead = R.shape[:-2]            # (n,) or (B, n)
+    lead = R.shape[:-2]            # (n,) or (n, B)
     m = 0 if landmarks is None else landmarks.shape[-2]
     if xi_delta is not None and not xi_delta.any():
         xi_delta = None
     r = 0 if m == 0 else 3 if xi_delta is None else 9
-    F = np.zeros(lead + (15 + r, 15))
-    G = np.zeros(lead + (15 + r, 12))
     B = np.zeros(lead + (9, 6))
     B[..., :3, :3] = R
     B[..., 3:9, :3] = _lever_products(levers, R)
@@ -151,24 +140,15 @@ def error_jacobians(R, drift, levers, landmarks=None, xi_delta=None):
     if xi_delta is not None:
         Jinv = lie.so3_left_jacobian_inv(xi_delta)[..., None, :, :]
         B = (Jinv @ B.reshape(lead + (3, 3, 6))).reshape(lead + (9, 6))
-    F[..., 3:6, 6:9] = _EYE3
-    F[..., 6:9, :3] = lie.so3_hat(drift)
-    F[..., :9, 9:15] = -B
-    G[..., :9, :6] = B
-    G[..., 9:15, 6:] = _EYE6
+    D = lie.so3_hat(drift)
     if r == 0:
-        return F, G, np.zeros(lead[:-1] + (0, 0))
+        return B, D, np.zeros(lead + (0, 3)), np.zeros(lead[1:] + (0, 0))
     if r == 3:
-        basis = R
-        U = lie.so3_hat(landmarks).reshape(lead[:-1] + (-1, 3))
-    else:
-        basis = (Jinv @ _BASIS_HATS @ R[..., None, :, :]).reshape(
-            lead + (9, 3))
-        U = (landmarks[..., None, :, None] * _EYE3[:, None]).reshape(
-            lead[:-1] + (-1, 9))
-    F[..., 15:, 9:12] = -basis
-    G[..., 15:, :3] = basis
-    return F, G, U
+        return B, D, R, lie.so3_hat(landmarks).reshape(lead[1:] + (-1, 3))
+    basis = (Jinv @ _BASIS_HATS @ R[..., None, :, :]).reshape(lead + (9, 3))
+    U = (landmarks[..., None, :, None] * _EYE3[:, None]).reshape(
+        lead[1:] + (-1, 9))
+    return B, D, basis, U
 
 
 def predict_all(bank, omega, accel, dt):
@@ -198,15 +178,18 @@ def predict_all(bank, omega, accel, dt):
     xi_delta = None
     if any(x is not None for x in draws):
         xi_delta = np.array([np.zeros((len(omega), 3)) if x is None else x
-                             for x in draws])
+                             for x in draws]).swapaxes(0, 1)
     landmarks = None
     if invariant.any():
         landmarks = np.where(invariant[:, None, None], bank.landmarks, 0.0)
     levers = np.concatenate((p[:, :-1, None], v[:, :-1, None]), axis=-2)
     levers[~invariant] = 0.0
     drift = np.where(invariant[:, None, None], noise.gravity, -Ra)
-    F, G, U = error_jacobians(R[:, :-1], drift, levers, landmarks, xi_delta)
-    V, Q = imu_model.compose_error_dynamics(F, G, bank._noise_kernel(dt), dt)
+    # the steps' inputs as step-major (n, B, ...) views
+    *blocks, U = error_jacobians(R[:, :-1].swapaxes(0, 1), drift.swapaxes(
+        0, 1), levers.swapaxes(0, 1), landmarks, xi_delta)
+    V, Q = imu_model.compose_error_dynamics(*blocks, bank._noise_kernel(dt),
+                                            dt)
     imu_model.propagate_covariance(bank.P, V, Q, U, bank._scratch)
 
 
@@ -488,13 +471,14 @@ class FilterInstance:
         convention.
 
         The rotation parts of the IMU pose and of each clone, the rows
-        [omega; omega_1; ...], of every filter go through one stacked
-        exponential E: every rotation becomes E R.  The invariant error
-        left-multiplies each pose by exp(c) on SE_n(3), so each translation
-        column t with tangent part u (p, v and the landmarks for the IMU
-        pose, p for a clone) becomes E t + J(omega) u, with the left
-        Jacobians J of the invariant filters' rows from one stacked call;
-        the EKF family adds u to t.
+        [omega; omega_1; ...], of every filter go through one
+        ``lie.so3_exp_jacobian_stack``, which gives their exponentials E
+        and, when the bank has an invariant filter, their left Jacobians J
+        from the same angles, sines and squared hats: every rotation
+        becomes E R.  The invariant error left-multiplies each pose by
+        exp(c) on SE_n(3), so each translation column t with tangent part
+        u (p, v and the landmarks for the IMU pose, p for a clone) becomes
+        E t + J(omega) u; the EKF family adds u to t.
         """
         sel = slice(None) if rows is None else rows
         st = self.state
@@ -505,36 +489,38 @@ class FilterInstance:
             raise ValueError(f"corrections of shape {d.shape} for {b} "
                              f"filter(s) of state dim {self.dim}")
         c = d[:, self.core_dim:].reshape(b, k, 6)
-        omega = np.concatenate((d[:, None, :3], c[..., :3]), axis=1)
-        E = lie.so3_exp_stack(omega.reshape(-1, 3)).reshape(b, k + 1, 3, 3)
+        omega = (np.concatenate((d[:, None, :3], c[..., :3]), axis=1) if k
+                 else d[:, None, :3])
+        inv = self.invariant[sel]
+        E, J = lie.so3_exp_jacobian_stack(omega.reshape(-1, 3),
+                                          jacobian=bool(inv.any()))
+        E = E.reshape(b, k + 1, 3, 3)
         # the translation columns (p, v and the landmarks; the clones' p)
-        # and their tangent parts
+        # and their tangent parts, first with the EKF family's correction
+        # for every filter, then the invariant filters' rows replaced
         t = np.concatenate((st.p[sel, None], st.v[sel, None],
                             self.landmarks[sel]), axis=1)
         u = np.concatenate((d[:, 3:9], d[:, 15:15 + 3 * m]),
                            axis=1).reshape(b, -1, 3)
-        tc, uc = self.clone_p[sel], c[..., 3:]
-        # the EKF family's correction for every filter, then the invariant
-        # filters' rows replaced by theirs
-        t_new, tc_new = t + u, tc + uc
-        inv = np.flatnonzero(self.invariant[sel])
-        if len(inv):
-            if len(inv) == b:
+        t_new = t + u
+        if J is not None:
+            if inv.all():
                 inv = slice(b)
-            J = lie.so3_left_jacobian(omega[inv].reshape(-1, 3)).reshape(
-                -1, k + 1, 3, 3)
+            J = J.reshape(b, k + 1, 3, 3)[inv]
             Ei = E[inv]
             t_new[inv] = (t[inv] @ Ei[:, 0].swapaxes(1, 2)
                           + u[inv] @ J[:, 0].swapaxes(1, 2))
-            if k:
-                tc_new[inv] = (Ei[:, 1:] @ tc[inv][..., None]
-                               + J[:, 1:] @ uc[inv][..., None])[..., 0]
         st.R[sel] = E[:, 0] @ st.R[sel]
         st.p[sel], st.v[sel] = t_new[:, 0], t_new[:, 1]
         st.b_omega[sel] += d[:, 9:12]
         st.b_a[sel] += d[:, 12:15]
         self.landmarks[sel] = t_new[:, 2:]
         if k:
+            tc, uc = self.clone_p[sel], c[..., 3:]
+            tc_new = tc + uc
+            if J is not None:
+                tc_new[inv] = (Ei[:, 1:] @ tc[inv][..., None]
+                               + J[:, 1:] @ uc[inv][..., None])[..., 0]
             self.clone_R[sel] = E[:, 1:] @ self.clone_R[sel]
             self.clone_p[sel] = tc_new
 

@@ -11,7 +11,9 @@ steps, one camera interval for a filter or a whole stream for the truth.
 The propagators take a leading batch axis for the rows of a filter bank
 (the covariance step only that), each filter's numbers equal to those of
 a batch of it alone; the covariance step writes the bank's P in place,
-its d x d intermediates in a ``Scratch`` that the bank holds."""
+its d x d intermediates in a ``Scratch`` that the bank holds.  The
+interval's error dynamics are composed from each step's closed form,
+written from the blocks of ``filters.error_jacobians`` (A^3 = 0)."""
 
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ from ._checks import is_real
 from .exceptions import NegativeRange, NonPositiveDt
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, -9.81])
+_EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
 # the state dimension from which two stages use the sparsity of a large
 # state: ``propagate_covariance`` steps a filter whose U is all zeros apart
 # from the driven ones, skipping its O(d^2) driven-row work, and
@@ -159,7 +163,7 @@ def imu_error_matrix_a(drift=None):
     right-invariant error and -R (a_m - b_a) for the world-frame error."""
     d = DEFAULT_GRAVITY if drift is None else np.asarray(drift, dtype=float)
     A = np.zeros((9, 9))
-    A[3:6, 6:9] = np.eye(3)
+    A[3:6, 6:9] = _EYE3
     A[6:9, :3] = lie.so3_hat(d)
     return A
 
@@ -178,24 +182,56 @@ def noise_kernel(Q, dt):
     return np.kron(C, np.asarray(Q, dtype=float))
 
 
-def compose_error_dynamics(F, G, kernel, dt):
+def _step_dynamics(B, D, basis, dt):
+    """(V_j, W_j) of each step of ``compose_error_dynamics``, written from
+    its blocks by A X = [0; X_v; D X_omega] and A^2 X = [0; D X_omega; 0]."""
+    lead = B.shape[:-2]
+    r = basis.shape[-2]
+    DB = D @ B[..., :3, :]
+    # W_j's 12-column blocks [B 0; 0 I], [A B | -B], [A^2 B | -A B] and
+    # [0 | -A^2 B]; the basis rows hold basis and -basis in the gyro columns
+    W = np.zeros(lead + (15 + r, 48))
+    W[..., :9, :6] = B
+    W[..., 9:15, 6:12] = _EYE6
+    W[..., 3:6, 12:18] = B[..., 6:9, :]
+    W[..., 6:9, 12:18] = DB
+    np.negative(B, out=W[..., :9, 18:24])
+    W[..., 3:6, 24:30] = DB
+    np.negative(W[..., 3:9, 12:18], out=W[..., 3:9, 30:36])
+    np.negative(DB, out=W[..., 3:6, 42:48])
+    W[..., 15:, :3] = basis
+    np.negative(basis, out=W[..., 15:, 18:21])
+    # V_j's pose block, and its bias columns -(dt B + dt^2/2 A B + dt^3/6
+    # A^2 B) from W's (basis, 0 and 0 on the basis rows)
+    V = np.zeros(lead + (15 + r, 15))
+    V[..., 3:6, :3] = (dt * dt / 2) * D
+    V[..., 3:6, 6:9] = dt * _EYE3
+    V[..., 6:9, :3] = dt * D
+    Vb = np.multiply(W[..., :6], -dt, out=V[..., 9:15])
+    Vb[..., 3:9, :] -= (dt * dt / 2) * W[..., 3:9, 12:18]
+    Vb[..., 3:6, :] -= (dt ** 3 / 6) * DB
+    return V, W
+
+
+def compose_error_dynamics(B, D, basis, kernel, dt):
     """The error dynamics of one interval of n steps, composed on the core
     rows: (V, Q) such that the interval's covariance step is
     P <- Phi P Phi^T + T Q T^T with Phi = I + T [V 0] (see
     ``propagate_covariance``).
 
-    F ((B, n, k + r, k)) and G ((B, n, k + r, 12)) stack the steps'
-    dynamics of B filters with one kernel, in the row-factored form that
-    ``filters.error_jacobians`` builds: k dense rows and r basis rows,
-    which a factor U constant over the interval maps to the driven rows;
-    V and Q carry the batch axis.  Step j of a filter, with F, G its
-    dynamics and Fk, Gk their dense rows, is exact for F^4 = 0: its
-    transition is I + [V_j 0] on the core rows for V_j = F (dt I +
-    dt^2/2 Fk + dt^3/6 Fk^2), and its noise is W_j K W_j^T for
-    W_j = [G, F Gk, F Fk Gk, F Fk^2 Gk] and K = C(dt) kron Q (``kernel``,
-    see ``noise_kernel``).  Because the basis rows read only the dense
-    columns, the steps compose on the core: step b after the steps (V, Q),
-    with Phi_b = I + [V_b 0], gives
+    The steps come step-major as the blocks of ``filters.error_jacobians``,
+    B (n, 9, 6), D (n, 3, 3) or (3, 3) and the basis (n, r, 3), with the
+    batch axis of B filters after the step axis (V and Q carry it in
+    front).  Step j's dynamics are F = [[A, -B], [0, 0]] and
+    G = [[B, 0], [0, I]] on the k = 15 IMU rows, A the pose drift (dp/dv = I,
+    dv/domega = D), and -basis in F's gyro-bias and +basis in G's gyro-noise
+    columns on the basis rows.  F^4 = 0, so the step is exact in closed
+    form: I + [V_j 0] on the core rows for V_j = F (dt I + dt^2/2 Fk +
+    dt^3/6 Fk^2), Fk the IMU rows, and noise W_j K W_j^T for W_j = [G, F Gk,
+    F Fk Gk, F Fk^2 Gk] and K = C(dt) kron Q (``kernel``, see
+    ``noise_kernel``), both written from the blocks (``_step_dynamics``).
+    The basis rows read only the IMU columns, so the steps compose on the
+    core: step b after the steps (V, Q), with Phi_b = I + [V_b 0], gives
 
         V <- V + V_b + V_b V[:k],   Q <- Phi_b Q Phi_b^T + W_b K W_b^T.
 
@@ -205,17 +241,8 @@ def compose_error_dynamics(F, G, kernel, dt):
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt = {dt}")
-    k = F.shape[-1]
-    # step-major views: the tree below takes the steps on axis 0
-    F, G = F.swapaxes(0, 1), G.swapaxes(0, 1)
-    Fk = F[..., :k, :]
-    Gk = G[..., :k, :]
-    M = (dt ** 3 / 6) * (Fk @ Fk) + (dt * dt / 2) * Fk
-    M.reshape(M.shape[:-2] + (-1,))[..., ::k + 1] += dt    # + dt I
-    FkGk = Fk @ Gk
-    X = F @ np.concatenate((M, Gk, FkGk, Fk @ FkGk), axis=-1)
-    V = X[..., :k]
-    W = np.concatenate((G, X[..., k:]), axis=-1)
+    k = 15
+    V, W = _step_dynamics(B, D, basis, dt)
     Q = W @ kernel @ W.swapaxes(-1, -2)
     while len(V) > 1:
         # compose steps 2i and 2i + 1 of this round; an odd last step

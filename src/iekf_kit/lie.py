@@ -13,7 +13,10 @@ first, velocity second.  This matches the row structure of the IMU error
 Jacobians used throughout the filter code, even though some references list
 the columns the other way around.
 
-All functions are pure; none mutate their inputs.
+The SO(3) functions also take stacks of rows: ``so3_exp_jacobian_stack``
+gives the exponentials and left Jacobians of a stack in one pass, and
+``so3_exp_stack`` and ``so3_left_jacobian`` are its two halves.  All
+functions are pure; none mutate their inputs.
 """
 
 from __future__ import annotations
@@ -24,15 +27,15 @@ import numpy as np
 
 from .exceptions import AngleNearPi, SingularJacobian
 
-# Switchover to Taylor-series branches.  Keeps relative error below ~1e-12
-# without catastrophic cancellation in the sin/cos closed forms.
+# Below this angle exp's sin(t)/t and (1 - cos t)/t^2 and log's factor
+# take their series, to avoid 0/0; their closed forms do not cancel.
 SMALL_ANGLE = 1e-6
 
-# Below this angle se3_q_matrix takes its coefficients from their series:
-# the closed forms cancel to t^3, t^4 and t^5 of terms of order t, which
-# costs them up to ~6e-9 relative near 1e-4; the series, cut after the t^8
-# term, is exact to rounding up to here.
-Q_SERIES_ANGLE = 0.1
+# Below this angle the coefficients whose closed forms cancel (those of
+# se3_q_matrix and the left Jacobian's and its inverse's c and d) take
+# their series, cut after the t^8 term and exact to rounding up to here;
+# the closed forms lose up to ~1e-4 relative near SMALL_ANGLE, ~1e-13 here.
+SERIES_ANGLE = 0.1
 
 # Logarithm domain restriction: theta must stay below pi - NEAR_PI_MARGIN.
 NEAR_PI_MARGIN = 1e-6
@@ -58,15 +61,24 @@ def so3_hat(w):
 
 def _row_norms(w):
     """|w_k| of each row of an (n, 3) array, as an (n,) array; each squared
-    norm is one 1 x 3 by 3 x 1 product, which sums as the dot product of one
-    vector in so3_exp and np.linalg.norm does."""
+    norm is one 1 x 3 by 3 x 1 product, which sums as np.linalg.norm does."""
     return np.sqrt((w[:, None, :] @ w[:, :, None]).ravel())
 
 
-def so3_vee(W):
-    """Inverse of :func:`so3_hat` (exact on skew-symmetric input)."""
-    W = np.asarray(W, dtype=float)
-    return np.array([W[2, 1], W[0, 2], W[1, 0]])
+# series in t^2, cut after the t^8 term, of c = (t - sin t)/t^3 (also c1),
+# c2 and c3 of se3_q_matrix, and d of so3_left_jacobian_inv
+_C_SERIES = (1/6, -1/120, 1/5040, -1/362880, 1/39916800)
+_Q_SERIES = (_C_SERIES, (1/24, -1/720, 1/40320, -1/3628800, 1/479001600),
+             (1/120, -1/2520, 1/120960, -1/9979200, 1/1245404160))
+_D_SERIES = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160)
+
+
+def _series(t2, coeffs):
+    """The series ``coeffs`` in t^2 at ``t2`` (a float or an array)."""
+    s = coeffs[-1]
+    for k in coeffs[-2::-1]:
+        s = s * t2 + k
+    return s
 
 
 def _sin_cos_coeffs(theta):
@@ -84,30 +96,26 @@ def _sin_cos_coeffs(theta):
 
 
 def so3_exp(w):
-    """Rodrigues formula; 4-term Taylor branch below the small-angle threshold."""
-    w = np.asarray(w, dtype=float)
-    # the sum np.linalg.norm forms for a vector, without its dispatch
-    theta = math.sqrt(w.dot(w))
-    W = so3_hat(w)
-    a, b = _sin_cos_coeffs(theta)
-    return _EYE3 + a * W + b * (W @ W)
+    """Rodrigues formula of a 3-vector (``so3_exp_stack`` of one row)."""
+    return so3_exp_stack(np.reshape(w, (1, 3)))[0]
 
 
-def so3_exp_stack(w):
-    """so3_exp of each row of an (n, 3) array, as (n, 3, 3); equal to the
-    per-row so3_exp bit for bit.
-
-    The coefficients of all rows are array expressions in the order of
-    ``_sin_cos_coeffs``, with np.sin in place of math.sin (on x86-64 with
-    numpy 2.4 the two agreed on 2e7 sampled angles in [1e-7, 4]; the test
-    suite checks the rows against so3_exp).  The angles are clamped to
-    SMALL_ANGLE from below, so nothing divides by zero, and the rows below
-    it then take the series of ``_sin_cos_coeffs``.
+def so3_exp_jacobian_stack(w, jacobian=True):
+    """(E, J), (n, 3, 3) each: so3_exp and the left Jacobian of each row
+    of an (n, 3) array (J None unless ``jacobian``), from one pass that
+    shares the angles, their sines, W = w^ and W^2: E = I + a W + b W^2 and
+    J = I + b W + c W^2, c = (t - sin t)/t^3.  a and b are array
+    expressions in the order of ``_sin_cos_coeffs``, with np.sin in place of
+    math.sin (on x86-64 with numpy 2.4 the two agreed on 2e7 sampled angles
+    in [1e-7, 4]); the angles are clamped to SMALL_ANGLE, below which a and
+    b take the series of ``_sin_cos_coeffs``, and c takes its series below
+    SERIES_ANGLE.
     """
     w = np.asarray(w, dtype=float)
     theta = _row_norms(w)
     t = np.maximum(theta, SMALL_ANGLE)
-    a = np.sin(t) / t
+    sin = np.sin(t)
+    a = sin / t
     h = np.sin(0.5 * t) / t
     b = 2.0 * h * h
     small = theta < SMALL_ANGLE
@@ -115,12 +123,23 @@ def so3_exp_stack(w):
         a[small], b[small] = np.array(
             [_sin_cos_coeffs(x) for x in theta[small].tolist()]).T
     W = so3_hat(w)
-    E = a[:, None, None] * W
-    E += _EYE3
     WW = W @ W
-    WW *= b[:, None, None]
-    E += WW
-    return E
+    E = _EYE3 + a[:, None, None] * W + b[:, None, None] * WW
+    if not jacobian:
+        return E, None
+    # the series at the angles clamped to SERIES_ANGLE, replaced by the
+    # closed form from there on
+    c = _series(np.minimum(theta, SERIES_ANGLE) ** 2, _C_SERIES)
+    large = theta >= SERIES_ANGLE
+    if large.any():
+        c[large] = ((t - sin) / (t * t * t))[large]
+    return E, _EYE3 + b[:, None, None] * W + c[:, None, None] * WW
+
+
+def so3_exp_stack(w):
+    """so3_exp of each row of an (n, 3) array, as (n, 3, 3); equal to the
+    per-row so3_exp bit for bit (``so3_exp_jacobian_stack`` without J)."""
+    return so3_exp_jacobian_stack(w, jacobian=False)[0]
 
 
 def so3_log(R):
@@ -133,17 +152,12 @@ def so3_log(R):
     """
     R = np.asarray(R, dtype=float)
     if R.ndim == 2:
-        axis_times_2sin = so3_vee(R - R.T)
-        # the norm and the trace add in the order np.linalg.norm and
-        # np.trace do
-        sin_theta = 0.5 * math.sqrt(axis_times_2sin.dot(axis_times_2sin))
-        trace = R[0, 0] + R[1, 1] + R[2, 2]
-        return _log_factor(sin_theta, (trace - 1.0) / 2.0) * axis_times_2sin
+        return so3_log(R[None])[0]
     A = R - R.swapaxes(1, 2)
     axis_times_2sin = np.column_stack([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]])
     trace = R[:, 0, 0] + R[:, 1, 1] + R[:, 2, 2]
-    # math.atan2 per row, as the single-matrix log takes it: numpy's
-    # arctan2 differs from it in the last bit on some inputs
+    # math.atan2 per row: numpy's arctan2 differs from it in the last bit
+    # on some inputs
     factor = [_log_factor(0.5 * s, c) for s, c in
               zip(_row_norms(axis_times_2sin).tolist(),
                   ((trace - 1.0) / 2.0).tolist())]
@@ -171,32 +185,17 @@ def _log_factor(sin_theta, cos_theta):
 
 
 def so3_left_jacobian(w):
-    """Left Jacobian of SO(3), J = I + b W + c W^2 with the sin/cos closed
-    form, at a 3-vector, or at each row of an (n, 3) array as (n, 3, 3)."""
+    """Left Jacobian of SO(3), J = I + b W + c W^2, at a 3-vector, or at
+    each row of an (n, 3) array as (n, 3, 3) (see
+    ``so3_exp_jacobian_stack``)."""
     w = np.asarray(w, dtype=float)
-    rows = w.reshape(-1, 3)
-    coeffs = []
-    for theta in _row_norms(rows).tolist():
-        if theta < SMALL_ANGLE:
-            t2 = theta * theta
-            c = (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-                 - t2 * t2 * t2 / 362880.0)
-        else:
-            c = (theta - np.sin(theta)) / (theta ** 3)
-        coeffs.append((_sin_cos_coeffs(theta)[1], c))
-    b, c = np.array(coeffs).reshape(-1, 2).T
-    W = so3_hat(rows)
-    J = b[:, None, None] * W
-    J += _EYE3
-    WW = W @ W
-    WW *= c[:, None, None]
-    J += WW
-    return J.reshape(w.shape[:-1] + (3, 3))
+    return so3_exp_jacobian_stack(w.reshape(-1, 3))[1].reshape(w.shape + (3,))
 
 
 def so3_left_jacobian_inv(w):
-    """Inverse left Jacobian of SO(3) at a 3-vector, or at each row of an
-    (n, 3) array as (n, 3, 3).
+    """Inverse left Jacobian of SO(3), I - W/2 + d W^2, at a 3-vector, or
+    at each row of an (n, 3) array as (n, 3, 3), with d =
+    (1 - (t/2) cot(t/2)) / t^2 (its series below SERIES_ANGLE).
 
     Raises:
         SingularJacobian: if an |w| is within SINGULARITY_MARGIN of a
@@ -204,32 +203,23 @@ def so3_left_jacobian_inv(w):
     """
     w = np.asarray(w, dtype=float)
     rows = w.reshape(-1, 3)
-    d = []
-    for theta in _row_norms(rows).tolist():
-        _check_jacobian_angle(theta)
-        if theta < SMALL_ANGLE:
-            t2 = theta * theta
-            d.append(1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-                     + t2 * t2 * t2 / 1209600.0)
-        else:
-            # t sin(t) / (2 (1 - cos t)) = (t/2) cot(t/2), which keeps the
-            # cancellation of 1 - cos(t) out of d
-            half = 0.5 * theta
-            d.append((1.0 - half * math.cos(half) / math.sin(half))
-                     / (theta * theta))
+    d = np.array([_inverse_coeff(x) for x in _row_norms(rows).tolist()])
     W = so3_hat(rows)
     J = _EYE3 - 0.5 * W
-    J += np.array(d)[:, None, None] * (W @ W)
+    J += d.reshape(-1, 1, 1) * (W @ W)
     return J.reshape(w.shape[:-1] + (3, 3))
 
 
-def _check_jacobian_angle(theta):
-    if theta < np.pi:
-        return
+def _inverse_coeff(theta):
+    """d of ``so3_left_jacobian_inv`` at one angle."""
+    if theta < SERIES_ANGLE:
+        return _series(theta * theta, _D_SERIES)
     k = round(theta / (2.0 * np.pi))
-    if k >= 1 and abs(theta - 2.0 * np.pi * k) < SINGULARITY_MARGIN:
+    if k and abs(theta - 2.0 * np.pi * k) < SINGULARITY_MARGIN:
         raise SingularJacobian(
             f"|omega| = {theta:.9f} within {SINGULARITY_MARGIN} of {k}*2pi")
+    half = 0.5 * theta
+    return (1.0 - half / math.tan(half)) / (theta * theta)
 
 
 def se3_q_matrix(theta_vec, v):
@@ -245,13 +235,8 @@ def se3_q_matrix(theta_vec, v):
     T = so3_hat(theta_vec)
     V = so3_hat(v)
     t2 = t * t
-    if t < Q_SERIES_ANGLE:
-        c1 = 1/6 - t2 * (1/120 - t2 * (1/5040 - t2 * (1/362880
-                                                      - t2 / 39916800)))
-        c2 = 1/24 - t2 * (1/720 - t2 * (1/40320 - t2 * (1/3628800
-                                                        - t2 / 479001600)))
-        c3 = 1/120 - t2 * (1/2520 - t2 * (1/120960 - t2 * (1/9979200
-                                                          - t2 / 1245404160)))
+    if t < SERIES_ANGLE:
+        c1, c2, c3 = (_series(t2, q) for q in _Q_SERIES)
     else:
         st, ct = np.sin(t), np.cos(t)
         c1 = (t - st) / t ** 3
@@ -298,8 +283,7 @@ def sen_hat(xi, n=None):
     n = n_inferred
     M = np.zeros((3 + n, 3 + n))
     M[:3, :3] = so3_hat(xi[:3])
-    for i in range(n):
-        M[:3, 3 + i] = xi[3 * (i + 1):3 * (i + 2)]
+    M[:3, 3:] = xi[3:].reshape(n, 3).T
     return M
 
 
@@ -327,15 +311,20 @@ def sen_exp(xi):
 def sen_ad(xi):
     """Matrix of ad_xi: omega^ on the block diagonal, v_i^ in the first block column."""
     omega, vs = split_tangent(xi)
-    n = len(vs)
-    W = so3_hat(omega)
-    A = np.zeros((3 * (n + 1), 3 * (n + 1)))
-    A[:3, :3] = W
-    for i, v in enumerate(vs):
-        r = 3 * (i + 1)
-        A[r:r + 3, r:r + 3] = W
-        A[r:r + 3, :3] = so3_hat(v)
-    return A
+    return _first_column_blocks(so3_hat(omega), [so3_hat(v) for v in vs])
+
+
+def _first_column_blocks(diag, column):
+    """The 3 (n + 1) square matrix with the 3 x 3 block ``diag`` on its
+    block diagonal and the n blocks of ``column`` below it in its first
+    block column, zero elsewhere."""
+    n = len(column)
+    M = np.zeros((3 * (n + 1), 3 * (n + 1)))
+    for i in range(n + 1):
+        M[3 * i:3 * i + 3, 3 * i:3 * i + 3] = diag
+    for i, C in enumerate(column):
+        M[3 * i + 3:3 * i + 6, :3] = C
+    return M
 
 
 def sen_left_jacobian(xi):
@@ -343,15 +332,8 @@ def sen_left_jacobian(xi):
     block layout: J(omega) blocks on the diagonal, Q_omega(v_i) in the first
     block column."""
     omega, vs = split_tangent(xi)
-    n = len(vs)
-    Jso3 = so3_left_jacobian(omega)
-    J = np.zeros((3 * (n + 1), 3 * (n + 1)))
-    J[:3, :3] = Jso3
-    for i, v in enumerate(vs):
-        r = 3 * (i + 1)
-        J[r:r + 3, r:r + 3] = Jso3
-        J[r:r + 3, :3] = se3_q_matrix(omega, v)
-    return J
+    return _first_column_blocks(so3_left_jacobian(omega),
+                                [se3_q_matrix(omega, v) for v in vs])
 
 
 def sen_left_jacobian_inv(xi):
@@ -365,12 +347,6 @@ def sen_left_jacobian_inv(xi):
             multiple of 2*pi.
     """
     omega, vs = split_tangent(xi)
-    n = len(vs)
     Jinv = so3_left_jacobian_inv(omega)
-    Ji = np.zeros((3 * (n + 1), 3 * (n + 1)))
-    Ji[:3, :3] = Jinv
-    for i, v in enumerate(vs):
-        r = 3 * (i + 1)
-        Ji[r:r + 3, r:r + 3] = Jinv
-        Ji[r:r + 3, :3] = -Jinv @ se3_q_matrix(omega, v) @ Jinv
-    return Ji
+    return _first_column_blocks(
+        Jinv, [-Jinv @ se3_q_matrix(omega, v) @ Jinv for v in vs])

@@ -21,6 +21,7 @@ one-filter oracles read and write ``OneFilter``, one row of a filter bank
 with the 2-D fields that a filter had before the filters became a bank."""
 
 import copy
+import math
 import types
 
 import numpy as np
@@ -84,18 +85,19 @@ def _projection_jacobian_point(model, x_cam):
 
 
 def _so3_left_jacobian_vector(w):
-    """``lie.so3_left_jacobian`` at one 3-vector, as it was before it took
-    stacks."""
+    """``lie.so3_left_jacobian`` at one 3-vector in Python floats, as it was
+    before it took stacks, with c = (t - sin t)/t^3 from its series below
+    ``lie.SERIES_ANGLE``, summed by Horner's rule."""
     w = np.asarray(w, dtype=float)
     theta = float(np.linalg.norm(w))
     W = lie.so3_hat(w)
     _, b = lie._sin_cos_coeffs(theta)
-    if theta < lie.SMALL_ANGLE:
+    if theta < lie.SERIES_ANGLE:
         t2 = theta * theta
-        c = (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-             - t2 * t2 * t2 / 362880.0)
+        c = ((((1/39916800) * t2 - 1/362880) * t2 + 1/5040) * t2
+             - 1/120) * t2 + 1/6
     else:
-        c = (theta - np.sin(theta)) / (theta ** 3)
+        c = (theta - math.sin(theta)) / (theta * theta * theta)
     return np.eye(3) + b * W + c * (W @ W)
 
 
@@ -306,36 +308,40 @@ def _apply_correction_filter(filt, d):
 
 def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
                        xi_delta=None):
-    """(F, G, U) of ``filters.error_jacobians`` for one step from ``st``,
-    from the inputs that ``FilterInstance.predict`` gives it for variant
-    ``tag``: gravity, the lever arms (p, v) and the landmarks for the
-    invariant error, -R (a_m - b_a) and zero lever arms for the EKF
+    """The blocks (B, D, basis, U) of ``filters.error_jacobians`` for one
+    step from ``st``, from the inputs that ``filters.predict_all`` gives it
+    for variant ``tag``: gravity, the lever arms (p, v) and the landmarks
+    for the invariant error, -R (a_m - b_a) and zero lever arms for the EKF
     family; ``xi_delta`` is a (1, 3) imitation draw."""
     lms = np.asarray(lms, dtype=float).reshape(-1, 3)
     if tag in filters.INVARIANT_TAGS:
-        F, G, U = filters.error_jacobians(
+        B, D, basis, U = filters.error_jacobians(
             st.R[None], imu.DEFAULT_GRAVITY, np.array([[st.p, st.v]]), lms,
             xi_delta)
     else:
         drift = -(st.R @ (np.asarray(accel, dtype=float) - st.b_a))
-        F, G, U = filters.error_jacobians(st.R[None], drift[None],
-                                          np.zeros((1, 2, 3)), None,
-                                          xi_delta)
-    return F[0], G[0], U
+        B, D, basis, U = filters.error_jacobians(
+            st.R[None], drift[None], np.zeros((1, 2, 3)), None, xi_delta)
+    return B[0], D.reshape(3, 3), basis[0], U
 
 
-def _expand(F, G, U, c):
-    """The c x k F and c x 12 G that the row-factored (F, G, U) stands
-    for: the k dense rows, U times the basis rows, then static rows."""
-    k = F.shape[1]
+def _expand(B, D, basis, U, c):
+    """The c x 15 F and c x 12 G that one step's blocks stand for: the IMU
+    rows [[A, -B], [0, 0]] and [[B, 0], [0, I]], with A the drift matrix of
+    dp/dv = I and dv/domega = D, then U times the basis rows (-basis on the
+    gyro-bias columns of F, +basis on the gyro-noise columns of G), then
+    static rows."""
     n = len(U)
-    F_full = np.zeros((c, k))
-    G_full = np.zeros((c, G.shape[1]))
-    F_full[:k] = F[:k]
-    G_full[:k] = G[:k]
-    F_full[k:k + n] = U @ F[k:]
-    G_full[k:k + n] = U @ G[k:]
-    return F_full, G_full
+    F = np.zeros((c, 15))
+    G = np.zeros((c, 12))
+    F[3:6, 6:9] = np.eye(3)
+    F[6:9, :3] = D
+    F[:9, 9:15] = -B
+    G[:9, :6] = B
+    G[9:15, 6:] = np.eye(6)
+    F[15:15 + n, 9:12] = U @ -basis
+    G[15:15 + n, :3] = U @ basis
+    return F, G
 
 
 def _square(F, d):
@@ -647,7 +653,7 @@ def _sen_vee(M):
     M = np.asarray(M, dtype=float)
     n = M.shape[0] - 3
     xi = np.empty(3 * (n + 1))
-    xi[:3] = lie.so3_vee(M[:3, :3])
+    xi[:3] = M[2, 1], M[0, 2], M[1, 0]
     for i in range(n):
         xi[3 * (i + 1):3 * (i + 2)] = M[:3, 3 + i]
     return xi

@@ -333,19 +333,20 @@ def test_correction_of_a_list_equals_one_correction_per_filter(
     calls = []
 
     def counted(fn):
-        def wrapper(w):
-            calls.append((fn.__name__, np.shape(w)))
-            return fn(w)
+        def wrapper(w, *args, **kwargs):
+            calls.append((fn.__name__, np.shape(w), args, kwargs))
+            return fn(w, *args, **kwargs)
         return wrapper
 
-    for name in ("so3_exp_stack", "so3_left_jacobian"):
+    for name in ("so3_exp_stack", "so3_left_jacobian",
+                 "so3_exp_jacobian_stack"):
         monkeypatch.setattr(lie, name, counted(getattr(lie, name)))
     bank.apply_correction(D)
     monkeypatch.undo()
     for ref, d in zip(refs, D):
         apply_correction_filter(ref, d)
-    assert calls == [("so3_exp_stack", (5 * (1 + n_clones), 3)),
-                     ("so3_left_jacobian", (3 * (1 + n_clones), 3))]
+    assert calls == [("so3_exp_jacobian_stack", (5 * (1 + n_clones), 3), (),
+                      {"jacobian": True})]
     for i, ref in enumerate(refs):
         assert (mean_vector(one_filter(bank, i)).tobytes()
                 == mean_vector(ref).tobytes())
@@ -531,19 +532,19 @@ def test_correction_matches_per_clone_group_product(
     calls = []
 
     def counted(fn):
-        def wrapper(w):
-            calls.append((fn.__name__, np.shape(w)))
-            return fn(w)
+        def wrapper(w, *args, **kwargs):
+            calls.append((fn.__name__, np.shape(w), args, kwargs))
+            return fn(w, *args, **kwargs)
         return wrapper
 
-    for name in ("so3_exp_stack", "so3_left_jacobian"):
+    for name in ("so3_exp_stack", "so3_left_jacobian",
+                 "so3_exp_jacobian_stack"):
         monkeypatch.setattr(lie, name, counted(getattr(lie, name)))
     f.apply_correction(d[None])
     monkeypatch.undo()
     apply_correction_per_clone(ref, d)
-    rows = (1 + n_clones, 3)
-    assert calls == [("so3_exp_stack", rows)] + (
-        [("so3_left_jacobian", rows)] if f.variant.invariant else [])
+    assert calls == [("so3_exp_jacobian_stack", (1 + n_clones, 3), (),
+                      {"jacobian": f.variant.invariant})]
     got = one_filter(f)
     parts = [(getattr(got.state, name), getattr(ref.state, name))
              for name in ("R", "p", "v", "b_omega", "b_a")]
@@ -809,11 +810,12 @@ def test_invariant_F_nilpotent_with_landmarks(variant_jacobians, expand,
 @pytest.mark.parametrize("m", [0, 3])
 def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
                                                 expand):
-    # the exact layout of every variant's (F, G): F holds only the 15 IMU
-    # columns, the bias columns are -B for the noise map B = G[:, :6], the
-    # bias rows are static and take their noise with identity; landmark
-    # rows come from basis rows through a U that holds only the landmarks
-    # (invariant error only): three rows -R / R, or nine with imitation
+    # the exact layout of every variant's blocks: a 9 x 6 noise map B, a
+    # drift hat D, and landmark rows from basis rows through a U that holds
+    # only the landmarks (invariant error only): three rows R, or nine with
+    # imitation; expanded, F holds only the 15 IMU columns, the bias
+    # columns are -B, the bias rows are static and take their noise with
+    # identity, and the landmark rows read only the gyro bias
     rng = np.random.default_rng(17)
     st = make_state(rng)
     lms = rng.normal(0.0, 10.0, (m, 3))
@@ -821,31 +823,24 @@ def test_error_dynamics_vanish_past_imu_columns(m, variant_jacobians,
     for tag in filters.ALL_TAGS:
         xi_d = (imu.sample_imitating_error(0.4, rng, 1) if tag == "ij_iekf"
                 else None)
-        F, G, U = variant_jacobians(tag, st, lms, ACCEL[0], xi_d)
+        B, D, basis, U = variant_jacobians(tag, st, lms, ACCEL[0], xi_d)
         r = (0 if not m or tag not in filters.INVARIANT_TAGS
              else 9 if tag == "ij_iekf" else 3)
-        assert F.shape == (15 + r, 15) and G.shape == (15 + r, 12)
+        assert B.shape == (9, 6) and D.shape == (3, 3)
+        assert basis.shape == (r, 3)
         assert U.shape == ((3 * m, r) if r else (0, 0))
-        if r:
-            assert np.array_equal(F[15:, 9:12], -G[15:, :3])
-            assert not np.any(F[15:, :9]) and not np.any(F[15:, 12:])
-            assert not np.any(G[15:, 3:])
         if r == 3:
-            assert np.array_equal(G[15:, :3], st.R)
+            assert np.array_equal(basis, st.R)
             assert np.array_equal(U, np.vstack([lie.so3_hat(f) for f in lms]))
         if r == 9:
             for j, f in enumerate(lms):
                 assert np.array_equal(U[3 * j:3 * j + 3],
                                       np.hstack([f[a] * np.eye(3)
                                                  for a in range(3)]))
-        F, G = expand(F, G, U, c)
+        F, G = expand(B, D, basis, U, c)
         assert F.shape == (c, 15) and G.shape == (c, 12)
         assert np.array_equal(F[:, 9:15], -G[:, :6])
-        assert np.array_equal(G[9:15, 6:], np.eye(6))
-        assert not np.any(G[:9, 6:]) and not np.any(G[15:, 6:])
-        assert not np.any(F[9:15]) and not np.any(G[9:15, :6])
-        # landmark errors are driven by nothing but the gyro bias
-        assert not np.any(F[15:, :9])
+        assert not np.any(F[9:15]) and not np.any(F[15:, :9])
 
 
 def interval_readings(rng, n):
@@ -875,11 +870,11 @@ def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
     _, R, p, v, Ra = imu.propagate_mean(st, omega, accel, dt, g)
     xi = imu.sample_imitating_error(0.4, rng, n) if with_delta else None
     if tag in filters.INVARIANT_TAGS:
-        F, G, U = filters.error_jacobians(
+        B, D, basis, U = filters.error_jacobians(
             R[:-1], g, np.stack((p[:-1], v[:-1]), axis=1), lms, xi)
     else:
-        F, G, U = filters.error_jacobians(R[:-1], -Ra, np.zeros((n, 2, 3)),
-                                          None, xi)
+        B, D, basis, U = filters.error_jacobians(
+            R[:-1], -Ra, np.zeros((n, 2, 3)), None, xi)
     c = 15 + 3 * m
     rows = slice(0, 15 if with_delta and tag in filters.INVARIANT_TAGS
                  else c)
@@ -891,7 +886,8 @@ def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
         else:
             drift = -(R[k] @ (accel[k] - st.b_a))
             ref = full_row_error_jacobians(R[k], drift, m, None, x)
-        for got, want in zip(expand(F[k], G[k], U, c), ref):
+        D_k = D if D.ndim == 2 else D[k]
+        for got, want in zip(expand(B[k], D_k, basis[k], U, c), ref):
             assert np.array_equal(got[rows], want[rows])
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -905,14 +901,15 @@ def test_predict_propagates_clones_like_propagate_covariance(
         f = make_filter(tag, rng, landmarks=rng.normal(0.0, 10.0, (2, 3)))
         R_c, p_c = vision.camera_pose(f.state, vision.Extrinsics())
         f.clone_camera_pose(R_c, p_c)
-        F, G, U = variant_jacobians(tag, row_state(f), f.landmarks[0],
-                                    ACCEL[0])
+        B, D, basis, U = variant_jacobians(tag, row_state(f), f.landmarks[0],
+                                           ACCEL[0])
         Q = f.noise.q_imu()
-        V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
+        V, Qd = imu.compose_error_dynamics(B[None, None], D,
+                                           basis[None, None],
                                            imu.noise_kernel(Q, dt), dt)
         expected, = propagate_covariance_copy(f.P, V, Qd, U[None])
         # the same step on the square 27 x 27 dynamics, clones static
-        F_sq, G_sq = expand(F, G, U, 27)
+        F_sq, G_sq = expand(B, D, basis, U, 27)
         dense = dense_closed_form(f.P[0], square(F_sq, 27), G_sq, Q, dt)
         clone_block = f.P[0, 21:, 21:].copy()
         P = f.P
@@ -962,34 +959,36 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
 
 
 def test_batched_error_model_equals_one_call_per_filter():
-    # the stacked inputs of B filters give each filter's F, G and U bit
-    # for bit, for the EKF family, the invariant error and the imitated
-    # one; a filter without draws (zeros) beside one with draws takes r = 9
+    # the stacked inputs of B filters, step-major, give each filter's
+    # blocks bit for bit, for the EKF family, the invariant error and the
+    # imitated one; a filter without draws (zeros) beside one with draws
+    # takes r = 9
     rng = np.random.default_rng(34)
     b, n, m = 3, 4, 5
-    R = lie.so3_exp_stack(rng.normal(0.0, 0.5, (b * n, 3))).reshape(b, n, 3,
+    R = lie.so3_exp_stack(rng.normal(0.0, 0.5, (n * b, 3))).reshape(n, b, 3,
                                                                      3)
-    drift = rng.normal(0.0, 9.8, (b, n, 3))
-    levers = rng.normal(0.0, 10.0, (b, n, 2, 3))
+    drift = rng.normal(0.0, 9.8, (n, b, 3))
+    levers = rng.normal(0.0, 10.0, (n, b, 2, 3))
     lms = rng.normal(0.0, 10.0, (b, m, 3))
-    xi = rng.uniform(-0.3, 0.3, (b, n, 3))
+    xi = rng.uniform(-0.3, 0.3, (n, b, 3))
     zeros = np.zeros_like(levers)
-    cases = [((R, drift, zeros), lambda i: (R[i], drift[i], zeros[i])),
-             ((R, imu.DEFAULT_GRAVITY, levers, lms),
-              lambda i: (R[i], imu.DEFAULT_GRAVITY, levers[i], lms[i])),
-             ((R, imu.DEFAULT_GRAVITY, levers, lms, xi),
-              lambda i: (R[i], imu.DEFAULT_GRAVITY, levers[i], lms[i],
-                         xi[i]))]
+    g = imu.DEFAULT_GRAVITY
+    cases = [((R, drift, zeros), lambda i: (R[:, i], drift[:, i],
+                                            zeros[:, i])),
+             ((R, g, levers, lms),
+              lambda i: (R[:, i], g, levers[:, i], lms[i])),
+             ((R, g, levers, lms, xi),
+              lambda i: (R[:, i], g, levers[:, i], lms[i], xi[:, i]))]
     for batched, single in cases:
-        F, G, U = filters.error_jacobians(*batched)
-        assert len(F) == len(G) == len(U) == b
+        B, D, basis, U = filters.error_jacobians(*batched)
+        assert B.shape[:2] == basis.shape[:2] == (n, b) and len(U) == b
         for i in range(b):
-            for got, want in zip((F[i], G[i], U[i]),
-                                 filters.error_jacobians(*single(i))):
-                assert got.tobytes() == want.tobytes()
-    xi[0] = 0.0
-    F, _, U = filters.error_jacobians(R, imu.DEFAULT_GRAVITY, levers, lms, xi)
-    assert F.shape == (b, n, 24, 15) and U.shape == (b, 3 * m, 9)
+            got = (B[:, i], D if D.ndim == 2 else D[:, i], basis[:, i], U[i])
+            for x, want in zip(got, filters.error_jacobians(*single(i))):
+                assert x.tobytes() == want.tobytes()
+    xi[:, 0] = 0.0
+    B, _, basis, U = filters.error_jacobians(R, g, levers, lms, xi)
+    assert basis.shape == (n, b, 9, 3) and U.shape == (b, 3 * m, 9)
 
 
 def test_predict_all_equals_predict_per_filter(stack_banks):

@@ -27,10 +27,10 @@ def random_state(rng):
         rng.normal(0.0, 0.05, 3))
 
 
-def one_step(P, F, G, U, Q, dt):
-    """The covariance step of a one-step interval with dynamics (F, G, U),
-    for a batch of one filter, on a copy of P."""
-    V, Qd = imu.compose_error_dynamics(F[None, None], G[None, None],
+def one_step(P, B, D, basis, U, Q, dt):
+    """The covariance step of a one-step interval with the blocks
+    (B, D, basis, U), for a batch of one filter, on a copy of P."""
+    V, Qd = imu.compose_error_dynamics(B[None, None], D, basis[None, None],
                                        imu.noise_kernel(Q, dt), dt)
     P = P[None].copy()
     imu.propagate_covariance(P, V, Qd, U[None])
@@ -68,8 +68,8 @@ def test_propagate_mean_rejects_bad_dt(identity_state):
         imu.propagate_mean(st, np.zeros((2, 3)), np.zeros((2, 3)), 0.0,
                            imu.DEFAULT_GRAVITY)
     with pytest.raises(NonPositiveDt):
-        imu.compose_error_dynamics(np.zeros((1, 1, 15, 15)),
-                                   np.zeros((1, 1, 15, 12)), np.eye(48), -0.1)
+        imu.compose_error_dynamics(np.zeros((1, 1, 9, 6)), np.zeros((3, 3)),
+                                   np.zeros((1, 1, 0, 3)), np.eye(48), -0.1)
 
 
 def test_error_matrix_a_is_nilpotent():
@@ -82,8 +82,7 @@ def test_full_f_is_nilpotent(variant_jacobians, expand, square):
     st = random_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
     for tag in FAMILIES:
-        F, G, U = variant_jacobians(tag, st, lms)
-        F_sq = square(expand(F, G, U, 21)[0], 21)
+        F_sq = square(expand(*variant_jacobians(tag, st, lms), 21)[0], 21)
         assert np.abs(np.linalg.matrix_power(F_sq, 4)).max() == 0.0
 
 
@@ -91,41 +90,33 @@ def test_error_jacobians_zero_delta_bit_identical(variant_jacobians):
     rng = np.random.default_rng(2)
     st = random_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
-    F0, G0, U0 = variant_jacobians("iekf", st, lms)
-    Fz, Gz, Uz = variant_jacobians("iekf", st, lms,
-                                   xi_delta=np.zeros((1, 3)))
-    assert np.array_equal(F0, Fz)
-    assert np.array_equal(G0, Gz)
-    assert np.array_equal(U0, Uz)
+    blocks = variant_jacobians("iekf", st, lms)
+    zero = variant_jacobians("iekf", st, lms, xi_delta=np.zeros((1, 3)))
+    for got, want in zip(zero, blocks):
+        assert got.tobytes() == want.tobytes()
 
 
-def test_error_jacobians_block_structure(variant_jacobians, expand):
+def test_error_jacobians_block_structure(variant_jacobians):
     rng = np.random.default_rng(3)
     st = random_state(rng)
     a_m = rng.normal(0.0, 1.0, 3)
     for tag in FAMILIES:
-        F, G, U = variant_jacobians(tag, st, accel=a_m)
-        assert U.shape == (0, 0)
-        F, G = expand(F, G, U, 15)
-        assert F.shape == (15, 15)
-        assert G.shape == (15, 12)
-        # bias rows are static; bias noise enters with identity
-        assert np.abs(F[9:, :]).max() == 0.0
-        assert np.array_equal(G[9:15, 6:12], np.eye(6))
+        B, D, basis, U = variant_jacobians(tag, st, accel=a_m)
+        assert B.shape == (9, 6) and D.shape == (3, 3)
+        assert basis.shape == (0, 3) and U.shape == (0, 0)
         # noise map blocks: attitude sees R, velocity sees R for accel noise
-        assert np.array_equal(G[:3, :3], st.R)
-        assert np.array_equal(G[6:9, 3:6], st.R)
-        assert np.array_equal(F[3:6, 6:9], np.eye(3))
+        assert np.array_equal(B[:3, :3], st.R)
+        assert np.array_equal(B[6:9, 3:6], st.R)
+        assert not np.any(B[:6, 3:6])
         if tag == "iekf":
             # position and velocity see the gyro noise through p^ R, v^ R
-            assert np.allclose(G[3:6, :3], lie.so3_hat(st.p) @ st.R)
-            assert np.allclose(G[6:9, :3], lie.so3_hat(st.v) @ st.R)
-            assert np.array_equal(F[6:9, :3],
-                                  lie.so3_hat(imu.DEFAULT_GRAVITY))
+            assert np.allclose(B[3:6, :3], lie.so3_hat(st.p) @ st.R)
+            assert np.allclose(B[6:9, :3], lie.so3_hat(st.v) @ st.R)
+            assert np.array_equal(D, lie.so3_hat(imu.DEFAULT_GRAVITY))
         else:
             # world-frame errors: no lever arms, -(R a)^ drives velocity
-            assert not np.any(G[3:6]) and not np.any(G[6:9, :3])
-            assert np.allclose(F[6:9, :3], -lie.so3_hat(st.R @ (a_m - st.b_a)))
+            assert not np.any(B[3:9, :3])
+            assert np.allclose(D, -lie.so3_hat(st.R @ (a_m - st.b_a)))
 
 
 def test_propagate_covariance_matches_quadrature(variant_jacobians, expand,
@@ -140,9 +131,9 @@ def test_propagate_covariance_matches_quadrature(variant_jacobians, expand,
     P = np.eye(21) * 0.1
     dt = 0.05
     for tag in FAMILIES:
-        F, G, U = variant_jacobians(tag, st, lms)
-        out = one_step(P, F, G, U, Q, dt)
-        F, G = expand(F, G, U, 21)
+        blocks = variant_jacobians(tag, st, lms)
+        out = one_step(P, *blocks, Q, dt)
+        F, G = expand(*blocks, 21)
         F = square(F, 21)
 
         def phi(s):
@@ -158,13 +149,19 @@ def test_propagate_covariance_matches_quadrature(variant_jacobians, expand,
 
 
 def test_propagate_covariance_pure_diffusion():
-    # F = 0: P <- P + dt * G Q G^T exactly
+    # B = 0 and D = 0: only the bias errors take noise, P[9:, 9:] +=
+    # dt * Q_b exactly, and the pose errors move by dp/dv = I alone
     rng = np.random.default_rng(5)
-    G = rng.normal(0.0, 1.0, (15, 12))
     Q = np.diag(rng.uniform(0.1, 1.0, 12))
     P = np.eye(15)
-    out = one_step(P, np.zeros((15, 15)), G, np.zeros((0, 0)), Q, 0.3)
-    assert np.abs(out - (P + 0.3 * G @ Q @ G.T)).max() < 1e-12
+    dt = 0.3
+    out = one_step(P, np.zeros((9, 6)), np.zeros((3, 3)), np.zeros((0, 3)),
+                   np.zeros((0, 0)), Q, dt)
+    Phi = np.eye(15)
+    Phi[3:6, 6:9] = dt * np.eye(3)
+    want = Phi @ P @ Phi.T
+    want[9:, 9:] += dt * Q[6:, 6:]
+    assert np.abs(out - want).max() < 1e-12
 
 
 def van_loan(P, F, G, Q, dt):
@@ -180,24 +177,14 @@ def van_loan(P, F, G, Q, dt):
     return Phi @ P @ Phi.T + Phi @ E[:d, d:]
 
 
-def factored_system(rng, sizes, r, n):
-    """A random row-factored (F, G, U) with F^4 = 0.
-
-    The core Fk and the basis rows Fr come from one strictly block
-    upper-triangular matrix on the blocks [r] + sizes (at most four
-    nonempty blocks): the basis block reads the core and nothing reads it,
-    like landmarks.  U (n x r) drives n rows."""
-    blocks = [r] + sizes
-    m = sum(blocks)
-    N = np.zeros((m, m))
-    edges = np.cumsum([0] + blocks)
-    for i in range(len(blocks)):
-        N[edges[i]:edges[i + 1], edges[i + 1]:] = rng.normal(
-            0.0, 1.0, (blocks[i], m - edges[i + 1]))
-    F = np.vstack([N[r:, r:], N[:r, r:]])    # [Fk; Fr]
-    G = rng.normal(0.0, 1.0, (m, 3))
+def random_blocks(rng, r, n, lead=()):
+    """Random blocks (B, D, basis, U) of steps with the leading axes
+    ``lead``: a general D (not only a hat), r basis rows and an n x r U
+    that drives n rows (U is 0 x 0 without basis rows)."""
     U = rng.normal(0.0, 1.0, (n, r)) if r else np.zeros((0, 0))
-    return F, G, U
+    return (rng.normal(0.0, 1.0, lead + (9, 6)),
+            rng.normal(0.0, 1.0, lead + (3, 3)),
+            rng.normal(0.0, 1.0, lead + (r, 3)), U)
 
 
 def random_psd(rng, d):
@@ -206,54 +193,79 @@ def random_psd(rng, d):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
-       r=st_.integers(0, 3),
+@given(r=st_.integers(0, 9),
        n=st_.integers(0, 9),
        clones=st_.integers(0, 2),
        dt=st_.floats(1e-3, 0.5),
        seed=st_.integers(0, 2 ** 32 - 1))
-def test_closed_form_matches_van_loan_on_nilpotent_f(expand, square, sizes, r,
-                                                     n, clones, dt, seed):
-    # the row-factored step against one block matrix exponential of the
-    # square dynamics: a nilpotent core, n rows driven through a random
-    # rank-r U, and trailing static rows (zero in F and G) for the clones
+def test_closed_form_matches_van_loan_on_nilpotent_f(expand, square, r, n,
+                                                     clones, dt, seed):
+    # the step from the blocks against one block matrix exponential of the
+    # square dynamics they stand for: n rows driven through a random rank-r
+    # U, and trailing static rows (zero in F and G) for the clones
     rng = np.random.default_rng(seed)
-    if r:
-        sizes = sizes[:3]
-    F, G, U = factored_system(rng, sizes, r, n)
-    d = F.shape[1] + len(U) + 6 * clones
-    F_sq, G_sq = expand(F, G, U, d)
-    Q = random_psd(rng, 3)
+    blocks = random_blocks(rng, r, n)
+    d = 15 + n + 6 * clones
+    F_sq, G_sq = expand(*blocks, d)
+    Q = random_psd(rng, 12)
     P = random_psd(rng, d)
-    out = one_step(P, F, G, U, Q, dt)
+    out = one_step(P, *blocks, Q, dt)
     ref = van_loan(P, square(F_sq, d), G_sq, Q, dt)
     assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st_.lists(st_.integers(1, 4), min_size=2, max_size=4),
-       r=st_.integers(0, 3),
+@given(r=st_.integers(0, 9),
        n=st_.integers(0, 9),
        static_rows=st_.integers(0, 9),
        dt=st_.floats(1e-3, 0.5),
        seed=st_.integers(0, 2 ** 32 - 1))
 def test_leading_columns_match_square_f(expand, square, dense_closed_form,
-                                        sizes, r, n, static_rows, dt, seed):
-    # the row-factored step (F holds the k leading columns on k + r rows)
-    # against the same closed form on the square dynamics it stands for
+                                        r, n, static_rows, dt, seed):
+    # the step from the blocks against the same closed form on the square
+    # dynamics they stand for
     rng = np.random.default_rng(seed)
-    if r:
-        sizes = sizes[:3]
-    F, G, U = factored_system(rng, sizes, r, n)
-    d = F.shape[1] + len(U) + static_rows
-    F_sq, G_sq = expand(F, G, U, d)
-    Q = random_psd(rng, 3)
+    blocks = random_blocks(rng, r, n)
+    d = 15 + n + static_rows
+    F_sq, G_sq = expand(*blocks, d)
+    Q = random_psd(rng, 12)
     P = random_psd(rng, d)
     ref = dense_closed_form(P, square(F_sq, d), G_sq, Q, dt)
-    out = one_step(P, F, G, U, Q, dt)
+    out = one_step(P, *blocks, Q, dt)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize("r", [0, 3, 9])
+def test_step_dynamics_equal_the_series_on_the_dense_f(r, expand,
+                                                       variant_jacobians):
+    # each step's V_j and W_j, written from the blocks, against the exact
+    # series F (dt I + dt^2/2 Fk + dt^3/6 Fk^2) and [G, F Gk, F Fk Gk,
+    # F Fk^2 Gk] on the dense (15 + r) x 15 F and G of the blocks (U = I):
+    # random blocks with a step and a batch axis, and each variant's own
+    rng = np.random.default_rng(50 + r)
+    dt = 0.02
+    B, D, basis, _ = random_blocks(rng, r, 0, (3, 2))
+    cases = [(B[j, i], D[j, i], basis[j, i]) for j in range(3)
+             for i in range(2)]
+    st = random_state(rng)
+    lms = rng.normal(0.0, 10.0, (2 if r else 0, 3))
+    xi = imu.sample_imitating_error(0.4, rng, 1) if r == 9 else None
+    for tag in {0: ("iekf", "ekf"), 3: ("iekf",), 9: ("ij_iekf",)}[r]:
+        cases.append(variant_jacobians(tag, st, lms, xi_delta=xi)[:3])
+    V, W = imu._step_dynamics(B, D, basis, dt)
+    assert V.shape == (3, 2, 15 + r, 15) and W.shape == (3, 2, 15 + r, 48)
+    steps = [(V[j, i], W[j, i]) for j in range(3) for i in range(2)]
+    steps += [imu._step_dynamics(*c, dt) for c in cases[6:]]
+    for (V_j, W_j), (B_j, D_j, basis_j) in zip(steps, cases):
+        F, G = expand(B_j, D_j, basis_j, np.eye(r), 15 + r)
+        Fk, Gk = F[:15], G[:15]
+        V_ref = F @ (dt * np.eye(15) + dt * dt / 2 * Fk
+                     + dt ** 3 / 6 * Fk @ Fk)
+        W_ref = np.hstack([G, F @ Gk, F @ Fk @ Gk, F @ Fk @ Fk @ Gk])
+        for got, want in ((V_j, V_ref), (W_j, W_ref)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_propagate_covariance_rejects_wide_f():
@@ -397,10 +409,9 @@ def test_batched_covariance_step_equals_one_call_per_filter(
     rng = np.random.default_rng(41 + n + r)
     b, k, m = 3, 15, 4
     kernel = imu.noise_kernel(imu.ImuNoiseSpec().q_imu(), 0.02)
-    F = rng.normal(0.0, 0.3, (b, n, k + r, k))
-    G = rng.normal(0.0, 0.3, (b, n, k + r, 12))
+    B, D, basis, _ = random_blocks(rng, r, 0, (n, b))
     U = rng.normal(0.0, 1.0, (b, 3 * m if r else 0, r))
-    V, Q = imu.compose_error_dynamics(F, G, kernel, 0.02)
+    V, Q = imu.compose_error_dynamics(B, D, basis, kernel, 0.02)
     scratch = imu.Scratch()
     for static in (0, 6):
         d = k + len(U[0]) + static
@@ -415,8 +426,8 @@ def test_batched_covariance_step_equals_one_call_per_filter(
         assert (got.tobytes()
                 == propagate_covariance_copy(Ps, V, Q, U).tobytes())
         for i in range(b):
-            V_i, Q_i = imu.compose_error_dynamics(F[i:i + 1], G[i:i + 1],
-                                                  kernel, 0.02)
+            V_i, Q_i = imu.compose_error_dynamics(
+                B[:, i:i + 1], D[:, i:i + 1], basis[:, i:i + 1], kernel, 0.02)
             assert V[i].tobytes() == V_i[0].tobytes()
             assert Q[i].tobytes() == Q_i[0].tobytes()
             want = Ps[i:i + 1].copy()
@@ -438,10 +449,9 @@ def test_covariance_step_of_filters_without_driven_rows(
     rng = np.random.default_rng(sum(driven))
     b, k, r, m, static = len(driven), 15, 3, 4, 6
     kernel = imu.noise_kernel(imu.ImuNoiseSpec().q_imu(), 0.02)
-    F = rng.normal(0.0, 0.3, (b, 2, k + r, k))
-    G = rng.normal(0.0, 0.3, (b, 2, k + r, 12))
+    B, D, basis, _ = random_blocks(rng, r, 0, (2, b))
     U = rng.normal(0.0, 1.0, (b, 3 * m, r)) * np.array(driven)[:, None, None]
-    V, Q = imu.compose_error_dynamics(F, G, kernel, 0.02)
+    V, Q = imu.compose_error_dynamics(B, D, basis, kernel, 0.02)
     d = k + 3 * m + static
     A = rng.normal(0.0, 0.1, (b, d, d))
     Ps = A @ A.swapaxes(1, 2) + 1e-3 * np.eye(d)

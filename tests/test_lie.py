@@ -3,6 +3,7 @@ finite roundtrips; closed forms are never trusted against themselves."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,7 +280,8 @@ def so3_log_numpy_forms(R):
     """``lie.so3_log`` with its norm and trace taken by np.linalg.norm and
     np.trace, as it was before both were written out; kept as its oracle."""
     R = np.asarray(R, dtype=float)
-    axis_times_2sin = lie.so3_vee(R - R.T)
+    A = R - R.T
+    axis_times_2sin = np.array([A[2, 1], A[0, 2], A[1, 0]])
     sin_theta = 0.5 * float(np.linalg.norm(axis_times_2sin))
     theta = math.atan2(sin_theta, (np.trace(R) - 1.0) / 2.0)
     if theta >= np.pi - lie.NEAR_PI_MARGIN:
@@ -391,7 +393,6 @@ def test_so3_hat_of_a_stack_is_per_row():
         assert np.array_equal(W, [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]],
                                   [-u[1], u[0], 0.0]])
         assert np.array_equal(lie.so3_hat(u), W)
-        assert np.array_equal(lie.so3_vee(W), u)
 
 
 def test_so3_log_stack_guards_each_row():
@@ -403,3 +404,37 @@ def test_so3_log_stack_guards_each_row():
     with pytest.raises(AngleNearPi):
         lie.so3_log(R)
     lie.so3_log(R[[0, 2]])
+
+
+def bernoulli(n):
+    """The Bernoulli number B_n, exact (Akiyama-Tanigawa)."""
+    A = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        A[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            A[j - 1] = j * (A[j - 1] - A[j])
+    return A[0]
+
+
+def test_jacobian_coefficients_match_their_series():
+    # c = (t - sin t)/t^3 of the left Jacobian and d = (1 - (t/2)
+    # cot(t/2))/t^2 of its inverse, on a log grid of angles from 1e-7 to 1,
+    # against their Taylor series summed exactly at each float angle: with
+    # w = (s, s, 0), W has no (0, 1) entry and W^2 holds s * s there, so
+    # J[0, 1] = c s^2 and J^-1[0, 1] = d s^2 to one rounding each
+    s = np.geomspace(1e-7, 1.0, 120) / math.sqrt(2.0)
+    w = np.column_stack((s, s, np.zeros_like(s)))
+    c = lie.so3_left_jacobian(w)[:, 0, 1] / (s * s)
+    d = lie.so3_left_jacobian_inv(w)[:, 0, 1] / (s * s)
+    E, J = lie.so3_exp_jacobian_stack(w)
+    assert E.tobytes() == lie.so3_exp_stack(w).tobytes()
+    assert J.tobytes() == lie.so3_left_jacobian(w).tobytes()
+    b2k = [abs(bernoulli(2 * k)) for k in range(1, 16)]
+    for k, theta in enumerate(lie._row_norms(w).tolist()):
+        t2 = Fraction(theta) ** 2
+        c_ref = float(sum((-1) ** i * t2 ** i / math.factorial(2 * i + 3)
+                          for i in range(15)))
+        d_ref = float(sum(b * t2 ** i / math.factorial(2 * i + 2)
+                          for i, b in enumerate(b2k)))
+        assert abs(c[k] / c_ref - 1.0) < 1e-12, theta
+        assert abs(d[k] / d_ref - 1.0) < 1e-12, theta

@@ -587,9 +587,9 @@ def test_run_filter_propagates_one_covariance_bank(monkeypatch):
         assert len(calls) == 3
         assert all(len(c) == len(frames) for c in calls.values())
         assert all(len(U) == len(variants)
-                   for _, _, U in calls["error_jacobians"])
+                   for *_, U in calls["error_jacobians"])
     assert [v.tag for v in bank.variants] == ["ekf", "fej"]
-    assert all(U.shape[-1] == 0 for _, _, U in calls["error_jacobians"])
+    assert all(U.shape[-1] == 0 for *_, U in calls["error_jacobians"])
 
 
 def study_run(seed=21):
@@ -793,3 +793,72 @@ def test_parallel_matches_serial():
                for k in serial.records)
     # progress counts completed runs in run order on both paths
     assert calls[1] == calls[2] == [(1, 2), (2, 2)]
+
+
+def test_filters_keep_the_unobservable_directions(monkeypatch, capsys):
+    # each filter's own linearized system along 60 s of criterion 7's
+    # scenario (seed 2024, runs 0-2): H_k Phi(k, 0) N_0 for translation and
+    # yaw about gravity, relative to the largest row norm of H_k, with
+    # Phi = I + T [V 0] of each interval captured from
+    # imu.propagate_covariance and each epoch's dense H from
+    # vision.landmark_measurement.  In right-invariant coordinates N_0 is
+    # xi_p = xi_f = t and xi_omega = g; the world-frame yaw column is
+    # (g, g^ p, g^ v, 0, 0, g^ f_j) at the initial estimate.  The invariant
+    # filters keep both to rounding, the ekf leaks yaw, and fej is reported
+    sc = sim.Scenario(duration=60.0, imu_rate=50.0, cam_rate=25.0)
+    variants = [filters.FilterVariant("ekf"), filters.FilterVariant("fej"),
+                filters.FilterVariant("iekf"),
+                filters.FilterVariant("ij_iekf", 0.5)]
+    g = sc.noise.gravity / np.linalg.norm(sc.noise.gravity)
+    propagate, measure = imu.propagate_covariance, vision.landmark_measurement
+    run = {}
+
+    def propagate_spy(P, V, Q, U, scratch=None):
+        N, k = run["N"], V.shape[-1]
+        X = V @ N[:, :k]
+        N[:, :k] += X[:, :k]
+        N[:, k:k + U.shape[-2]] += U @ X[:, k:]
+        return propagate(P, V, Q, U, scratch)
+
+    def measure_spy(bank, *args, **kwargs):
+        out = measure(bank, *args, **kwargs)
+        for rows, _, H, _, kept in out:
+            if len(kept):
+                rows = slice(None) if rows is None else rows
+                H = H.dense()
+                HN = np.abs(H @ run["N"][rows])
+                scale = np.sqrt((H * H).sum(axis=2)).max(axis=1)[:, None]
+                leak = np.stack((HN[..., :3].max(axis=(1, 2)),
+                                 HN[..., 3].max(axis=1)), axis=1)
+                run["leak"][rows] = np.maximum(run["leak"][rows],
+                                               leak / scale)
+        return out
+
+    monkeypatch.setattr(imu, "propagate_covariance", propagate_spy)
+    monkeypatch.setattr(vision, "landmark_measurement", measure_spy)
+    worst = np.zeros((len(variants), 2))
+    for i in range(3):
+        children = np.random.SeedSequence(2024, spawn_key=(i,)).spawn(3)
+        truth = sim.synthesize_truth(sc, np.random.default_rng(children[0]))
+        frames = sim._frames(sc, truth, np.random.default_rng(children[1]))
+        bank = sim.perturbed_filter(variants, truth.states[0],
+                                    truth.landmarks, STUDY_INIT, sc,
+                                    np.random.default_rng(children[2]))
+        N = np.zeros((len(variants), bank.dim, 4))
+        N[:, 3:6, :3] = np.eye(3)
+        N[:, 15:, :3] = np.tile(np.eye(3), (bank.n_landmarks, 1))
+        N[:, :3, 3] = g
+        ekf = ~bank.invariant
+        levers = np.concatenate((bank.state.p[:, None], bank.state.v[:, None],
+                                 np.zeros((len(variants), 2, 3)),
+                                 bank.landmarks), axis=1)[ekf]
+        N[ekf, 3:, 3] = np.cross(g, levers).reshape(ekf.sum(), -1)
+        run.update(N=N, leak=np.zeros((len(variants), 2)))
+        sim.run_filter(sc, truth, frames, bank)
+        worst = np.maximum(worst, run["leak"])
+    with capsys.disabled():
+        print("\nmax |H Phi N_0| / |H| (translation, yaw): " + ", ".join(
+            f"{v.label} {t:.2e} {y:.2e}" for v, (t, y) in zip(variants,
+                                                             worst)))
+    assert worst[2:].max() <= 1e-12
+    assert worst[0, 1] > 1e-3
