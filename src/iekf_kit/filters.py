@@ -22,9 +22,9 @@ layout and one noise spec, as the rows of stacked arrays.  Every stage
 augmentation and marginalization) runs once for all rows, whatever their
 variants, and writes them in place; one filter is a bank of one.  The
 error model of every variant is one set of blocks (``error_jacobians``),
-and the correction retracts all rows with one stacked SO(3) pass.
-``errors`` and ``nees`` take the estimates of any number of filters and
-epochs at once.
+whose imitated Jacobians ``imitation_stream`` draws once per run, and the
+correction retracts all rows with one stacked SO(3) pass.  ``errors`` and
+``nees`` take the estimates of any number of filters and epochs at once.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ _EYE6 = np.eye(6)
 _NEES_BLOCKS = (slice(3, 6), slice(0, 3))
 # e_a^ for a = 0, 1, 2: the basis of the imitated landmark rows
 _BASIS_HATS = lie.so3_hat(_EYE3)
+# J^-1 and J^-1 e_a^ of a row without imitation, as a zero draw gives them
+_NO_IMITATION = np.concatenate(([_EYE3], _EYE3 @ _BASIS_HATS))
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def _lever_products(levers, R):
     return hats.reshape(hats.shape[:-3] + (-1, 3)) @ R
 
 
-def error_jacobians(R, drift, levers, landmarks=None, xi_delta=None):
+def error_jacobians(R, drift, levers, landmarks=None, imitation=None):
     """The error model of every variant over one interval of n steps, as
     the blocks (B, D, basis, U) that ``imu.compose_error_dynamics`` takes;
     R (n, 3, 3) is the orientation at the start of each step.
@@ -114,71 +116,80 @@ def error_jacobians(R, drift, levers, landmarks=None, xi_delta=None):
     -R_k (a_k - b_a) ((n, 3)) and zero lever arms and landmarks, so its
     landmark rows have U = 0 and stay static.
 
-    ``xi_delta`` (n, 3) holds the imitation errors of ``ij_iekf``, one
-    orientation error per step, and J_k^-1 = J_SO3^-1(xi_delta[k])
-    premultiplies each 3-row block of B.  It does not commute with f_j^, so
-    the landmark rows J_k^-1 f_j^ R_k = sum_a f_ja J_k^-1 e_a^ R_k take
-    r = 9: landmark j's block of U is [f_j1 I | f_j2 I | f_j3 I], and basis
-    block a is J_k^-1 e_a^ R_k.  Draws that are all zero are no imitation.
+    ``imitation`` (n, 4, 3, 3), from ``imitation_stream``, holds J_k^-1 =
+    J_SO3^-1(xi_k), which premultiplies each 3-row block of B, and
+    J_k^-1 e_a^.  J_k^-1 does not commute with f_j^, so the landmark rows
+    J_k^-1 f_j^ R_k = sum_a f_ja J_k^-1 e_a^ R_k take r = 9: landmark j's
+    block of U is [f_j1 I | f_j2 I | f_j3 I] and basis block a J_k^-1 e_a^ R_k.
 
     Every input but a gravity drift may carry a batch axis of B filters
     after the step axis, ``landmarks`` one in front ((B, m, 3)); the blocks
     then carry it too, step-major, and U as (B, 3 m, r).  The filters share
-    one r: 9 if any drew a nonzero imitation error, and a filter without
-    draws takes zeros, whose J^-1 is exactly I.  Each filter's blocks equal
-    those of its own call bit for bit where its r is that of its own call.
+    one r, and a filter without imitation takes J_k^-1 = I.  Each filter's
+    blocks equal those of its own call bit for bit where its r is its own.
     """
     lead = R.shape[:-2]            # (n,) or (n, B)
     m = 0 if landmarks is None else landmarks.shape[-2]
-    if xi_delta is not None and not xi_delta.any():
-        xi_delta = None
-    r = 0 if m == 0 else 3 if xi_delta is None else 9
+    r = 0 if m == 0 else 3 if imitation is None else 9
     B = np.zeros(lead + (9, 6))
     B[..., :3, :3] = R
     B[..., 3:9, :3] = _lever_products(levers, R)
     B[..., 6:9, 3:6] = R
-    if xi_delta is not None:
-        Jinv = lie.so3_left_jacobian_inv(xi_delta)[..., None, :, :]
-        B = (Jinv @ B.reshape(lead + (3, 3, 6))).reshape(lead + (9, 6))
+    if imitation is not None:
+        B = (imitation[..., :1, :, :] @ B.reshape(lead + (3, 3, 6))).reshape(
+            lead + (9, 6))
     D = lie.so3_hat(drift)
     if r == 0:
         return B, D, np.zeros(lead + (0, 3)), np.zeros(lead[1:] + (0, 0))
     if r == 3:
         return B, D, R, lie.so3_hat(landmarks).reshape(lead[1:] + (-1, 3))
-    basis = (Jinv @ _BASIS_HATS @ R[..., None, :, :]).reshape(lead + (9, 3))
+    basis = (imitation[..., 1:, :, :] @ R[..., None, :, :]).reshape(
+        lead + (9, 3))
     U = (landmarks[..., None, :, None] * _EYE3[:, None]).reshape(
         lead[1:] + (-1, 9))
     return B, D, basis, U
 
 
-def predict_all(bank, omega, accel, dt):
+def imitation_stream(bank, n):
+    """(drew, J) over n steps: each ``ij_iekf`` row of ``bank`` draws its n
+    imitation errors xi_k from its own generator, one
+    ``imu.sample_imitating_error``, and one ``lie.so3_left_jacobian_inv``
+    takes them all.  J (n, B, 4, 3, 3) holds each row's J_k^-1 and
+    J_k^-1 e_a^, I and e_a^ without draws; drew (n,) marks the steps where
+    any row drew a nonzero error.  Both are views without ``ij_iekf``."""
+    rows = [i for i, v in enumerate(bank.variants) if v.tag == "ij_iekf"]
+    J = np.broadcast_to(_NO_IMITATION, (n, len(bank.variants), 4, 3, 3))
+    if not rows:
+        return np.broadcast_to(False, (n,)), J
+    xi = np.stack([imu_model.sample_imitating_error(
+        bank.variants[i].r, bank.rngs[i], n) for i in rows], axis=1)
+    Jinv = lie.so3_left_jacobian_inv(xi)[..., None, :, :]
+    J = J.copy()
+    J[:, rows] = np.concatenate((Jinv, Jinv @ _BASIS_HATS), axis=-3)
+    return xi.any(axis=(1, 2)), J
+
+
+def predict_all(bank, omega, accel, dt, imitation=None):
     """Propagate the filters of ``bank`` through one interval of IMU
     readings ``dt`` apart, the rows of ``omega`` and ``accel`` ((n, 3)
     each), in lock step: one ``imu.propagate_mean``, one
     ``error_jacobians``, one ``imu.compose_error_dynamics`` and one
     ``imu.propagate_covariance`` for all rows, whatever their variants.
 
+    ``imitation`` is the interval's slice of the bank's run-long
+    ``imitation_stream``, without which the bank draws the interval's own.
     The EKF family passes zero lever arms and zero landmarks (see
     ``error_jacobians``), so its landmark rows stay static at any r.  The
-    rows share the largest r over the interval: 9 if any ``ij_iekf`` drew
-    a nonzero imitation error, else 3 with landmarks and an invariant row,
-    else 0.  Every ``ij_iekf`` row draws its imitation errors from its own
-    generator as it would alone, and no other row draws.  Each row's
-    numbers equal those of a bank of it alone bit for bit, except that an
-    invariant row's r padded from 3 to 9 changes the rounding of its
-    landmark rows.
+    rows share the largest r over the interval: 9 if any ``ij_iekf`` drew a
+    nonzero imitation error in it, else 3 with landmarks and an invariant
+    row, else 0.  Each row equals a bank of it alone bit for bit, but an
+    invariant row padded from r = 3 to 9 rounds its landmark rows apart.
     """
+    drew, J = imitation or imitation_stream(bank, len(omega))
     noise = bank.noise
     bank.state, R, p, v, Ra = imu_model.propagate_mean(
         bank.state, omega, accel, dt, noise.gravity)
     invariant = bank.invariant
-    draws = [imu_model.sample_imitating_error(f.r, rng, len(omega))
-             if f.tag == "ij_iekf" else None
-             for f, rng in zip(bank.variants, bank.rngs)]
-    xi_delta = None
-    if any(x is not None for x in draws):
-        xi_delta = np.array([np.zeros((len(omega), 3)) if x is None else x
-                             for x in draws]).swapaxes(0, 1)
     landmarks = None
     if invariant.any():
         landmarks = np.where(invariant[:, None, None], bank.landmarks, 0.0)
@@ -187,7 +198,7 @@ def predict_all(bank, omega, accel, dt):
     drift = np.where(invariant[:, None, None], noise.gravity, -Ra)
     # the steps' inputs as step-major (n, B, ...) views
     *blocks, U = error_jacobians(R[:, :-1].swapaxes(0, 1), drift.swapaxes(
-        0, 1), levers.swapaxes(0, 1), landmarks, xi_delta)
+        0, 1), levers.swapaxes(0, 1), landmarks, J if drew.any() else None)
     V, Q = imu_model.compose_error_dynamics(*blocks, bank._noise_kernel(dt),
                                             dt)
     imu_model.propagate_covariance(bank.P, V, Q, U, bank._scratch)

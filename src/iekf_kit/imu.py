@@ -354,9 +354,9 @@ def propagate_covariance(P, V, Q, U, scratch=None):
 
 
 def sample_imitating_error(r, rng, n):
-    """Draw the imitation errors of n steps, (n, 3): the orientation
-    components, iid uniform on [-r, r], in one draw that equals n draws of
-    three and leaves ``rng`` in the same state."""
+    """The imitation errors of n steps, (n, 3), iid uniform on [-r, r], in
+    one draw that equals the draws of any split of n and leaves ``rng`` in
+    the same state: ``filters.imitation_stream`` draws a run's at its start."""
     if r < 0:
         raise NegativeRange(f"r = {r}")
     return rng.uniform(-r, r, (n, 3))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import filters
+from . import __version__, filters
 from . import imu as imu_model
 from . import lie
 from . import vision
@@ -318,20 +318,21 @@ def _frames(scenario, truth, rng):
 
 def _drive(scenario, truth, frames, bank, update):
     """The filter driver loop: at camera epoch i, one ``filters.predict_all``
-    of ``bank`` over the interval's IMU readings, then
-    ``update(bank, frames[i])``.  Returns the bank's R (B, E, 3, 3),
-    p (B, E, 3) and the pose block of P (B, E, 6, 6) after each epoch."""
+    of ``bank`` over the interval's IMU readings and its slice of the run's
+    ``filters.imitation_stream``, then ``update(bank, frames[i])``.  Returns
+    R (B, E, 3, 3), p (B, E, 3) and P's pose block (B, E, 6, 6) per epoch."""
     dt = 1.0 / scenario.imu_rate
     every = scenario.camera_every
     b, e = len(bank.variants), len(frames)
     if e != len(truth.omega) // every:
         raise ValueError(f"{e} frames for {len(truth.omega) // every} "
                          f"camera epochs")
+    drew, J = filters.imitation_stream(bank, e * every)
     R, p, P = (np.empty((b, e) + shape) for shape in ((3, 3), (3,), (6, 6)))
     for i, frame in enumerate(frames):
-        k = (i + 1) * every
-        filters.predict_all(bank, truth.omega[k - every:k],
-                            truth.accel[k - every:k], dt)
+        steps = slice(i * every, (i + 1) * every)
+        filters.predict_all(bank, truth.omega[steps], truth.accel[steps], dt,
+                            (drew[steps], J[steps]))
         update(bank, frame)
         R[:, i], p[:, i] = bank.state.R, bank.state.p
         P[:, i] = bank.P[:, :6, :6]
@@ -570,6 +571,9 @@ def write_reports(report, out_dir, scenario=None, extra_meta=None):
         "variants": [v.label for v in report.variants],
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "numpy": np.__version__,
+        "iekf_kit": __version__,
+        "threads": {k: os.environ.get(k) for k in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     if scenario is not None:
         meta["scenario"] = {

@@ -306,22 +306,32 @@ def _apply_correction_filter(filt, d):
     st.b_a = st.b_a + d[12:15]
 
 
+def _imitation(xi):
+    """The ``imitation`` input of ``filters.error_jacobians`` for the
+    imitation draws xi (..., 3): J^-1 and J^-1 e_a^ (a = 1, 2, 3) of each
+    draw, stacked as (..., 4, 3, 3)."""
+    Jinv = lie.so3_left_jacobian_inv(xi)[..., None, :, :]
+    return np.concatenate((Jinv, Jinv @ lie.so3_hat(np.eye(3))), axis=-3)
+
+
 def _variant_jacobians(tag, st, lms=np.zeros((0, 3)), accel=ACCEL,
                        xi_delta=None):
     """The blocks (B, D, basis, U) of ``filters.error_jacobians`` for one
     step from ``st``, from the inputs that ``filters.predict_all`` gives it
     for variant ``tag``: gravity, the lever arms (p, v) and the landmarks
     for the invariant error, -R (a_m - b_a) and zero lever arms for the EKF
-    family; ``xi_delta`` is a (1, 3) imitation draw."""
+    family; ``xi_delta`` is a (1, 3) imitation draw, taken as imitation
+    even where it is zero."""
     lms = np.asarray(lms, dtype=float).reshape(-1, 3)
+    imitation = None if xi_delta is None else _imitation(xi_delta)
     if tag in filters.INVARIANT_TAGS:
         B, D, basis, U = filters.error_jacobians(
             st.R[None], imu.DEFAULT_GRAVITY, np.array([[st.p, st.v]]), lms,
-            xi_delta)
+            imitation)
     else:
         drift = -(st.R @ (np.asarray(accel, dtype=float) - st.b_a))
         B, D, basis, U = filters.error_jacobians(
-            st.R[None], drift[None], np.zeros((1, 2, 3)), None, xi_delta)
+            st.R[None], drift[None], np.zeros((1, 2, 3)), None, imitation)
     return B[0], D.reshape(3, 3), basis[0], U
 
 
@@ -999,6 +1009,11 @@ def update_raw_filter():
 @pytest.fixture(scope="session")
 def apply_correction_filter():
     return _apply_correction_filter
+
+
+@pytest.fixture(scope="session")
+def imitation():
+    return _imitation
 
 
 @pytest.fixture(scope="session")

@@ -856,7 +856,8 @@ def interval_readings(rng, n):
 @pytest.mark.parametrize("m", [0, 3])
 @pytest.mark.parametrize("tag", filters.ALL_TAGS)
 def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
-                                                full_row_error_jacobians):
+                                                full_row_error_jacobians,
+                                                imitation):
     # over a 10-step interval, the stacked (F, G) with its one U expand at
     # every step to the full c x 15 F and c x 12 G at that step's state, bit
     # for bit; the imitated landmark rows (r = 9) sum over the landmark's
@@ -869,12 +870,13 @@ def test_factored_jacobians_expand_to_full_rows(tag, m, with_delta, expand,
     omega, accel = interval_readings(rng, n)
     _, R, p, v, Ra = imu.propagate_mean(st, omega, accel, dt, g)
     xi = imu.sample_imitating_error(0.4, rng, n) if with_delta else None
+    J = None if xi is None else imitation(xi)
     if tag in filters.INVARIANT_TAGS:
         B, D, basis, U = filters.error_jacobians(
-            R[:-1], g, np.stack((p[:-1], v[:-1]), axis=1), lms, xi)
+            R[:-1], g, np.stack((p[:-1], v[:-1]), axis=1), lms, J)
     else:
         B, D, basis, U = filters.error_jacobians(
-            R[:-1], -Ra, np.zeros((n, 2, 3)), None, xi)
+            R[:-1], -Ra, np.zeros((n, 2, 3)), None, J)
     c = 15 + 3 * m
     rows = slice(0, 15 if with_delta and tag in filters.INVARIANT_TAGS
                  else c)
@@ -958,10 +960,10 @@ def test_interval_predict_matches_per_step_chain(tag, m, n,
     assert f.rngs[0].bit_generator.state == ref.rng.bit_generator.state
 
 
-def test_batched_error_model_equals_one_call_per_filter():
+def test_batched_error_model_equals_one_call_per_filter(imitation):
     # the stacked inputs of B filters, step-major, give each filter's
     # blocks bit for bit, for the EKF family, the invariant error and the
-    # imitated one; a filter without draws (zeros) beside one with draws
+    # imitated one; a filter without draws (J^-1 = I) beside one with draws
     # takes r = 9
     rng = np.random.default_rng(34)
     b, n, m = 3, 4, 5
@@ -971,14 +973,15 @@ def test_batched_error_model_equals_one_call_per_filter():
     levers = rng.normal(0.0, 10.0, (n, b, 2, 3))
     lms = rng.normal(0.0, 10.0, (b, m, 3))
     xi = rng.uniform(-0.3, 0.3, (n, b, 3))
+    J = imitation(xi)
     zeros = np.zeros_like(levers)
     g = imu.DEFAULT_GRAVITY
     cases = [((R, drift, zeros), lambda i: (R[:, i], drift[:, i],
                                             zeros[:, i])),
              ((R, g, levers, lms),
               lambda i: (R[:, i], g, levers[:, i], lms[i])),
-             ((R, g, levers, lms, xi),
-              lambda i: (R[:, i], g, levers[:, i], lms[i], xi[:, i]))]
+             ((R, g, levers, lms, J),
+              lambda i: (R[:, i], g, levers[:, i], lms[i], J[:, i]))]
     for batched, single in cases:
         B, D, basis, U = filters.error_jacobians(*batched)
         assert B.shape[:2] == basis.shape[:2] == (n, b) and len(U) == b
@@ -987,7 +990,7 @@ def test_batched_error_model_equals_one_call_per_filter():
             for x, want in zip(got, filters.error_jacobians(*single(i))):
                 assert x.tobytes() == want.tobytes()
     xi[:, 0] = 0.0
-    B, _, basis, U = filters.error_jacobians(R, g, levers, lms, xi)
+    B, _, basis, U = filters.error_jacobians(R, g, levers, lms, imitation(xi))
     assert basis.shape == (n, b, 9, 3) and U.shape == (b, 3 * m, 9)
 
 

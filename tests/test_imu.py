@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from iekf_kit import errorprop, imu, lie
+from iekf_kit import errorprop, filters, imu, lie
 from iekf_kit.exceptions import NegativeRange, NonPositiveDt
 
 FAMILIES = ("iekf", "ekf")
@@ -86,14 +86,31 @@ def test_full_f_is_nilpotent(variant_jacobians, expand, square):
         assert np.abs(np.linalg.matrix_power(F_sq, 4)).max() == 0.0
 
 
-def test_error_jacobians_zero_delta_bit_identical(variant_jacobians):
+def test_error_jacobians_zero_delta_bit_identical():
+    # draws of range 0 are no imitation: the stream marks no step, its
+    # J^-1 and J^-1 e_a^ are I and e_a^, and an ij_iekf bank of range 0
+    # predicts as an iekf bank bit for bit, with the stream or without it
     rng = np.random.default_rng(2)
     st = random_state(rng)
     lms = rng.normal(0.0, 10.0, (2, 3))
-    blocks = variant_jacobians("iekf", st, lms)
-    zero = variant_jacobians("iekf", st, lms, xi_delta=np.zeros((1, 3)))
-    for got, want in zip(zero, blocks):
-        assert got.tobytes() == want.tobytes()
+    omega = rng.normal(0.0, 0.3, (3, 3))
+    accel = rng.normal(0.0, 1.0, (3, 3)) + [0.0, 0.0, 9.8]
+    banks = [filters.FilterInstance(filters.FilterVariant(*v), st,
+                                    0.01 * np.eye(21), imu.ImuNoiseSpec(),
+                                    landmarks=lms)
+             for v in (("iekf",), ("ij_iekf", 0.0), ("ij_iekf", 0.0))]
+    drew, J = filters.imitation_stream(banks[1], 3)
+    assert J.shape == (3, 1, 4, 3, 3) and not drew.any()
+    assert np.array_equal(J[:, 0, 0], np.broadcast_to(np.eye(3), (3, 3, 3)))
+    assert np.array_equal(J[:, 0, 1:], np.broadcast_to(
+        lie.so3_hat(np.eye(3)), (3, 3, 3, 3)))
+    for bank, imitation in zip(banks, (None, None, (drew, J))):
+        filters.predict_all(bank, omega, accel, 0.01, imitation)
+    for bank in banks[1:]:
+        assert bank.P.tobytes() == banks[0].P.tobytes()
+        for name in ("R", "p", "v"):
+            assert (getattr(bank.state, name).tobytes()
+                    == getattr(banks[0].state, name).tobytes())
 
 
 def test_error_jacobians_block_structure(variant_jacobians):
@@ -302,15 +319,23 @@ def test_imitating_error_sampling():
         imu.sample_imitating_error(-0.1, rng, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10])
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
 def test_interval_draw_equals_per_step_draws(n):
-    # one uniform(-r, r, (n, 3)) draw gives the n per-step draws of three
-    # and leaves the generator where they leave it
+    # one uniform(-r, r, (n, 3)) draw gives the n per-step draws of three,
+    # and the draws of consecutive intervals that split n unevenly (a run's
+    # stream against its camera intervals), bit for bit, and leaves the
+    # generator where they leave it
     one, steps = np.random.default_rng(21), np.random.default_rng(21)
     xi = imu.sample_imitating_error(0.3, one, n)
     want = np.array([steps.uniform(-0.3, 0.3, 3) for _ in range(n)])
-    assert np.array_equal(xi, want)
+    assert xi.tobytes() == want.tobytes()
     assert one.bit_generator.state == steps.bit_generator.state
+    cuts = [7, 20] if n == 100 else [n // 3, n // 2]
+    parts = np.random.default_rng(21)
+    split = [imu.sample_imitating_error(0.3, parts, k)
+             for k in np.diff([0, *cuts, n])]
+    assert np.concatenate(split).tobytes() == xi.tobytes()
+    assert parts.bit_generator.state == one.bit_generator.state
 
 
 # the relative tolerance of the chain by doubling against the per-step

@@ -10,9 +10,10 @@ import os
 import numpy as np
 import pytest
 
+import iekf_kit
 from iekf_kit import config, filters, imu, lie, sim, vision
 from iekf_kit.exceptions import (ConfigError, EmptyReport,
-                                 SingularCovariance)
+                                 SingularCovariance, SingularJacobian)
 
 
 def test_trajectory_derivatives_consistent():
@@ -592,6 +593,80 @@ def test_run_filter_propagates_one_covariance_bank(monkeypatch):
     assert all(U.shape[-1] == 0 for *_, U in calls["error_jacobians"])
 
 
+def test_run_filter_draws_the_imitation_stream_once(monkeypatch):
+    # one imitation draw of the whole run per ij_iekf row and one inverse
+    # left Jacobian of all of them per run; none without an ij_iekf row
+    sc, truth, frames, _ = study_run()
+    calls = []
+    for module, name in ((imu, "sample_imitating_error"),
+                         (lie, "so3_left_jacobian_inv")):
+        def wrapper(*args, original=getattr(module, name), name=name):
+            calls.append((name, np.shape(args[-1]) or args[-1]))
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    n = len(truth.omega)
+    ekf, fej, iekf = STUDY_VARIANTS[:3]
+    for variants in (STUDY_VARIANTS, [ekf, iekf], [ekf, fej]):
+        calls.clear()
+        bank = sim.perturbed_filter(variants, truth.states[0],
+                                    truth.landmarks, STUDY_INIT, sc,
+                                    np.random.default_rng(5))
+        sim.run_filter(sc, truth, frames, bank)
+        k = sum(v.tag == "ij_iekf" for v in variants)
+        assert calls == ([("sample_imitating_error", n)] * k
+                         + [("so3_left_jacobian_inv", (n, k, 3))]
+                         if k else [])
+
+
+def test_singular_imitation_draw_raises_before_the_first_epoch(
+        monkeypatch):
+    # a draw at |xi| = 2 pi in the run's last step fails the run's stream
+    # at its start: no epoch runs, and the bank is left as it was
+    sc, truth, frames, bank = study_run()
+    original = imu.sample_imitating_error
+
+    def draw(r, rng, n):
+        xi = original(r, rng, n)
+        xi[-1] = [2.0 * np.pi, 0.0, 0.0]
+        return xi
+
+    monkeypatch.setattr(imu, "sample_imitating_error", draw)
+    P0, R0 = bank.P.copy(), bank.state.R.copy()
+    with pytest.raises(SingularJacobian):
+        sim.run_filter(sc, truth, frames, bank)
+    assert bank.P.tobytes() == P0.tobytes()
+    assert bank.state.R.tobytes() == R0.tobytes()
+
+
+@pytest.mark.parametrize("variants", [
+    STUDY_VARIANTS,
+    [filters.FilterVariant("ij_iekf", 0.0), filters.FilterVariant("ij_iekf",
+                                                                  0.5)]],
+    ids=["study", "range_0_beside_0.5"])
+def test_interval_draws_equal_the_run_stream(variants):
+    # a bank predicted interval by interval through predict_all, each
+    # interval drawing its own imitation errors, ends where run_filter's
+    # bank, which draws the run's stream up front, ends, bit for bit
+    sc, truth, frames, _ = study_run()
+    ref, bank = (sim.perturbed_filter(variants, truth.states[0],
+                                      truth.landmarks, STUDY_INIT, sc,
+                                      np.random.default_rng(5))
+                 for _ in range(2))
+    sim.run_filter(sc, truth, frames, ref)
+    every = sc.camera_every
+    for i, frame in enumerate(frames):
+        steps = slice(i * every, (i + 1) * every)
+        filters.predict_all(bank, truth.omega[steps], truth.accel[steps],
+                            1.0 / sc.imu_rate)
+        sim._update_landmarks(sc, bank, frame)
+    assert bank.P.tobytes() == ref.P.tobytes()
+    assert bank.landmarks.tobytes() == ref.landmarks.tobytes()
+    for name, x in vars(ref.state).items():
+        assert getattr(bank.state, name).tobytes() == x.tobytes(), name
+    assert ([g.bit_generator.state for g in bank.rngs]
+            == [g.bit_generator.state for g in ref.rngs])
+
+
 def study_run(seed=21):
     """(scenario, truth, frames, bank) of a 2 s realization of the study's
     shape, with a fresh bank of its variants."""
@@ -754,7 +829,10 @@ def test_aggregate_equals_means_of_the_record_array():
             "epochs": len(arr)}
 
 
-def test_report_writers(tmp_path):
+def test_report_writers(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     sc = sim.Scenario(duration=3.0)
     variants = [filters.FilterVariant("iekf"), filters.FilterVariant("ekf")]
     rep = sim.run_monte_carlo(sc, variants, n_runs=2, seed=1)
@@ -774,6 +852,12 @@ def test_report_writers(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["seed"] == 1
     assert meta["variants"] == ["iekf", "ekf"]
+    # what produced the records: the package version and the thread
+    # settings of BLAS and OpenMP, null where unset
+    assert meta["iekf_kit"] == iekf_kit.__version__
+    assert meta["threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                               "OMP_NUM_THREADS": "2",
+                               "MKL_NUM_THREADS": None}
     # no stray temp files left behind
     assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
 
